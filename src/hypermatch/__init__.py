@@ -49,6 +49,7 @@ from .errors import (
     HypermatchError,
     InfeasibleError,
     InvalidArgumentError,
+    InvariantError,
     ParseError,
     ResourceLimitError,
     SamplingError,

@@ -505,7 +505,8 @@ def criterion_10_determinism() -> CriterionResult:
                 ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",
                  "--gamma", "0.2", "--seed", "42", "--out", base]
             )
-            assert code == 0
+            if code != 0:
+                return False, f"gen exited {code}"
             graph = os.path.join(base, "graph.khg")
             runs = [
                 ["entropy", "--graph", graph],

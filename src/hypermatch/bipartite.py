@@ -36,7 +36,7 @@ from .entropy import (
     scale_to_unit_sums,
     weight_entropy,
 )
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .hypergraph import DiracParams, Hypergraph, is_dirac, min_d_degree
 
 DEFAULT_LIFT_CAP = 10**5
@@ -182,8 +182,8 @@ def bipartite_max_entropy(
     )
     guarantee = lft.n_tilde * math.log(lft.min_degree)
     slack = 1e-6 * max(1.0, float(lft.n_tilde))
-    if result.converged:
-        assert h_expanded >= guarantee - slack, (
+    if result.converged and h_expanded < guarantee - slack:
+        raise InvariantError(
             f"bipartite entropy {h_expanded} fell below the guaranteed "
             f"ntilde ln(delta) = {guarantee}"
         )

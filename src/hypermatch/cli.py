@@ -330,10 +330,12 @@ def _cmd_greedy(args) -> int:
     cfg = TrajectoryConfig(c=args.c, stop_fraction=args.stop_fraction)
     os.makedirs(args.out, exist_ok=True)
     trials = list(range(args.trials))
-    if args.jobs > 1:
+    # more workers than CPUs only add start-up cost; os.cpu_count() may be None
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_greedy_single, G, x, cfg, args.seed, (t,), args.out, prov, t)
                 for t in trials

@@ -28,7 +28,7 @@ from .entropy import (
     max_entropy_fpm,
     weight_entropy,
 )
-from .errors import InvalidArgumentError, ResourceLimitError, SamplingError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
 from .seeds import randbelow, rng_from
 
@@ -102,7 +102,11 @@ class PMOracle:
         # Each matching covers each vertex exactly once, so the incident
         # counts must telescope back to the total.
         for v in range(self.G.n):
-            assert sum(self.count(emask) for _, emask in self.by_vertex[v] ) == total
+            incident = sum(self.count(emask) for _, emask in self.by_vertex[v])
+            if incident != total:
+                raise InvariantError(
+                    f"matchings through vertex {v} count {incident}, total is {total}"
+                )
         return margs
 
     def sample(self, rng: np.random.Generator, initial_mask: int = 0) -> tuple[int, ...]:
@@ -126,7 +130,8 @@ class PMOracle:
                 if emask & mask == 0
             ]
             running = sum(c for _, _, c in feasible)
-            assert running == now, "conditional counts failed to telescope"
+            if running != now:
+                raise InvariantError("conditional counts failed to telescope")
             r = randbelow(rng, now)
             acc = 0
             for eid, emask, c in feasible:
@@ -177,7 +182,8 @@ def pm_marginals(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> EdgeWeights:
     """
     margs = PMOracle(G, cap).marginals()
     for v in range(G.n):
-        assert sum(margs[i] for i in G.incident(v)) == 1
+        if sum(margs[i] for i in G.incident(v)) != 1:
+            raise InvariantError(f"marginals at vertex {v} do not sum to 1")
     w = np.array([float(q) for q in margs])
     w.flags.writeable = False
     return EdgeWeights(w, G.digest(), weight_entropy(w), STATUS_VERIFIED)

@@ -92,11 +92,9 @@ def check_alignment(G: Hypergraph, x: EdgeWeights) -> None:
 
 
 def vertex_sums(G: Hypergraph, weights: np.ndarray) -> np.ndarray:
-    sums = np.zeros(G.n, dtype=float)
-    for i, e in enumerate(G.edges):
-        for v in e:
-            sums[v] += weights[i]
-    return sums
+    """Incident weight per vertex, added in edge-id order at each vertex."""
+    per_slot = np.repeat(np.asarray(weights, dtype=float), G.k)
+    return np.bincount(G.index().edge_verts.ravel(), weights=per_slot, minlength=G.n)
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,11 @@ def write_weights(path: str, x: EdgeWeights, extra_comments: Sequence[str] = ())
 
 
 def read_weights(path: str, G: Optional[Hypergraph] = None) -> EdgeWeights:
-    """Read a .wts file; if G is given, checks digest and length against it."""
+    """Read a .wts file; if G is given, checks digest and length against it.
+
+    A ``verified-fpm`` status header is kept only after the vertex sums pass
+    ``as_verified`` on G; without G the weights come back raw.
+    """
     digest = None
     status = STATUS_RAW
     values: list[float] = []
@@ -338,8 +340,9 @@ def read_weights(path: str, G: Optional[Hypergraph] = None) -> EdgeWeights:
     if G is not None:
         if digest is not None and digest != G.digest():
             raise InvalidArgumentError(f"weights file {path} was written for a different graph")
-        return EdgeWeights.from_weights(G, w, status if status == STATUS_VERIFIED else STATUS_RAW)
+        x = EdgeWeights.from_weights(G, w)
+        return as_verified(G, x) if status == STATUS_VERIFIED else x
     if w.size and (float(w.min()) < 0 or float(w.max()) > 1.0 + 1e-9):
         raise ParseError("weights outside [0, 1]", path, 0)
     w.flags.writeable = False
-    return EdgeWeights(w, digest or "", weight_entropy(w), status)
+    return EdgeWeights(w, digest or "", weight_entropy(w), STATUS_RAW)

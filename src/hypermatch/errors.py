@@ -44,3 +44,7 @@ class InfeasibleError(HypermatchError):
 
 class SamplingError(HypermatchError):
     """A sampling operation could not produce a valid object."""
+
+
+class InvariantError(HypermatchError):
+    """A mathematical invariant of a computed result failed to hold."""

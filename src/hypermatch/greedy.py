@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -40,11 +39,14 @@ import numpy as np
 from .counting import DEFAULT_COUNT_CAP, PMOracle
 from .entropy import EdgeWeights, check_alignment
 from .errors import InvalidArgumentError, SamplingError
-from .hypergraph import Hypergraph, degree
+from .hypergraph import GraphIndex, Hypergraph, degree
 from .seeds import rng_from
 
 STOP_FROZEN = "no-positive-weight-edge"
 STOP_LIMIT = "step-limit"
+
+# Edges per block of the pick's blocked prefix sums.
+PICK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -86,28 +88,19 @@ def concentration_horizon(n: int, k: int, c: float) -> float:
     return (1.0 - float(n) ** (-c)) * n / k
 
 
-@lru_cache(maxsize=16)
-def _graph_arrays(G: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edge-vertex matrix, incidence indptr, flat incidence) as numpy arrays."""
-    m = G.num_edges
-    edge_verts = np.array(G.edges, dtype=np.intp).reshape(m, G.k)
-    indptr = np.zeros(G.n + 1, dtype=np.intp)
-    for v in range(G.n):
-        indptr[v + 1] = indptr[v] + len(G.incident(v))
-    flat = (
-        np.concatenate([np.array(G.incident(v), dtype=np.intp) for v in range(G.n)])
-        if m
-        else np.zeros(0, dtype=np.intp)
-    )
-    for arr in (edge_verts, indptr, flat):
-        arr.flags.writeable = False
-    return edge_verts, indptr, flat
-
-
 def resolve_tracked_sets(G: Hypergraph, cfg: TrajectoryConfig) -> tuple[tuple[int, ...], ...]:
-    """The tracked vertex sets for a run, deterministic given the config."""
+    """The tracked vertex sets for a run, deterministic given the config.
+
+    Explicit sets must hold 1..k-1 distinct vertices of G.
+    """
     if cfg.tracked_sets is not None:
-        return tuple(tuple(sorted(s)) for s in cfg.tracked_sets)
+        sets = tuple(tuple(sorted(int(v) for v in s)) for s in cfg.tracked_sets)
+        for S in sets:
+            if not 0 < len(set(S)) == len(S) < G.k or S[0] < 0 or S[-1] >= G.n:
+                raise InvalidArgumentError(
+                    f"tracked set {S} is not 1..{G.k - 1} distinct vertices of [0, {G.n})"
+                )
+        return sets
     sets: list[tuple[int, ...]] = []
     if cfg.track_singletons:
         sets.extend((v,) for v in range(G.n))
@@ -147,6 +140,50 @@ class GreedyTrajectory:
         return int(self.chosen.size)
 
 
+def _encode(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of vertex ids as one base-n integer."""
+    code = rows[:, 0].astype(np.int64)
+    for col in range(1, rows.shape[1]):
+        code = code * n + rows[:, col]
+    return code
+
+
+def _set_edges(
+    index: GraphIndex, sets: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The edges containing every vertex of each set of 2..k-1 vertices.
+
+    Returns (slot_of, slot, edge, n_slots): equal sets share a slot,
+    ``slot_of[i]`` is set i's slot, and each (slot, edge) pair is an edge
+    containing that slot's set.  Every s-subset of every edge is encoded as
+    a base-n integer and looked up among the sets' codes, so the cost is
+    O(m C(k, s)) per set size s, independent of the number of sets.
+    """
+    n = index.degrees.size
+    slot_of = np.zeros(len(sets), dtype=np.intp)
+    slots: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    edges: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    n_slots = 0
+    for size in sorted({len(S) for S in sets}):
+        if n**size >= 2**63:
+            raise InvalidArgumentError(f"sets of {size} vertices out of {n} overflow int64 codes")
+        ids = [i for i, S in enumerate(sets) if len(S) == size]
+        codes, slot_of[ids] = np.unique(
+            _encode(np.array([sets[i] for i in ids]), n), return_inverse=True
+        )
+        slot_of[ids] += n_slots
+        # Edge rows and sets are ascending, so a set matches at most one
+        # column choice of each edge.
+        for cols in itertools.combinations(range(index.edge_verts.shape[1]), size):
+            key = _encode(index.edge_verts[:, cols], n)
+            pos = np.minimum(np.searchsorted(codes, key), codes.size - 1)
+            hit = np.flatnonzero(codes[pos] == key)
+            slots.append(n_slots + pos[hit])
+            edges.append(hit)
+        n_slots += codes.size
+    return slot_of, np.concatenate(slots), np.concatenate(edges), n_slots
+
+
 def run_greedy(
     G: Hypergraph,
     x: EdgeWeights,
@@ -156,9 +193,20 @@ def run_greedy(
 ) -> GreedyTrajectory:
     """Simulate the process; stream (seed, *stream) draws one uniform per step.
 
-    Each step builds the cumulative weights of the surviving edges and picks
-    by inverse transform, then deletes every edge meeting the picked edge's
-    vertices.  Freezes when no positive weight survives.
+    The run works on the graph's cached ``index()``.  The alive weights are
+    split into blocks of ``PICK_BLOCK`` edges with one sum each; a step
+    draws r = u * total, finds the block by a cumulative sum over the block
+    sums and the edge by a cumulative sum inside that block (the first edge
+    whose running sum exceeds r, as ``searchsorted(side="right")`` over all
+    edges), then deletes the incident edges of the picked edge's vertices
+    and recomputes only the sums of the blocks they fall in.  Work per step
+    is the deleted edges plus the tracked sets, except for the recorded
+    residual weight and entropy, which are summed over all edges as
+    ``w.sum()`` and ``ent[alive].sum()`` so that their bits do not depend on
+    the pick.  The picks equal those of a full cumulative sum over all
+    edges unless r falls within rounding of an edge boundary; the
+    per-step log-probabilities may differ from it in the last bits.
+    Freezes when no positive weight survives.
     """
     check_alignment(G, x)
     if not x.verified:
@@ -166,25 +214,30 @@ def run_greedy(
     n, k, m = G.n, G.k, G.num_edges
     rng = rng_from(seed, *stream)
     tracked = resolve_tracked_sets(G, cfg)
-    edge_verts, indptr, flat = _graph_arrays(G)
+    index = G.index()
+    edge_verts, indptr, incidence = index.edge_verts, index.indptr, index.incidence
 
     w = x.weights.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    w_alive = w.copy()
+    n_blocks = -(-m // PICK_BLOCK)
+    w_padded = np.zeros(n_blocks * PICK_BLOCK)
+    w_padded[:m] = w
+    w_alive = w_padded[:m]
+    blocks = w_padded.reshape(n_blocks, PICK_BLOCK)
+    block_sums = blocks.sum(axis=1)
     alive_e = np.ones(m, dtype=bool)
     alive_v = np.ones(n, dtype=bool)
 
     # Singleton degrees are maintained by decrement; larger tracked sets are
-    # recomputed from their (precomputed) incident edge lists at each record.
-    deg_v = np.array([len(G.incident(v)) for v in range(n)], dtype=float)
-    big_sets = [(idx, S) for idx, S in enumerate(tracked) if len(S) > 1]
-    big_edges = {}
-    for idx, S in big_sets:
-        ids = set(G.incident(S[0]))
-        for v in S[1:]:
-            ids.intersection_update(G.incident(v))
-        big_edges[idx] = np.array(sorted(ids), dtype=np.intp)
+    # counted at each record over their concatenated incident edge lists.
+    deg_v = index.degrees.astype(float)
+    members = np.array([v for S in tracked for v in S], dtype=np.intp)
+    set_starts = np.cumsum([0] + [len(S) for S in tracked[:-1]], dtype=np.intp)
+    single = np.array([i for i, S in enumerate(tracked) if len(S) == 1], dtype=np.intp)
+    single_v = members[set_starts[single]]
+    big = np.array([i for i, S in enumerate(tracked) if len(S) > 1], dtype=np.intp)
+    slot_of, slot, slot_edges, n_slots = _set_edges(index, [tracked[i] for i in big])
 
     max_steps = n // k
     if cfg.stop_fraction is not None:
@@ -202,24 +255,27 @@ def run_greedy(
         rows_e.append(float(ent[alive_e].sum()))
         rows_alive.append(int(alive_v.sum()))
         degs = np.full(len(tracked), np.nan)
-        for idx, S in enumerate(tracked):
-            if len(S) == 1:
-                if alive_v[S[0]]:
-                    degs[idx] = deg_v[S[0]]
-            elif all(alive_v[v] for v in S):
-                degs[idx] = float(alive_e[big_edges[idx]].sum())
+        if tracked:
+            degs[single] = deg_v[single_v]
+            degs[big] = np.bincount(slot, weights=alive_e[slot_edges], minlength=n_slots)[slot_of]
+            degs[~np.logical_and.reduceat(alive_v[members], set_starts)] = np.nan
         rows_deg.append(degs)
 
     record()
     stop_reason = STOP_FROZEN
     while len(chosen) < max_steps:
-        cumulative = np.cumsum(w_alive)
-        total = float(cumulative[-1]) if m else 0.0
+        block_cum = np.cumsum(block_sums)
+        total = float(block_cum[-1]) if n_blocks else 0.0
         if total <= 0.0:
             stop_reason = STOP_FROZEN
             break
         r = rng.random() * total
-        pick = int(np.searchsorted(cumulative, r, side="right"))
+        block = int(np.searchsorted(block_cum, r, side="right"))
+        pick = m
+        if block < n_blocks:
+            base = float(block_cum[block - 1]) if block else 0.0
+            inner = np.cumsum(blocks[block])
+            pick = block * PICK_BLOCK + int(np.searchsorted(inner, r - base, side="right"))
         while pick < m and (not alive_e[pick] or w[pick] <= 0.0):
             pick += 1
         if pick >= m:
@@ -227,11 +283,19 @@ def run_greedy(
         logprobs.append(math.log(w[pick] / total))
         chosen.append(pick)
         verts = edge_verts[pick]
-        cand = np.concatenate([flat[indptr[v]: indptr[v + 1]] for v in verts])
-        newly = np.unique(cand[alive_e[cand]])
-        alive_e[newly] = False
+        deleted = []
+        for v in verts:
+            cand = incidence[indptr[v]: indptr[v + 1]]
+            cand = cand[alive_e[cand]]
+            alive_e[cand] = False
+            deleted.append(cand)
+        newly = np.concatenate(deleted)
         w_alive[newly] = 0.0
-        np.add.at(deg_v, edge_verts[newly].ravel(), -1.0)
+        touched = np.zeros(n_blocks, dtype=bool)
+        touched[newly // PICK_BLOCK] = True
+        touched = np.flatnonzero(touched)
+        block_sums[touched] = blocks[touched].sum(axis=1)
+        deg_v -= np.bincount(edge_verts[newly].ravel(), minlength=n)
         alive_v[verts] = False
         record()
     else:
@@ -312,16 +376,20 @@ def trajectory_deviation(
     with np.errstate(divide="ignore", invalid="ignore"):
         dev_w = np.where(pred_w > 0, np.abs(obs_w - pred_w) / pred_w, np.inf)
         dev_e = np.where(pred_e > 0, np.abs(obs_e - pred_e) / pred_e, np.inf)
-    deg_devs = []
-    for s_idx, S in enumerate(traj.tracked_sets):
-        deg0 = degree(G, S)
-        if deg0 <= 0:
-            continue
-        pred_d = p ** (k - len(S)) * deg0
-        obs_d = traj.tracked_degrees[: i_max + 1, s_idx]
-        ok = ~np.isnan(obs_d) & (pred_d > 0)
-        if ok.any():
-            deg_devs.append(float(np.max(np.abs(obs_d[ok] - pred_d[ok]) / pred_d[ok])))
+    sets = traj.tracked_sets
+    sizes = np.array([len(S) for S in sets], dtype=np.intp)
+    index = G.index()
+    deg0 = index.degrees[[S[0] for S in sets]].astype(float)
+    big = np.flatnonzero(sizes > 1)
+    slot_of, slot, _, n_slots = _set_edges(index, [sets[i] for i in big])
+    deg0[big] = np.bincount(slot, minlength=n_slots)[slot_of]
+    # One power per set size, taken exactly as the scalar formula p**(k - |S|).
+    pred_d = np.empty((i_max + 1, len(sets)))
+    for size in np.unique(sizes):
+        pred_d[:, sizes == size] = (p ** (k - int(size)))[:, None]
+    pred_d *= deg0
+    obs_d = traj.tracked_degrees[: i_max + 1]
+    ok = ~np.isnan(obs_d) & (pred_d > 0)
     return {
         "horizon_steps": i_max,
         "reached_horizon": bool(traj.steps >= math.floor(horizon)),
@@ -329,7 +397,9 @@ def trajectory_deviation(
         "stop_reason": traj.stop_reason,
         "max_weight_deviation": float(dev_w.max()) if dev_w.size else 0.0,
         "max_entropy_deviation": float(dev_e.max()) if dev_e.size else 0.0,
-        "max_degree_deviation": max(deg_devs) if deg_devs else 0.0,
+        "max_degree_deviation": (
+            float(np.max(np.abs(obs_d[ok] - pred_d[ok]) / pred_d[ok])) if ok.any() else 0.0
+        ),
         "weight_deviation_per_step": [float(d) for d in dev_w],
         "entropy_deviation_per_step": [float(d) for d in dev_e],
     }

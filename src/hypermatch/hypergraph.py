@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     GenerationError,
@@ -31,6 +33,20 @@ from .seeds import rng_from
 # Enumerating all C(n, d) subsets in min_d_degree is guarded by this budget
 # (estimated subset-edge checks).
 DEFAULT_DEGREE_WORK_LIMIT = 10**8
+
+
+@dataclass(frozen=True)
+class GraphIndex:
+    """Read-only numpy arrays of a hypergraph's incidence structure.
+
+    ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
+    vertex v in ascending order, the same as ``Hypergraph.incident(v)``.
+    """
+
+    edge_verts: np.ndarray  # (m, k): row i holds the vertices of edge i
+    indptr: np.ndarray  # (n + 1,): CSR offsets into ``incidence``
+    incidence: np.ndarray  # (m k,): edge ids grouped by vertex
+    degrees: np.ndarray  # (n,): number of edges at each vertex
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,25 @@ class Hypergraph:
         if cached is None:
             cached = hashlib.sha256(self.canonical_text().encode()).hexdigest()
             object.__setattr__(self, "_digest", cached)
+        return cached
+
+    def index(self) -> GraphIndex:
+        """The numpy incidence index, built on first use and cached."""
+        cached = getattr(self, "_index", None)
+        if cached is None:
+            m, k = self.num_edges, self.k
+            flat = np.fromiter(
+                itertools.chain.from_iterable(self.edges), dtype=np.intp, count=m * k
+            )
+            # A stable sort keeps each vertex's edge ids in ascending order.
+            incidence = np.argsort(flat, kind="stable") // k
+            degrees = np.bincount(flat, minlength=self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum(degrees, out=indptr[1:])
+            cached = GraphIndex(flat.reshape(m, k), indptr, incidence, degrees)
+            for arr in (cached.edge_verts, indptr, incidence, degrees):
+                arr.flags.writeable = False
+            object.__setattr__(self, "_index", cached)
         return cached
 
     def rebuilt_incidence_matches(self) -> bool:

@@ -86,6 +86,52 @@ class TestSubcommands:
         for name in sorted(os.listdir(serial)):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.fixture()
+    def pool_calls(self, monkeypatch):
+        """Replace the process pool by an inline stub; records max_workers."""
+        import concurrent.futures
+
+        calls = []
+
+        class InlinePool:
+            def __init__(self, max_workers=None):
+                calls.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_greedy_jobs_on_one_cpu_run_serially(self, k6_path, tmp_path, monkeypatch,
+                                                 pool_calls, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "3",
+                    "--jobs", "8", "--out", str(tmp_path)]) == 0
+        assert pool_calls == []
+        assert json.loads((tmp_path / "greedy_report.json").read_text())["trials"] == 3
+
+    def test_greedy_jobs_capped_at_cpu_count(self, k6_path, tmp_path, monkeypatch, pool_calls):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = tmp_path / "serial"
+        capped = tmp_path / "capped"
+        assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "3",
+                    "--out", str(serial)]) == 0
+        assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "3",
+                    "--jobs", "64", "--out", str(capped)]) == 0
+        assert pool_calls == [2]
+        for name in sorted(os.listdir(serial)):
+            assert (serial / name).read_bytes() == (capped / name).read_bytes()
+
     def test_anneal_auto(self, k6_path, tmp_path):
         code = run(["anneal", "--graph", k6_path, "--seed", "4", "--d", "1",
                     "--gamma", "0.5", "--epsilon", "0.9", "--trials", "400",

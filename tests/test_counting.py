@@ -22,7 +22,12 @@ from hypermatch.counting import (
     verify_count_vs_entropy,
 )
 from hypermatch.entropy import is_fractional_pm
-from hypermatch.errors import InvalidArgumentError, ResourceLimitError, SamplingError
+from hypermatch.errors import (
+    InvalidArgumentError,
+    InvariantError,
+    ResourceLimitError,
+    SamplingError,
+)
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 
@@ -142,6 +147,13 @@ class TestMarginals:
     def test_single_pm_indicator(self):
         x = pm_marginals(SINGLE_PM)
         assert x.weights.tolist() == [1.0, 1.0]
+
+    def test_broken_telescoping_raises_typed_error(self, monkeypatch):
+        # a count that ignores the state breaks the per-vertex telescoping;
+        # the check is a typed error, so it also runs under python -O
+        monkeypatch.setattr(PMOracle, "count", lambda self, mask: 1)
+        with pytest.raises(InvariantError, match="vertex 0"):
+            PMOracle(gen_complete(6, 3)).marginals()
 
     def test_exact_unit_vertex_sums(self):
         G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=2)

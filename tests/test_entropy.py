@@ -13,6 +13,7 @@ from hypermatch.entropy import (
     jensen_bounds,
     max_entropy_fpm,
     read_weights,
+    vertex_sums,
     weight_entropy,
     well_distributed_factor,
     write_weights,
@@ -287,6 +288,17 @@ class TestWeightsFile:
         assert back.weights.tolist() == x.weights.tolist()
         assert back.status == x.status
 
+    def test_verified_header_is_checked(self, tmp_path):
+        # all-0.9 weights on K_6^(3) give every vertex the sum 9.0
+        G = gen_complete(6, 3)
+        raw = EdgeWeights.from_weights(G, np.full(G.num_edges, 0.9))
+        path = str(tmp_path / "w.wts")
+        write_weights(path, EdgeWeights(raw.weights, raw.graph_digest, raw.entropy,
+                                        "verified-fpm"))
+        with pytest.raises(InvalidArgumentError, match="vertex 0 residual 8.000e"):
+            read_weights(path, G)
+        assert read_weights(path).status == "raw"
+
     def test_digest_mismatch_rejected(self, tmp_path):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)
@@ -294,3 +306,14 @@ class TestWeightsFile:
         write_weights(path, x)
         with pytest.raises(InvalidArgumentError):
             read_weights(path, gen_complete(9, 3))
+
+
+class TestVertexSums:
+    def test_bit_identical_to_edge_order_loop(self):
+        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.9, seed=3)
+        w = rng_from(5).random(G.num_edges)
+        expected = np.zeros(G.n)
+        for i, e in enumerate(G.edges):
+            for v in e:
+                expected[v] += w[i]
+        assert vertex_sums(G, w).tobytes() == expected.tobytes()

@@ -8,6 +8,7 @@ from hypermatch.counting import PMOracle
 from hypermatch.entropy import EdgeWeights, as_verified, max_entropy_fpm
 from hypermatch.errors import InvalidArgumentError, SamplingError
 from hypermatch.greedy import (
+    PICK_BLOCK,
     TrajectoryConfig,
     complete_to_pm,
     predicted_stats,
@@ -18,7 +19,7 @@ from hypermatch.greedy import (
     write_trajectory_csv,
     write_trajectory_metadata,
 )
-from hypermatch.hypergraph import Hypergraph, gen_complete
+from hypermatch.hypergraph import DiracParams, Hypergraph, degree, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 
 
@@ -145,6 +146,172 @@ class TestRunGreedy:
         sets = resolve_tracked_sets(G, cfg)
         assert sum(len(s) == 1 for s in sets) == 12
         assert sum(len(s) == 2 for s in sets) == 5
+
+
+def reference_run(G, x, cfg, seed, stream=()):
+    """The process as a full cumulative sum over all edges per step, with
+    hash-based deletion and per-set Python intersections; run_greedy must
+    reproduce its picks and records."""
+    n, k, m = G.n, G.k, G.num_edges
+    rng = rng_from(seed, *stream)
+    tracked = resolve_tracked_sets(G, cfg)
+    edge_verts = np.array(G.edges, dtype=np.intp).reshape(m, k)
+    w = x.weights.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+    w_alive = w.copy()
+    alive_e = np.ones(m, dtype=bool)
+    alive_v = np.ones(n, dtype=bool)
+    deg_v = np.array([len(G.incident(v)) for v in range(n)], dtype=float)
+    big_edges = {}
+    for idx, S in enumerate(tracked):
+        if len(S) > 1:
+            ids = set(G.incident(S[0]))
+            for v in S[1:]:
+                ids.intersection_update(G.incident(v))
+            big_edges[idx] = np.array(sorted(ids), dtype=np.intp)
+    max_steps = n // k
+    if cfg.stop_fraction is not None:
+        max_steps = min(max_steps, int(math.floor(cfg.stop_fraction * n / k + 1e-9)))
+    out = {"chosen": [], "logprob": [], "weight": [], "entropy": [], "alive": [], "degrees": []}
+
+    def record():
+        out["weight"].append(float(w_alive.sum()))
+        out["entropy"].append(float(ent[alive_e].sum()))
+        out["alive"].append(int(alive_v.sum()))
+        degs = np.full(len(tracked), np.nan)
+        for idx, S in enumerate(tracked):
+            if len(S) == 1:
+                if alive_v[S[0]]:
+                    degs[idx] = deg_v[S[0]]
+            elif all(alive_v[v] for v in S):
+                degs[idx] = float(alive_e[big_edges[idx]].sum())
+        out["degrees"].append(degs)
+
+    record()
+    out["stop"] = "no-positive-weight-edge"
+    while len(out["chosen"]) < max_steps:
+        cumulative = np.cumsum(w_alive)
+        total = float(cumulative[-1]) if m else 0.0
+        if total <= 0.0:
+            break
+        r = rng.random() * total
+        pick = int(np.searchsorted(cumulative, r, side="right"))
+        while pick < m and (not alive_e[pick] or w[pick] <= 0.0):
+            pick += 1
+        if pick >= m:
+            pick = int(np.nonzero(alive_e & (w > 0))[0][-1])
+        out["logprob"].append(math.log(w[pick] / total))
+        out["chosen"].append(pick)
+        verts = edge_verts[pick]
+        cand = np.concatenate([np.array(G.incident(int(v)), dtype=np.intp) for v in verts])
+        newly = np.unique(cand[alive_e[cand]])
+        alive_e[newly] = False
+        w_alive[newly] = 0.0
+        np.add.at(deg_v, edge_verts[newly].ravel(), -1.0)
+        alive_v[verts] = False
+        record()
+    else:
+        if int(alive_e.sum()) and float(w_alive.sum()) > 0:
+            out["stop"] = "step-limit"
+    return out
+
+
+def assert_matches_reference(G, x, cfg, seed):
+    traj = run_greedy(G, x, cfg, seed)
+    ref = reference_run(G, x, cfg, seed)
+    assert traj.chosen.tolist() == ref["chosen"]
+    assert traj.residual_weight.tobytes() == np.array(ref["weight"]).tobytes()
+    assert traj.residual_entropy.tobytes() == np.array(ref["entropy"]).tobytes()
+    assert traj.alive_vertices.tolist() == ref["alive"]
+    assert np.array_equal(traj.tracked_degrees, np.array(ref["degrees"]), equal_nan=True)
+    assert traj.stop_reason == ref["stop"]
+    np.testing.assert_allclose(traj.step_logprob, ref["logprob"], rtol=1e-12, atol=0.0)
+    return traj
+
+
+def mixed_matchings(G, count, seed):
+    """Average of ``count`` random perfect-matching indicators: most weights are 0."""
+    rng = rng_from(seed)
+    w = np.zeros(G.num_edges)
+    for _ in range(count):
+        perm = rng.permutation(G.n)
+        for j in range(0, G.n, G.k):
+            w[G.edge_id(perm[j: j + G.k])] += 1.0 / count
+    return as_verified(G, EdgeWeights.from_weights(G, w))
+
+
+class TestBlockedPickMatchesFullCumsum:
+    def test_complete_graph_with_pair_tracking(self):
+        G = gen_complete(30, 3)
+        assert G.num_edges % PICK_BLOCK != 0
+        x, _ = max_entropy_fpm(G)
+        for seed in range(5):
+            traj = assert_matches_reference(G, x, TrajectoryConfig(), seed)
+            assert traj.steps == 10
+
+    def test_complete_graph_golden_picks(self):
+        # chosen edges of K_30^(3), solver weights, default config, recorded
+        # from the full-cumsum implementation
+        golden = {
+            0: [2586, 1008, 130, 464, 3790, 3890, 2907, 3199, 1916, 1381],
+            1: [2077, 3862, 455, 3732, 1119, 1848, 3191, 1552, 2400, 337],
+            2: [1062, 1424, 3231, 233, 2389, 2693, 665, 1472, 2148, 2825],
+            3: [347, 1208, 3452, 2545, 641, 1929, 2130, 1059, 3674, 1727],
+            4: [3828, 1889, 3950, 187, 2154, 1140, 3185, 580, 3589, 901],
+        }
+        G = gen_complete(30, 3)
+        x, _ = max_entropy_fpm(G)
+        for seed, chosen in golden.items():
+            assert run_greedy(G, x, TrajectoryConfig(), seed=seed).chosen.tolist() == chosen
+
+    def test_dirac_graph_with_pair_tracking(self):
+        G = gen_random_dirac(30, 3, DiracParams(2, 0.2), 0.9, seed=1, max_attempts=1)
+        x, _ = max_entropy_fpm(G)
+        cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=50)
+        for seed in range(5):
+            traj = assert_matches_reference(G, x, cfg, seed)
+            assert sum(len(S) == 2 for S in traj.tracked_sets) == 50
+
+    def test_zero_weight_edges_run_to_the_freeze(self):
+        G = gen_complete(30, 3)
+        x = mixed_matchings(G, 3, seed=11)
+        assert (x.weights > 0).sum() <= 30
+        stops = set()
+        for seed in range(8):
+            traj = assert_matches_reference(G, x, TrajectoryConfig(), seed)
+            stops.add(traj.stop_reason)
+        assert "no-positive-weight-edge" in stops
+
+    def test_fewer_edges_than_one_block(self):
+        G = gen_complete(9, 3)
+        assert G.num_edges < PICK_BLOCK
+        x, _ = max_entropy_fpm(G)
+        for seed in range(10):
+            assert_matches_reference(G, x, TrajectoryConfig(), seed)
+
+    def test_mixed_size_and_repeated_tracked_sets(self):
+        G = gen_complete(12, 4)
+        x, _ = max_entropy_fpm(G)
+        sets = ((0,), (1, 2), (5, 3, 4), (2, 1), (7,), (8, 9, 10), (6, 11))
+        traj = assert_matches_reference(G, x, TrajectoryConfig(tracked_sets=sets), seed=2)
+        assert traj.tracked_degrees[0].tolist() == [165.0, 45.0, 9.0, 45.0, 165.0, 9.0, 45.0]
+        # the degree deviation as a per-set loop over degree(G, S)
+        p = (3 - np.arange(traj.steps + 1)) / 3
+        devs = []
+        for s_idx, S in enumerate(traj.tracked_sets):
+            pred = p ** (4 - len(S)) * degree(G, S)
+            obs = traj.tracked_degrees[:, s_idx]
+            ok = ~np.isnan(obs) & (pred > 0)
+            devs.append(float(np.max(np.abs(obs[ok] - pred[ok]) / pred[ok])))
+        report = trajectory_deviation(traj, G, x, horizon_fraction=1.0)
+        assert report["max_degree_deviation"] == max(devs) > 0.0
+
+    @pytest.mark.parametrize("bad", [(), (0, 0), (0, 1, 2), (12,)])
+    def test_invalid_tracked_sets_rejected(self, bad):
+        G = gen_complete(12, 3)
+        with pytest.raises(InvalidArgumentError):
+            resolve_tracked_sets(G, TrajectoryConfig(tracked_sets=((0,), bad)))
 
 
 class TestPredictedStats:
