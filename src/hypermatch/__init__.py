@@ -17,7 +17,6 @@ from .bipartite import (
     matching_count_bound_report,
 )
 from .counting import (
-    DiscreteDistribution,
     MatchingCount,
     PMOracle,
     count_pm,

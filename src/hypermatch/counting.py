@@ -1,24 +1,42 @@
 """Exact desk-scale oracle for perfect matchings.
 
-Counting uses dynamic programming over bitmasks of matched vertices.  The
-transition always matches the lowest-indexed unmatched vertex, so each
-perfect matching is generated exactly once (no edge-order overcounting),
-and the memo table is shared by counting, exact marginals and uniform
-sampling: the marginal of edge e is count(V(e)) / count({}), and the
-sampler picks each feasible edge at the current lowest vertex with
-probability (completions after taking it) / (completions now), which makes
-its output distribution exactly uniform.
+Counting is dynamic programming over bitmasks of matched vertices.  The
+transition always matches the lowest-indexed unmatched vertex v, so each
+perfect matching is generated exactly once (no edge-order overcounting).
+Every vertex below v is matched, so the only edges that can be taken at v
+are its *lead edges*, the edges whose lowest vertex is v; the oracle keeps
+them per vertex in id order and never scans the other edges through v.
 
-Counts are exact integers (arbitrary precision); marginals are exact
-rationals converted to floats only at the module boundary.
+One memo table serves counting, exact marginals and uniform sampling.  A
+memo miss on ``count(mask)`` fills every state reachable from ``mask`` in
+one layered pass: forward, the states of a layer (all with the same number
+of matched vertices) are grouped by lowest free vertex and ANDed against
+its lead-edge masks in bounded blocks, and the children are deduplicated
+into the next layer; backward, each layer's counts are sums of its
+children's counts (``np.add.at``), stored in the memo from the deepest
+layer up, so the memo always holds every state reachable from any state
+in it.  The marginals walk the layers of the empty mask forward, carrying
+the number of ways to reach each state: the matchings through edge e are
+the sum over its transitions of ways(parent) * count(child), which equals
+count(V(e)) and creates no new states.  The sampler takes each feasible
+lead edge at the current lowest vertex with probability (completions
+after taking it) / (completions now), read from the memo, which makes its
+output distribution exactly uniform.
+
+Counts are exact integers.  Every number the DP forms (counts, ways,
+ways * count and their sums) is at most the matching count of the complete
+k-graph on n vertices, so the oracle computes in int64 and refuses graphs
+where that bound reaches 2**63.  Marginals are exact rationals converted
+to floats only at the module boundary.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +51,12 @@ from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
 from .seeds import randbelow, rng_from
 
 DEFAULT_COUNT_CAP = 24
+# A state-by-lead-edge block of the expansion has at most this many elements,
+# or as many as its layer has states: its temporaries stay small next to the
+# memo entries of the layer, on tiny graphs too.
+EXPAND_BLOCK = 1 << 12
+# Vertex masks are int64, so bit 63 (the sign bit) is never a vertex.
+MAX_MASK_VERTICES = 63
 
 
 @dataclass(frozen=True)
@@ -48,19 +72,38 @@ class PMOracle:
     """Shared-memo exact matching oracle for one graph.
 
     ``count(mask)`` is the number of perfect matchings of the vertices not
-    in ``mask``, for any mask that marks a union of disjoint edges (or any
-    set you want to exclude).
+    in ``mask``, for any mask in ``[0, full_mask]`` (a union of disjoint
+    edges, or any set you want to exclude).
     """
 
     def __init__(self, G: Hypergraph, cap: int = DEFAULT_COUNT_CAP):
         if G.n > cap:
             raise ResourceLimitError(f"n={G.n} exceeds the exact-count cap {cap}")
+        if G.n > MAX_MASK_VERTICES:
+            raise ResourceLimitError(
+                f"n={G.n} exceeds the {MAX_MASK_VERTICES} vertices of an int64 mask"
+            )
+        bound = phi_complete(G.n - G.n % G.k, G.k).value
+        if bound >= 2**63:
+            raise ResourceLimitError(
+                f"counts on n={G.n}, k={G.k} can reach {bound}, beyond int64"
+            )
         self.G = G
         self.full_mask = (1 << G.n) - 1
         self.edge_masks = [self._mask(e) for e in G.edges]
         # For each vertex, the (edge id, edge mask) pairs of edges containing it.
         self.by_vertex: list[list[tuple[int, int]]] = [
             [(i, self.edge_masks[i]) for i in G.incident(v)] for v in range(G.n)
+        ]
+        # For each vertex, the (edge id, edge mask) pairs of edges whose
+        # lowest vertex it is, in id order (edges are sorted tuples).
+        self.lead: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+        for i, e in enumerate(G.edges):
+            self.lead[e[0]].append((i, self.edge_masks[i]))
+        self._lead_arrays = [
+            (np.array([i for i, _ in pairs], dtype=np.intp),
+             np.array([m for _, m in pairs], dtype=np.int64))
+            for pairs in self.lead
         ]
         self._memo: dict[int, int] = {}
 
@@ -72,42 +115,114 @@ class PMOracle:
         return m
 
     def count(self, mask: int = 0) -> int:
+        if not 0 <= mask <= self.full_mask:
+            raise InvalidArgumentError(f"mask {mask} is outside [0, {self.full_mask}]")
+        return self._count(mask)
+
+    def _count(self, mask: int) -> int:
+        cached = self._memo.get(mask)
+        if cached is None:
+            self._fill(mask)
+            cached = self._memo[mask]
+        return cached
+
+    def _transitions(
+        self, states: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every feasible transition out of ``states`` (none of them full), in bounded blocks.
+
+        Yields arrays (parent index into ``states``, edge id, child mask);
+        each state takes the lead edges of its lowest free vertex that do
+        not meet it.
+        """
+        for v in range(self.G.n):
+            # the states whose vertices below v are matched and v is free
+            group = np.flatnonzero(states & ((2 << v) - 1) == (1 << v) - 1)
+            ids, masks = self._lead_arrays[v]
+            if not group.size or not ids.size:
+                continue
+            step = max(1, max(EXPAND_BLOCK, states.size) // ids.size)
+            for a in range(0, group.size, step):
+                rows = group[a:a + step]
+                block = states[rows]
+                # Edge-major order: ``states`` is sorted, so the children
+                # of one edge come out ascending, which keeps the lookups
+                # into the next layer cache-friendly.
+                c, r = np.nonzero((masks[:, None] & block) == 0)
+                yield rows[r], ids[c], block[r] | masks[c]
+
+    def _fill(self, mask: int) -> None:
+        """Count and memoise every state reachable from ``mask`` and not yet in the memo."""
         memo = self._memo
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if mask == self.full_mask:
-            memo[mask] = 1
-            return 1
-        free = ~mask & self.full_mask
-        v = (free & -free).bit_length() - 1
-        total = 0
-        for _, emask in self.by_vertex[v]:
-            if emask & mask == 0:
-                total += self.count(mask | emask)
-        memo[mask] = total
-        return total
+        full = self.full_mask
+        layers = []
+        # All states of a layer have the same number of matched vertices, so
+        # the full mask is a layer of its own.
+        states = np.array([mask], dtype=np.int64)
+        while states.size and states[0] != full:
+            nxt = _next_layer(child for _, _, child in self._transitions(states))
+            layers.append((states, nxt))
+            states = nxt[np.fromiter((s not in memo for s in nxt.tolist()), bool, nxt.size)]
+        if states.size:
+            memo[full] = 1
+        for states, nxt in reversed(layers):
+            known = np.fromiter(map(memo.__getitem__, nxt.tolist()), np.int64, nxt.size)
+            counts = np.zeros(states.size, dtype=np.int64)
+            for parent, _, child in self._transitions(states):
+                np.add.at(counts, parent, known[np.searchsorted(nxt, child)])
+            memo.update(zip(states.tolist(), counts.tolist()))
 
     def count_pm(self) -> int:
         if self.G.n % self.G.k != 0:
             return 0
         return self.count(0)
 
+    def _through(self) -> list[int]:
+        """Perfect matchings through each edge, by a forward pass over the layers of mask 0.
+
+        ways(state) counts the ways to reach it from the empty mask; a
+        transition by edge e contributes ways(parent) * count(child).  The
+        memo holds every state reachable from mask 0, so each layer is read
+        from the memo keys with its popcount, and no state is added.
+        """
+        self._count(0)
+        memo = self._memo
+        keys = np.sort(np.fromiter(memo, np.int64, len(memo)), kind="stable")
+        counts = np.fromiter(map(memo.__getitem__, keys.tolist()), np.int64, keys.size)
+        pops = np.bitwise_count(keys)
+        through = np.zeros(self.G.num_edges, dtype=np.int64)
+        states = np.zeros(1, dtype=np.int64)
+        ways = np.ones(1, dtype=np.int64)
+        pop = 0
+        while states.size and states[0] != self.full_mask:
+            pop += self.G.k
+            layer = pops == pop
+            nxt, nxt_counts = keys[layer], counts[layer]
+            nxt_ways = np.zeros(nxt.size, dtype=np.int64)
+            for parent, eid, child in self._transitions(states):
+                at = np.searchsorted(nxt, child)
+                reach = ways[parent]
+                np.add.at(through, eid, reach * nxt_counts[at])
+                np.add.at(nxt_ways, at, reach)
+            live = (nxt_ways > 0) & (nxt_counts > 0)
+            states, ways = nxt[live], nxt_ways[live]
+        return through.tolist()
+
     def marginals(self) -> list[Fraction]:
         """Pr[e in M] for a uniformly random perfect matching M, exactly."""
         total = self.count_pm()
         if total == 0:
             raise SamplingError("graph has no perfect matching")
-        margs = [Fraction(self.count(emask), total) for emask in self.edge_masks]
+        through = self._through()
         # Each matching covers each vertex exactly once, so the incident
         # counts must telescope back to the total.
         for v in range(self.G.n):
-            incident = sum(self.count(emask) for _, emask in self.by_vertex[v])
+            incident = sum(through[i] for i, _ in self.by_vertex[v])
             if incident != total:
                 raise InvariantError(
                     f"matchings through vertex {v} count {incident}, total is {total}"
                 )
-        return margs
+        return [Fraction(t, total) for t in through]
 
     def sample(self, rng: np.random.Generator, initial_mask: int = 0) -> tuple[int, ...]:
         """Uniform perfect matching of the graph minus ``initial_mask``.
@@ -118,29 +233,60 @@ class PMOracle:
         """
         if self.count(initial_mask) == 0:
             raise SamplingError("no perfect matching on the residual vertices")
+        memo = self._memo
+        full = self.full_mask
         mask = initial_mask
         chosen: list[int] = []
-        while mask != self.full_mask:
-            now = self.count(mask)
-            free = ~mask & self.full_mask
-            v = (free & -free).bit_length() - 1
-            feasible = [
-                (eid, emask, self.count(mask | emask))
-                for eid, emask in self.by_vertex[v]
-                if emask & mask == 0
-            ]
-            running = sum(c for _, _, c in feasible)
+        while mask != full:
+            now = memo[mask]
+            free = ~mask & full
+            lead = self.lead[(free & -free).bit_length() - 1]
+            ids: list[int] = []
+            cumulative: list[int] = []
+            running = 0
+            for eid, emask in lead:
+                if emask & mask == 0:
+                    c = memo[mask | emask]
+                    if c:
+                        running += c
+                        ids.append(eid)
+                        cumulative.append(running)
             if running != now:
                 raise InvariantError("conditional counts failed to telescope")
-            r = randbelow(rng, now)
-            acc = 0
-            for eid, emask, c in feasible:
-                acc += c
-                if r < acc:
-                    chosen.append(eid)
-                    mask |= emask
-                    break
+            eid = ids[bisect_right(cumulative, randbelow(rng, now))]
+            chosen.append(eid)
+            mask |= self.edge_masks[eid]
         return tuple(chosen)
+
+
+def _next_layer(children: Iterator[np.ndarray]) -> np.ndarray:
+    """The sorted distinct masks of a stream of int64 arrays.
+
+    Pending blocks are merged once they outgrow the distinct masks found so
+    far (and ``EXPAND_BLOCK``), so the transitions of a layer are never all
+    held at once.
+    """
+    distinct = np.zeros(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    size = 0
+    for block in children:
+        pending.append(block)
+        size += block.size
+        if size > max(EXPAND_BLOCK, distinct.size):
+            distinct = _distinct(np.concatenate([distinct, *pending]))
+            pending, size = [], 0
+    return _distinct(np.concatenate([distinct, *pending]))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array."""
+    # Every sort in this module is timsort ("stable"): it maps about half
+    # the numpy code of the default sort (128 vs 256 kB on numpy 2.4), which
+    # is a visible share of what a process running only small oracles pays.
+    values = np.sort(values, kind="stable")
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def count_pm(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> MatchingCount:
@@ -189,76 +335,6 @@ def pm_marginals(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> EdgeWeights:
     return EdgeWeights(w, G.digest(), weight_entropy(w), STATUS_VERIFIED)
 
 
-# ---------------------------------------------------------------------------
-# Discrete entropy utilities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finite distribution; probabilities must sum to 1 within 1e-12."""
-
-    probs: np.ndarray
-
-    @classmethod
-    def from_probs(cls, probs) -> "DiscreteDistribution":
-        p = np.array(probs, dtype=float)
-        if p.size == 0 or float(p.min()) < 0:
-            raise InvalidArgumentError("probabilities must be nonnegative and nonempty")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"probabilities sum to {float(p.sum())!r}, not 1")
-        p.flags.writeable = False
-        return cls(p)
-
-    def entropy(self) -> float:
-        return discrete_entropy(self.probs)
-
-
-def discrete_entropy(probs) -> float:
-    """H(X) = sum p ln(1/p) over the support."""
-    p = np.asarray(probs, dtype=float).ravel()
-    positive = p[p > 0]
-    return float(-(positive * np.log(positive)).sum())
-
-
-def joint_entropy(joint) -> float:
-    return discrete_entropy(np.asarray(joint, dtype=float).ravel())
-
-
-def conditional_entropy(joint) -> float:
-    """H(X | Y) for a joint matrix with rows x and columns y."""
-    j = np.asarray(joint, dtype=float)
-    h = 0.0
-    for col in range(j.shape[1]):
-        py = float(j[:, col].sum())
-        if py > 0:
-            h += py * discrete_entropy(j[:, col] / py)
-    return h
-
-
-def marginal_entropy_rows(joint) -> float:
-    """H(X) for a joint matrix with rows x and columns y."""
-    return discrete_entropy(np.asarray(joint, dtype=float).sum(axis=1))
-
-
-def _entropy_fact_checks() -> dict:
-    """Chain rule, conditioning and uniform-maximiser checks on explicit joints."""
-    fixed = np.array([[0.10, 0.05, 0.20], [0.15, 0.25, 0.05], [0.05, 0.10, 0.05]])
-    random_joint = rng_from(20240305).random((4, 5))
-    random_joint /= random_joint.sum()
-    results = {}
-    for name, j in (("fixed", fixed), ("random", random_joint)):
-        h_joint = joint_entropy(j)
-        h_y = discrete_entropy(j.sum(axis=0))
-        h_x = marginal_entropy_rows(j)
-        h_x_given_y = conditional_entropy(j)
-        results[f"chain_rule_{name}"] = bool(abs(h_joint - (h_y + h_x_given_y)) <= 1e-12)
-        results[f"conditioning_{name}"] = bool(h_x_given_y <= h_x + 1e-12)
-    uniform = DiscreteDistribution.from_probs(np.full(7, 1.0 / 7))
-    results["uniform_maximises"] = bool(abs(uniform.entropy() - math.log(7)) <= 1e-12)
-    return results
-
-
 def entropy_identities_check(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> dict:
     """Check k h(marginals) >= ln Phi(G) and solver dominance on one graph."""
     x = pm_marginals(G, cap)
@@ -266,7 +342,7 @@ def entropy_identities_check(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> dic
     ln_phi = math.log(total)
     k_h = G.k * x.entropy
     solver_x, report = max_entropy_fpm(G)
-    out = {
+    return {
         "n": G.n,
         "k": G.k,
         "ln_phi": ln_phi,
@@ -277,8 +353,6 @@ def entropy_identities_check(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> dic
         "solver_dominance_ok": bool(solver_x.entropy >= x.entropy - 1e-6),
         "solver_converged": bool(report.converged),
     }
-    out.update(_entropy_fact_checks())
-    return out
 
 
 def verify_count_vs_entropy(

@@ -417,6 +417,8 @@ def complete_to_pm(
     oracle = PMOracle(G, cap)
     mask = 0
     for eid in partial:
+        if not 0 <= eid < G.num_edges:
+            raise InvalidArgumentError(f"edge id {eid} is outside [0, {G.num_edges})")
         emask = oracle.edge_masks[eid]
         if emask & mask:
             raise InvalidArgumentError("partial matching has overlapping edges")

@@ -31,7 +31,7 @@ import numpy as np
 from .counting import DEFAULT_COUNT_CAP, PMOracle
 from .entropy import (
     EdgeWeights,
-    STATUS_VERIFIED,
+    as_verified,
     check_alignment,
     convex_combine,
     scale_to_unit_sums,
@@ -484,7 +484,9 @@ def well_distributed_fpm(
     Trial t draws from stream (seed, t): T uniform edge indices, then the
     completion sampler's integer draws; a trial whose residual graph has no
     perfect matching is resampled within the same stream (counted in the
-    report).
+    report).  A projection that does not converge raises SamplingError;
+    otherwise its vertex sums are checked before the result is marked
+    verified.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -529,9 +531,11 @@ def well_distributed_fpm(
     result = scale_to_unit_sums(
         con_edges, con_coeffs, floored, projection_tol, 20000, potential_cap=1e6
     )
-    w = np.minimum(result.x, 1.0)
-    w.flags.writeable = False
-    x = EdgeWeights(w, G.digest(), weight_entropy(w), STATUS_VERIFIED)
+    if not result.converged:
+        raise SamplingError(
+            f"projection onto unit vertex sums did not converge (residual {result.max_residual:.3e})"
+        )
+    x = as_verified(G, EdgeWeights.from_weights(G, np.minimum(result.x, 1.0)))
     report = {
         "trials": trials,
         "prefix_rounds": T,

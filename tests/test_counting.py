@@ -1,20 +1,19 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from hypermatch import greedy
+
 from hypermatch.counting import (
-    DiscreteDistribution,
     PMOracle,
-    conditional_entropy,
     count_pm,
-    discrete_entropy,
     entropy_identities_check,
-    joint_entropy,
-    marginal_entropy_rows,
     phi_complete,
     pm_marginals,
     sample_uniform_pm,
@@ -29,7 +28,7 @@ from hypermatch.errors import (
     SamplingError,
 )
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
-from hypermatch.seeds import rng_from
+from hypermatch.seeds import randbelow, rng_from
 
 SINGLE_PM = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
@@ -48,6 +47,212 @@ def count_by_edge_subsets(G):
         total += len(seen) == G.n
     return total
 
+
+class RecursiveOracle:
+    """Reference: the recursive memoised DP the layered oracle replaced.
+
+    One Python call per (state, incident edge); marginals count V(e) from
+    cold, and the sampler scans every edge through the lowest free vertex.
+    """
+
+    def __init__(self, G):
+        self.G = G
+        self.full_mask = (1 << G.n) - 1
+        self.edge_masks = [sum(1 << v for v in e) for e in G.edges]
+        self.by_vertex = [[(i, self.edge_masks[i]) for i in G.incident(v)] for v in range(G.n)]
+        self._memo = {}
+
+    def count(self, mask=0):
+        cached = self._memo.get(mask)
+        if cached is not None:
+            return cached
+        if mask == self.full_mask:
+            self._memo[mask] = 1
+            return 1
+        free = ~mask & self.full_mask
+        v = (free & -free).bit_length() - 1
+        total = 0
+        for _, emask in self.by_vertex[v]:
+            if emask & mask == 0:
+                total += self.count(mask | emask)
+        self._memo[mask] = total
+        return total
+
+    def count_pm(self):
+        return 0 if self.G.n % self.G.k else self.count(0)
+
+    def marginals(self):
+        total = self.count_pm()
+        if total == 0:
+            raise SamplingError("graph has no perfect matching")
+        return [Fraction(self.count(emask), total) for emask in self.edge_masks]
+
+    def sample(self, rng, initial_mask=0):
+        if self.count(initial_mask) == 0:
+            raise SamplingError("no perfect matching on the residual vertices")
+        mask = initial_mask
+        chosen = []
+        while mask != self.full_mask:
+            now = self.count(mask)
+            free = ~mask & self.full_mask
+            v = (free & -free).bit_length() - 1
+            feasible = [
+                (eid, emask, self.count(mask | emask))
+                for eid, emask in self.by_vertex[v]
+                if emask & mask == 0
+            ]
+            r = randbelow(rng, now)
+            acc = 0
+            for eid, emask, c in feasible:
+                acc += c
+                if r < acc:
+                    chosen.append(eid)
+                    mask |= emask
+                    break
+        return tuple(chosen)
+
+
+def count_matchings_by_id_order(G, mask=0):
+    """Independent oracle: pairwise disjoint edge sets, built in increasing id
+    order, that cover exactly the vertices outside ``mask``."""
+    full = (1 << G.n) - 1
+    masks = [sum(1 << v for v in e) for e in G.edges]
+
+    def extend(covered, start):
+        if covered == full:
+            return 1
+        return sum(extend(covered | masks[i], i + 1)
+                   for i in range(start, len(masks)) if not masks[i] & covered)
+
+    return extend(mask, 0)
+
+
+def sparse_graph(k, n, p, seed):
+    rng = rng_from(seed)
+    combos = list(itertools.combinations(range(n), k))
+    return Hypergraph(k, n, [e for e, keep in zip(combos, rng.random(len(combos)) < p) if keep])
+
+
+# k in {2, 3, 4}, n <= 12: complete and Dirac graphs, sparse graphs with dead
+# ends, graphs without a perfect matching and n % k != 0.
+REFERENCE_GRAPHS = {
+    "K8_2": gen_complete(8, 2),
+    "K9_3": gen_complete(9, 3),
+    "K12_3": gen_complete(12, 3),
+    "K12_4": gen_complete(12, 4),
+    "dirac12_3": gen_random_dirac(12, 3, DiracParams(2, 0.1), density=0.8, seed=21),
+    "sparse10_2": sparse_graph(2, 10, 0.35, 1),
+    "sparse12_3": sparse_graph(3, 12, 0.15, 2),
+    "sparse12_4": sparse_graph(4, 12, 0.12, 3),
+    "no_pm6_3": Hypergraph(3, 6, [(0, 1, 2), (0, 3, 4)]),
+    "no_pm9_3": Hypergraph(3, 9, [(0, 1, 2), (3, 4, 5), (3, 6, 7), (4, 6, 8), (0, 7, 8)]),
+    "K7_3": gen_complete(7, 3),
+    "K10_4": gen_complete(10, 4),
+    "sparse11_2": sparse_graph(2, 11, 0.4, 4),
+}
+
+
+class TestLayeredDPMatchesRecursive:
+    """The layered int64 DP against the recursive reference, value for value."""
+
+    @pytest.fixture(params=sorted(REFERENCE_GRAPHS))
+    def graph(self, request):
+        return REFERENCE_GRAPHS[request.param]
+
+    def test_graph_set_covers_the_cases(self):
+        graphs = list(REFERENCE_GRAPHS.values())
+        oracles = [PMOracle(G) for G in graphs]
+        assert {G.k for G in graphs} == {2, 3, 4}
+        assert any(G.n % G.k for G in graphs)
+        assert any(G.n % G.k == 0 and o.count_pm() == 0 for G, o in zip(graphs, oracles))
+        # dead ends: reachable states with no completion, next to live ones
+        assert any(0 in o._memo.values() and o.count_pm() > 0 for o in oracles)
+
+    def test_counts_and_memo_after_count_pm(self, graph):
+        new, ref = PMOracle(graph), RecursiveOracle(graph)
+        assert new.count_pm() == ref.count_pm()
+        assert new._memo == ref._memo
+
+    def test_counts_of_arbitrary_masks_in_any_order(self, graph):
+        new, ref = PMOracle(graph), RecursiveOracle(graph)
+        rng = rng_from(7, graph.n, graph.num_edges)
+        masks = [int(m) for m in rng.integers(0, 1 << graph.n, 300)]
+        masks += [0, new.full_mask, *new.edge_masks[:20], 1, 2, (1 << graph.n) - 2]
+        for mask in masks:
+            got = new.count(mask)
+            assert type(got) is int and got == ref.count(mask)
+        # the same states are memoised, whatever the order of the calls
+        assert new._memo == ref._memo
+
+    def test_marginals_are_identical_fractions(self, graph):
+        new, ref = PMOracle(graph), RecursiveOracle(graph)
+        if ref.count_pm() == 0:
+            with pytest.raises(SamplingError):
+                new.marginals()
+            return
+        new.count_pm()
+        states = len(new._memo)
+        assert new.marginals() == ref.marginals()
+        # the forward pass over the layers of mask 0 adds no state
+        assert len(new._memo) == states
+
+    def test_samples_with_and_without_initial_mask(self, graph):
+        new, ref = PMOracle(graph), RecursiveOracle(graph)
+        if ref.count_pm():
+            for seed in range(20):
+                assert new.sample(rng_from(seed)) == ref.sample(rng_from(seed))
+        k, n = graph.k, graph.n
+        # an edge, the top k vertices and vertices 1..k (vertex 0 stays free)
+        initials = [new.edge_masks[-1], ((1 << k) - 1) << (n - k), ((1 << k) - 1) << 1]
+        for initial in initials:
+            if ref.count(initial) == 0:
+                with pytest.raises(SamplingError):
+                    new.sample(rng_from(0), initial_mask=initial)
+                continue
+            for seed in range(20):
+                got = new.sample(rng_from(seed), initial_mask=initial)
+                assert got == ref.sample(rng_from(seed), initial_mask=initial)
+
+    def test_complete_to_pm_matches_reference(self, graph, monkeypatch):
+        rng = rng_from(3, graph.n)
+        partials = [[], [0], [int(rng.integers(0, graph.num_edges))]]
+        if graph.n % graph.k == 0 and RecursiveOracle(graph).count_pm():
+            pm = list(PMOracle(graph).sample(rng_from(5)))
+            partials += [pm[:1], pm[:2], pm]
+        got = [greedy.complete_to_pm(graph, p) for p in partials]
+        monkeypatch.setattr(greedy, "PMOracle", lambda G, cap: RecursiveOracle(G))
+        assert got == [greedy.complete_to_pm(graph, p) for p in partials]
+
+
+class TestOracleGuards:
+    def test_masks_outside_the_vertex_set_rejected(self):
+        oracle = PMOracle(gen_complete(6, 3))
+        for bad in (-1, 1 << 6, oracle.full_mask + 1):
+            with pytest.raises(InvalidArgumentError):
+                oracle.count(bad)
+            with pytest.raises(InvalidArgumentError):
+                oracle.sample(rng_from(0), initial_mask=bad)
+        assert oracle.count(oracle.full_mask) == 1
+
+    def test_int64_bound_refuses_large_complete_counts(self):
+        # Phi(K_36^(2)) = 35!! ~ 2.2e20 does not fit in int64; Phi(K_34^(2))
+        # ~ 6.3e18 does, and n % k != 0 is bounded by the largest multiple of k
+        for n in (36, 37):
+            with pytest.raises(ResourceLimitError, match="int64"):
+                PMOracle(gen_complete(n, 2), cap=40)
+        for n in (34, 35):
+            PMOracle(gen_complete(n, 2), cap=40)
+        # the largest complete counts under the default cap are accepted
+        assert phi_complete(24, 3).value < 2**63
+        PMOracle(gen_complete(24, 3))
+        PMOracle(gen_complete(24, 2))
+
+    def test_broken_memo_breaks_the_sampler_telescoping(self):
+        oracle = PMOracle(gen_complete(6, 3))
+        oracle.count_pm()
+        oracle._memo[0] += 1
+        with pytest.raises(InvariantError, match="telescope"):
+            oracle.sample(rng_from(0))
 
 class TestCounts:
     def test_examples(self):
@@ -90,7 +295,43 @@ class TestCounts:
             checked += 1
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 3),
+        n=st.integers(2, 9),
+        keep=st.lists(st.booleans(), min_size=84, max_size=84),
+        mask_bits=st.integers(0, (1 << 9) - 1),
+    )
+    def test_dp_count_equals_brute_force(self, k, n, keep, mask_bits):
+        combos = list(itertools.combinations(range(n), k))
+        G = Hypergraph(k, n, [e for e, kept in zip(combos, keep) if kept])
+        oracle = PMOracle(G)
+        mask = mask_bits & oracle.full_mask
+        assert oracle.count_pm() == count_matchings_by_id_order(G)
+        assert oracle.count(mask) == count_matchings_by_id_order(G, mask)
+
+
 class TestSampling:
+    def test_pinned_samples_on_dirac_15(self):
+        # recorded from the recursive oracle the layered DP replaced
+        G = gen_random_dirac(15, 3, DiracParams(2, 0.2), density=0.9, seed=15)
+        oracle = PMOracle(G)
+        assert oracle.count_pm() == 962673 and len(oracle._memo) == 1889
+        assert [oracle.sample(rng_from(s)) for s in range(5)] == [
+            (57, 107, 157, 323, 418),
+            (45, 97, 187, 304, 383),
+            (23, 114, 259, 276, 383),
+            (7, 172, 256, 338, 342),
+            (45, 91, 253, 288, 360),
+        ]
+        first = oracle.edge_masks[0]
+        assert oracle.count(first) == 11768
+        assert [oracle.sample(rng_from(s), initial_mask=first) for s in range(3)] == [
+            (259, 274, 323, 417),
+            (251, 270, 356, 382),
+            (233, 284, 350, 410),
+        ]
+
     def test_unique_pm_always_returned(self):
         for seed in range(5):
             assert sorted(sample_uniform_pm(SINGLE_PM, seed)) == [0, 1]
@@ -166,22 +407,6 @@ class TestMarginals:
 
 
 class TestEntropyIdentities:
-    def test_discrete_utilities(self):
-        assert discrete_entropy([0.5, 0.5]) == pytest.approx(math.log(2))
-        assert DiscreteDistribution.from_probs([1.0]).entropy() == 0.0
-        uniform = DiscreteDistribution.from_probs(np.full(7, 1 / 7))
-        assert uniform.entropy() == pytest.approx(math.log(7), abs=1e-12)
-        with pytest.raises(InvalidArgumentError):
-            DiscreteDistribution.from_probs([0.5, 0.4])
-
-    def test_chain_rule_and_conditioning_on_explicit_joint(self):
-        joint = np.array([[0.2, 0.1], [0.05, 0.25], [0.15, 0.25]])
-        h_joint = joint_entropy(joint)
-        h_y = discrete_entropy(joint.sum(axis=0))
-        h_x_given_y = conditional_entropy(joint)
-        assert h_joint == pytest.approx(h_y + h_x_given_y, abs=1e-12)
-        assert h_x_given_y <= marginal_entropy_rows(joint) + 1e-12
-
     def test_k6_numbers(self):
         report = entropy_identities_check(gen_complete(6, 3))
         assert report["k_h_marginals"] == pytest.approx(6 * math.log(10), abs=1e-9)

@@ -395,6 +395,12 @@ class TestCompletion:
         with pytest.raises(InvalidArgumentError):
             complete_to_pm(G, [0, 0])
 
+    def test_edge_ids_outside_the_graph_rejected(self):
+        G = gen_complete(6, 3)
+        for bad in ([-1], [G.num_edges], [0, G.num_edges + 5]):
+            with pytest.raises(InvalidArgumentError, match="edge id"):
+                complete_to_pm(G, bad)
+
 
 class TestSamplePM:
     def test_k6_always_succeeds_with_valid_output(self):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hypermatch import shifting
 from hypermatch.counting import PMOracle
 from hypermatch.entropy import (
     EdgeWeights,
@@ -12,7 +14,7 @@ from hypermatch.entropy import (
     vertex_sums,
     well_distributed_factor,
 )
-from hypermatch.errors import InvalidArgumentError
+from hypermatch.errors import InvalidArgumentError, SamplingError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 from hypermatch.shifting import (
@@ -301,6 +303,17 @@ class TestWellDistributedFPM:
         x, report = well_distributed_fpm(G, DiracParams(2, 0.2), seed=18, trials=2000)
         assert report["projection_residual"] <= 1e-8
         assert x.verified
+
+    def test_unconverged_projection_is_not_verified(self, monkeypatch):
+        real = shifting.scale_to_unit_sums
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(shifting, "scale_to_unit_sums", unconverged)
+        G = gen_complete(6, 3)
+        with pytest.raises(SamplingError, match="did not converge"):
+            well_distributed_fpm(G, DiracParams(1, 0.1), seed=5, trials=50)
 
     @pytest.mark.parametrize("n,seed", [(9, 31), (12, 32), (15, 33)])
     def test_factor_bounded_on_dirac_instances(self, n, seed):
