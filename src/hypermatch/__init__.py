@@ -33,7 +33,6 @@ from .entropy import (
     SolverReport,
     as_verified,
     convex_combine,
-    entropy_of,
     is_fractional_pm,
     jensen_bounds,
     max_entropy_fpm,

@@ -156,19 +156,20 @@ def bipartite_max_entropy(
             f"bipartite minimum degree {lft.min_degree} is below ntilde/2 = {lft.n_tilde / 2}"
         )
     q = len(lft.quotient_edges)
-    a_cons: list[list[int]] = [[] for _ in lft.a_subsets]
-    b_cons: list[list[int]] = [[] for _ in lft.b_subsets]
-    for idx, (ai, bi) in enumerate(lft.quotient_edges):
-        a_cons[ai].append(idx)
-        b_cons[bi].append(idx)
-    con_edges = [np.array(ids, dtype=np.intp) for ids in a_cons + b_cons]
-    con_coeffs = [np.full(len(ids), float(lft.mult_b)) for ids in a_cons] + [
-        np.full(len(ids), float(lft.mult_a)) for ids in b_cons
-    ]
-    mean_qdeg = q / max(1, len(lft.a_subsets))
+    n_a, n_b = len(lft.a_subsets), len(lft.b_subsets)
+    # One constraint per A subset, then one per B subset; a stable sort keeps
+    # each constraint's quotient edges in id order.
+    ends = np.array(lft.quotient_edges, dtype=np.intp).reshape(q, 2)
+    con = np.concatenate([ends[:, 0], n_a + ends[:, 1]])
+    order = np.argsort(con, kind="stable")
+    indptr = np.zeros(n_a + n_b + 1, dtype=np.intp)
+    np.cumsum(np.bincount(con, minlength=n_a + n_b), out=indptr[1:])
+    coeffs = np.where(order < q, float(lft.mult_b), float(lft.mult_a))
+    mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))
     result = scale_to_unit_sums(
-        con_edges, con_coeffs, y0, tol, max_iter, potential_cap=1e3 * math.log(max(lft.n_tilde, 3))
+        indptr, order % q, coeffs, y0, tol, max_iter,
+        potential_cap=1e3 * math.log(max(lft.n_tilde, 3)),
     )
     copies = lft.copies_per_quotient_edge
     y = result.x
@@ -200,19 +201,21 @@ def bipartite_max_entropy(
     return bw, report
 
 
+def _source_sums(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> np.ndarray:
+    """S_e: the total weight of the lifted copies of each source edge e."""
+    copies = float(lft.copies_per_quotient_edge)
+    return np.bincount(
+        np.asarray(lft.source_edge, dtype=np.intp), weights=copies * bw.per_copy,
+        minlength=G.num_edges,
+    )
+
+
 def pull_back(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> EdgeWeights:
     """x[e] = (sum over e's lifted copies of their weight) / L, on G."""
     if G.digest() != lft.source_digest:
         raise InvalidArgumentError("lift was built from a different graph")
-    sums = np.zeros(G.num_edges)
-    copies = float(lft.copies_per_quotient_edge)
-    for idx, eid in enumerate(lft.source_edge):
-        sums[eid] += copies * float(bw.per_copy[idx])
-    w = sums / lft.L
-    w = np.minimum(w, 1.0)
-    w.flags.writeable = False
     status = STATUS_VERIFIED if bw.converged else STATUS_RAW
-    x = EdgeWeights(w, G.digest(), weight_entropy(w), status)
+    x = EdgeWeights.from_weights(G, np.minimum(_source_sums(G, lft, bw) / lft.L, 1.0), status)
     check = is_fractional_pm(G, x, tol=1e-9)
     if not check.ok:
         raise InvalidArgumentError(
@@ -242,10 +245,7 @@ def bound_chain_report(
     the bipartite entropy guarantee; line4 is the closed-form bound.
     """
     n, k, d = lft.n, lft.k, lft.d
-    copies = float(lft.copies_per_quotient_edge)
-    S_e = np.zeros(G.num_edges)
-    for idx, eid in enumerate(lft.source_edge):
-        S_e[eid] += copies * float(bw.per_copy[idx])
+    S_e = _source_sums(G, lft, bw)
     total = float(S_e.sum())
     L, Q = lft.L, float(lft.Q)
     positive = S_e[S_e > 0]

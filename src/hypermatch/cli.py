@@ -21,6 +21,7 @@ from . import acceptance
 from .bipartite import certify_entropy_lower_bound, matching_count_bound_report
 from .counting import count_pm, entropy_identities_check, pm_marginals, verify_count_vs_entropy
 from .entropy import (
+    as_verified,
     jensen_bounds,
     max_entropy_fpm,
     read_weights,
@@ -38,7 +39,6 @@ from .greedy import (
 from .hypergraph import (
     AlphaTable,
     DiracParams,
-    Hypergraph,
     degree_ratio_profile,
     gen_complete,
     gen_random_dirac,
@@ -77,7 +77,16 @@ def _digest_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _provenance(config: dict, inputs: Sequence[str]) -> dict:
+# Options that change how a run executes or where it writes, not what it
+# computes; the alpha table enters through its file digest instead.
+_EXECUTION_KEYS = frozenset({"out", "handler", "jobs", "alpha_table"})
+
+
+def _provenance(args, inputs: Sequence[Optional[str]]) -> dict:
+    """The run's config (its parsed options) and the digests of its input files
+    (the given paths that are set, and the alpha table if one is set)."""
+    config = {key: value for key, value in vars(args).items() if key not in _EXECUTION_KEYS}
+    inputs = [path for path in (*inputs, args.alpha_table) if path]
     return {
         "config": config,
         "config_digest": _digest_text(_canon_json(config)),
@@ -97,10 +106,6 @@ def _comment_lines(prov: dict) -> list[str]:
     return lines
 
 
-def _load_graph(path: str) -> Hypergraph:
-    return read_hypergraph(path)
-
-
 def _load_alpha(path: Optional[str]) -> Optional[AlphaTable]:
     return AlphaTable.from_file(path) if path else None
 
@@ -111,17 +116,7 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_gen(args) -> int:
-    config = {
-        "subcommand": "gen",
-        "n": args.n,
-        "k": args.k,
-        "complete": bool(args.complete),
-        "density": args.density,
-        "d": args.d,
-        "gamma": args.gamma,
-        "seed": args.seed,
-    }
-    prov = _provenance(config, [p for p in (args.alpha_table,) if p])
+    prov = _provenance(args, [])
     if args.complete:
         G = gen_complete(args.n, args.k)
     else:
@@ -147,9 +142,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    config = {"subcommand": "degrees", "graph": args.graph, "d": args.d, "gamma": args.gamma}
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     profile = degree_ratio_profile(G)
     report = {
         "n": G.n,
@@ -174,10 +168,8 @@ def _cmd_degrees(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    config = {"subcommand": "entropy", "graph": args.graph, "tol": args.tol,
-              "max_iter": args.max_iter}
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     x, report = max_entropy_fpm(G, tol=args.tol, max_iter=args.max_iter)
     wts_path = _out_path(args, "weights.wts")
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
@@ -204,9 +196,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    config = {"subcommand": "count", "graph": args.graph, "d": args.d, "gamma": args.gamma}
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     result = count_pm(G)
     payload = {
         "value": str(result.value),
@@ -225,9 +216,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_marginals(args) -> int:
-    config = {"subcommand": "marginals", "graph": args.graph}
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     x = pm_marginals(G)
     wts_path = _out_path(args, "marginals.wts")
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
@@ -240,19 +230,8 @@ def _cmd_marginals(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    config = {
-        "subcommand": "anneal",
-        "graph": args.graph,
-        "seed": args.seed,
-        "d": args.d,
-        "gamma": args.gamma,
-        "epsilon": args.epsilon,
-        "trials": args.trials,
-        "auto": bool(args.auto),
-        "max_steps": args.max_steps,
-    }
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     dirac = DiracParams(args.d, args.gamma)
     x_star, solver_report = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
@@ -307,24 +286,10 @@ def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
 
 
 def _cmd_greedy(args) -> int:
-    # --jobs is an execution detail, not part of the run identity
-    config = {
-        "subcommand": "greedy",
-        "graph": args.graph,
-        "weights": args.weights,
-        "seed": args.seed,
-        "trials": args.trials,
-        "stop_fraction": args.stop_fraction,
-        "c": args.c,
-    }
-    inputs = [args.graph] + ([args.weights] if args.weights else [])
-    prov = _provenance(config, inputs)
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph, args.weights])
+    G = read_hypergraph(args.graph)
     if args.weights:
-        x = read_weights(args.weights, G)
-        from .entropy import as_verified
-
-        x = as_verified(G, x)
+        x = as_verified(G, read_weights(args.weights, G))
     else:
         x, _ = max_entropy_fpm(G)
     cfg = TrajectoryConfig(c=args.c, stop_fraction=args.stop_fraction)
@@ -367,9 +332,8 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    config = {"subcommand": "bound", "graph": args.graph, "d": args.d, "gamma": args.gamma}
-    prov = _provenance(config, [args.graph])
-    G = _load_graph(args.graph)
+    prov = _provenance(args, [args.graph])
+    G = read_hypergraph(args.graph)
     report = {
         "certificate": certify_entropy_lower_bound(G, args.d),
         "matching_count_bound": matching_count_bound_report(

@@ -40,12 +40,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .entropy import (
-    EdgeWeights,
-    STATUS_VERIFIED,
-    max_entropy_fpm,
-    weight_entropy,
-)
+from .entropy import EdgeWeights, STATUS_VERIFIED, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
 from .seeds import randbelow, rng_from
@@ -330,9 +325,7 @@ def pm_marginals(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> EdgeWeights:
     for v in range(G.n):
         if sum(margs[i] for i in G.incident(v)) != 1:
             raise InvariantError(f"marginals at vertex {v} do not sum to 1")
-    w = np.array([float(q) for q in margs])
-    w.flags.writeable = False
-    return EdgeWeights(w, G.digest(), weight_entropy(w), STATUS_VERIFIED)
+    return EdgeWeights.from_weights(G, [float(q) for q in margs], STATUS_VERIFIED)
 
 
 def entropy_identities_check(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> dict:

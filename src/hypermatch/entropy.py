@@ -18,7 +18,7 @@ point), so the dual potentials come out for free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,12 @@ class EdgeWeights:
             raise InvalidArgumentError(
                 f"weight vector has length {w.size}, graph has {G.num_edges} edges"
             )
+        return cls._checked(w, G.digest(), status)
+
+    @classmethod
+    def _checked(cls, w: np.ndarray, graph_digest: str, status: str) -> "EdgeWeights":
+        """Check that the float array w is finite and in [0, 1], freeze it
+        (the result owns it) and compute its entropy."""
         if w.size:
             if not np.isfinite(w).all():
                 raise InvalidArgumentError("weights must be finite")
@@ -72,16 +78,11 @@ class EdgeWeights:
             if float(w.max()) > 1.0 + 1e-9:
                 raise InvalidArgumentError(f"weight {float(w.max())!r} exceeds 1")
         w.flags.writeable = False
-        return cls(w, G.digest(), weight_entropy(w), status)
+        return cls(w, graph_digest, weight_entropy(w), status)
 
     @property
     def verified(self) -> bool:
         return self.status == STATUS_VERIFIED
-
-
-def entropy_of(x: EdgeWeights) -> float:
-    """Entropy of the weight vector (cached at construction)."""
-    return x.entropy
 
 
 def check_alignment(G: Hypergraph, x: EdgeWeights) -> None:
@@ -121,7 +122,7 @@ def as_verified(G: Hypergraph, x: EdgeWeights, tol: float = DEFAULT_FEASIBILITY_
             f"not a fractional perfect matching: vertex {check.worst_vertex} "
             f"residual {check.max_residual:.3e} > {tol:.1e}"
         )
-    return EdgeWeights(x.weights, x.graph_digest, x.entropy, STATUS_VERIFIED)
+    return replace(x, status=STATUS_VERIFIED)
 
 
 def well_distributed_factor(G: Hypergraph, x: EdgeWeights) -> float:
@@ -168,8 +169,9 @@ class ScalingResult:
 
 
 def scale_to_unit_sums(
-    con_edges: Sequence[np.ndarray],
-    con_coeffs: Sequence[np.ndarray],
+    indptr: np.ndarray,
+    ids: np.ndarray,
+    coeffs: np.ndarray,
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -180,21 +182,23 @@ def scale_to_unit_sums(
 ) -> ScalingResult:
     """Scale positive x0 so each constraint sum_e coeff*x[e] equals 1.
 
-    Cyclic sweeps rescale the edges of one constraint at a time (exact
-    coordinate ascent on the dual); if the residual stalls (relative drop
-    below ``stall_ratio`` over ``stall_window`` sweeps), switches to damped
-    simultaneous multiplicative updates.  The accumulated per-constraint
-    log-scalings are returned as potentials; divergence beyond
-    ``potential_cap`` is diagnosed as infeasibility.
+    Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
+    entries of x) and ``coeffs``.  Cyclic sweeps rescale one constraint at a
+    time (exact coordinate ascent on the dual); if the residual stalls
+    (relative drop below ``stall_ratio`` over ``stall_window`` sweeps),
+    switches to damped simultaneous multiplicative updates.  The accumulated
+    per-constraint log-scalings are returned as potentials; divergence
+    beyond ``potential_cap`` is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
         raise InvalidArgumentError("scaling requires a strictly positive starting point")
-    ncon = len(con_edges)
+    bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+    ncon = len(bounds)
     mu = np.zeros(ncon, dtype=float)
 
     def all_sums() -> np.ndarray:
-        return np.array([float(coeffs @ x[ids]) for ids, coeffs in zip(con_edges, con_coeffs)])
+        return np.array([float(coeffs[lo:hi] @ x[ids[lo:hi]]) for lo, hi in bounds])
 
     history: list[float] = []
     fallback = False
@@ -202,12 +206,12 @@ def scale_to_unit_sums(
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         if not fallback:
-            for j in range(ncon):
-                ids, coeffs = con_edges[j], con_coeffs[j]
-                s = float(coeffs @ x[ids])
+            for j, (lo, hi) in enumerate(bounds):
+                con = ids[lo:hi]
+                s = float(coeffs[lo:hi] @ x[con])
                 if s <= 0:
                     raise InfeasibleError(f"constraint {j} has no positive incident weight")
-                x[ids] /= s
+                x[con] /= s
                 mu[j] -= math.log(s)
         else:
             sums = all_sums()
@@ -215,8 +219,8 @@ def scale_to_unit_sums(
                 raise InfeasibleError("a constraint lost all incident weight")
             step = -damping * np.log(sums)
             mu += step
-            for j in range(ncon):
-                x[con_edges[j]] *= math.exp(step[j])
+            for j, (lo, hi) in enumerate(bounds):
+                x[ids[lo:hi]] *= math.exp(step[j])
         sums = all_sums()
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
@@ -232,6 +236,18 @@ def scale_to_unit_sums(
             if residual > old * (1.0 - stall_ratio):
                 fallback = True
     return ScalingResult(x, mu, sweeps, residual, False, fallback)
+
+
+def scale_vertex_sums(
+    G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int, potential_cap: float
+) -> ScalingResult:
+    """``scale_to_unit_sums`` on the vertex sums of G: one unit-coefficient
+    constraint per row of the graph's incidence index."""
+    index = G.index()
+    return scale_to_unit_sums(
+        index.indptr, index.incidence, np.ones(index.incidence.size), x0, tol, max_iter,
+        potential_cap,
+    )
 
 
 @dataclass(frozen=True)
@@ -261,17 +277,13 @@ def max_entropy_fpm(
     if G.n == 0:
         empty = EdgeWeights.from_weights(G, np.zeros(0), STATUS_VERIFIED)
         return empty, SolverReport(0, 0.0, 0.0, True, np.zeros(0))
-    for v in range(G.n):
-        if not G.incident(v):
-            raise InfeasibleError(f"vertex {v} has no incident edge")
+    uncovered = np.flatnonzero(G.index().degrees == 0)
+    if uncovered.size:
+        raise InfeasibleError(f"vertex {int(uncovered[0])} has no incident edge")
     m = G.num_edges
     x0_value = G.n / (G.k * m)
-    con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
-    con_coeffs = [np.ones(len(ids)) for ids in con_edges]
     cap = 1e3 * math.log(max(G.n, 3))
-    result = scale_to_unit_sums(
-        con_edges, con_coeffs, np.full(m, x0_value), tol, max_iter, potential_cap=cap
-    )
+    result = scale_vertex_sums(G, np.full(m, x0_value), tol, max_iter, potential_cap=cap)
     # Shift the accumulated scalings into true dual potentials:
     # x_e = x0 * prod_v exp(mu_v) = exp(sum_v lambda_v - 1) with the shift below.
     lam = result.potentials + (1.0 + math.log(x0_value)) / G.k
@@ -290,9 +302,7 @@ def convex_combine(x1: EdgeWeights, x2: EdgeWeights, t: float) -> EdgeWeights:
     if not (x1.verified and x2.verified):
         raise InvalidArgumentError("convex_combine requires verified fractional perfect matchings")
     w = (1.0 - t) * x1.weights + t * x2.weights
-    w = np.minimum(w, 1.0)
-    w.flags.writeable = False
-    return EdgeWeights(w, x1.graph_digest, weight_entropy(w), STATUS_VERIFIED)
+    return EdgeWeights._checked(np.minimum(w, 1.0), x1.graph_digest, STATUS_VERIFIED)
 
 
 # ---------------------------------------------------------------------------
@@ -344,5 +354,4 @@ def read_weights(path: str, G: Optional[Hypergraph] = None) -> EdgeWeights:
         return as_verified(G, x) if status == STATUS_VERIFIED else x
     if w.size and (float(w.min()) < 0 or float(w.max()) > 1.0 + 1e-9):
         raise ParseError("weights outside [0, 1]", path, 0)
-    w.flags.writeable = False
-    return EdgeWeights(w, digest or "", weight_entropy(w), STATUS_RAW)
+    return EdgeWeights._checked(w, digest or "", STATUS_RAW)

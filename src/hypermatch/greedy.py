@@ -317,6 +317,16 @@ def run_greedy(
     )
 
 
+def _centers(G: Hypergraph, x: EdgeWeights, i):
+    """p(i) and the centers p(i)^k (n/k), p(i)^k h(x) after i steps.
+
+    p(i) = (n/k - i)/(n/k); i is one step or an array of steps.
+    """
+    steps_total = G.n / G.k
+    p = (steps_total - i) / steps_total
+    return p, p**G.k * steps_total, p**G.k * x.entropy
+
+
 def predicted_stats(
     G: Hypergraph,
     x: EdgeWeights,
@@ -332,10 +342,7 @@ def predicted_stats(
     """
     if not 0 <= i <= G.n // G.k:
         raise InvalidArgumentError(f"step {i} outside [0, {G.n // G.k}]")
-    steps_total = G.n / G.k
-    p = (steps_total - i) / steps_total
-    weight = p**G.k * steps_total
-    entropy = p**G.k * x.entropy
+    p, weight, entropy = _centers(G, x, i)
     degrees = {
         tuple(S): p ** (G.k - len(S)) * degree(G, S) for S in (tuple(s) for s in tracked_sets)
     }
@@ -367,10 +374,7 @@ def trajectory_deviation(
         else horizon_fraction * steps_total
     )
     i_max = min(traj.steps, int(math.floor(horizon + 1e-9)))
-    idx = np.arange(i_max + 1)
-    p = (steps_total - idx) / steps_total
-    pred_w = p**k * steps_total
-    pred_e = p**k * x.entropy
+    p, pred_w, pred_e = _centers(G, x, np.arange(i_max + 1))
     obs_w = traj.residual_weight[: i_max + 1]
     obs_e = traj.residual_entropy[: i_max + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -480,8 +484,6 @@ def write_trajectory_csv(
 ) -> None:
     """Columns: i, chosen_edge, residual/predicted weight and entropy, then
     one degree column per tracked set id."""
-    n, k = G.n, G.k
-    steps_total = n / k
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in header_comments:
             fh.write(f"# {comment}\n")
@@ -492,7 +494,7 @@ def write_trajectory_csv(
             + [f"deg_S{idx}" for idx in range(len(traj.tracked_sets))]
         )
         for i in range(traj.steps + 1):
-            p = (steps_total - i) / steps_total
+            _, pred_w, pred_e = _centers(G, x, i)
             degs = [
                 "nan" if np.isnan(d) else repr(float(d)) for d in traj.tracked_degrees[i]
             ]
@@ -501,9 +503,9 @@ def write_trajectory_csv(
                     i,
                     "" if i == 0 else int(traj.chosen[i - 1]),
                     repr(float(traj.residual_weight[i])),
-                    repr(p**k * steps_total),
+                    repr(pred_w),
                     repr(float(traj.residual_entropy[i])),
-                    repr(p**k * x.entropy),
+                    repr(pred_e),
                 ]
                 + degs
             )

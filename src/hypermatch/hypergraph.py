@@ -135,14 +135,6 @@ class Hypergraph:
             object.__setattr__(self, "_index", cached)
         return cached
 
-    def rebuilt_incidence_matches(self) -> bool:
-        """Recompute the incidence index from the edge list and compare."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        return tuple(tuple(ids) for ids in inc) == self._incidence
-
 
 @dataclass(frozen=True)
 class DiracParams:

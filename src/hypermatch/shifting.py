@@ -34,8 +34,7 @@ from .entropy import (
     as_verified,
     check_alignment,
     convex_combine,
-    scale_to_unit_sums,
-    weight_entropy,
+    scale_vertex_sums,
     well_distributed_factor,
 )
 from .errors import InvalidArgumentError, SamplingError
@@ -160,9 +159,7 @@ def apply_shift(x: EdgeWeights, structure: ShiftingStructure, delta: float) -> E
         w[eid] -= delta
     for fid in structure.f_ids:
         w[fid] += delta
-    w = np.clip(w, 0.0, 1.0)
-    w.flags.writeable = False
-    return EdgeWeights(w, x.graph_digest, weight_entropy(w), x.status)
+    return EdgeWeights._checked(np.clip(w, 0.0, 1.0), x.graph_digest, x.status)
 
 
 def shift_gain_lower_bound(
@@ -342,7 +339,7 @@ def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams)
     hi = params.D / float(G.n) ** (G.k - 1)
     lo = 2.0 * params.delta
     cap = params.eta - params.delta
-    heavy = [i for i in range(G.num_edges) if w[i] >= hi]
+    heavy = np.flatnonzero(w >= hi).tolist()
     if not heavy:
         return ConfigSearch("no-high-weight-edge")
     e_ok = lambda eid: w[eid] >= lo
@@ -450,14 +447,8 @@ def anneal_and_shift(
             AnnealStep(step, structure.e_ids, structure.f_ids, params.delta, before, x.entropy, bound)
         )
         if renormalize_every and step % renormalize_every == 0 and float(x.weights.min()) > 0:
-            con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
-            con_coeffs = [np.ones(len(ids)) for ids in con_edges]
-            result = scale_to_unit_sums(
-                con_edges, con_coeffs, x.weights, 1e-13, 50, potential_cap=1e6
-            )
-            w = np.minimum(result.x, 1.0)
-            w.flags.writeable = False
-            x = EdgeWeights(w, x.graph_digest, weight_entropy(w), x.status)
+            result = scale_vertex_sums(G, x.weights, 1e-13, 50, potential_cap=1e6)
+            x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest, x.status)
             log.renormalizations += 1
     log.final_entropy = x.entropy
     return x, log
@@ -526,11 +517,7 @@ def well_distributed_fpm(
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.
     floored = np.maximum(empirical, 0.5 / trials)
-    con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
-    con_coeffs = [np.ones(len(ids)) for ids in con_edges]
-    result = scale_to_unit_sums(
-        con_edges, con_coeffs, floored, projection_tol, 20000, potential_cap=1e6
-    )
+    result = scale_vertex_sums(G, floored, projection_tol, 20000, potential_cap=1e6)
     if not result.converged:
         raise SamplingError(
             f"projection onto unit vertex sums did not converge (residual {result.max_residual:.3e})"

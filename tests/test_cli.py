@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -150,6 +151,48 @@ class TestSubcommands:
         assert cert["solver_clears_bound"] and cert["pullback_clears_bound"]
         assert cert["lemma_check"]
         assert report["matching_count_bound"]["p"] == pytest.approx(1.0)
+
+
+class TestProvenance:
+    @pytest.fixture()
+    def readme_graph(self, tmp_path):
+        assert run(["gen", "--n", "12", "--k", "3", "--density", "0.95", "--d", "2",
+                    "--gamma", "0.2", "--seed", "7", "--out", str(tmp_path / "run")]) == 0
+        return str(tmp_path / "run" / "graph.khg")
+
+    def test_alpha_table_is_an_input(self, readme_graph, tmp_path):
+        # alpha_1(3) = 9/10 turns the README graph's vertex-degree check from
+        # true to false, so the table must show up in the run's provenance
+        table = tmp_path / "alpha.json"
+        table.write_text(json.dumps({"entries": [{"d": 1, "k": 3, "alpha": "9/10"}]}))
+        argv = ["degrees", "--graph", readme_graph, "--d", "1", "--gamma", "0.05"]
+        assert run(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert run(argv + ["--alpha-table", str(table), "--out", str(tmp_path / "table")]) == 0
+        plain = json.loads((tmp_path / "plain" / "degrees.json").read_text())
+        with_table = json.loads((tmp_path / "table" / "degrees.json").read_text())
+        assert plain["dirac"] and not with_table["dirac"]
+        assert list(plain["_provenance"]["input_digests"]) == [readme_graph]
+        assert with_table["_provenance"]["input_digests"] == {
+            readme_graph: plain["_provenance"]["input_digests"][readme_graph],
+            str(table): hashlib.sha256(table.read_bytes()).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("command,name", [("count", "count.json"),
+                                              ("bound", "bound_report.json")])
+    def test_alpha_table_recorded_by_count_and_bound(self, k6_path, tmp_path, command, name):
+        table = tmp_path / "alpha.json"
+        table.write_text(json.dumps({"entries": [{"d": 1, "k": 3, "alpha": "9/10"}]}))
+        assert run([command, "--graph", k6_path, "--d", "2", "--gamma", "0.3",
+                    "--alpha-table", str(table), "--out", str(tmp_path)]) == 0
+        prov = json.loads((tmp_path / name).read_text())["_provenance"]
+        assert sorted(prov["input_digests"]) == sorted([k6_path, str(table)])
+
+    def test_config_is_the_parsed_options(self, k6_path, tmp_path):
+        assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "2",
+                    "--jobs", "2", "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "greedy_report.json").read_text())["_provenance"]["config"]
+        assert config == {"subcommand": "greedy", "graph": k6_path, "weights": None,
+                          "seed": 3, "trials": 2, "stop_fraction": None, "c": 0.05}
 
 
 class TestErrors:

@@ -8,7 +8,6 @@ from hypermatch.entropy import (
     EdgeWeights,
     as_verified,
     convex_combine,
-    entropy_of,
     is_fractional_pm,
     jensen_bounds,
     max_entropy_fpm,
@@ -20,7 +19,7 @@ from hypermatch.entropy import (
 )
 from hypermatch.errors import InfeasibleError, InvalidArgumentError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
-from hypermatch.counting import PMOracle
+from hypermatch.counting import PMOracle, pm_marginals
 from hypermatch.seeds import rng_from
 
 
@@ -38,16 +37,16 @@ def pm_indicator(G, pm):
 class TestEntropyOf:
     def test_uniform_k4_pairs(self):
         x = uniform_fpm(gen_complete(4, 2))
-        assert entropy_of(x) == pytest.approx(2 * math.log(3), abs=1e-12)
+        assert x.entropy == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_indicator_is_zero(self):
         G = gen_complete(4, 2)
         x = pm_indicator(G, PMOracle(G).sample(rng_from(0)))
-        assert entropy_of(x) == 0.0
+        assert x.entropy == 0.0
 
     def test_uniform_k6_triples(self):
         x = uniform_fpm(gen_complete(6, 3))
-        assert entropy_of(x) == pytest.approx(2 * math.log(10), abs=1e-12)
+        assert x.entropy == pytest.approx(2 * math.log(10), abs=1e-12)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -61,6 +60,27 @@ class TestEntropyOf:
         w = rng.random(20) * 0.05
         x = EdgeWeights.from_weights(G, w)
         assert abs(x.entropy - weight_entropy(x.weights)) <= 1e-12
+
+
+class TestConstructionPaths:
+    def test_every_path_freezes_and_checks(self, tmp_path):
+        G = gen_complete(6, 3)
+        x = uniform_fpm(G)
+        pm = pm_indicator(G, (0, 19))
+        path = str(tmp_path / "w.wts")
+        write_weights(path, x)
+        built = [x, pm, convex_combine(x, pm, 0.5), read_weights(path), read_weights(path, G),
+                 pm_marginals(G)]
+        for y in built:
+            assert not y.weights.flags.writeable
+            assert y.entropy == weight_entropy(y.weights)
+        assert [y.status for y in built] == ["verified-fpm"] * 3 + ["raw"] + ["verified-fpm"] * 2
+
+    def test_file_without_graph_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "w.wts"
+        path.write_text("0.5\nnan\n")
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            read_weights(str(path))
 
 
 class TestFeasibility:
@@ -226,13 +246,12 @@ class TestSolver:
         from hypermatch.entropy import scale_to_unit_sums
 
         G = gen_complete(8, 2)
-        con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
-        con_coeffs = [np.ones(len(ids)) for ids in con_edges]
+        index = G.index()
         rng = rng_from(12)
         x0 = rng.random(G.num_edges) + 0.05
         result = scale_to_unit_sums(
-            con_edges, con_coeffs, x0, 1e-10, 5000, potential_cap=1e6,
-            stall_window=2, stall_ratio=0.99,
+            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000,
+            potential_cap=1e6, stall_window=2, stall_ratio=0.99,
         )
         assert result.fallback_used
         assert result.converged and result.max_residual <= 1e-10

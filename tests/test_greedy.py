@@ -341,6 +341,26 @@ class TestPredictedStats:
         with pytest.raises(InvalidArgumentError):
             predicted_stats(G, x, 3)
 
+    def test_centers_agree_across_reports(self, tmp_path):
+        # predicted_stats, trajectory_deviation and the trajectory CSV all use
+        # p(i)^k (n/k) and p(i)^k h(x)
+        G = gen_complete(12, 3)
+        x, _ = max_entropy_fpm(G)
+        traj = run_greedy(G, x, TrajectoryConfig(), seed=2)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj, G, x)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        report = trajectory_deviation(traj, G, x, horizon_fraction=1.0)
+        assert len(rows) == traj.steps + 1 == 5
+        for i, row in enumerate(rows):
+            p = (4 - i) / 4
+            weight, entropy, _ = predicted_stats(G, x, i)
+            assert (weight, entropy) == (p**3 * 4, p**3 * x.entropy)
+            assert [row[3], row[5]] == [repr(weight), repr(entropy)]
+            if i < 4:
+                obs = traj.residual_entropy[i]
+                assert report["entropy_deviation_per_step"][i] == abs(obs - entropy) / entropy
+
 
 class TestTrajectoryDeviation:
     def test_zero_deviation_at_step_zero(self):

@@ -60,7 +60,14 @@ class TestHypergraph:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_hypergraphs())
     def test_incidence_rebuild_matches(self, G):
-        assert G.rebuilt_incidence_matches()
+        index = G.index()
+        assert index.edge_verts.tolist() == [list(e) for e in G.edges]
+        for v in range(G.n):
+            expected = [i for i, e in enumerate(G.edges) if v in e]
+            assert list(G.incident(v)) == expected
+            assert index.incidence[index.indptr[v]: index.indptr[v + 1]].tolist() == expected
+            assert index.degrees[v] == len(expected)
+        assert index.indptr[-1] == G.k * G.num_edges
 
     def test_digest_stable_under_reconstruction(self):
         G1 = gen_complete(6, 3)

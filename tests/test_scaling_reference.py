@@ -1,0 +1,233 @@
+"""The CSR scaling path against the list-of-arrays constraint systems it replaced.
+
+``reference_scale_to_unit_sums`` is the scaling core as it was when each
+constraint came as its own id array and coefficient array; the constraint
+builders below are the per-vertex ``incident(v)`` lists and the bipartite
+append loops.  Every caller of the CSR core must give bit-identical weights,
+potentials, sweep counts and fallback flags.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hypermatch import bipartite, shifting
+from hypermatch.counting import PMOracle
+from hypermatch.entropy import (
+    EdgeWeights,
+    as_verified,
+    convex_combine,
+    max_entropy_fpm,
+    scale_to_unit_sums,
+    scale_vertex_sums,
+    well_distributed_factor,
+)
+from hypermatch.errors import InfeasibleError
+from hypermatch.hypergraph import DiracParams, gen_complete, gen_random_dirac
+from hypermatch.seeds import rng_from
+from hypermatch.shifting import anneal_and_shift, auto_anneal_params, well_distributed_fpm
+
+
+def reference_scale_to_unit_sums(
+    con_edges, con_coeffs, x0, tol, max_iter, potential_cap,
+    stall_window=100, stall_ratio=1e-3, damping=0.5,
+):
+    x = np.array(x0, dtype=float)
+    ncon = len(con_edges)
+    mu = np.zeros(ncon, dtype=float)
+
+    def all_sums():
+        return np.array([float(coeffs @ x[ids]) for ids, coeffs in zip(con_edges, con_coeffs)])
+
+    history = []
+    fallback = False
+    residual = math.inf
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        if not fallback:
+            for j in range(ncon):
+                ids, coeffs = con_edges[j], con_coeffs[j]
+                s = float(coeffs @ x[ids])
+                if s <= 0:
+                    raise InfeasibleError(f"constraint {j} has no positive incident weight")
+                x[ids] /= s
+                mu[j] -= math.log(s)
+        else:
+            sums = all_sums()
+            if float(sums.min()) <= 0:
+                raise InfeasibleError("a constraint lost all incident weight")
+            step = -damping * np.log(sums)
+            mu += step
+            for j in range(ncon):
+                x[con_edges[j]] *= math.exp(step[j])
+        sums = all_sums()
+        residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
+        if residual <= tol:
+            return x, mu, sweeps, residual, True, fallback
+        if float(np.abs(mu).max()) > potential_cap:
+            raise InfeasibleError("diverging potentials")
+        history.append(residual)
+        if not fallback and len(history) > stall_window:
+            old = history[-stall_window - 1]
+            if residual > old * (1.0 - stall_ratio):
+                fallback = True
+    return x, mu, sweeps, residual, False, fallback
+
+
+def vertex_constraints(G):
+    con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
+    return con_edges, [np.ones(len(ids)) for ids in con_edges]
+
+
+def bipartite_constraints(lft):
+    a_cons = [[] for _ in lft.a_subsets]
+    b_cons = [[] for _ in lft.b_subsets]
+    for idx, (ai, bi) in enumerate(lft.quotient_edges):
+        a_cons[ai].append(idx)
+        b_cons[bi].append(idx)
+    con_edges = [np.array(ids, dtype=np.intp) for ids in a_cons + b_cons]
+    con_coeffs = [np.full(len(ids), float(lft.mult_b)) for ids in a_cons] + [
+        np.full(len(ids), float(lft.mult_a)) for ids in b_cons
+    ]
+    return con_edges, con_coeffs
+
+
+def assert_same(result, ref):
+    x, mu, sweeps, residual, converged, fallback = ref
+    assert result.x.tobytes() == x.tobytes()
+    assert result.potentials.tobytes() == mu.tobytes()
+    assert (result.iterations, result.max_residual) == (sweeps, residual)
+    assert (result.converged, result.fallback_used) == (converged, fallback)
+
+
+def recorder(monkeypatch, module, name):
+    """Wrap module.name so that each call's arguments and result are kept."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        args = [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+GRAPHS = {
+    "K12": lambda: gen_complete(12, 3),
+    "K60": lambda: gen_complete(60, 3),
+    "dirac15": lambda: gen_random_dirac(15, 3, DiracParams(2, 0.2), 0.9, seed=4),
+    "dirac30": lambda: gen_random_dirac(30, 3, DiracParams(2, 0.2), 0.9, seed=5),
+}
+
+
+class TestVertexScaling:
+    @pytest.mark.parametrize("start", ["uniform", "random"])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_index_rows_equal_incident_lists(self, name, start):
+        G = GRAPHS[name]()
+        m = G.num_edges
+        if start == "uniform":
+            x0 = np.full(m, G.n / (G.k * m))
+        else:
+            x0 = rng_from(21).random(m) + 0.01
+        result = scale_vertex_sums(G, x0, 1e-10, 2000, 1e6)
+        ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, 1e-10, 2000, 1e6)
+        assert_same(result, ref)
+        assert result.converged
+
+    def test_damped_fallback_equal(self):
+        G = GRAPHS["dirac15"]()
+        index = G.index()
+        x0 = rng_from(12).random(G.num_edges) + 0.05
+        result = scale_to_unit_sums(
+            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000,
+            1e6, stall_window=2, stall_ratio=0.99,
+        )
+        ref = reference_scale_to_unit_sums(
+            *vertex_constraints(G), x0, 1e-10, 5000, 1e6, stall_window=2, stall_ratio=0.99
+        )
+        assert result.fallback_used
+        assert_same(result, ref)
+
+    @pytest.mark.parametrize("name", ["K12", "dirac15", "dirac30"])
+    def test_solver_equal(self, name):
+        G = GRAPHS[name]()
+        x, report = max_entropy_fpm(G)
+        x0_value = G.n / (G.k * G.num_edges)
+        ref = reference_scale_to_unit_sums(
+            *vertex_constraints(G), np.full(G.num_edges, x0_value), 1e-8, 20000,
+            1e3 * math.log(max(G.n, 3)),
+        )
+        ref_x, ref_mu, sweeps, residual, converged, _ = ref
+        assert x.weights.tobytes() == np.minimum(ref_x, 1.0).tobytes()
+        lam = ref_mu + (1.0 + math.log(x0_value)) / G.k
+        assert report.potentials.tobytes() == lam.tobytes()
+        assert (report.iterations, report.max_residual, report.converged) == (
+            sweeps, residual, converged,
+        )
+
+    def test_wdfpm_projection_equal(self, monkeypatch):
+        calls = recorder(monkeypatch, shifting, "scale_vertex_sums")
+        G = GRAPHS["dirac15"]()
+        x, _ = well_distributed_fpm(G, DiracParams(2, 0.2), seed=7, trials=300)
+        [(args, kwargs, result)] = calls
+        _, x0, tol, max_iter = args
+        ref = reference_scale_to_unit_sums(
+            *vertex_constraints(G), x0, tol, max_iter, kwargs["potential_cap"]
+        )
+        assert_same(result, ref)
+        assert x.weights.tobytes() == np.minimum(ref[0], 1.0).tobytes()
+
+    def test_anneal_renormalisation_equal(self, monkeypatch):
+        G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=11)
+        x_star, _ = max_entropy_fpm(G)
+        pm = np.zeros(G.num_edges)
+        pm[list(PMOracle(G).sample(rng_from(11)))] = 1.0
+        adv = convex_combine(as_verified(G, EdgeWeights.from_weights(G, pm)), x_star, 0.05)
+        x_hat, _ = well_distributed_fpm(G, DiracParams(2, 0.2), seed=12, trials=2000)
+        C = max(1.0, well_distributed_factor(G, x_hat))
+        params = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=C, max_steps=30)
+        calls = recorder(monkeypatch, shifting, "scale_vertex_sums")
+        final, log = anneal_and_shift(G, adv, x_hat, params, renormalize_every=1)
+        assert log.renormalizations == len(calls) == len(log.steps) > 0
+        for args, kwargs, result in calls:
+            _, x0, tol, max_iter = args
+            ref = reference_scale_to_unit_sums(
+                *vertex_constraints(G), x0, tol, max_iter, kwargs["potential_cap"]
+            )
+            assert_same(result, ref)
+        assert final.weights.tobytes() == np.minimum(calls[-1][2].x, 1.0).tobytes()
+
+
+class TestBipartiteScaling:
+    @pytest.mark.parametrize(
+        "make,d",
+        [
+            (lambda: gen_complete(6, 3), 2),
+            (lambda: gen_random_dirac(9, 3, DiracParams(2, 0.2), 0.95, seed=44), 2),
+            (lambda: gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=7), 2),
+            (lambda: gen_complete(8, 4), 2),
+            (lambda: gen_complete(8, 4), 3),
+        ],
+    )
+    def test_argsort_csr_equals_append_loops(self, monkeypatch, make, d):
+        calls = recorder(monkeypatch, bipartite, "scale_to_unit_sums")
+        lft = bipartite.lift(make(), d)
+        bw, _ = bipartite.bipartite_max_entropy(lft)
+        [(args, kwargs, result)] = calls
+        indptr, ids, coeffs, y0, tol, max_iter = args
+        con_edges, con_coeffs = bipartite_constraints(lft)
+        assert len(indptr) - 1 == len(con_edges)
+        for j, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+            assert ids[lo:hi].tolist() == con_edges[j].tolist()
+            assert coeffs[lo:hi].tobytes() == con_coeffs[j].tobytes()
+        ref = reference_scale_to_unit_sums(
+            con_edges, con_coeffs, y0, tol, max_iter, kwargs["potential_cap"]
+        )
+        assert_same(result, ref)
+        assert bw.per_copy.tobytes() == ref[0].tobytes()
+        assert (bw.iterations, bw.max_residual, bw.converged) == ref[2:5]

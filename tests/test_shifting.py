@@ -196,6 +196,17 @@ class TestGoodConfiguration:
         params = AnnealParams.for_graph(G, gamma=0.5, epsilon=0.8, C=2.0)
         assert find_good_configuration(G, x, params).status == "search-exhausted"
 
+    def test_heavy_edges_scanned_in_id_order(self):
+        # every edge of the mixed-in matching is heavy; the scan starts at the
+        # lowest id and hands out plain ints
+        G, params = self.k9_params()
+        x_star, _ = max_entropy_fpm(G)
+        pm = PMOracle(G).sample(rng_from(7))
+        x = convex_combine(pm_indicator(G, pm), x_star, 0.1)
+        assert [i for i in range(G.num_edges) if x.weights[i] >= params.high_threshold(G)] == sorted(pm)
+        e1 = find_good_configuration(G, x, params).config.structure.e_ids[0]
+        assert e1 == min(pm) and type(e1) is int
+
     def test_deterministic_scan(self):
         G, params = self.k9_params()
         x_star, _ = max_entropy_fpm(G)
@@ -305,12 +316,12 @@ class TestWellDistributedFPM:
         assert x.verified
 
     def test_unconverged_projection_is_not_verified(self, monkeypatch):
-        real = shifting.scale_to_unit_sums
+        real = shifting.scale_vertex_sums
 
         def unconverged(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), converged=False)
 
-        monkeypatch.setattr(shifting, "scale_to_unit_sums", unconverged)
+        monkeypatch.setattr(shifting, "scale_vertex_sums", unconverged)
         G = gen_complete(6, 3)
         with pytest.raises(SamplingError, match="did not converge"):
             well_distributed_fpm(G, DiracParams(1, 0.1), seed=5, trials=50)
