@@ -39,7 +39,7 @@ import numpy as np
 from .counting import DEFAULT_COUNT_CAP, PMOracle
 from .entropy import EdgeWeights, check_alignment
 from .errors import InvalidArgumentError, SamplingError
-from .hypergraph import GraphIndex, Hypergraph, degree
+from .hypergraph import GraphIndex, Hypergraph, degree, encode
 from .seeds import rng_from
 
 STOP_FROZEN = "no-positive-weight-edge"
@@ -140,48 +140,21 @@ class GreedyTrajectory:
         return int(self.chosen.size)
 
 
-def _encode(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row of vertex ids as one base-n integer."""
-    code = rows[:, 0].astype(np.int64)
-    for col in range(1, rows.shape[1]):
-        code = code * n + rows[:, col]
-    return code
+def _set_edges(index: GraphIndex, sets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """(set, edge) pairs: each edge containing every vertex of each set of 2..k-1 vertices.
 
-
-def _set_edges(
-    index: GraphIndex, sets: Sequence[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The edges containing every vertex of each set of 2..k-1 vertices.
-
-    Returns (slot_of, slot, edge, n_slots): equal sets share a slot,
-    ``slot_of[i]`` is set i's slot, and each (slot, edge) pair is an edge
-    containing that slot's set.  Every s-subset of every edge is encoded as
-    a base-n integer and looked up among the sets' codes, so the cost is
-    O(m C(k, s)) per set size s, independent of the number of sets.
+    A set's edges are the run of its code in the index's subset codes.
     """
-    n = index.degrees.size
-    slot_of = np.zeros(len(sets), dtype=np.intp)
-    slots: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    owner: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     edges: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    n_slots = 0
     for size in sorted({len(S) for S in sets}):
-        if n**size >= 2**63:
-            raise InvalidArgumentError(f"sets of {size} vertices out of {n} overflow int64 codes")
         ids = [i for i, S in enumerate(sets) if len(S) == size]
-        codes, slot_of[ids] = np.unique(
-            _encode(np.array([sets[i] for i in ids]), n), return_inverse=True
-        )
-        slot_of[ids] += n_slots
-        # Edge rows and sets are ascending, so a set matches at most one
-        # column choice of each edge.
-        for cols in itertools.combinations(range(index.edge_verts.shape[1]), size):
-            key = _encode(index.edge_verts[:, cols], n)
-            pos = np.minimum(np.searchsorted(codes, key), codes.size - 1)
-            hit = np.flatnonzero(codes[pos] == key)
-            slots.append(n_slots + pos[hit])
-            edges.append(hit)
-        n_slots += codes.size
-    return slot_of, np.concatenate(slots), np.concatenate(edges), n_slots
+        codes, edge_ids = index.subset_codes(size)
+        keys = encode(np.array([sets[i] for i in ids]), index.n)
+        lo, hi = np.searchsorted(codes, keys), np.searchsorted(codes, keys, "right")
+        owner.append(np.repeat(ids, hi - lo))
+        edges.extend(edge_ids[a:b] for a, b in zip(lo, hi))
+    return np.concatenate(owner), np.concatenate(edges)
 
 
 def run_greedy(
@@ -237,7 +210,7 @@ def run_greedy(
     single = np.array([i for i, S in enumerate(tracked) if len(S) == 1], dtype=np.intp)
     single_v = members[set_starts[single]]
     big = np.array([i for i, S in enumerate(tracked) if len(S) > 1], dtype=np.intp)
-    slot_of, slot, slot_edges, n_slots = _set_edges(index, [tracked[i] for i in big])
+    owner, owned_edges = _set_edges(index, [tracked[i] for i in big])
 
     max_steps = n // k
     if cfg.stop_fraction is not None:
@@ -257,7 +230,7 @@ def run_greedy(
         degs = np.full(len(tracked), np.nan)
         if tracked:
             degs[single] = deg_v[single_v]
-            degs[big] = np.bincount(slot, weights=alive_e[slot_edges], minlength=n_slots)[slot_of]
+            degs[big] = np.bincount(owner, weights=alive_e[owned_edges], minlength=big.size)
             degs[~np.logical_and.reduceat(alive_v[members], set_starts)] = np.nan
         rows_deg.append(degs)
 
@@ -385,8 +358,8 @@ def trajectory_deviation(
     index = G.index()
     deg0 = index.degrees[[S[0] for S in sets]].astype(float)
     big = np.flatnonzero(sizes > 1)
-    slot_of, slot, _, n_slots = _set_edges(index, [sets[i] for i in big])
-    deg0[big] = np.bincount(slot, minlength=n_slots)[slot_of]
+    owner, _ = _set_edges(index, [sets[i] for i in big])
+    deg0[big] = np.bincount(owner, minlength=big.size)
     # One power per set size, taken exactly as the scalar formula p**(k - |S|).
     pred_d = np.empty((i_max + 1, len(sets)))
     for size in np.unique(sizes):

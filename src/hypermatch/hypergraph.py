@@ -1,9 +1,15 @@
 """k-uniform hypergraphs: representation, degrees, Dirac diagnostics, I/O.
 
 Vertices are dense 0-based integers.  Edges are k-sets stored as ascending
-tuples; the position of an edge in the edge list is its id, and every
-weight vector in the package is aligned with that order.  All types here
-are immutable after construction.
+rows; the position of an edge in the edge list is its id, and every weight
+vector in the package is aligned with that order.  All types here are
+immutable after construction.
+
+Vertex sets are looked up by their codes alone: a set's ascending vertices
+read as a base-n integer, smallest vertex most significant, so code order is
+lexicographic order.  Edge ids, d-degrees, the greedy process's tracked sets
+and the shifting search all read codes from ``GraphIndex``.  A graph whose
+k-set codes overflow int64 (n^k >= 2^63) is refused with ResourceLimitError.
 
 The ``.khg`` text format: first non-comment line is ``k n``, then one edge
 per line as k ascending vertex ids; ``#`` starts a comment, blank lines are
@@ -16,6 +22,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,83 +37,217 @@ from .errors import (
 )
 from .seeds import rng_from
 
-# Enumerating all C(n, d) subsets in min_d_degree is guarded by this budget
-# (estimated subset-edge checks).
+# degree and min_d_degree read the codes of all d-subsets of all edges,
+# m C(k, d) of them; no more than this budget of them is built.
 DEFAULT_DEGREE_WORK_LIMIT = 10**8
+
+
+def encode(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row of ascending vertex ids as one base-n int64 code.
+
+    The first column is the most significant digit, so code order is the
+    lexicographic order of the rows.
+    """
+    code = rows[:, 0].astype(np.int64)
+    for col in range(1, rows.shape[1]):
+        code = code * n + rows[:, col]
+    return code
 
 
 @dataclass(frozen=True)
 class GraphIndex:
-    """Read-only numpy arrays of a hypergraph's incidence structure.
+    """Read-only numpy arrays of a hypergraph and its vertex-set codes.
 
     ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
-    vertex v in ascending order, the same as ``Hypergraph.incident(v)``.
+    vertex v in ascending order.  Vertex sets are looked up by their codes
+    alone: the sorted subset codes of each size and the vertex links are
+    built on first use and cached.
     """
 
-    edge_verts: np.ndarray  # (m, k): row i holds the vertices of edge i
+    edge_verts: np.ndarray  # (m, k): row i holds the ascending vertices of edge i
     indptr: np.ndarray  # (n + 1,): CSR offsets into ``incidence``
     incidence: np.ndarray  # (m k,): edge ids grouped by vertex
     degrees: np.ndarray  # (n,): number of edges at each vertex
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.degrees.size
+
+    def subset_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the d-subsets of all edges, ascending, with their edge ids.
+
+        m C(k, d) entries; a d-set's code repeats once per edge containing it.
+        Built on first use per d and cached.
+        """
+        cached = self._cache.get(d)
+        if cached is None:
+            codes = self._subset_codes(d, DEFAULT_DEGREE_WORK_LIMIT)
+            order = np.argsort(codes, kind="stable")
+            cached = _frozen(codes[order], order % max(1, self.edge_verts.shape[0]))
+            self._cache[d] = cached
+        return cached
+
+    def _subset_codes(self, d: int, work_limit: int) -> np.ndarray:
+        """The codes of the d-subsets of all edges, one block of m per column choice.
+
+        Raises ResourceLimitError when m C(k, d) exceeds ``work_limit``.
+        """
+        m, k = self.edge_verts.shape
+        work = m * comb(k, d)
+        if work > work_limit:
+            raise ResourceLimitError(
+                f"{work:.2e} codes of {d}-subsets of edges exceed the work limit {work_limit:.0e}"
+            )
+        cols = itertools.combinations(range(k), d)
+        return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's link: the (k-1)-sets U for which U + {v} is an edge.
+
+        ``codes[indptr[v]:indptr[v + 1]]`` are the codes of v's link sets in
+        ascending order and the same slice of ``ids`` the ids of the edges
+        U + {v}.  Built on first use and cached.
+        """
+        cached = self._cache.get("links")
+        if cached is None:
+            k = self.edge_verts.shape[1]
+            # Column j: the code of each edge without its j-th vertex.
+            without = np.stack(
+                [encode(np.delete(self.edge_verts, j, axis=1), self.n) for j in range(k)], axis=1
+            ).ravel()
+            order = np.lexsort((without, self.edge_verts.ravel()))
+            cached = _frozen(without[order], order // k)
+            self._cache["links"] = cached
+        return cached
 
 
-@dataclass(frozen=True)
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _edge_rows(k: int, n: int, edges) -> np.ndarray:
+    """The edges as ascending int64 rows.
+
+    Raises InvalidArgumentError for the first bad edge in input order: one
+    that is not a set of k distinct vertices, has a vertex outside [0, n) or
+    repeats an earlier edge.
+    """
+    raw = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        rows = np.asarray(raw)
+    except ValueError:  # ragged rows
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == k and np.can_cast(rows.dtype, np.int64):
+        rows = rows.astype(np.int64)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            rows.sort(axis=1)
+        if not rows.size or (
+            (rows[:, 1:] > rows[:, :-1]).all() and rows.min() >= 0 and rows.max() < n
+            and (np.diff(np.sort(encode(rows, n))) > 0).all()
+        ):
+            return rows
+    # Irregular input or a bad edge: convert edge by edge, naming the first bad one.
+    canon: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for given in raw:
+        e = tuple(sorted(int(v) for v in given))
+        if len(e) != k or len(set(e)) != k:
+            raise InvalidArgumentError(f"edge {tuple(given)} is not a set of {k} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise InvalidArgumentError(f"edge {e} has a vertex outside [0, {n})")
+        if e in seen:
+            raise InvalidArgumentError(f"duplicate edge {e}")
+        seen.add(e)
+        canon.append(e)
+    return np.array(canon, dtype=np.int64).reshape(len(canon), k)
+
+
+def _canonical_text(k: int, n: int, edge_verts: np.ndarray) -> str:
+    """``k n`` and then one line of space-separated decimal vertex ids per edge.
+
+    The digits of each vertex come from a NUL-padded table; the padding is dropped.
+    """
+    width = len(str(max(n - 1, 0)))
+    table = np.array([str(v).encode() for v in range(n)], dtype=f"S{width}")
+    slots = np.zeros(edge_verts.shape + (width + 1,), dtype=np.uint8)
+    slots[..., :width] = table.view(np.uint8).reshape(n, width)[edge_verts]
+    slots[..., width] = ord(" ")
+    slots[:, -1, width] = ord("\n")
+    body = slots.ravel()
+    return f"{k} {n}\n" + body[body != 0].tobytes().decode()
+
+
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertices 0..n-1."""
+    """Immutable k-uniform hypergraph on vertices 0..n-1.
+
+    Two graphs are equal when k, n and the edges in id order are equal.
+    """
 
     k: int
     n: int
-    edges: tuple[tuple[int, ...], ...]
-    _incidence: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-    _edge_ids: Mapping[tuple[int, ...], int] = field(repr=False, compare=False, default=None)
+    _index: GraphIndex = field(repr=False)
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
         if k < 2:
             raise InvalidArgumentError(f"uniformity k must be >= 2, got {k}")
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be nonnegative, got {n}")
-        canon: list[tuple[int, ...]] = []
-        seen: dict[tuple[int, ...], int] = {}
-        for raw in edges:
-            e = tuple(sorted(int(v) for v in raw))
-            if len(e) != k or len(set(e)) != k:
-                raise InvalidArgumentError(f"edge {tuple(raw)} is not a set of {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise InvalidArgumentError(f"edge {e} has a vertex outside [0, {n})")
-            if e in seen:
-                raise InvalidArgumentError(f"duplicate edge {e}")
-            seen[e] = len(canon)
-            canon.append(e)
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(canon):
-            for v in e:
-                inc[v].append(i)
+        if n >= 2 and (k >= 63 or n**k >= 2**63):
+            raise ResourceLimitError(f"codes of {k}-sets of {n} vertices overflow int64 (n^k >= 2^63)")
+        rows = _edge_rows(k, n, edges)
+        flat = rows.ravel()
+        # A stable sort keeps each vertex's edge ids in ascending order.
+        incidence = np.argsort(flat, kind="stable") // k
+        degrees = np.bincount(flat, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        arrays = _frozen(rows, indptr, incidence, degrees)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "_incidence", tuple(tuple(ids) for ids in inc))
-        object.__setattr__(self, "_edge_ids", seen)
+        object.__setattr__(self, "_index", GraphIndex(*arrays))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (self.k, self.n) == (other.k, other.n) and np.array_equal(
+            self._index.edge_verts, other._index.edge_verts
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n, self.digest()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self._index.edge_verts.shape[0]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges in id order, as ascending tuples."""
+        return tuple(map(tuple, self._index.edge_verts.tolist()))
 
     def incident(self, v: int) -> tuple[int, ...]:
         """Ids of the edges containing vertex v."""
         if not 0 <= v < self.n:
             raise InvalidArgumentError(f"vertex {v} outside [0, {self.n})")
-        return self._incidence[v]
+        ix = self._index
+        return tuple(ix.incidence[ix.indptr[v]: ix.indptr[v + 1]].tolist())
 
     def edge_id(self, vertices: Iterable[int]) -> Optional[int]:
         """Edge id of the given vertex set, or None if absent."""
-        return self._edge_ids.get(tuple(sorted(int(v) for v in vertices)))
-
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        return self.edge_id(vertices) is not None
+        vs = sorted(int(v) for v in vertices)
+        if len(set(vs)) != self.k or len(vs) != self.k or vs[0] < 0 or vs[-1] >= self.n:
+            return None
+        code = encode(np.array([vs]), self.n)[0]
+        codes, ids = self._index.subset_codes(self.k)
+        pos = int(np.searchsorted(codes, code))
+        return int(ids[pos]) if pos < codes.size and codes[pos] == code else None
 
     def canonical_text(self) -> str:
-        lines = [f"{self.k} {self.n}"]
-        lines.extend(" ".join(str(v) for v in e) for e in self.edges)
-        return "\n".join(lines) + "\n"
+        return _canonical_text(self.k, self.n, self._index.edge_verts)
 
     def digest(self) -> str:
         """SHA-256 of the canonical text; identifies graph content and edge order."""
@@ -117,23 +258,8 @@ class Hypergraph:
         return cached
 
     def index(self) -> GraphIndex:
-        """The numpy incidence index, built on first use and cached."""
-        cached = getattr(self, "_index", None)
-        if cached is None:
-            m, k = self.num_edges, self.k
-            flat = np.fromiter(
-                itertools.chain.from_iterable(self.edges), dtype=np.intp, count=m * k
-            )
-            # A stable sort keeps each vertex's edge ids in ascending order.
-            incidence = np.argsort(flat, kind="stable") // k
-            degrees = np.bincount(flat, minlength=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.intp)
-            np.cumsum(degrees, out=indptr[1:])
-            cached = GraphIndex(flat.reshape(m, k), indptr, incidence, degrees)
-            for arr in (cached.edge_verts, indptr, incidence, degrees):
-                arr.flags.writeable = False
-            object.__setattr__(self, "_index", cached)
-        return cached
+        """The numpy index, built at construction."""
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -225,33 +351,28 @@ def degree(G: Hypergraph, S: Iterable[int]) -> int:
     for v in vs:
         if not 0 <= v < G.n:
             raise InvalidArgumentError(f"vertex {v} outside [0, {G.n})")
-    if not vs:
-        return G.num_edges
-    ids = set(G.incident(vs[0]))
-    for v in vs[1:]:
-        ids.intersection_update(G.incident(v))
-        if not ids:
-            return 0
-    return len(ids)
+    if len(vs) < 2:
+        return int(G.index().degrees[vs[0]]) if vs else G.num_edges
+    codes, _ = G.index().subset_codes(len(vs))
+    code = encode(np.array([vs]), G.n)
+    return int(np.searchsorted(codes, code, "right")[0] - np.searchsorted(codes, code)[0])
 
 
 def min_d_degree(G: Hypergraph, d: int, work_limit: int = DEFAULT_DEGREE_WORK_LIMIT) -> int:
-    """Minimum of degree(G, S) over all d-sets S (exhaustive)."""
+    """Minimum of degree(G, S) over all d-sets S, from the d-subset codes of all edges.
+
+    Zero when some d-set is in no edge, else the shortest run of equal codes.
+    The sorted codes are not kept on the index.
+    """
     if not 0 <= d <= G.k - 1:
         raise InvalidArgumentError(f"d={d} outside [0, {G.k - 1}]")
     if d == 0:
         return G.num_edges
-    work = comb(G.n, d) * max(1, G.num_edges)
-    if work > work_limit:
-        raise ResourceLimitError(
-            f"min_d_degree would need ~{work:.2e} subset-edge checks (limit {work_limit:.0e})"
-        )
-    best = G.num_edges
-    for S in itertools.combinations(range(G.n), d):
-        best = min(best, degree(G, S))
-        if best == 0:
-            break
-    return best
+    codes = np.sort(G.index()._subset_codes(d, work_limit))
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    if starts.size < comb(G.n, d) or not starts.size:
+        return 0
+    return int(np.diff(starts, append=codes.size).min())
 
 
 def degree_ratio_profile(G: Hypergraph) -> list[Fraction]:

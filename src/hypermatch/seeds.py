@@ -37,18 +37,24 @@ def randbelow(rng: np.random.Generator, n: int) -> int:
     """Uniform integer in [0, n) for arbitrary-precision ``n``.
 
     Rejection sampling on 64-bit words, so the draw stays exactly uniform
-    even when ``n`` exceeds the generator's native word size.
+    even when ``n`` exceeds the generator's native word size.  Each word is
+    one raw PCG64 output, the word ``rng.integers(0, 2**64, dtype=np.uint64)``
+    would return; a test pins the resulting sequence.  Other bit generators
+    are refused: MT19937's raw outputs, for one, are 32-bit words.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise InvalidArgumentError(f"randbelow needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
     if n <= 0:
         raise InvalidArgumentError("randbelow requires n >= 1")
     if n == 1:
         return 0
     bits = n.bit_length()
     words = (bits + 63) // 64
+    raw = rng.bit_generator.random_raw
     while True:
         value = 0
         for _ in range(words):
-            value = (value << 64) | int(rng.integers(0, _U64, dtype=np.uint64))
+            value = (value << 64) | int(raw())
         value >>= words * 64 - bits
         if value < n:
             return value

@@ -20,7 +20,6 @@ structure can be found.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from math import comb
@@ -38,7 +37,7 @@ from .entropy import (
     well_distributed_factor,
 )
 from .errors import InvalidArgumentError, SamplingError
-from .hypergraph import DiracParams, Hypergraph, degree, is_dirac
+from .hypergraph import DiracParams, Hypergraph, is_dirac
 from .seeds import rng_from
 
 
@@ -96,10 +95,13 @@ def find_shifting_structure(
     some U_i has no valid candidate.
 
     ``e_edge_ok`` filters the weight-decreasing edges U_i + {u_i} and
-    ``f_edge_ok`` the weight-increasing edges U_i + {v_i}.
+    ``f_edge_ok`` the weight-increasing edges U_i + {v_i}.  The candidates
+    U with both derived sets edges are the codes common to the links of
+    u_i and v_i, taken in code order, that is lexicographic order.
     """
-    e = set(G.edges[e_id])
-    f = set(G.edges[f_id])
+    index = G.index()
+    e = set(index.edge_verts[e_id].tolist())
+    f = set(index.edge_verts[f_id].tolist())
     shared = e & f
     if len(shared) != 1:
         raise InvalidArgumentError(f"edges must intersect in exactly one vertex, got {len(shared)}")
@@ -109,31 +111,33 @@ def find_shifting_structure(
     if min_degree_check:
         bound = 0.5 * comb(G.n - 1, G.k - 1)
         for w in v_rest + u_rest:
-            if degree(G, [w]) <= bound:
+            if index.degrees[w] <= bound:
                 raise InvalidArgumentError(
                     f"vertex {w} has degree <= {bound:.1f}; structure existence is not promised"
                 )
-    outside = [v for v in range(G.n) if v not in e and v not in f]
-    used: set[int] = set()
+    blocked = np.zeros(G.n, dtype=bool)
+    blocked[list(e | f)] = True
     U_sets: list[tuple[int, ...]] = []
     e_ids = [e_id]
     f_ids = [f_id]
-    for i in range(G.k - 1):
-        vi, ui = v_rest[i], u_rest[i]
-        found = None
-        for U in itertools.combinations([v for v in outside if v not in used], G.k - 1):
-            eid = G.edge_id(U + (ui,))
-            if eid is None or (e_edge_ok is not None and not e_edge_ok(eid)):
-                continue
-            fid = G.edge_id(U + (vi,))
-            if fid is None or (f_edge_ok is not None and not f_edge_ok(fid)):
-                continue
-            found = (U, eid, fid)
-            break
-        if found is None:
+    codes, ids = index.links()
+    ptr = index.indptr
+    for vi, ui in zip(v_rest, u_rest):
+        at_u, at_v = ptr[ui], ptr[vi]
+        link_u, link_v = codes[at_u: ptr[ui + 1]], codes[at_v: ptr[vi + 1]]
+        pos = link_v.searchsorted(link_u)
+        hit = (link_v.take(pos, mode="clip") == link_u).nonzero()[0]
+        eids = ids[at_u + hit]
+        # u_i is blocked, so U avoids the blocked vertices when u_i is the
+        # only blocked vertex of the edge U + {u_i}.
+        free = (blocked[index.edge_verts[eids]].sum(axis=1) == 1).nonzero()[0]
+        for eid, fid in zip(eids[free].tolist(), ids[at_v + pos[hit[free]]].tolist()):
+            if (e_edge_ok is None or e_edge_ok(eid)) and (f_edge_ok is None or f_edge_ok(fid)):
+                break
+        else:
             return None
-        U, eid, fid = found
-        used.update(U)
+        U = tuple(w for w in index.edge_verts[eid].tolist() if w != ui)
+        blocked[list(U)] = True
         U_sets.append(U)
         e_ids.append(eid)
         f_ids.append(fid)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -56,6 +57,64 @@ class TestHypergraph:
             Hypergraph(3, 6, [(0, 1, 6)])
         with pytest.raises(InvalidArgumentError):
             Hypergraph(3, 6, [(0, 1, 2), (2, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1)], "edge (0, 1) is not a set of 3 distinct vertices"),
+            ([(2, 1, 1)], "edge (2, 1, 1) is not a set of 3 distinct vertices"),
+            ([(0, 1, 2), (0, 1, 2, 3)], "edge (0, 1, 2, 3) is not a set of 3 distinct vertices"),
+            ([(0, 6, 1)], "edge (0, 1, 6) has a vertex outside [0, 6)"),
+            ([(0, 1, -1)], "edge (-1, 0, 1) has a vertex outside [0, 6)"),
+            ([(0, 1, 2**70)], f"edge (0, 1, {2**70}) has a vertex outside [0, 6)"),
+            ([(0, 1, 2), (2, 1, 0)], "duplicate edge (0, 1, 2)"),
+            # two bad edges: the earlier one is reported
+            ([(0, 1, 2), (0, 1, 9), (2, 1, 0)], "edge (0, 1, 9) has a vertex outside [0, 6)"),
+            ([(0, 1, 2), (2, 1, 0), (0, 1, 9)], "duplicate edge (0, 1, 2)"),
+            ([(3, 4, 5), (5, 4), (4, 3, 5)], "edge (5, 4) is not a set of 3 distinct vertices"),
+            ([(3, 4, 5), (0, 1, 2), (5, 3, 4), (1, 2, 0)], "duplicate edge (3, 4, 5)"),
+        ],
+    )
+    def test_first_bad_edge_reported(self, edges, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            Hypergraph(3, 6, edges)
+        assert str(err.value) == message
+
+    def test_accepts_empty_and_unsorted(self):
+        assert Hypergraph(3, 6, []).num_edges == 0
+        assert Hypergraph(3, 0, []).index().indptr.tolist() == [0]
+        G = Hypergraph(3, 6, [(5, 0, 3), (4, 2, 1)])
+        assert G.edges == ((0, 3, 5), (1, 2, 4))
+        assert G.edge_id((3, 5, 0)) == 0 and G.edge_id((1, 2, 3)) is None
+
+    def test_codes_must_fit_int64(self):
+        assert Hypergraph(7, 511, []).n == 511  # 511^7 < 2^63
+        with pytest.raises(ResourceLimitError):
+            Hypergraph(7, 512, [])  # 512^7 = 2^63
+        with pytest.raises(ResourceLimitError):
+            Hypergraph(3, 2_100_000, [(0, 1, 2)])
+        assert Hypergraph(10**9, 1, []).k == 10**9  # 1^k fits
+
+    def test_huge_k_header_refused_promptly(self, tmp_path):
+        path = tmp_path / "huge.khg"
+        path.write_text("1000000000 10\n")
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            read_hypergraph(str(path))
+        assert time.perf_counter() - start < 1.0
+
+    def test_subset_codes_work_limit(self):
+        index = gen_complete(10, 3).index()
+        with pytest.raises(ResourceLimitError):
+            index._subset_codes(2, work_limit=10)
+        assert index.subset_codes(2)[0].size == 360
+
+    def test_equality_is_k_n_and_edge_order(self):
+        a = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
+        b = Hypergraph(3, 6, [(2, 1, 0), (5, 4, 3)])
+        assert a == b and hash(a) == hash(b)
+        assert a != Hypergraph(3, 6, [(3, 4, 5), (0, 1, 2)])
+        assert a != Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5)])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_hypergraphs())
