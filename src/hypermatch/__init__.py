@@ -23,7 +23,6 @@ from .counting import (
     entropy_identities_check,
     phi_complete,
     pm_marginals,
-    sample_uniform_pm,
     sample_uniform_pms,
     verify_count_vs_entropy,
 )
@@ -55,10 +54,8 @@ from .errors import (
 from .greedy import (
     GreedyTrajectory,
     TrajectoryConfig,
-    complete_to_pm,
     predicted_stats,
     run_greedy,
-    sample_pm_via_greedy,
     trajectory_deviation,
 )
 from .hypergraph import (

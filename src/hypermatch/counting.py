@@ -86,10 +86,6 @@ class PMOracle:
         self.G = G
         self.full_mask = (1 << G.n) - 1
         self.edge_masks = [self._mask(e) for e in G.edges]
-        # For each vertex, the (edge id, edge mask) pairs of edges containing it.
-        self.by_vertex: list[list[tuple[int, int]]] = [
-            [(i, self.edge_masks[i]) for i in G.incident(v)] for v in range(G.n)
-        ]
         # For each vertex, the (edge id, edge mask) pairs of edges whose
         # lowest vertex it is, in id order (edges are sorted tuples).
         self.lead: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
@@ -172,7 +168,7 @@ class PMOracle:
             return 0
         return self.count(0)
 
-    def _through(self) -> list[int]:
+    def _through(self) -> np.ndarray:
         """Perfect matchings through each edge, by a forward pass over the layers of mask 0.
 
         ways(state) counts the ways to reach it from the empty mask; a
@@ -201,7 +197,7 @@ class PMOracle:
                 np.add.at(nxt_ways, at, reach)
             live = (nxt_ways > 0) & (nxt_counts > 0)
             states, ways = nxt[live], nxt_ways[live]
-        return through.tolist()
+        return through
 
     def marginals(self) -> list[Fraction]:
         """Pr[e in M] for a uniformly random perfect matching M, exactly."""
@@ -211,13 +207,15 @@ class PMOracle:
         through = self._through()
         # Each matching covers each vertex exactly once, so the incident
         # counts must telescope back to the total.
-        for v in range(self.G.n):
-            incident = sum(through[i] for i, _ in self.by_vertex[v])
-            if incident != total:
-                raise InvariantError(
-                    f"matchings through vertex {v} count {incident}, total is {total}"
-                )
-        return [Fraction(t, total) for t in through]
+        incident = np.zeros(self.G.n, dtype=np.int64)
+        np.add.at(incident, self.G.index().edge_verts, through[:, None])
+        bad = np.flatnonzero(incident != total)
+        if bad.size:
+            v = int(bad[0])
+            raise InvariantError(
+                f"matchings through vertex {v} count {incident[v]}, total is {total}"
+            )
+        return [Fraction(t, total) for t in through.tolist()]
 
     def sample(self, rng: np.random.Generator, initial_mask: int = 0) -> tuple[int, ...]:
         """Uniform perfect matching of the graph minus ``initial_mask``.
@@ -297,13 +295,6 @@ def phi_complete(n: int, k: int) -> MatchingCount:
         raise InvalidArgumentError(f"k={k} must divide n={n}")
     value = math.factorial(n) // (math.factorial(n // k) * math.factorial(k) ** (n // k))
     return MatchingCount(value, f"complete:{n}:{k}", note="closed form")
-
-
-def sample_uniform_pm(G: Hypergraph, seed: int, cap: int = DEFAULT_COUNT_CAP) -> tuple[int, ...]:
-    """One uniformly random perfect matching (edge ids), stream (seed,)."""
-    if G.n % G.k != 0:
-        raise SamplingError(f"k={G.k} does not divide n={G.n}")
-    return PMOracle(G, cap).sample(rng_from(seed))
 
 
 def sample_uniform_pms(

@@ -18,10 +18,6 @@ residuals are exact and the same for every run: each step deletes k
 vertices, so residual weight and entropy are C(n-ki, k)/C(n, k) times their
 initial values and an alive set S keeps (n-ki-|S|)_{k-|S|}/(n-|S|)_{k-|S|}
 of its degree.
-
-``sample_pm_via_greedy`` turns the process into a perfect-matching sampler
-by stopping at a prescribed fraction and completing the remainder exactly
-(via the counting oracle), restarting on dead ends.
 """
 
 from __future__ import annotations
@@ -36,9 +32,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .counting import DEFAULT_COUNT_CAP, PMOracle
 from .entropy import EdgeWeights, check_alignment
-from .errors import InvalidArgumentError, SamplingError
+from .errors import InvalidArgumentError
 from .hypergraph import GraphIndex, Hypergraph, degree, encode
 from .seeds import rng_from
 
@@ -382,67 +377,6 @@ def trajectory_deviation(
     }
 
 
-def complete_to_pm(
-    G: Hypergraph, partial: Sequence[int], cap: int = DEFAULT_COUNT_CAP
-) -> Optional[tuple[int, ...]]:
-    """Deterministic completion of disjoint edges to a perfect matching.
-
-    Walks the counting oracle: at each lowest unmatched vertex take the
-    first edge (in id order) from which a completion still exists.  Returns
-    None when the partial matching cannot be completed.
-    """
-    oracle = PMOracle(G, cap)
-    mask = 0
-    for eid in partial:
-        if not 0 <= eid < G.num_edges:
-            raise InvalidArgumentError(f"edge id {eid} is outside [0, {G.num_edges})")
-        emask = oracle.edge_masks[eid]
-        if emask & mask:
-            raise InvalidArgumentError("partial matching has overlapping edges")
-        mask |= emask
-    if G.n % G.k != 0 or oracle.count(mask) == 0:
-        return None
-    completion: list[int] = []
-    while mask != oracle.full_mask:
-        free = ~mask & oracle.full_mask
-        v = (free & -free).bit_length() - 1
-        for eid, emask in oracle.by_vertex[v]:
-            if emask & mask == 0 and oracle.count(mask | emask) > 0:
-                completion.append(eid)
-                mask |= emask
-                break
-    return tuple(partial) + tuple(completion)
-
-
-def sample_pm_via_greedy(
-    G: Hypergraph,
-    x: EdgeWeights,
-    seed: int,
-    max_restarts: int = 20,
-    cfg: Optional[TrajectoryConfig] = None,
-    cap: int = DEFAULT_COUNT_CAP,
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Perfect matching from a greedy prefix plus exact completion.
-
-    Restart r runs the greedy on stream (seed, r); the prefix stops at the
-    concentration horizon (1 - n^{-c}) n/k by default and the remainder is
-    completed through the counting oracle.  Returns the matching's edge ids
-    and the per-step log-probabilities of the greedy choices.
-    """
-    if cfg is None:
-        cfg = TrajectoryConfig(
-            stop_fraction=max(1.0 - float(G.n) ** (-0.05), 1e-6),
-            track_singletons=False,
-            sampled_sets_per_size=0,
-        )
-    for restart in range(max_restarts):
-        traj = run_greedy(G, x, cfg, seed, stream=(restart,))
-        full = complete_to_pm(G, [int(e) for e in traj.chosen], cap)
-        if full is not None:
-            return full, traj.step_logprob
-    raise SamplingError(f"no completable greedy prefix within {max_restarts} restarts")
-
-
 # ---------------------------------------------------------------------------
 # Trajectory CSV + metadata sidecar
 # ---------------------------------------------------------------------------
@@ -484,7 +418,7 @@ def write_trajectory_csv(
             )
 
 
-def write_trajectory_metadata(path: str, traj: GreedyTrajectory, extra: Optional[dict] = None) -> None:
+def write_trajectory_metadata(path: str, traj: GreedyTrajectory) -> None:
     meta = {
         "graph_digest": traj.graph_digest,
         "seed": traj.seed,
@@ -494,8 +428,6 @@ def write_trajectory_metadata(path: str, traj: GreedyTrajectory, extra: Optional
         "steps": traj.steps,
         "stop_reason": traj.stop_reason,
     }
-    if extra:
-        meta.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,11 +23,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import DEFAULT_COUNT_CAP, PMOracle
+from .counting import PMOracle
 from .entropy import (
     EdgeWeights,
     as_verified,
@@ -39,6 +39,10 @@ from .entropy import (
 from .errors import InvalidArgumentError, SamplingError
 from .hypergraph import DiracParams, Hypergraph, is_dirac
 from .seeds import rng_from
+
+# auto_anneal_params shrinks epsilon by this factor per step, at most this often.
+EPSILON_SHRINK = 0.95
+MAX_SHRINKS = 400
 
 
 @dataclass(frozen=True)
@@ -82,24 +86,30 @@ def find_shifting_structure(
     G: Hypergraph,
     e_id: int,
     f_id: int,
-    min_degree_check: bool = False,
-    e_edge_ok: Optional[Callable[[int], bool]] = None,
-    f_edge_ok: Optional[Callable[[int], bool]] = None,
+    e_ok: Optional[np.ndarray] = None,
+    f_ok: Optional[np.ndarray] = None,
 ) -> Optional[ShiftingStructure]:
     """Greedy structure search on (e, f); first valid candidate in lex order.
 
     U_2..U_k are chosen one at a time; for each the candidates are the
     (k-1)-subsets of the unused outside vertices, in lexicographic order,
-    and the first one whose two derived sets are edges (and pass the
-    optional per-edge filters) is kept.  No backtracking; returns None if
-    some U_i has no valid candidate.
+    and the first one whose two derived sets are edges (allowed by the
+    optional edge masks) is kept.  No backtracking; returns None if some
+    U_i has no valid candidate.
 
-    ``e_edge_ok`` filters the weight-decreasing edges U_i + {u_i} and
-    ``f_edge_ok`` the weight-increasing edges U_i + {v_i}.  The candidates
-    U with both derived sets edges are the codes common to the links of
-    u_i and v_i, taken in code order, that is lexicographic order.
+    ``e_ok`` and ``f_ok`` are boolean arrays over the edge ids: ``e_ok``
+    allows the weight-decreasing edges U_i + {u_i} and ``f_ok`` the
+    weight-increasing edges U_i + {v_i}.  The candidates U with both
+    derived sets edges are the codes common to the links of u_i and v_i,
+    taken in code order, that is lexicographic order; one mask per U_i
+    keeps those that avoid the blocked vertices and pass both edge masks.
     """
     index = G.index()
+    for mask in (e_ok, f_ok):
+        if mask is not None and np.shape(mask) != (G.num_edges,):
+            raise InvalidArgumentError(
+                f"edge masks need shape ({G.num_edges},), got {np.shape(mask)}"
+            )
     e = set(index.edge_verts[e_id].tolist())
     f = set(index.edge_verts[f_id].tolist())
     shared = e & f
@@ -108,13 +118,6 @@ def find_shifting_structure(
     v1 = next(iter(shared))
     v_rest = tuple(sorted(e - {v1}))
     u_rest = tuple(sorted(f - {v1}))
-    if min_degree_check:
-        bound = 0.5 * comb(G.n - 1, G.k - 1)
-        for w in v_rest + u_rest:
-            if index.degrees[w] <= bound:
-                raise InvalidArgumentError(
-                    f"vertex {w} has degree <= {bound:.1f}; structure existence is not promised"
-                )
     blocked = np.zeros(G.n, dtype=bool)
     blocked[list(e | f)] = True
     U_sets: list[tuple[int, ...]] = []
@@ -127,15 +130,18 @@ def find_shifting_structure(
         link_u, link_v = codes[at_u: ptr[ui + 1]], codes[at_v: ptr[vi + 1]]
         pos = link_v.searchsorted(link_u)
         hit = (link_v.take(pos, mode="clip") == link_u).nonzero()[0]
-        eids = ids[at_u + hit]
+        eids, fids = ids[at_u + hit], ids[at_v + pos[hit]]
         # u_i is blocked, so U avoids the blocked vertices when u_i is the
         # only blocked vertex of the edge U + {u_i}.
-        free = (blocked[index.edge_verts[eids]].sum(axis=1) == 1).nonzero()[0]
-        for eid, fid in zip(eids[free].tolist(), ids[at_v + pos[hit[free]]].tolist()):
-            if (e_edge_ok is None or e_edge_ok(eid)) and (f_edge_ok is None or f_edge_ok(fid)):
-                break
-        else:
+        ok = blocked[index.edge_verts[eids]].sum(axis=1) == 1
+        if e_ok is not None:
+            ok &= e_ok[eids]
+        if f_ok is not None:
+            ok &= f_ok[fids]
+        first = ok.nonzero()[0]
+        if not first.size:
             return None
+        eid, fid = int(eids[first[0]]), int(fids[first[0]])
         U = tuple(w for w in index.edge_verts[eid].tolist() if w != ui)
         blocked[list(U)] = True
         U_sets.append(U)
@@ -274,14 +280,13 @@ def auto_anneal_params(
     max_steps: int = 100000,
     require_positive_gain: bool = False,
     require_termination: bool = True,
-    shrink: float = 0.95,
-    max_shrinks: int = 400,
 ) -> AnnealParams:
     """Shrink epsilon geometrically until the run parameters are valid.
 
     All the parameter constraints relax as epsilon shrinks (D = eps^{-3k}
     blows up), so the scan goes downward from the requested value and keeps
-    the largest epsilon that passes.  ``require_termination`` adds the
+    the largest epsilon that passes (factor ``EPSILON_SHRINK`` per step, at
+    most ``MAX_SHRINKS`` steps).  ``require_termination`` adds the
     no-new-heavy and floor-consistency checks, which make the run provably
     finish with every weight in [1/(D n^{k-1}), D/n^{k-1}] or a
     search-exhausted flag.  ``require_positive_gain`` additionally demands
@@ -290,7 +295,7 @@ def auto_anneal_params(
     scale.
     """
     eps = epsilon
-    for _ in range(max_shrinks + 1):
+    for _ in range(MAX_SHRINKS + 1):
         params = AnnealParams.for_graph(G, gamma, eps, C, max_steps)
         ok = not params.hard_violations(G)
         if ok and require_termination:
@@ -299,9 +304,9 @@ def auto_anneal_params(
             ok = params.gain_ratio(G) >= 1.0
         if ok:
             return params
-        eps *= shrink
+        eps *= EPSILON_SHRINK
     raise InvalidArgumentError(
-        f"no valid epsilon found below {epsilon} after {max_shrinks} shrink steps"
+        f"no valid epsilon found below {epsilon} after {MAX_SHRINKS} shrink steps"
     )
 
 
@@ -335,30 +340,26 @@ def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams)
     Edges are scanned in id order for weight >= D/n^{k-1}; for each such e,
     each v1 in e (ascending) and each partner f in id order with
     e * f = {v1} and x[f] <= eta - delta, a structure is searched with the
-    weight filters (decreasing side >= 2 delta, increasing side
+    weight masks (decreasing side >= 2 delta, increasing side
     <= eta - delta).  The first hit wins.
     """
     check_alignment(G, x)
     w = x.weights
-    hi = params.D / float(G.n) ** (G.k - 1)
-    lo = 2.0 * params.delta
-    cap = params.eta - params.delta
+    hi = params.high_threshold(G)
     heavy = np.flatnonzero(w >= hi).tolist()
     if not heavy:
         return ConfigSearch("no-high-weight-edge")
-    e_ok = lambda eid: w[eid] >= lo
-    f_ok = lambda fid: w[fid] <= cap
+    e_ok = w >= 2.0 * params.delta
+    f_ok = w <= params.eta - params.delta
     for e_id in heavy:
         e = set(G.edges[e_id])
         for v1 in sorted(e):
             for f_id in G.incident(v1):
-                if f_id == e_id or w[f_id] > cap:
+                if f_id == e_id or not f_ok[f_id]:
                     continue
                 if len(e & set(G.edges[f_id])) != 1:
                     continue
-                structure = find_shifting_structure(
-                    G, e_id, f_id, e_edge_ok=e_ok, f_edge_ok=f_ok
-                )
+                structure = find_shifting_structure(G, e_id, f_id, e_ok, f_ok)
                 if structure is not None:
                     return ConfigSearch(
                         "found",
@@ -459,29 +460,22 @@ def anneal_and_shift(
 
 
 def well_distributed_fpm(
-    G: Hypergraph,
-    params: DiracParams,
-    seed: int,
-    trials: int,
-    cap: int = DEFAULT_COUNT_CAP,
-    max_retries: int = 50,
-    projection_tol: float = 1e-10,
+    G: Hypergraph, params: DiracParams, seed: int, trials: int
 ) -> tuple[EdgeWeights, dict]:
-    """Well-distributed fractional matching from a hybrid random matching.
+    """Well-distributed fractional matching from exactly uniform perfect matchings.
 
-    Each trial runs T = floor(gamma/(10 k^2) * n) rounds of uniform-random-
-    edge greedy and completes the residual graph with an exactly uniform
-    perfect matching (desk-scale stand-in for a spread measure); the
-    empirical edge marginals over ``trials`` runs are then projected onto
-    exact vertex sums by the proportional-scaling solver, initialised at the
-    (positively floored) empirical values.
+    Trial t draws one uniform perfect matching from stream (seed, t); the
+    empirical edge marginals over ``trials`` draws are then projected onto
+    exact vertex sums by the proportional-scaling solver, initialised at
+    the (positively floored) empirical values.  A projection that does not
+    converge raises SamplingError; otherwise its vertex sums are checked
+    before the result is marked verified.
 
-    Trial t draws from stream (seed, t): T uniform edge indices, then the
-    completion sampler's integer draws; a trial whose residual graph has no
-    perfect matching is resampled within the same stream (counted in the
-    report).  A projection that does not converge raises SamplingError;
-    otherwise its vertex sums are checked before the result is marked
-    verified.
+    The paper's hybrid measure first runs T = floor(gamma/(10 k^2) * n)
+    rounds of uniform-random-edge greedy.  A (d, gamma)-Dirac graph has
+    gamma <= 1/2, so T >= 1 needs n >= 20 k^2, far beyond the exact
+    oracle's n <= 24; a (d, gamma) that gives T >= 1 is refused.  The
+    report keeps ``prefix_rounds`` and ``resamples`` (both 0) and ``beta``.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -489,39 +483,22 @@ def well_distributed_fpm(
     dirac = is_dirac(G, params)
     beta = params.gamma / (10.0 * G.k * G.k)
     T = int(beta * G.n)
-    oracle = PMOracle(G, cap)
+    oracle = PMOracle(G)
+    if T:
+        raise InvalidArgumentError(
+            f"gamma={params.gamma} gives {T} greedy prefix rounds at n={G.n}; "
+            "only the exactly uniform measure (no prefix) is supported"
+        )
     if oracle.count_pm() == 0:
         raise SamplingError("graph has no perfect matching")
     counts = np.zeros(G.num_edges)
-    resamples = 0
     for t in range(trials):
-        rng = rng_from(seed, t)
-        matching: Optional[tuple[int, ...]] = None
-        for _ in range(max_retries):
-            mask = 0
-            prefix: list[int] = []
-            ok = True
-            for _ in range(T):
-                alive = [i for i in range(G.num_edges) if oracle.edge_masks[i] & mask == 0]
-                if not alive:
-                    ok = False
-                    break
-                pick = alive[int(rng.integers(0, len(alive)))]
-                prefix.append(pick)
-                mask |= oracle.edge_masks[pick]
-            if ok and oracle.count(mask) > 0:
-                matching = tuple(prefix) + oracle.sample(rng, initial_mask=mask)
-                break
-            resamples += 1
-        if matching is None:
-            raise SamplingError(f"trial {t} failed {max_retries} times to reach a perfect matching")
-        for eid in matching:
-            counts[eid] += 1.0
+        counts[list(oracle.sample(rng_from(seed, t)))] += 1.0
     empirical = counts / trials
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.
     floored = np.maximum(empirical, 0.5 / trials)
-    result = scale_vertex_sums(G, floored, projection_tol, 20000, potential_cap=1e6)
+    result = scale_vertex_sums(G, floored, 1e-10, 20000, potential_cap=1e6)
     if not result.converged:
         raise SamplingError(
             f"projection onto unit vertex sums did not converge (residual {result.max_residual:.3e})"
@@ -529,9 +506,9 @@ def well_distributed_fpm(
     x = as_verified(G, EdgeWeights.from_weights(G, np.minimum(result.x, 1.0)))
     report = {
         "trials": trials,
-        "prefix_rounds": T,
+        "prefix_rounds": 0,
         "beta": beta,
-        "resamples": resamples,
+        "resamples": 0,
         "dirac": bool(dirac),
         "projection_residual": result.max_residual,
         "projection_converged": bool(result.converged),

@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hypermatch import greedy
-
 from hypermatch.counting import (
     PMOracle,
     count_pm,
     entropy_identities_check,
     phi_complete,
     pm_marginals,
-    sample_uniform_pm,
     sample_uniform_pms,
     verify_count_vs_entropy,
 )
@@ -213,16 +210,6 @@ class TestLayeredDPMatchesRecursive:
                 got = new.sample(rng_from(seed), initial_mask=initial)
                 assert got == ref.sample(rng_from(seed), initial_mask=initial)
 
-    def test_complete_to_pm_matches_reference(self, graph, monkeypatch):
-        rng = rng_from(3, graph.n)
-        partials = [[], [0], [int(rng.integers(0, graph.num_edges))]]
-        if graph.n % graph.k == 0 and RecursiveOracle(graph).count_pm():
-            pm = list(PMOracle(graph).sample(rng_from(5)))
-            partials += [pm[:1], pm[:2], pm]
-        got = [greedy.complete_to_pm(graph, p) for p in partials]
-        monkeypatch.setattr(greedy, "PMOracle", lambda G, cap: RecursiveOracle(G))
-        assert got == [greedy.complete_to_pm(graph, p) for p in partials]
-
 
 class TestOracleGuards:
     def test_masks_outside_the_vertex_set_rejected(self):
@@ -334,7 +321,7 @@ class TestSampling:
 
     def test_unique_pm_always_returned(self):
         for seed in range(5):
-            assert sorted(sample_uniform_pm(SINGLE_PM, seed)) == [0, 1]
+            assert sorted(sample_uniform_pms(SINGLE_PM, seed, 1)[0]) == [0, 1]
 
     def test_spec_frequency_band_on_k6(self):
         draws = 100000
@@ -365,7 +352,7 @@ class TestSampling:
     def test_no_pm_raises(self):
         no_pm = Hypergraph(3, 6, [(0, 1, 2), (0, 3, 4)])
         with pytest.raises(SamplingError):
-            sample_uniform_pm(no_pm, 1)
+            sample_uniform_pms(no_pm, 1, 1)[0]
 
     def test_residual_mask_sampling(self):
         # completing around a fixed first edge stays inside the residual graph

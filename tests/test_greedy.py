@@ -6,20 +6,18 @@ import pytest
 
 from hypermatch.counting import PMOracle
 from hypermatch.entropy import EdgeWeights, as_verified, max_entropy_fpm
-from hypermatch.errors import InvalidArgumentError, SamplingError
+from hypermatch.errors import InvalidArgumentError
 from hypermatch.greedy import (
     PICK_BLOCK,
     TrajectoryConfig,
-    complete_to_pm,
     predicted_stats,
     resolve_tracked_sets,
     run_greedy,
-    sample_pm_via_greedy,
     trajectory_deviation,
     write_trajectory_csv,
     write_trajectory_metadata,
 )
-from hypermatch.hypergraph import DiracParams, Hypergraph, degree, gen_complete, gen_random_dirac
+from hypermatch.hypergraph import DiracParams, degree, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 
 
@@ -389,64 +387,7 @@ class TestTrajectoryDeviation:
             trajectory_deviation(traj, H, y)
 
 
-class TestCompletion:
-    def test_empty_partial_completes(self):
-        G = gen_complete(6, 3)
-        full = complete_to_pm(G, [])
-        used = set()
-        for eid in full:
-            assert not used & set(G.edges[eid])
-            used.update(G.edges[eid])
-        assert used == set(range(6))
-
-    def test_full_matching_returns_itself(self):
-        G = gen_complete(6, 3)
-        pm = PMOracle(G).sample(rng_from(2))
-        assert complete_to_pm(G, list(pm)) == tuple(pm)
-
-    def test_impossible_residual_returns_none(self):
-        # the crossing edge blocks both matching edges
-        G = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5), (0, 1, 3)])
-        crossing = G.edge_id([0, 1, 3])
-        assert complete_to_pm(G, [crossing]) is None
-
-    def test_overlapping_partial_rejected(self):
-        G = gen_complete(6, 3)
-        with pytest.raises(InvalidArgumentError):
-            complete_to_pm(G, [0, 0])
-
-    def test_edge_ids_outside_the_graph_rejected(self):
-        G = gen_complete(6, 3)
-        for bad in ([-1], [G.num_edges], [0, G.num_edges + 5]):
-            with pytest.raises(InvalidArgumentError, match="edge id"):
-                complete_to_pm(G, bad)
-
-
 class TestSamplePM:
-    def test_k6_always_succeeds_with_valid_output(self):
-        G = gen_complete(6, 3)
-        x, _ = max_entropy_fpm(G)
-        for seed in range(8):
-            pm, logprobs = sample_pm_via_greedy(G, x, seed=seed)
-            used = set()
-            for eid in pm:
-                assert not used & set(G.edges[eid])
-                used.update(G.edges[eid])
-            assert used == set(range(6))
-            assert all(lp <= 0 for lp in logprobs)
-
-    def test_restarts_recover_from_dead_prefixes(self):
-        # 6-cycle: a prefix of two opposite-ish edges strands two non-adjacent
-        # vertices; seed 5's first restart dead-ends, further restarts recover.
-        C6 = Hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-        x = as_verified(C6, EdgeWeights.from_weights(C6, np.full(6, 0.5)))
-        cfg = TrajectoryConfig(stop_fraction=0.67, track_singletons=False,
-                               sampled_sets_per_size=0)
-        with pytest.raises(SamplingError):
-            sample_pm_via_greedy(C6, x, seed=5, max_restarts=1, cfg=cfg)
-        pm, _ = sample_pm_via_greedy(C6, x, seed=5, max_restarts=5, cfg=cfg)
-        assert sorted(v for eid in pm for v in C6.edges[eid]) == list(range(6))
-
     def test_per_step_entropy_formula_variants(self):
         """The per-step choice entropy matches h/(n/k) + ln(n/k) + k ln p(i),
         not the variant with k on the ln(n/k) term."""

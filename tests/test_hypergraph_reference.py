@@ -182,16 +182,17 @@ class TestShiftingMatchesReference:
     def test_all_intersecting_pairs(self, name, filtered):
         G = DIRAC_GRAPHS[name]()
         R = ReferenceGraph(G.k, G.n, G.edges)
-        filters = {}
+        filters = masks = {}
         if filtered:
             w = rng_from(31).random(G.num_edges)
             filters = {"e_edge_ok": lambda eid: w[eid] >= 0.3, "f_edge_ok": lambda fid: w[fid] <= 0.7}
+            masks = {"e_ok": w >= 0.3, "f_ok": w <= 0.7}
         found = 0
         for e_id, e in enumerate(R.edges):
             partners = sorted({f_id for v in e for f_id in R.incidence[v]} - {e_id})
             for f_id in partners:
                 ref = outcome(reference_find_shifting_structure, R, e_id, f_id, **filters)
-                got = outcome(find_shifting_structure, G, e_id, f_id, **filters)
+                got = outcome(find_shifting_structure, G, e_id, f_id, **masks)
                 if isinstance(got, str) or got is None:
                     assert got == ref
                     continue

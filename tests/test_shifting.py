@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hypermatch import shifting
 from hypermatch.counting import PMOracle
@@ -56,13 +60,13 @@ class TestFindStructure:
 
     def test_filters_can_exhaust_candidates(self):
         G = gen_complete(8, 2)
-        s = find_shifting_structure(G, 0, 1, e_edge_ok=lambda eid: False)
+        s = find_shifting_structure(G, 0, 1, e_ok=np.zeros(G.num_edges, dtype=bool))
         assert s is None
 
-    def test_min_degree_check(self):
-        sparse = Hypergraph(2, 8, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        with pytest.raises(InvalidArgumentError):
-            find_shifting_structure(sparse, 0, 1, min_degree_check=True)
+    def test_masks_of_the_wrong_length_rejected(self):
+        G = gen_complete(8, 2)
+        with pytest.raises(InvalidArgumentError, match="edge masks"):
+            find_shifting_structure(G, 0, 1, f_ok=np.ones(G.num_edges - 1, dtype=bool))
 
 
 def worked_example():
@@ -107,6 +111,41 @@ class TestApplyShift:
         assert "e_" in str(err.value)
         with pytest.raises(InvalidArgumentError):
             apply_shift(x, s, -0.1)
+
+
+@functools.lru_cache(maxsize=None)
+def dirac_fpm(n, k, seed):
+    G = gen_random_dirac(n, k, DiracParams(k - 1, 0.2), density=0.95, seed=seed)
+    x, _ = max_entropy_fpm(G)
+    return G, x
+
+
+@st.composite
+def shift_cases(draw):
+    """(G, x, structure, delta): a random structure on a Dirac graph's max-entropy fpm."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([m for m in range(6, 16) if m % k == 0]))
+    G, x = dirac_fpm(n, k, draw(st.integers(0, 3)))
+    e_id = draw(st.integers(0, G.num_edges - 1))
+    e = set(G.edges[e_id])
+    partners = [f for v in sorted(e) for f in G.incident(v) if len(e & set(G.edges[f])) == 1]
+    assume(partners)
+    s = find_shifting_structure(G, e_id, draw(st.sampled_from(partners)))
+    assume(s is not None)
+    delta = draw(st.floats(0.0, float(min(x.weights[i] for i in s.e_ids))))
+    assume(float(max(x.weights[i] for i in s.f_ids)) + delta <= 1.0)
+    return G, x, s, delta
+
+
+class TestShiftConservation:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(shift_cases())
+    def test_vertex_sums_unchanged(self, case):
+        G, x, s, delta = case
+        assert x.verified
+        s.check(G)
+        after = vertex_sums(G, apply_shift(x, s, delta).weights)
+        assert float(np.abs(after - vertex_sums(G, x.weights)).max()) <= 1e-12
 
 
 class TestGainBound:
@@ -325,6 +364,23 @@ class TestWellDistributedFPM:
         G = gen_complete(6, 3)
         with pytest.raises(SamplingError, match="did not converge"):
             well_distributed_fpm(G, DiracParams(1, 0.1), seed=5, trials=50)
+
+    def test_greedy_prefix_refused(self):
+        # gamma/(10 k^2) * n = 7.5/90 * 12 = 1 prefix round
+        with pytest.raises(InvalidArgumentError, match="prefix"):
+            well_distributed_fpm(gen_complete(12, 3), DiracParams(2, 7.5), seed=5, trials=10)
+
+    def test_draws_pinned(self):
+        # the draws of streams (5, t) and the projection, pinned bit for bit
+        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=7)
+        x, report = well_distributed_fpm(G, DiracParams(2, 0.2), seed=5, trials=2000)
+        assert hashlib.sha256(x.weights.tobytes()).hexdigest() == (
+            "d94d330799ab2b2e427c5c5f7dd19fa21c3142986e57adec985c38e9614c248a"
+        )
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(canonical).hexdigest() == (
+            "80f29d37c825f45efb0c98352a88d5f3338d6f376c3313b502c1938ff7c34b46"
+        )
 
     @pytest.mark.parametrize("n,seed", [(9, 31), (12, 32), (15, 33)])
     def test_factor_bounded_on_dirac_instances(self, n, seed):

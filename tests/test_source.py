@@ -17,3 +17,24 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert len(list(SOURCE.glob("*.py"))) >= 10
+
+
+def test_every_export_is_used_by_the_package():
+    # a public name that only its own tests call belongs in the tests
+    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    loaded = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(exported - loaded) == []
