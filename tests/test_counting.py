@@ -210,6 +210,28 @@ class TestLayeredDPMatchesRecursive:
                 got = new.sample(rng_from(seed), initial_mask=initial)
                 assert got == ref.sample(rng_from(seed), initial_mask=initial)
 
+    def test_partial_matchings_complete_like_the_reference(self, graph):
+        # masks covered by disjoint edges: none, one edge, a prefix of a
+        # perfect matching and the whole of it
+        new, ref = PMOracle(graph), RecursiveOracle(graph)
+        rng = rng_from(3, graph.n)
+        partials = [[], [0], [int(rng.integers(0, graph.num_edges))]]
+        if graph.n % graph.k == 0 and ref.count_pm():
+            pm = list(new.sample(rng_from(5)))
+            partials += [pm[:1], pm[:2], pm]
+        for partial in partials:
+            mask = sum(new.edge_masks[i] for i in partial)
+            assert new.count(mask) == ref.count(mask)
+            if graph.n % graph.k or ref.count(mask) == 0:
+                with pytest.raises(SamplingError):
+                    new.sample(rng_from(0), initial_mask=mask)
+                continue
+            for seed in range(5):
+                rest = new.sample(rng_from(seed), initial_mask=mask)
+                assert rest == ref.sample(rng_from(seed), initial_mask=mask)
+                covered = sorted(v for i in [*partial, *rest] for v in graph.edges[i])
+                assert covered == list(range(graph.n))
+
 
 class TestOracleGuards:
     def test_masks_outside_the_vertex_set_rejected(self):

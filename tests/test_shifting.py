@@ -18,7 +18,7 @@ from hypermatch.entropy import (
     vertex_sums,
     well_distributed_factor,
 )
-from hypermatch.errors import InvalidArgumentError, SamplingError
+from hypermatch.errors import InvalidArgumentError, ResourceLimitError, SamplingError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 from hypermatch.shifting import (
@@ -62,6 +62,26 @@ class TestFindStructure:
         G = gen_complete(8, 2)
         s = find_shifting_structure(G, 0, 1, e_ok=np.zeros(G.num_edges, dtype=bool))
         assert s is None
+
+    def test_e_mask_skips_to_the_next_candidate(self):
+        # blocking the first weight-decreasing edge (2, 3) moves U_2 to (4,)
+        G = gen_complete(8, 2)
+        e_ok = np.ones(G.num_edges, dtype=bool)
+        e_ok[G.edge_id([2, 3])] = False
+        s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]), e_ok=e_ok)
+        assert s.U_sets == ((4,),)
+        assert G.edges[s.e_ids[1]] == (2, 4) and G.edges[s.f_ids[1]] == (1, 4)
+        s.check(G)
+
+    def test_f_mask_skips_to_the_next_candidate(self):
+        # blocking the first weight-increasing edge (1, 3) moves U_2 to (4,)
+        G = gen_complete(8, 2)
+        f_ok = np.ones(G.num_edges, dtype=bool)
+        f_ok[G.edge_id([1, 3])] = False
+        s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]), f_ok=f_ok)
+        assert s.U_sets == ((4,),)
+        assert G.edges[s.e_ids[1]] == (2, 4) and G.edges[s.f_ids[1]] == (1, 4)
+        s.check(G)
 
     def test_masks_of_the_wrong_length_rejected(self):
         G = gen_complete(8, 2)
@@ -280,6 +300,18 @@ class TestAnnealParams:
         assert strict.gain_ratio(G) >= 1.0
 
 
+    def test_auto_params_keep_the_first_valid_shrink_step(self):
+        G = gen_complete(9, 3)
+        p = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=3.0)
+        eps = 0.9
+        for _ in range(shifting.MAX_SHRINKS + 1):
+            q = AnnealParams.for_graph(G, 0.5, eps, 3.0, p.max_steps)
+            if not q.hard_violations(G) and q.no_new_heavy(G) and q.floor_consistent(G):
+                break
+            eps *= shifting.EPSILON_SHRINK
+        assert p.epsilon == eps < 0.9
+
+
 class TestAnneal:
     def adversarial(self, seed=11):
         G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=seed)
@@ -369,6 +401,11 @@ class TestWellDistributedFPM:
         # gamma/(10 k^2) * n = 7.5/90 * 12 = 1 prefix round
         with pytest.raises(InvalidArgumentError, match="prefix"):
             well_distributed_fpm(gen_complete(12, 3), DiracParams(2, 7.5), seed=5, trials=10)
+
+    def test_oversized_graph_hits_the_count_cap_first(self):
+        # n = 30 also gives a prefix round (3/90 * 30 = 1); the cap is checked first
+        with pytest.raises(ResourceLimitError, match="cap"):
+            well_distributed_fpm(gen_complete(30, 3), DiracParams(2, 3.0), seed=5, trials=10)
 
     def test_draws_pinned(self):
         # the draws of streams (5, t) and the projection, pinned bit for bit
