@@ -50,6 +50,7 @@ from .shifting import (
     anneal_and_shift,
     auto_anneal_params,
     find_shifting_structure,
+    partner_edges,
     shift_gain_lower_bound,
     apply_shift,
     well_distributed_fpm,
@@ -96,7 +97,7 @@ def _random_dirac_instances(
 def _complete_minus_pm(n: int, k: int, seed: int) -> Hypergraph:
     """Complete graph minus one uniform random perfect matching (stays dense)."""
     G = gen_complete(n, k)
-    pm = PMOracle(G, cap=max(24, n)).sample(rng_from(seed))
+    pm = PMOracle(G).sample(rng_from(seed))
     keep = [e for i, e in enumerate(G.edges) if i not in set(pm)]
     return Hypergraph(k, n, keep)
 
@@ -196,14 +197,10 @@ def criterion_4_shift_correctness(count: int = 1000) -> CriterionResult:
             x_pm = as_verified(G, EdgeWeights.from_weights(G, ind))
             x = convex_combine(x_base, x_pm, t)
             e_id = int(rng.integers(0, G.num_edges))
-            e = set(G.edges[e_id])
-            partners = [
-                fid for v in sorted(e) for fid in G.incident(v)
-                if fid != e_id and len(e & set(G.edges[fid])) == 1
-            ]
-            if not partners:
+            partners = partner_edges(G, e_id)
+            if not partners.size:
                 continue
-            f_id = partners[int(rng.integers(0, len(partners)))]
+            f_id = int(partners[int(rng.integers(0, partners.size))])
             structure = find_shifting_structure(G, e_id, f_id)
             if structure is None:
                 continue

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 import numpy as np
 
-from .counting import count_pm, phi_complete
+from .counting import DEFAULT_COUNT_CAP, count_pm, phi_complete
 from .entropy import (
     EdgeWeights,
     STATUS_RAW,
@@ -37,12 +37,13 @@ from .entropy import (
     weight_entropy,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .hypergraph import DiracParams, Hypergraph, is_dirac, min_d_degree
+from .hypergraph import DiracParams, Hypergraph, all_subsets, encode, is_dirac, min_d_degree
 
+# Neither side of a lift may have more distinct subsets than this.
 DEFAULT_LIFT_CAP = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteLift:
     """Quotient form of the duplicated bipartite graph."""
 
@@ -50,12 +51,12 @@ class BipartiteLift:
     n: int
     k: int
     d: int
-    a_subsets: tuple[tuple[int, ...], ...]
-    b_subsets: tuple[tuple[int, ...], ...]
+    a_subsets: np.ndarray  # ascending codes of the d-subsets of [n]
+    b_subsets: np.ndarray  # ascending codes of the (k-d)-subsets of [n]
     mult_a: int  # copies of each d-subset on the A side: C(n, k-d)
     mult_b: int  # copies of each (k-d)-subset on the B side: C(n, d)
-    quotient_edges: tuple[tuple[int, int], ...]  # (a index, b index)
-    source_edge: tuple[int, ...]  # source edge id per quotient edge
+    quotient_edges: np.ndarray  # (q, 2): a index, b index
+    source_edge: np.ndarray  # (q,): source edge id per quotient edge
     n_tilde: int
     L: float
     Q: int
@@ -69,41 +70,37 @@ class BipartiteLift:
         return self.mult_a * self.mult_b
 
 
-def lift(G: Hypergraph, d: int, cap: int = DEFAULT_LIFT_CAP) -> BipartiteLift:
+def lift(G: Hypergraph, d: int) -> BipartiteLift:
     """Build the quotient bipartite lift for degree order d.
 
-    Requires k/2 <= d <= k-1 (the entropy bound's hypothesis).  Both side
-    minima of the bipartite degree are computed directly and the attaining
-    side is recorded.
+    Requires k/2 <= d <= k-1 (the entropy bound's hypothesis).  Each edge
+    splits into a d-subset U and the (k-d)-subset W of its other vertices,
+    once per choice of d of its columns; the quotient edges list these
+    splits edge by edge.  Both side minima of the bipartite degree are
+    computed directly and the attaining side is recorded.
     """
     n, k = G.n, G.k
     if not (2 * d >= k and d <= k - 1):
         raise InvalidArgumentError(
             f"d={d} violates the hypothesis k/2 <= d <= k-1 for k={k}"
         )
-    if comb(n, d) > cap or comb(n, k - d) > cap:
-        raise ResourceLimitError(f"C({n},{d}) exceeds the lift cap {cap}")
-    a_subsets = tuple(itertools.combinations(range(n), d))
-    b_subsets = tuple(itertools.combinations(range(n), k - d))
-    a_index = {s: i for i, s in enumerate(a_subsets)}
-    b_index = {s: i for i, s in enumerate(b_subsets)}
-    quotient: list[tuple[int, int]] = []
-    source: list[int] = []
-    a_qdeg = np.zeros(len(a_subsets), dtype=np.int64)
-    b_qdeg = np.zeros(len(b_subsets), dtype=np.int64)
-    for eid, e in enumerate(G.edges):
-        for U in itertools.combinations(e, d):
-            W = tuple(v for v in e if v not in U)
-            ai, bi = a_index[U], b_index[W]
-            quotient.append((ai, bi))
-            source.append(eid)
-            a_qdeg[ai] += 1
-            b_qdeg[bi] += 1
+    if comb(n, d) > DEFAULT_LIFT_CAP or comb(n, k - d) > DEFAULT_LIFT_CAP:
+        raise ResourceLimitError(f"C({n},{d}) exceeds the lift cap {DEFAULT_LIFT_CAP}")
+    a_subsets = encode(all_subsets(n, d), n)
+    b_subsets = encode(all_subsets(n, k - d), n)
+    edge_verts = G.index().edge_verts
+    a_ends, b_ends = [], []
+    for cols in itertools.combinations(range(k), d):
+        rest = [c for c in range(k) if c not in cols]
+        a_ends.append(np.searchsorted(a_subsets, encode(edge_verts[:, list(cols)], n)))
+        b_ends.append(np.searchsorted(b_subsets, encode(edge_verts[:, rest], n)))
+    # Edge-major: the splits of edge 0 first, in column-choice order.
+    ai, bi = np.stack(a_ends, axis=1).ravel(), np.stack(b_ends, axis=1).ravel()
     mult_a = comb(n, k - d)
     mult_b = comb(n, d)
     n_tilde = comb(n, d) * comb(n, k - d)
-    min_a = int(a_qdeg.min()) * mult_b if len(a_subsets) else 0
-    min_b = int(b_qdeg.min()) * mult_a if len(b_subsets) else 0
+    min_a = int(np.bincount(ai, minlength=a_subsets.size).min()) * mult_b if a_subsets.size else 0
+    min_b = int(np.bincount(bi, minlength=b_subsets.size).min()) * mult_a if b_subsets.size else 0
     attained = "both" if min_a == min_b else ("A" if min_a < min_b else "B")
     return BipartiteLift(
         source_digest=G.digest(),
@@ -114,8 +111,8 @@ def lift(G: Hypergraph, d: int, cap: int = DEFAULT_LIFT_CAP) -> BipartiteLift:
         b_subsets=b_subsets,
         mult_a=mult_a,
         mult_b=mult_b,
-        quotient_edges=tuple(quotient),
-        source_edge=tuple(source),
+        quotient_edges=np.stack([ai, bi], axis=1),
+        source_edge=np.repeat(np.arange(G.num_edges), comb(k, d)),
         n_tilde=n_tilde,
         L=(k / n) * n_tilde,
         Q=comb(k, d) * n_tilde,
@@ -156,10 +153,10 @@ def bipartite_max_entropy(
             f"bipartite minimum degree {lft.min_degree} is below ntilde/2 = {lft.n_tilde / 2}"
         )
     q = len(lft.quotient_edges)
-    n_a, n_b = len(lft.a_subsets), len(lft.b_subsets)
+    n_a, n_b = lft.a_subsets.size, lft.b_subsets.size
     # One constraint per A subset, then one per B subset; a stable sort keeps
     # each constraint's quotient edges in id order.
-    ends = np.array(lft.quotient_edges, dtype=np.intp).reshape(q, 2)
+    ends = lft.quotient_edges
     con = np.concatenate([ends[:, 0], n_a + ends[:, 1]])
     order = np.argsort(con, kind="stable")
     indptr = np.zeros(n_a + n_b + 1, dtype=np.intp)
@@ -205,7 +202,7 @@ def _source_sums(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> np.
     """S_e: the total weight of the lifted copies of each source edge e."""
     copies = float(lft.copies_per_quotient_edge)
     return np.bincount(
-        np.asarray(lft.source_edge, dtype=np.intp), weights=copies * bw.per_copy,
+        lft.source_edge, weights=copies * bw.per_copy,
         minlength=G.num_edges,
     )
 
@@ -302,7 +299,6 @@ def certify_entropy_lower_bound(G: Hypergraph, d: int, tol: float = 1e-10) -> di
 def matching_count_bound_report(
     G: Hypergraph,
     params: DiracParams,
-    cap: int = 24,
     alpha=None,
 ) -> dict:
     """Matching-count lower-bound arithmetic around p = delta_d / C(n-d, k-d).
@@ -321,8 +317,8 @@ def matching_count_bound_report(
     phi_complete_value = phi_complete(n, k).value
     target = math.log(phi_complete_value) + (n / k) * math.log(p) if p > 0 else -math.inf
     exact = None
-    if n <= cap:
-        value = count_pm(G, cap).value
+    if n <= DEFAULT_COUNT_CAP:
+        value = count_pm(G).value
         exact = math.log(value) if value > 0 else -math.inf
     x_star, _ = max_entropy_fpm(G)
     entropy_route = x_star.entropy - (1.0 - 1.0 / k) * n

@@ -5,29 +5,28 @@ transition always matches the lowest-indexed unmatched vertex v, so each
 perfect matching is generated exactly once (no edge-order overcounting).
 Every vertex below v is matched, so the only edges that can be taken at v
 are its *lead edges*, the edges whose lowest vertex is v; the oracle keeps
-them per vertex in id order and never scans the other edges through v.
+their ids and vertex masks per vertex in id order, read from the graph
+index, and never scans the other edges through v.
 
-One memo table serves counting, exact marginals and uniform sampling.  A
-memo miss on ``count(mask)`` fills every state reachable from ``mask`` in
-one layered pass: forward, the states of a layer (all with the same number
-of matched vertices) are grouped by lowest free vertex and ANDed against
-its lead-edge masks in bounded blocks, and the children are deduplicated
-into the next layer; backward, each layer's counts are sums of its
-children's counts (``np.add.at``), stored in the memo from the deepest
-layer up, so the memo always holds every state reachable from any state
-in it.  The marginals walk the layers of the empty mask forward, carrying
-the number of ways to reach each state: the matchings through edge e are
-the sum over its transitions of ways(parent) * count(child), which equals
-count(V(e)) and creates no new states.  The sampler takes each feasible
-lead edge at the current lowest vertex with probability (completions
-after taking it) / (completions now), read from the memo, which makes its
-output distribution exactly uniform.
+One fill from the empty mask serves counting, exact marginals and uniform
+sampling.  Forward, the states of a layer (all with the same number of
+matched vertices) are grouped by lowest free vertex and ANDed against its
+lead-edge masks in bounded blocks, and the children are deduplicated into
+the next layer; backward, each layer's counts are sums of its children's
+counts (``np.add.at``).  The layers and their counts are kept, and the memo
+maps every state reachable from the empty mask to its count.  The
+marginals walk the layers forward, carrying the number of ways to reach
+each state: the matchings through edge e are the sum over its transitions
+of ways(parent) * count(child), which equals count(V(e)).  The sampler
+takes each feasible lead edge at the current lowest vertex with
+probability (completions after taking it) / (completions now), read from
+the memo, which makes its output distribution exactly uniform.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
-k-graph on n vertices, so the oracle computes in int64 and refuses graphs
-where that bound reaches 2**63.  Marginals are exact rationals converted
-to floats only at the module boundary.
+k-graph on n vertices, which stays below 2**63 for every n <= the count cap
+of 24 (9.16e12 at most), so the oracle computes in int64.  Marginals are
+exact rationals converted to floats only at the module boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -45,13 +44,12 @@ from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, Sa
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
 from .seeds import randbelow, rng_from
 
+# The exact oracle refuses graphs on more vertices than this.
 DEFAULT_COUNT_CAP = 24
 # A state-by-lead-edge block of the expansion has at most this many elements,
 # or as many as its layer has states: its temporaries stay small next to the
 # memo entries of the layer, on tiny graphs too.
 EXPAND_BLOCK = 1 << 12
-# Vertex masks are int64, so bit 63 (the sign bit) is never a vertex.
-MAX_MASK_VERTICES = 63
 
 
 @dataclass(frozen=True)
@@ -64,58 +62,26 @@ class MatchingCount:
 
 
 class PMOracle:
-    """Shared-memo exact matching oracle for one graph.
+    """Shared-memo exact matching oracle for one graph (n <= DEFAULT_COUNT_CAP)."""
 
-    ``count(mask)`` is the number of perfect matchings of the vertices not
-    in ``mask``, for any mask in ``[0, full_mask]`` (a union of disjoint
-    edges, or any set you want to exclude).
-    """
-
-    def __init__(self, G: Hypergraph, cap: int = DEFAULT_COUNT_CAP):
-        if G.n > cap:
-            raise ResourceLimitError(f"n={G.n} exceeds the exact-count cap {cap}")
-        if G.n > MAX_MASK_VERTICES:
-            raise ResourceLimitError(
-                f"n={G.n} exceeds the {MAX_MASK_VERTICES} vertices of an int64 mask"
-            )
-        bound = phi_complete(G.n - G.n % G.k, G.k).value
-        if bound >= 2**63:
-            raise ResourceLimitError(
-                f"counts on n={G.n}, k={G.k} can reach {bound}, beyond int64"
-            )
+    def __init__(self, G: Hypergraph):
+        if G.n > DEFAULT_COUNT_CAP:
+            raise ResourceLimitError(f"n={G.n} exceeds the exact-count cap {DEFAULT_COUNT_CAP}")
         self.G = G
         self.full_mask = (1 << G.n) - 1
-        self.edge_masks = [self._mask(e) for e in G.edges]
-        # For each vertex, the (edge id, edge mask) pairs of edges whose
-        # lowest vertex it is, in id order (edges are sorted tuples).
-        self.lead: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-        for i, e in enumerate(G.edges):
-            self.lead[e[0]].append((i, self.edge_masks[i]))
-        self._lead_arrays = [
-            (np.array([i for i, _ in pairs], dtype=np.intp),
-             np.array([m for _, m in pairs], dtype=np.int64))
-            for pairs in self.lead
-        ]
+        edge_verts = G.index().edge_verts
+        # Edge ids grouped by lowest vertex (column 0), in id order within a
+        # group, and their vertex masks; the sampler reads them as Python pairs.
+        ids = np.argsort(edge_verts[:, 0], kind="stable")
+        masks = np.bitwise_or.reduce(np.left_shift(1, edge_verts[ids]), axis=1)
+        bounds = np.searchsorted(edge_verts[ids, 0], np.arange(G.n + 1)).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        self._lead = [(ids[a:b], masks[a:b]) for a, b in spans]
+        pairs = np.stack([ids, masks], axis=1).tolist()
+        self._lead_pairs = [pairs[a:b] for a, b in spans]
+        # (states, counts) per layer, from the empty mask to the full one
+        self._layers: list[tuple[np.ndarray, np.ndarray]] = []
         self._memo: dict[int, int] = {}
-
-    @staticmethod
-    def _mask(vertices: Sequence[int]) -> int:
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        return m
-
-    def count(self, mask: int = 0) -> int:
-        if not 0 <= mask <= self.full_mask:
-            raise InvalidArgumentError(f"mask {mask} is outside [0, {self.full_mask}]")
-        return self._count(mask)
-
-    def _count(self, mask: int) -> int:
-        cached = self._memo.get(mask)
-        if cached is None:
-            self._fill(mask)
-            cached = self._memo[mask]
-        return cached
 
     def _transitions(
         self, states: np.ndarray
@@ -129,7 +95,7 @@ class PMOracle:
         for v in range(self.G.n):
             # the states whose vertices below v are matched and v is free
             group = np.flatnonzero(states & ((2 << v) - 1) == (1 << v) - 1)
-            ids, masks = self._lead_arrays[v]
+            ids, masks = self._lead[v]
             if not group.size or not ids.size:
                 continue
             step = max(1, max(EXPAND_BLOCK, states.size) // ids.size)
@@ -142,53 +108,42 @@ class PMOracle:
                 c, r = np.nonzero((masks[:, None] & block) == 0)
                 yield rows[r], ids[c], block[r] | masks[c]
 
-    def _fill(self, mask: int) -> None:
-        """Count and memoise every state reachable from ``mask`` and not yet in the memo."""
-        memo = self._memo
+    def _fill(self) -> None:
+        """Count every state reachable from the empty mask, layer by layer."""
         full = self.full_mask
-        layers = []
         # All states of a layer have the same number of matched vertices, so
         # the full mask is a layer of its own.
-        states = np.array([mask], dtype=np.int64)
-        while states.size and states[0] != full:
-            nxt = _next_layer(child for _, _, child in self._transitions(states))
-            layers.append((states, nxt))
-            states = nxt[np.fromiter((s not in memo for s in nxt.tolist()), bool, nxt.size)]
-        if states.size:
-            memo[full] = 1
-        for states, nxt in reversed(layers):
-            known = np.fromiter(map(memo.__getitem__, nxt.tolist()), np.int64, nxt.size)
+        layers = [np.zeros(1, dtype=np.int64)]
+        while layers[-1].size and layers[-1][0] != full:
+            layers.append(_next_layer(child for _, _, child in self._transitions(layers[-1])))
+        counted = [(layers[-1], np.ones(layers[-1].size, dtype=np.int64))]
+        for states in reversed(layers[:-1]):
+            nxt, known = counted[-1]
             counts = np.zeros(states.size, dtype=np.int64)
             for parent, _, child in self._transitions(states):
                 np.add.at(counts, parent, known[np.searchsorted(nxt, child)])
-            memo.update(zip(states.tolist(), counts.tolist()))
+            counted.append((states, counts))
+        self._layers = counted[::-1]
+        for states, counts in self._layers:
+            self._memo.update(zip(states.tolist(), counts.tolist()))
 
     def count_pm(self) -> int:
         if self.G.n % self.G.k != 0:
             return 0
-        return self.count(0)
+        if not self._memo:
+            self._fill()
+        return self._memo[0]
 
     def _through(self) -> np.ndarray:
-        """Perfect matchings through each edge, by a forward pass over the layers of mask 0.
+        """Perfect matchings through each edge, by a forward pass over the layers.
 
         ways(state) counts the ways to reach it from the empty mask; a
-        transition by edge e contributes ways(parent) * count(child).  The
-        memo holds every state reachable from mask 0, so each layer is read
-        from the memo keys with its popcount, and no state is added.
+        transition by edge e contributes ways(parent) * count(child).
         """
-        self._count(0)
-        memo = self._memo
-        keys = np.sort(np.fromiter(memo, np.int64, len(memo)), kind="stable")
-        counts = np.fromiter(map(memo.__getitem__, keys.tolist()), np.int64, keys.size)
-        pops = np.bitwise_count(keys)
         through = np.zeros(self.G.num_edges, dtype=np.int64)
-        states = np.zeros(1, dtype=np.int64)
+        states, _ = self._layers[0]
         ways = np.ones(1, dtype=np.int64)
-        pop = 0
-        while states.size and states[0] != self.full_mask:
-            pop += self.G.k
-            layer = pops == pop
-            nxt, nxt_counts = keys[layer], counts[layer]
+        for nxt, nxt_counts in self._layers[1:]:
             nxt_ways = np.zeros(nxt.size, dtype=np.int64)
             for parent, eid, child in self._transitions(states):
                 at = np.searchsorted(nxt, child)
@@ -217,38 +172,37 @@ class PMOracle:
             )
         return [Fraction(t, total) for t in through.tolist()]
 
-    def sample(self, rng: np.random.Generator, initial_mask: int = 0) -> tuple[int, ...]:
-        """Uniform perfect matching of the graph minus ``initial_mask``.
+    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """Uniform perfect matching of the graph.
 
         One integer draw per matching round; exactly uniform because each
         feasible edge is taken with probability (completions after it) /
         (completions now).
         """
-        if self.count(initial_mask) == 0:
-            raise SamplingError("no perfect matching on the residual vertices")
+        if self.count_pm() == 0:
+            raise SamplingError("graph has no perfect matching")
         memo = self._memo
         full = self.full_mask
-        mask = initial_mask
+        mask = 0
         chosen: list[int] = []
         while mask != full:
             now = memo[mask]
             free = ~mask & full
-            lead = self.lead[(free & -free).bit_length() - 1]
-            ids: list[int] = []
+            picks: list[list[int]] = []
             cumulative: list[int] = []
             running = 0
-            for eid, emask in lead:
-                if emask & mask == 0:
-                    c = memo[mask | emask]
+            for pair in self._lead_pairs[(free & -free).bit_length() - 1]:
+                if pair[1] & mask == 0:
+                    c = memo[mask | pair[1]]
                     if c:
                         running += c
-                        ids.append(eid)
+                        picks.append(pair)
                         cumulative.append(running)
             if running != now:
                 raise InvariantError("conditional counts failed to telescope")
-            eid = ids[bisect_right(cumulative, randbelow(rng, now))]
+            eid, emask = picks[bisect_right(cumulative, randbelow(rng, now))]
             chosen.append(eid)
-            mask |= self.edge_masks[eid]
+            mask |= emask
         return tuple(chosen)
 
 
@@ -282,11 +236,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def count_pm(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> MatchingCount:
+def count_pm(G: Hypergraph) -> MatchingCount:
     """Exact perfect matching count via the bitmask DP."""
     if G.n % G.k != 0:
         return MatchingCount(0, G.digest(), note=f"k={G.k} does not divide n={G.n}")
-    return MatchingCount(PMOracle(G, cap).count_pm(), G.digest())
+    return MatchingCount(PMOracle(G).count_pm(), G.digest())
 
 
 def phi_complete(n: int, k: int) -> MatchingCount:
@@ -297,32 +251,30 @@ def phi_complete(n: int, k: int) -> MatchingCount:
     return MatchingCount(value, f"complete:{n}:{k}", note="closed form")
 
 
-def sample_uniform_pms(
-    G: Hypergraph, seed: int, trials: int, cap: int = DEFAULT_COUNT_CAP
-) -> list[tuple[int, ...]]:
+def sample_uniform_pms(G: Hypergraph, seed: int, trials: int) -> list[tuple[int, ...]]:
     """``trials`` independent uniform perfect matchings from stream (seed,)."""
-    oracle = PMOracle(G, cap)
+    oracle = PMOracle(G)
     rng = rng_from(seed)
     return [oracle.sample(rng) for _ in range(trials)]
 
 
-def pm_marginals(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> EdgeWeights:
+def pm_marginals(G: Hypergraph) -> EdgeWeights:
     """Exact edge marginals of the uniform perfect-matching distribution.
 
     The result is a fractional perfect matching with exactly unit vertex
     sums (rational arithmetic internally, floats at the boundary).
     """
-    margs = PMOracle(G, cap).marginals()
+    margs = PMOracle(G).marginals()
     for v in range(G.n):
         if sum(margs[i] for i in G.incident(v)) != 1:
             raise InvariantError(f"marginals at vertex {v} do not sum to 1")
     return EdgeWeights.from_weights(G, [float(q) for q in margs], STATUS_VERIFIED)
 
 
-def entropy_identities_check(G: Hypergraph, cap: int = DEFAULT_COUNT_CAP) -> dict:
+def entropy_identities_check(G: Hypergraph) -> dict:
     """Check k h(marginals) >= ln Phi(G) and solver dominance on one graph."""
-    x = pm_marginals(G, cap)
-    total = count_pm(G, cap).value
+    x = pm_marginals(G)
+    total = count_pm(G).value
     ln_phi = math.log(total)
     k_h = G.k * x.entropy
     solver_x, report = max_entropy_fpm(G)
@@ -343,7 +295,6 @@ def verify_count_vs_entropy(
     G: Hypergraph,
     params: DiracParams,
     alpha: Optional[AlphaTable] = None,
-    cap: int = DEFAULT_COUNT_CAP,
 ) -> dict:
     """Exact ln Phi against the entropy-based prediction h - (1 - 1/k) n.
 
@@ -351,7 +302,7 @@ def verify_count_vs_entropy(
     because the prediction is asymptotic.  Also reports the ordered-count
     comparison ln((n/k)! Phi) vs h + (n/k) ln(n/k) - n.
     """
-    count = count_pm(G, cap)
+    count = count_pm(G)
     warnings = []
     if not is_dirac(G, params, alpha):
         warnings.append(f"graph is not ({params.d},{params.gamma})-Dirac")

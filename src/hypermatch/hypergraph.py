@@ -82,22 +82,23 @@ class GraphIndex:
         """
         cached = self._cache.get(d)
         if cached is None:
-            codes = self._subset_codes(d, DEFAULT_DEGREE_WORK_LIMIT)
+            codes = self._subset_codes(d)
             order = np.argsort(codes, kind="stable")
             cached = _frozen(codes[order], order % max(1, self.edge_verts.shape[0]))
             self._cache[d] = cached
         return cached
 
-    def _subset_codes(self, d: int, work_limit: int) -> np.ndarray:
+    def _subset_codes(self, d: int) -> np.ndarray:
         """The codes of the d-subsets of all edges, one block of m per column choice.
 
-        Raises ResourceLimitError when m C(k, d) exceeds ``work_limit``.
+        Raises ResourceLimitError when m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT.
         """
         m, k = self.edge_verts.shape
         work = m * comb(k, d)
-        if work > work_limit:
+        if work > DEFAULT_DEGREE_WORK_LIMIT:
             raise ResourceLimitError(
-                f"{work:.2e} codes of {d}-subsets of edges exceed the work limit {work_limit:.0e}"
+                f"{work:.2e} codes of {d}-subsets of edges exceed the work limit "
+                f"{DEFAULT_DEGREE_WORK_LIMIT:.0e}"
             )
         cols = itertools.combinations(range(k), d)
         return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
@@ -358,7 +359,7 @@ def degree(G: Hypergraph, S: Iterable[int]) -> int:
     return int(np.searchsorted(codes, code, "right")[0] - np.searchsorted(codes, code)[0])
 
 
-def min_d_degree(G: Hypergraph, d: int, work_limit: int = DEFAULT_DEGREE_WORK_LIMIT) -> int:
+def min_d_degree(G: Hypergraph, d: int) -> int:
     """Minimum of degree(G, S) over all d-sets S, from the d-subset codes of all edges.
 
     Zero when some d-set is in no edge, else the shortest run of equal codes.
@@ -368,7 +369,7 @@ def min_d_degree(G: Hypergraph, d: int, work_limit: int = DEFAULT_DEGREE_WORK_LI
         raise InvalidArgumentError(f"d={d} outside [0, {G.k - 1}]")
     if d == 0:
         return G.num_edges
-    codes = np.sort(G.index()._subset_codes(d, work_limit))
+    codes = np.sort(G.index()._subset_codes(d))
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     if starts.size < comb(G.n, d) or not starts.size:
         return 0
@@ -398,11 +399,18 @@ def is_dirac(G: Hypergraph, params: DiracParams, alpha: Optional[AlphaTable] = N
     return min_d_degree(G, params.d) >= threshold
 
 
+def all_subsets(n: int, size: int) -> np.ndarray:
+    """Every size-subset of [n] as an ascending int64 row, in lexicographic order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.int64
+    ).reshape(-1, size)
+
+
 def gen_complete(n: int, k: int) -> Hypergraph:
     """Complete k-uniform hypergraph on n vertices."""
     if not 2 <= k <= n:
         raise InvalidArgumentError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return Hypergraph(k, n, itertools.combinations(range(n), k))
+    return Hypergraph(k, n, all_subsets(n, k))
 
 
 def gen_random_dirac(

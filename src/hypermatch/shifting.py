@@ -82,6 +82,20 @@ class ShiftingStructure:
                 raise InvalidArgumentError(f"f_{i + 2} is not the expected edge")
 
 
+def partner_edges(G: Hypergraph, e_id: int) -> np.ndarray:
+    """The ids of the edges that meet edge ``e_id`` in exactly one vertex.
+
+    Ordered by that shared vertex, then by id: the edges at each vertex of
+    the edge in turn, keeping those listed at only one of them.
+    """
+    index = G.index()
+    ptr = index.indptr
+    at = np.concatenate(
+        [index.incidence[ptr[v]: ptr[v + 1]] for v in index.edge_verts[e_id].tolist()]
+    )
+    return at[np.bincount(at)[at] == 1]
+
+
 def find_shifting_structure(
     G: Hypergraph,
     e_id: int,
@@ -337,11 +351,11 @@ class ConfigSearch:
 def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams) -> ConfigSearch:
     """Deterministic scan for a good configuration under ``params``.
 
-    Edges are scanned in id order for weight >= D/n^{k-1}; for each such e,
-    each v1 in e (ascending) and each partner f in id order with
-    e * f = {v1} and x[f] <= eta - delta, a structure is searched with the
-    weight masks (decreasing side >= 2 delta, increasing side
-    <= eta - delta).  The first hit wins.
+    Edges are scanned in id order for weight >= D/n^{k-1}; for each such e
+    and each of its partner edges f (``partner_edges`` order) with
+    x[f] <= eta - delta, a structure is searched with the weight masks
+    (decreasing side >= 2 delta, increasing side <= eta - delta).  The
+    first hit wins.
     """
     check_alignment(G, x)
     w = x.weights
@@ -352,25 +366,20 @@ def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams)
     e_ok = w >= 2.0 * params.delta
     f_ok = w <= params.eta - params.delta
     for e_id in heavy:
-        e = set(G.edges[e_id])
-        for v1 in sorted(e):
-            for f_id in G.incident(v1):
-                if f_id == e_id or not f_ok[f_id]:
-                    continue
-                if len(e & set(G.edges[f_id])) != 1:
-                    continue
-                structure = find_shifting_structure(G, e_id, f_id, e_ok, f_ok)
-                if structure is not None:
-                    return ConfigSearch(
-                        "found",
-                        GoodConfiguration(
-                            structure=structure,
-                            e1_weight=float(w[e_id]),
-                            high_threshold=hi,
-                            min_e_weight=float(min(w[i] for i in structure.e_ids)),
-                            max_f_weight=float(max(w[i] for i in structure.f_ids)),
-                        ),
-                    )
+        partners = partner_edges(G, e_id)
+        for f_id in partners[f_ok[partners]].tolist():
+            structure = find_shifting_structure(G, e_id, f_id, e_ok, f_ok)
+            if structure is not None:
+                return ConfigSearch(
+                    "found",
+                    GoodConfiguration(
+                        structure=structure,
+                        e1_weight=float(w[e_id]),
+                        high_threshold=hi,
+                        min_e_weight=float(min(w[i] for i in structure.e_ids)),
+                        max_f_weight=float(max(w[i] for i in structure.f_ids)),
+                    ),
+                )
     return ConfigSearch("search-exhausted")
 
 

@@ -1,0 +1,80 @@
+"""Byte-identity of the README CLI flow, pinned by sha256 digests.
+
+The eight README subcommands run in-process from a fresh working directory
+with relative ``run/`` paths (greedy with ``--jobs 1``), exactly as the
+README lists them.  Every artifact they write must hash to the recorded
+digest: a change that alters any count, weight, trace, trajectory, report
+or provenance byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from hypermatch.cli import main
+
+FLOW = [
+    ["gen", "--n", "12", "--k", "3", "--density", "0.95", "--d", "2", "--gamma", "0.2",
+     "--seed", "7", "--out", "run/"],
+    ["degrees", "--graph", "run/graph.khg", "--d", "2", "--gamma", "0.2", "--out", "run/"],
+    ["entropy", "--graph", "run/graph.khg", "--out", "run/"],
+    ["count", "--graph", "run/graph.khg", "--d", "2", "--gamma", "0.2", "--out", "run/"],
+    ["marginals", "--graph", "run/graph.khg", "--out", "run/"],
+    ["greedy", "--graph", "run/graph.khg", "--seed", "3", "--trials", "8", "--jobs", "1",
+     "--out", "run/"],
+    ["anneal", "--graph", "run/graph.khg", "--seed", "5", "--d", "2", "--gamma", "0.5",
+     "--epsilon", "0.9", "--auto", "--out", "run/"],
+    ["bound", "--graph", "run/graph.khg", "--d", "2", "--gamma", "0.2", "--out", "run/"],
+]
+
+GOLDEN = {
+    "anneal.wts": "3bdc5e425cfc7121503dea26c9e0a16fb9bcdfc65b292047944ed929da17e19b",
+    "anneal_report.json": "ba20715af51ae78628dc3840345afa4ff85e95dc59006ca8d3b49c5b4a7443e3",
+    "anneal_trace.csv": "617d6122b77979fcb9b2ae7d5e81ec8990d8c46ca16802640ad4f2aa6f94e202",
+    "bound_report.json": "d0695aaca5db07fb934c54dee3500ff6515173d2b1b45f9928980877a5aebb55",
+    "count.json": "5a6f63916354ef411d4c64b9195c83a54a17f39671c144f85dd3222cd0fb2ef5",
+    "degrees.json": "7121fcfd3bf79a47cea2ef3cde02a67a0c5f5eaed35a3690cdaa11f608e6d12d",
+    "entropy_report.json": "151fe8a201254cbef48474984783c313a601e9ed871d316b1afa7a94124afc75",
+    "gen_report.json": "3f4754d6ab4d0e6348bc419f187153c653d495080cdaff316b4daa94d526ce68",
+    "graph.khg": "0c52fd30711ed4f529c51e4d7eaeace6915d1ece77e8faa0fb4b69886ad3b41e",
+    "greedy_report.json": "87792fe84f7a16a3fe8b0d28c6538e17119b755c0a907efe26379b2d3bc11b00",
+    "marginals.wts": "e9ab291a8908370b53fc29ccb47dea0691d39203b6d254b3658f75d90a733ceb",
+    "marginals_report.json": "2355485a69455358ea64af3485ee1feb2e150fbf29caee62b818582d134c3a04",
+    "trajectory_0000.csv": "d245b513b2ad3469d19f9c8e22b7e8d65faeaa152255cbee7313a882dc89d8d1",
+    "trajectory_0000.meta.json": "42a7e8110dce661afc6432a56993dce02f5d349e0dbf4af19c528f98549bc6db",
+    "trajectory_0001.csv": "e6ef9f139d4185f83a81ef59893ccdee7bf1b15317adcf7ea4fc34216bbb3572",
+    "trajectory_0001.meta.json": "4a382205afb66965b1112e7871aee1ef1563772fa8da0486fc836062ae0fa080",
+    "trajectory_0002.csv": "3a34a92088a8ae268b650ec8f38cd2cd8e516c525151035145c8c5a0c072159a",
+    "trajectory_0002.meta.json": "5e79e76db354fba483e2688ca4e97f770aed7eb8e5cbf200c12823f0837ad0db",
+    "trajectory_0003.csv": "eb3c18c9d210830474928058247445abd5fae5f94293a09b6758daab571da4c1",
+    "trajectory_0003.meta.json": "bf3869fe3714c35e6f14dc6a74626f3163c1736eaa114e09547e615294013090",
+    "trajectory_0004.csv": "3f105007530c0407bf50ec43e89fcbe1d44e0575a9f9a834b4161caa8dd9ddae",
+    "trajectory_0004.meta.json": "e2b880a77c0c059d740b889ba84026ba72a1f1408729a981be1fe90dc8c013f1",
+    "trajectory_0005.csv": "a63380b1ef008ee7ab1fd164de3dbc55326e85c0d72a1af5cd27365e62adb34c",
+    "trajectory_0005.meta.json": "769bb0f4c6dc50ec4fb476ac5bfc1a21ed90551b240293ad009847eac7966ea0",
+    "trajectory_0006.csv": "ce01dacbc61305ce691262cf18262adbff77c7f36f7bd159c1a71d073481b144",
+    "trajectory_0006.meta.json": "4d8ede2c1943a177b714ba84a37b728c04e646324ba3684b738962c62a345801",
+    "trajectory_0007.csv": "a7c8c1d1c22c556cc83927aa83badd3ea2d105e0bfdefb0e54ce7b26b88f4d20",
+    "trajectory_0007.meta.json": "367571d908c9a940c181de6016746659d46e6c56ccea9387c14d2aace8dec2f1",
+    "weights.wts": "e87b6e3289852983bbc9376b65ca8064beb5cd4c062150568480b841836c7119",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("flow")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(cwd)
+        for argv in FLOW:
+            assert main(argv) == 0, argv
+    run = cwd / "run"
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
+
+
+def test_the_flow_writes_exactly_the_golden_files(artifacts):
+    assert sorted(artifacts) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_digest(artifacts, name):
+    assert artifacts.get(name) == GOLDEN[name]

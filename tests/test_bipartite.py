@@ -23,7 +23,7 @@ from hypermatch.seeds import rng_from
 
 def complete_minus_pm(n, k, seed):
     G = gen_complete(n, k)
-    pm = set(PMOracle(G, cap=max(24, n)).sample(rng_from(seed)))
+    pm = set(PMOracle(G).sample(rng_from(seed)))
     return Hypergraph(k, n, [e for i, e in enumerate(G.edges) if i not in pm])
 
 
@@ -60,8 +60,9 @@ class TestLift:
             entropy_lower_bound(gen_complete(6, 3), 1)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            lift(gen_complete(30, 3), 2, cap=100)
+        # C(450, 2) = 100,725 d-subsets exceed the lift cap of 10^5
+        with pytest.raises(ResourceLimitError, match="lift cap"):
+            lift(Hypergraph(3, 450, [(0, 1, 2)]), 2)
 
     def test_lift_accounting_identities(self):
         G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=49)

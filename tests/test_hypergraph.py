@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypermatch import hypergraph
 from hypermatch.errors import (
     ConfigError,
     GenerationError,
@@ -103,10 +104,12 @@ class TestHypergraph:
             read_hypergraph(str(path))
         assert time.perf_counter() - start < 1.0
 
-    def test_subset_codes_work_limit(self):
+    def test_subset_codes_work_limit(self, monkeypatch):
         index = gen_complete(10, 3).index()
-        with pytest.raises(ResourceLimitError):
-            index._subset_codes(2, work_limit=10)
+        monkeypatch.setattr(hypergraph, "DEFAULT_DEGREE_WORK_LIMIT", 10)
+        with pytest.raises(ResourceLimitError, match="work limit"):
+            index.subset_codes(2)
+        monkeypatch.undo()
         assert index.subset_codes(2)[0].size == 360
 
     def test_equality_is_k_n_and_edge_order(self):
@@ -165,9 +168,13 @@ class TestDegrees:
         isolated = Hypergraph(3, 7, [(0, 1, 2)])
         assert min_d_degree(isolated, 1) == 0
 
-    def test_min_d_degree_work_limit(self):
-        with pytest.raises(ResourceLimitError):
-            min_d_degree(gen_complete(10, 3), 2, work_limit=10)
+    def test_min_d_degree_work_limit(self, monkeypatch):
+        G = gen_complete(10, 3)
+        monkeypatch.setattr(hypergraph, "DEFAULT_DEGREE_WORK_LIMIT", 359)
+        with pytest.raises(ResourceLimitError, match="work limit"):
+            min_d_degree(G, 2)
+        monkeypatch.setattr(hypergraph, "DEFAULT_DEGREE_WORK_LIMIT", 360)
+        assert min_d_degree(G, 2) == 8
 
     def test_profile_complete_and_empty(self):
         assert degree_ratio_profile(gen_complete(6, 3)) == [Fraction(1)] * 3

@@ -3,9 +3,9 @@
 ``ReferenceGraph`` is the constructor as it was when a hypergraph kept its
 edges as sorted tuples, a dict from each edge to its id and per-vertex
 incidence tuples; the ``reference_*`` functions are the canonical text,
-degree, minimum d-degree and shifting search that read those structures.
-Every graph must give the same edges, index, digest, degrees, edge ids and
-shifting structures.
+degree, minimum d-degree, shifting search and partner loop that read those
+structures.  Every graph must give the same edges, index, digest, degrees,
+edge ids, shifting structures and partner lists.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from hypermatch.hypergraph import (
     min_d_degree,
 )
 from hypermatch.seeds import rng_from
-from hypermatch.shifting import find_shifting_structure
+from hypermatch.shifting import find_shifting_structure, partner_edges
 
 
 class ReferenceGraph:
@@ -114,6 +114,15 @@ def reference_find_shifting_structure(R, e_id, f_id, e_edge_ok=None, f_edge_ok=N
     return tuple(U_sets), tuple(e_ids), tuple(f_ids)
 
 
+def reference_partners(R, e_id):
+    """Edges meeting e in exactly one vertex, by shared vertex and then id."""
+    e = set(R.edges[e_id])
+    return [
+        fid for v in sorted(e) for fid in R.incidence[v]
+        if fid != e_id and len(e & set(R.edges[fid])) == 1
+    ]
+
+
 @st.composite
 def shuffled_graph_inputs(draw):
     """(k, n, edges): a random edge subset in random order, each tuple permuted."""
@@ -200,6 +209,25 @@ class TestShiftingMatchesReference:
                 got.check(G)
                 found += 1
         assert found > 0
+
+
+class TestPartnersMatchReference:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_complete(8, 2),
+            lambda: gen_complete(9, 3),
+            lambda: gen_complete(8, 4),
+            lambda: Hypergraph(3, 7, [(0, 1, 2), (2, 3, 4), (0, 5, 6), (1, 2, 5)]),
+            *DIRAC_GRAPHS.values(),
+        ],
+    )
+    def test_every_edge(self, make):
+        G = make()
+        R = ReferenceGraph(G.k, G.n, G.edges)
+        for e_id in range(G.num_edges):
+            got = partner_edges(G, e_id)
+            assert got.dtype == np.intp and got.tolist() == reference_partners(R, e_id)
 
 
 class TestPinnedDigests:

@@ -4,9 +4,13 @@
 constraint came as its own id array and coefficient array; the constraint
 builders below are the per-vertex ``incident(v)`` lists and the bipartite
 append loops.  Every caller of the CSR core must give bit-identical weights,
-potentials, sweep counts and fallback flags.
+potentials, sweep counts and fallback flags.  ``reference_lift`` is the
+bipartite lift as it was built from subset tuples and subset-to-index dicts;
+the code-built lift must give the same subsets, quotient edges, source
+edges and side degrees.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +95,25 @@ def bipartite_constraints(lft):
         np.full(len(ids), float(lft.mult_a)) for ids in b_cons
     ]
     return con_edges, con_coeffs
+
+
+def reference_lift(G, d):
+    """Subsets, quotient edges, source edges and quotient degrees of each side."""
+    a_subsets = tuple(itertools.combinations(range(G.n), d))
+    b_subsets = tuple(itertools.combinations(range(G.n), G.k - d))
+    a_index = {s: i for i, s in enumerate(a_subsets)}
+    b_index = {s: i for i, s in enumerate(b_subsets)}
+    quotient, source = [], []
+    a_qdeg, b_qdeg = [0] * len(a_subsets), [0] * len(b_subsets)
+    for eid, e in enumerate(G.edges):
+        for U in itertools.combinations(e, d):
+            W = tuple(v for v in e if v not in U)
+            ai, bi = a_index[U], b_index[W]
+            quotient.append([ai, bi])
+            source.append(eid)
+            a_qdeg[ai] += 1
+            b_qdeg[bi] += 1
+    return a_subsets, b_subsets, quotient, source, a_qdeg, b_qdeg
 
 
 def assert_same(result, ref):
@@ -201,6 +224,37 @@ class TestVertexScaling:
             )
             assert_same(result, ref)
         assert final.weights.tobytes() == np.minimum(calls[-1][2].x, 1.0).tobytes()
+
+
+class TestLiftMatchesReference:
+    @pytest.mark.parametrize(
+        "make,d",
+        [
+            (lambda: gen_complete(4, 2), 1),
+            (lambda: gen_complete(6, 3), 2),
+            (lambda: gen_complete(9, 3), 2),
+            (lambda: gen_complete(8, 4), 2),
+            (lambda: gen_complete(8, 4), 3),
+            (lambda: gen_random_dirac(9, 3, DiracParams(2, 0.2), 0.95, seed=44), 2),
+            (lambda: gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.9, seed=7), 2),
+            (lambda: gen_random_dirac(8, 4, DiracParams(3, 0.1), 0.95, seed=3), 2),
+            (lambda: gen_random_dirac(8, 4, DiracParams(3, 0.1), 0.95, seed=3), 3),
+        ],
+    )
+    def test_subsets_quotient_edges_sources_and_side_degrees(self, make, d):
+        G = make()
+        lft = bipartite.lift(G, d)
+        a_subsets, b_subsets, quotient, source, a_qdeg, b_qdeg = reference_lift(G, d)
+
+        def code(s):
+            return sum(v * G.n ** (len(s) - 1 - i) for i, v in enumerate(s))
+
+        assert lft.a_subsets.tolist() == [code(s) for s in a_subsets]
+        assert lft.b_subsets.tolist() == [code(s) for s in b_subsets]
+        assert lft.quotient_edges.tolist() == quotient
+        assert lft.source_edge.tolist() == source
+        assert lft.min_degree_a_side == min(a_qdeg) * lft.mult_b
+        assert lft.min_degree_b_side == min(b_qdeg) * lft.mult_a
 
 
 class TestBipartiteScaling:
