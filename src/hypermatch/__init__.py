@@ -54,7 +54,7 @@ from .errors import (
 from .greedy import (
     GreedyTrajectory,
     TrajectoryConfig,
-    predicted_stats,
+    centers,
     run_greedy,
     trajectory_deviation,
 )
@@ -62,7 +62,6 @@ from .hypergraph import (
     AlphaTable,
     DiracParams,
     Hypergraph,
-    degree,
     degree_ratio_profile,
     gen_complete,
     gen_random_dirac,
@@ -73,7 +72,6 @@ from .hypergraph import (
 )
 from .shifting import (
     AnnealParams,
-    GoodConfiguration,
     ShiftingStructure,
     anneal_and_shift,
     apply_shift,

@@ -11,7 +11,7 @@ after i steps the surviving edges are those inside the n - k i remaining
 vertices: residual weight and entropy are C(n-ki, k)/C(n, k) times their
 initial values and each alive set S keeps (n-ki-|S|)_{k-|S|}/(n-|S|)_{k-|S|}
 of its degree.  The paper's centers p(i)^k (n/k), p(i)^k h(x) and
-p(i)^{k-|S|} deg(S) (``greedy.predicted_stats``) hold to leading order only,
+p(i)^{k-|S|} deg(S) (``greedy.centers``) hold to leading order only,
 with a relative finite-size error of about k(k-1)(1-p(i))/(2 p(i) n); the
 criterion reports that gap for each n and asserts that it strictly shrinks
 as n grows.
@@ -32,7 +32,13 @@ from typing import Callable
 import numpy as np
 
 from .bipartite import certify_entropy_lower_bound
-from .counting import PMOracle, count_pm, phi_complete, pm_marginals, sample_uniform_pms
+from .counting import (
+    PMOracle,
+    count_pm,
+    entropy_identities_check,
+    phi_complete,
+    sample_uniform_pms,
+)
 from .entropy import (
     EdgeWeights,
     as_verified,
@@ -43,7 +49,7 @@ from .entropy import (
     well_distributed_factor,
 )
 from .errors import GenerationError
-from .greedy import TrajectoryConfig, predicted_stats, run_greedy
+from .greedy import TrajectoryConfig, centers, run_greedy
 from .hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
 from .seeds import rng_from
 from .shifting import (
@@ -352,11 +358,9 @@ def criterion_6_greedy_concentration(seeds: int = 200) -> CriterionResult:
             with np.errstate(invalid="ignore", divide="ignore"):
                 mean_d = np.where(deg_cnt > 0, deg_sum / np.maximum(deg_cnt, 1), np.nan)
             steps = range(i_max + 1)
+            p, asym_w, asym_e = centers(G, x, np.arange(i_max + 1))
             # every vertex of K_n has the same degree, so vertex 0 stands for all
-            asym = [predicted_stats(G, x, i, tracked_sets=[(0,)]) for i in steps]
-            asym_w = np.array([a[0] for a in asym])
-            asym_e = np.array([a[1] for a in asym])
-            asym_d = np.array([a[2][(0,)] for a in asym])
+            asym_d = p ** (G.k - 1) * G.index().degrees[0]
             survival = np.array([_complete_survival(n, 3, i) for i in steps])
             survival_d = np.array([_complete_survival(n, 3, i, 1) for i in steps])
             exact_w = survival * asym_w[0]
@@ -407,11 +411,9 @@ def criterion_7_marginal_inequalities() -> CriterionResult:
         worst_dom = math.inf
         checked = 0
         for G in _suite_under_12():
-            x = pm_marginals(G)
-            ln_phi = math.log(count_pm(G).value)
-            worst_margin = min(worst_margin, G.k * x.entropy - ln_phi)
-            x_star, _ = max_entropy_fpm(G)
-            worst_dom = min(worst_dom, x_star.entropy - x.entropy)
+            report = entropy_identities_check(G)
+            worst_margin = min(worst_margin, report["k_h_marginals"] - report["ln_phi"])
+            worst_dom = min(worst_dom, report["h_solver"] - report["h_marginals"])
             checked += 1
         ok = worst_margin >= -1e-9 and worst_dom >= -1e-6
         return ok, (

@@ -42,6 +42,10 @@ from .hypergraph import DiracParams, Hypergraph, all_subsets, encode, is_dirac, 
 # Neither side of a lift may have more distinct subsets than this.
 DEFAULT_LIFT_CAP = 10**5
 
+# Residual tolerance and sweep budget of the bipartite max-entropy solve.
+BIPARTITE_TOL = 1e-10
+BIPARTITE_MAX_ITER = 50000
+
 
 @dataclass(frozen=True, eq=False)
 class BipartiteLift:
@@ -137,11 +141,7 @@ class BipartiteWeights:
     iterations: int
 
 
-def bipartite_max_entropy(
-    lft: BipartiteLift,
-    tol: float = 1e-10,
-    max_iter: int = 50000,
-) -> tuple[BipartiteWeights, dict]:
+def bipartite_max_entropy(lft: BipartiteLift) -> tuple[BipartiteWeights, dict]:
     """Max-entropy bipartite fractional perfect matching on the quotient.
 
     Requires the bipartite minimum degree to be at least ntilde/2 (the
@@ -165,7 +165,7 @@ def bipartite_max_entropy(
     mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))
     result = scale_to_unit_sums(
-        indptr, order % q, coeffs, y0, tol, max_iter,
+        indptr, order % q, coeffs, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER,
         potential_cap=1e3 * math.log(max(lft.n_tilde, 3)),
     )
     copies = lft.copies_per_quotient_edge
@@ -270,12 +270,12 @@ def bound_chain_report(
     }
 
 
-def certify_entropy_lower_bound(G: Hypergraph, d: int, tol: float = 1e-10) -> dict:
+def certify_entropy_lower_bound(G: Hypergraph, d: int) -> dict:
     """Full certificate: solver entropy and the lift pipeline vs the bound."""
     bound = entropy_lower_bound(G, d)
     x_star, solver_report = max_entropy_fpm(G)
     lft = lift(G, d)
-    bw, bip_report = bipartite_max_entropy(lft, tol=tol)
+    bw, bip_report = bipartite_max_entropy(lft)
     x_pull = pull_back(G, lft, bw)
     chain = bound_chain_report(G, lft, bw, x_pull)
     return {

@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -256,14 +257,7 @@ def _cmd_anneal(args) -> int:
             "proof_inequality_holds": log.proof_inequality_holds,
             "gain_ratio": log.gain_ratio,
             "well_distributed_factor_final": well_distributed_factor(G, x_final),
-            "effective_params": {
-                "epsilon": params.epsilon,
-                "C": params.C,
-                "eta": params.eta,
-                "delta": params.delta,
-                "D": params.D,
-                "max_steps": params.max_steps,
-            },
+            "effective_params": dataclasses.asdict(params),
             "base_matching_report": hat_report,
             "weights_file": os.path.basename(wts_path),
             "trace_file": os.path.basename(trace_path),

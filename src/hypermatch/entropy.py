@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,12 @@ from .errors import InfeasibleError, InvalidArgumentError, ParseError
 from .hypergraph import Hypergraph
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
+
+# scale_to_unit_sums switches to damped simultaneous updates once the
+# residual falls by less than STALL_RATIO over STALL_WINDOW sweeps.
+STALL_WINDOW = 100
+STALL_RATIO = 1e-3
+DAMPING = 0.5
 
 # Below this a weight is treated as exactly zero in entropy terms.
 ZERO_WEIGHT = 1e-300
@@ -176,19 +182,16 @@ def scale_to_unit_sums(
     tol: float,
     max_iter: int,
     potential_cap: float,
-    stall_window: int = 100,
-    stall_ratio: float = 1e-3,
-    damping: float = 0.5,
 ) -> ScalingResult:
     """Scale positive x0 so each constraint sum_e coeff*x[e] equals 1.
 
     Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
     entries of x) and ``coeffs``.  Cyclic sweeps rescale one constraint at a
     time (exact coordinate ascent on the dual); if the residual stalls
-    (relative drop below ``stall_ratio`` over ``stall_window`` sweeps),
-    switches to damped simultaneous multiplicative updates.  The accumulated
-    per-constraint log-scalings are returned as potentials; divergence
-    beyond ``potential_cap`` is diagnosed as infeasibility.
+    (relative drop below ``STALL_RATIO`` over ``STALL_WINDOW`` sweeps),
+    switches to simultaneous multiplicative updates damped by ``DAMPING``.
+    The accumulated per-constraint log-scalings are returned as potentials;
+    divergence beyond ``potential_cap`` is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
@@ -217,7 +220,7 @@ def scale_to_unit_sums(
             sums = all_sums()
             if float(sums.min()) <= 0:
                 raise InfeasibleError("a constraint lost all incident weight")
-            step = -damping * np.log(sums)
+            step = -DAMPING * np.log(sums)
             mu += step
             for j, (lo, hi) in enumerate(bounds):
                 x[ids[lo:hi]] *= math.exp(step[j])
@@ -231,9 +234,9 @@ def scale_to_unit_sums(
                 "no fractional perfect matching on this support"
             )
         history.append(residual)
-        if not fallback and len(history) > stall_window:
-            old = history[-stall_window - 1]
-            if residual > old * (1.0 - stall_ratio):
+        if not fallback and len(history) > STALL_WINDOW:
+            old = history[-STALL_WINDOW - 1]
+            if residual > old * (1.0 - STALL_RATIO):
                 fallback = True
     return ScalingResult(x, mu, sweeps, residual, False, fallback)
 
@@ -321,11 +324,11 @@ def write_weights(path: str, x: EdgeWeights, extra_comments: Sequence[str] = ())
             fh.write(f"{w:.17g}\n")
 
 
-def read_weights(path: str, G: Optional[Hypergraph] = None) -> EdgeWeights:
-    """Read a .wts file; if G is given, checks digest and length against it.
+def read_weights(path: str, G: Hypergraph) -> EdgeWeights:
+    """Read a .wts file written for G; checks digest and length against it.
 
     A ``verified-fpm`` status header is kept only after the vertex sums pass
-    ``as_verified`` on G; without G the weights come back raw.
+    ``as_verified`` on G.
     """
     digest = None
     status = STATUS_RAW
@@ -346,12 +349,7 @@ def read_weights(path: str, G: Optional[Hypergraph] = None) -> EdgeWeights:
                 values.append(float(line))
             except ValueError:
                 raise ParseError("not a decimal weight", path, lineno)
-    w = np.array(values, dtype=float)
-    if G is not None:
-        if digest is not None and digest != G.digest():
-            raise InvalidArgumentError(f"weights file {path} was written for a different graph")
-        x = EdgeWeights.from_weights(G, w)
-        return as_verified(G, x) if status == STATUS_VERIFIED else x
-    if w.size and (float(w.min()) < 0 or float(w.max()) > 1.0 + 1e-9):
-        raise ParseError("weights outside [0, 1]", path, 0)
-    return EdgeWeights._checked(w, digest or "", STATUS_RAW)
+    if digest is not None and digest != G.digest():
+        raise InvalidArgumentError(f"weights file {path} was written for a different graph")
+    x = EdgeWeights.from_weights(G, values)
+    return as_verified(G, x) if status == STATUS_VERIFIED else x

@@ -28,13 +28,13 @@ import json
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .entropy import EdgeWeights, check_alignment
 from .errors import InvalidArgumentError
-from .hypergraph import GraphIndex, Hypergraph, degree, encode
+from .hypergraph import GraphIndex, Hypergraph, encode
 from .seeds import rng_from
 
 STOP_FROZEN = "no-positive-weight-edge"
@@ -49,17 +49,14 @@ class TrajectoryConfig:
     """Tracking and stopping policy for greedy runs.
 
     ``stop_fraction`` of n/k caps the number of steps (None runs to the
-    freeze, i.e. until no positive-weight edge remains).  Tracked sets
-    default to all singletons plus ``sampled_sets_per_size`` random sets of
-    each size 2..k-1, drawn from stream (tracking_seed, size).
+    freeze, i.e. until no positive-weight edge remains).  The tracked sets
+    are all singletons plus ``sampled_sets_per_size`` random sets of each
+    size 2..k-1, drawn from stream (0, size).
     """
 
     c: float = 0.05
     stop_fraction: Optional[float] = None
-    track_singletons: bool = True
     sampled_sets_per_size: int = 100
-    tracking_seed: int = 0
-    tracked_sets: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
@@ -68,13 +65,15 @@ class TrajectoryConfig:
             raise InvalidArgumentError(f"stop_fraction={self.stop_fraction} outside (0, 1]")
 
     def to_dict(self) -> dict:
+        # The last three keys record the fixed tracking policy, so that
+        # trajectory metadata keeps its layout.
         return {
             "c": self.c,
             "stop_fraction": self.stop_fraction,
-            "track_singletons": self.track_singletons,
             "sampled_sets_per_size": self.sampled_sets_per_size,
-            "tracking_seed": self.tracking_seed,
-            "tracked_sets": None if self.tracked_sets is None else [list(s) for s in self.tracked_sets],
+            "track_singletons": True,
+            "tracking_seed": 0,
+            "tracked_sets": None,
         }
 
 
@@ -84,27 +83,14 @@ def concentration_horizon(n: int, k: int, c: float) -> float:
 
 
 def resolve_tracked_sets(G: Hypergraph, cfg: TrajectoryConfig) -> tuple[tuple[int, ...], ...]:
-    """The tracked vertex sets for a run, deterministic given the config.
-
-    Explicit sets must hold 1..k-1 distinct vertices of G.
-    """
-    if cfg.tracked_sets is not None:
-        sets = tuple(tuple(sorted(int(v) for v in s)) for s in cfg.tracked_sets)
-        for S in sets:
-            if not 0 < len(set(S)) == len(S) < G.k or S[0] < 0 or S[-1] >= G.n:
-                raise InvalidArgumentError(
-                    f"tracked set {S} is not 1..{G.k - 1} distinct vertices of [0, {G.n})"
-                )
-        return sets
-    sets: list[tuple[int, ...]] = []
-    if cfg.track_singletons:
-        sets.extend((v,) for v in range(G.n))
+    """The tracked vertex sets for a run, deterministic given the config."""
+    sets: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
     for size in range(2, G.k):
         quota = min(cfg.sampled_sets_per_size, comb(G.n, size))
         if quota == comb(G.n, size):
             sets.extend(itertools.combinations(range(G.n), size))
             continue
-        rng = rng_from(cfg.tracking_seed, size)
+        rng = rng_from(0, size)
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < quota:
             s = tuple(sorted(int(v) for v in rng.choice(G.n, size=size, replace=False)))
@@ -285,36 +271,20 @@ def run_greedy(
     )
 
 
-def _centers(G: Hypergraph, x: EdgeWeights, i):
+def centers(G: Hypergraph, x: EdgeWeights, i):
     """p(i) and the centers p(i)^k (n/k), p(i)^k h(x) after i steps.
 
-    p(i) = (n/k - i)/(n/k); i is one step or an array of steps.
-    """
-    steps_total = G.n / G.k
-    p = (steps_total - i) / steps_total
-    return p, p**G.k * steps_total, p**G.k * x.entropy
-
-
-def predicted_stats(
-    G: Hypergraph,
-    x: EdgeWeights,
-    i: int,
-    tracked_sets: Iterable[tuple[int, ...]] = (),
-) -> tuple[float, float, dict[tuple[int, ...], float]]:
-    """Anticipated (weight, entropy, deg(S)) centers after i steps.
-
-    These are the leading-order centers p(i)^k (n/k), p(i)^k h(x) and
-    p(i)^{k-|S|} deg(S), with relative finite-size error about
+    p(i) = (n/k - i)/(n/k); i is one step or an array of steps in
+    [0, n/k].  A set S is anticipated to keep p(i)^{k-|S|} of its degree.
+    These centers are leading order, with relative finite-size error about
     k(k-1)(1 - p(i)) / (2 p(i) n); on K_n^(k) the exact residuals are
     C(n-ki, k)/C(n, k) times the initial values (see module doc).
     """
-    if not 0 <= i <= G.n // G.k:
-        raise InvalidArgumentError(f"step {i} outside [0, {G.n // G.k}]")
-    p, weight, entropy = _centers(G, x, i)
-    degrees = {
-        tuple(S): p ** (G.k - len(S)) * degree(G, S) for S in (tuple(s) for s in tracked_sets)
-    }
-    return weight, entropy, degrees
+    if np.any((i < 0) | (i > G.n // G.k)):
+        raise InvalidArgumentError(f"step outside [0, {G.n // G.k}]: {i}")
+    steps_total = G.n / G.k
+    p = (steps_total - i) / steps_total
+    return p, p**G.k * steps_total, p**G.k * x.entropy
 
 
 def trajectory_deviation(
@@ -328,7 +298,7 @@ def trajectory_deviation(
     The summary maximises over steps i <= horizon, where the horizon
     defaults to the concentration range (1 - n^{-c}) n/k.  Degree deviations
     are measured only while the tracked set is fully alive.  The centers are
-    the leading-order ones of ``predicted_stats``, so even an exact run
+    the leading-order ones of ``centers``, so even an exact run
     deviates by their finite-size error, about k(k-1)(1 - p(i)) / (2 p(i) n).
     """
     check_alignment(G, x)
@@ -342,21 +312,17 @@ def trajectory_deviation(
         else horizon_fraction * steps_total
     )
     i_max = min(traj.steps, int(math.floor(horizon + 1e-9)))
-    p, pred_w, pred_e = _centers(G, x, np.arange(i_max + 1))
+    p, pred_w, pred_e = centers(G, x, np.arange(i_max + 1))
     obs_w = traj.residual_weight[: i_max + 1]
     obs_e = traj.residual_entropy[: i_max + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         dev_w = np.where(pred_w > 0, np.abs(obs_w - pred_w) / pred_w, np.inf)
         dev_e = np.where(pred_e > 0, np.abs(obs_e - pred_e) / pred_e, np.inf)
-    sets = traj.tracked_sets
-    sizes = np.array([len(S) for S in sets], dtype=np.intp)
-    index = G.index()
-    deg0 = index.degrees[[S[0] for S in sets]].astype(float)
-    big = np.flatnonzero(sizes > 1)
-    owner, _ = _set_edges(index, [sets[i] for i in big])
-    deg0[big] = np.bincount(owner, minlength=big.size)
+    sizes = np.array([len(S) for S in traj.tracked_sets], dtype=np.intp)
+    # Row 0 is recorded before any deletion, so it holds the degrees in G.
+    deg0 = traj.tracked_degrees[0]
     # One power per set size, taken exactly as the scalar formula p**(k - |S|).
-    pred_d = np.empty((i_max + 1, len(sets)))
+    pred_d = np.empty((i_max + 1, sizes.size))
     for size in np.unique(sizes):
         pred_d[:, sizes == size] = (p ** (k - int(size)))[:, None]
     pred_d *= deg0
@@ -401,7 +367,7 @@ def write_trajectory_csv(
             + [f"deg_S{idx}" for idx in range(len(traj.tracked_sets))]
         )
         for i in range(traj.steps + 1):
-            _, pred_w, pred_e = _centers(G, x, i)
+            _, pred_w, pred_e = centers(G, x, i)
             degs = [
                 "nan" if np.isnan(d) else repr(float(d)) for d in traj.tracked_degrees[i]
             ]

@@ -7,7 +7,7 @@ immutable after construction.
 
 Vertex sets are looked up by their codes alone: a set's ascending vertices
 read as a base-n integer, smallest vertex most significant, so code order is
-lexicographic order.  Edge ids, d-degrees, the greedy process's tracked sets
+lexicographic order.  Minimum d-degrees, the greedy process's tracked sets
 and the shifting search all read codes from ``GraphIndex``.  A graph whose
 k-set codes overflow int64 (n^k >= 2^63) is refused with ResourceLimitError.
 
@@ -37,8 +37,8 @@ from .errors import (
 )
 from .seeds import rng_from
 
-# degree and min_d_degree read the codes of all d-subsets of all edges,
-# m C(k, d) of them; no more than this budget of them is built.
+# min_d_degree and the subset codes read the codes of all d-subsets of all
+# edges, m C(k, d) of them; no more than this budget of them is built.
 DEFAULT_DEGREE_WORK_LIMIT = 10**8
 
 
@@ -237,16 +237,6 @@ class Hypergraph:
         ix = self._index
         return tuple(ix.incidence[ix.indptr[v]: ix.indptr[v + 1]].tolist())
 
-    def edge_id(self, vertices: Iterable[int]) -> Optional[int]:
-        """Edge id of the given vertex set, or None if absent."""
-        vs = sorted(int(v) for v in vertices)
-        if len(set(vs)) != self.k or len(vs) != self.k or vs[0] < 0 or vs[-1] >= self.n:
-            return None
-        code = encode(np.array([vs]), self.n)[0]
-        codes, ids = self._index.subset_codes(self.k)
-        pos = int(np.searchsorted(codes, code))
-        return int(ids[pos]) if pos < codes.size and codes[pos] == code else None
-
     def canonical_text(self) -> str:
         return _canonical_text(self.k, self.n, self._index.edge_verts)
 
@@ -344,23 +334,9 @@ class AlphaTable:
         return cls(entries)
 
 
-def degree(G: Hypergraph, S: Iterable[int]) -> int:
-    """Number of edges containing every vertex of S; degree(G, {}) = |E|."""
-    vs = sorted(set(int(v) for v in S))
-    if len(vs) >= G.k:
-        raise InvalidArgumentError(f"|S|={len(vs)} must be < k={G.k}")
-    for v in vs:
-        if not 0 <= v < G.n:
-            raise InvalidArgumentError(f"vertex {v} outside [0, {G.n})")
-    if len(vs) < 2:
-        return int(G.index().degrees[vs[0]]) if vs else G.num_edges
-    codes, _ = G.index().subset_codes(len(vs))
-    code = encode(np.array([vs]), G.n)
-    return int(np.searchsorted(codes, code, "right")[0] - np.searchsorted(codes, code)[0])
-
-
 def min_d_degree(G: Hypergraph, d: int) -> int:
-    """Minimum of degree(G, S) over all d-sets S, from the d-subset codes of all edges.
+    """Minimum over all d-sets S of the number of edges containing S, from the
+    d-subset codes of all edges.
 
     Zero when some d-set is in no edge, else the shortest run of equal codes.
     The sorted codes are not kept on the index.
@@ -438,14 +414,14 @@ def gen_random_dirac(
         raise InvalidArgumentError(f"density {density} outside (0, 1]")
     # Densities at or below alpha+gamma cannot sustain the degree condition;
     # the attempt loop still runs so the failure reports the achieved degree.
-    all_sets = list(itertools.combinations(range(n), k))
+    all_sets = all_subsets(n, k)
     best_delta = -1
     for attempt in range(max_attempts):
         if density >= 1.0:
             G = Hypergraph(k, n, all_sets)
         else:
             draws = rng_from(seed, attempt).random(len(all_sets))
-            G = Hypergraph(k, n, [e for e, u in zip(all_sets, draws) if u < density])
+            G = Hypergraph(k, n, all_sets[draws < density])
         delta = min_d_degree(G, params.d)
         best_delta = max(best_delta, delta)
         if delta >= (a + params.gamma) * comb(n - params.d, k - params.d):

@@ -44,6 +44,9 @@ from .seeds import rng_from
 EPSILON_SHRINK = 0.95
 MAX_SHRINKS = 400
 
+# anneal_and_shift re-projects onto exact vertex sums once per this many shifts.
+RENORMALIZE_EVERY = 10000
+
 
 @dataclass(frozen=True)
 class ShiftingStructure:
@@ -54,32 +57,9 @@ class ShiftingStructure:
     """
 
     k: int
-    v1: int
-    v_rest: tuple[int, ...]
-    u_rest: tuple[int, ...]
     U_sets: tuple[tuple[int, ...], ...]
     e_ids: tuple[int, ...]
     f_ids: tuple[int, ...]
-
-    def check(self, G: Hypergraph) -> None:
-        """Validate every type invariant against the host graph."""
-        e = set(G.edges[self.e_ids[0]])
-        f = set(G.edges[self.f_ids[0]])
-        if e & f != {self.v1}:
-            raise InvalidArgumentError("e and f must share exactly the vertex v1")
-        if tuple(sorted(e - {self.v1})) != self.v_rest or tuple(sorted(f - {self.v1})) != self.u_rest:
-            raise InvalidArgumentError("pairing does not match e and f")
-        seen: set[int] = set()
-        for U in self.U_sets:
-            us = set(U)
-            if len(us) != self.k - 1 or us & (e | f) or us & seen:
-                raise InvalidArgumentError(f"U set {U} violates disjointness")
-            seen |= us
-        for i, U in enumerate(self.U_sets):
-            if G.edge_id(U + (self.u_rest[i],)) != self.e_ids[i + 1]:
-                raise InvalidArgumentError(f"e_{i + 2} is not the expected edge")
-            if G.edge_id(U + (self.v_rest[i],)) != self.f_ids[i + 1]:
-                raise InvalidArgumentError(f"f_{i + 2} is not the expected edge")
 
 
 def partner_edges(G: Hypergraph, e_id: int) -> np.ndarray:
@@ -161,7 +141,7 @@ def find_shifting_structure(
         U_sets.append(U)
         e_ids.append(eid)
         f_ids.append(fid)
-    return ShiftingStructure(G.k, v1, v_rest, u_rest, tuple(U_sets), tuple(e_ids), tuple(f_ids))
+    return ShiftingStructure(G.k, tuple(U_sets), tuple(e_ids), tuple(f_ids))
 
 
 def apply_shift(x: EdgeWeights, structure: ShiftingStructure, delta: float) -> EdgeWeights:
@@ -324,45 +304,25 @@ def auto_anneal_params(
     )
 
 
-@dataclass(frozen=True)
-class GoodConfiguration:
-    """A shifting structure whose weights allow a high-gain shift."""
-
-    structure: ShiftingStructure
-    e1_weight: float
-    high_threshold: float
-    min_e_weight: float
-    max_f_weight: float
-
-
-@dataclass(frozen=True)
-class ConfigSearch:
-    """Outcome of a good-configuration scan.
-
-    ``status`` is ``found``, ``no-high-weight-edge`` (nothing to fix) or
-    ``search-exhausted`` (a high-weight edge exists but no structure was
-    found - a desk-scale gap the asymptotic argument does not cover).
-    """
-
-    status: str
-    config: Optional[GoodConfiguration] = None
-
-
-def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams) -> ConfigSearch:
+def find_good_configuration(
+    G: Hypergraph, x: EdgeWeights, params: AnnealParams
+) -> tuple[str, Optional[ShiftingStructure]]:
     """Deterministic scan for a good configuration under ``params``.
 
     Edges are scanned in id order for weight >= D/n^{k-1}; for each such e
     and each of its partner edges f (``partner_edges`` order) with
     x[f] <= eta - delta, a structure is searched with the weight masks
     (decreasing side >= 2 delta, increasing side <= eta - delta).  The
-    first hit wins.
+    first hit wins.  Returns ``("found", structure)``, or the status
+    ``no-high-weight-edge`` (nothing to fix) or ``search-exhausted`` (a
+    high-weight edge exists but no structure was found - a desk-scale gap
+    the asymptotic argument does not cover) with None.
     """
     check_alignment(G, x)
     w = x.weights
-    hi = params.high_threshold(G)
-    heavy = np.flatnonzero(w >= hi).tolist()
+    heavy = np.flatnonzero(w >= params.high_threshold(G)).tolist()
     if not heavy:
-        return ConfigSearch("no-high-weight-edge")
+        return "no-high-weight-edge", None
     e_ok = w >= 2.0 * params.delta
     f_ok = w <= params.eta - params.delta
     for e_id in heavy:
@@ -370,17 +330,8 @@ def find_good_configuration(G: Hypergraph, x: EdgeWeights, params: AnnealParams)
         for f_id in partners[f_ok[partners]].tolist():
             structure = find_shifting_structure(G, e_id, f_id, e_ok, f_ok)
             if structure is not None:
-                return ConfigSearch(
-                    "found",
-                    GoodConfiguration(
-                        structure=structure,
-                        e1_weight=float(w[e_id]),
-                        high_threshold=hi,
-                        min_e_weight=float(min(w[i] for i in structure.e_ids)),
-                        max_f_weight=float(max(w[i] for i in structure.f_ids)),
-                    ),
-                )
-    return ConfigSearch("search-exhausted")
+                return "found", structure
+    return "search-exhausted", None
 
 
 @dataclass(frozen=True)
@@ -425,7 +376,6 @@ def anneal_and_shift(
     x_star: EdgeWeights,
     x_hat: EdgeWeights,
     params: AnnealParams,
-    renormalize_every: int = 10000,
 ) -> tuple[EdgeWeights, AnnealLog]:
     """Mix, then shift at good configurations until none is left.
 
@@ -433,8 +383,8 @@ def anneal_and_shift(
     sit at or above 2 delta when x_hat is C-well-distributed, and applies
     delta-shifts at good configurations.  Stops at ``no-high-weight-edge``
     (every weight now below D/n^{k-1}), ``search-exhausted`` or
-    ``step-limit``.  Every 10^4 shifts the weights are re-projected onto
-    exact vertex sums to wash out float drift.
+    ``step-limit``.  Every ``RENORMALIZE_EVERY`` shifts the weights are
+    re-projected onto exact vertex sums to wash out float drift.
     """
     violations = params.hard_violations(G)
     if violations:
@@ -449,18 +399,17 @@ def anneal_and_shift(
         gain_ratio=params.gain_ratio(G),
     )
     for step in range(1, params.max_steps + 1):
-        search = find_good_configuration(G, x, params)
-        if search.status != "found":
-            log.termination = search.status
+        status, structure = find_good_configuration(G, x, params)
+        if structure is None:
+            log.termination = status
             break
-        structure = search.config.structure
         bound = shift_gain_lower_bound(x, structure, params.delta, params.eta)
         before = x.entropy
         x = apply_shift(x, structure, params.delta)
         log.steps.append(
             AnnealStep(step, structure.e_ids, structure.f_ids, params.delta, before, x.entropy, bound)
         )
-        if renormalize_every and step % renormalize_every == 0 and float(x.weights.min()) > 0:
+        if step % RENORMALIZE_EVERY == 0 and float(x.weights.min()) > 0:
             result = scale_vertex_sums(G, x.weights, 1e-13, 50, potential_cap=1e6)
             x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest, x.status)
             log.renormalizations += 1

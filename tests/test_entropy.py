@@ -67,20 +67,22 @@ class TestConstructionPaths:
         G = gen_complete(6, 3)
         x = uniform_fpm(G)
         pm = pm_indicator(G, (0, 19))
-        path = str(tmp_path / "w.wts")
+        path, raw_path = str(tmp_path / "w.wts"), str(tmp_path / "raw.wts")
         write_weights(path, x)
-        built = [x, pm, convex_combine(x, pm, 0.5), read_weights(path), read_weights(path, G),
-                 pm_marginals(G)]
+        write_weights(raw_path, EdgeWeights.from_weights(G, x.weights))
+        built = [x, pm, convex_combine(x, pm, 0.5), read_weights(raw_path, G),
+                 read_weights(path, G), pm_marginals(G)]
         for y in built:
             assert not y.weights.flags.writeable
             assert y.entropy == weight_entropy(y.weights)
         assert [y.status for y in built] == ["verified-fpm"] * 3 + ["raw"] + ["verified-fpm"] * 2
 
-    def test_file_without_graph_rejects_non_finite(self, tmp_path):
+    def test_file_with_non_finite_weight_rejected(self, tmp_path):
+        G = gen_complete(4, 2)
         path = tmp_path / "w.wts"
-        path.write_text("0.5\nnan\n")
+        path.write_text(f"# graph {G.digest()}\n0.5\nnan\n" + "0.5\n" * 4)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            read_weights(str(path))
+            read_weights(str(path), G)
 
 
 class TestFeasibility:
@@ -240,18 +242,21 @@ class TestSolver:
         assert not report.converged
         assert x.weights[1] < 1e-4
 
-    def test_damped_fallback_path_still_converges(self):
+    def test_damped_fallback_path_still_converges(self, monkeypatch):
         # force the stall detector with a tight window; the damped updates
         # must keep making progress on a smooth instance
+        from hypermatch import entropy
         from hypermatch.entropy import scale_to_unit_sums
 
+        monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
+        monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
         G = gen_complete(8, 2)
         index = G.index()
         rng = rng_from(12)
         x0 = rng.random(G.num_edges) + 0.05
         result = scale_to_unit_sums(
             index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000,
-            potential_cap=1e6, stall_window=2, stall_ratio=0.99,
+            potential_cap=1e6,
         )
         assert result.fallback_used
         assert result.converged and result.max_residual <= 1e-10
@@ -316,7 +321,6 @@ class TestWeightsFile:
                                         "verified-fpm"))
         with pytest.raises(InvalidArgumentError, match="vertex 0 residual 8.000e"):
             read_weights(path, G)
-        assert read_weights(path).status == "raw"
 
     def test_digest_mismatch_rejected(self, tmp_path):
         G = gen_complete(6, 3)

@@ -10,14 +10,14 @@ from hypermatch.errors import InvalidArgumentError
 from hypermatch.greedy import (
     PICK_BLOCK,
     TrajectoryConfig,
-    predicted_stats,
+    centers,
     resolve_tracked_sets,
     run_greedy,
     trajectory_deviation,
     write_trajectory_csv,
     write_trajectory_metadata,
 )
-from hypermatch.hypergraph import DiracParams, degree, gen_complete, gen_random_dirac
+from hypermatch.hypergraph import DiracParams, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 
 
@@ -139,7 +139,7 @@ class TestRunGreedy:
 
     def test_tracked_set_resolution_is_deterministic(self):
         G = gen_complete(12, 3)
-        cfg = TrajectoryConfig(sampled_sets_per_size=5, tracking_seed=3)
+        cfg = TrajectoryConfig(sampled_sets_per_size=5)
         assert resolve_tracked_sets(G, cfg) == resolve_tracked_sets(G, cfg)
         sets = resolve_tracked_sets(G, cfg)
         assert sum(len(s) == 1 for s in sets) == 12
@@ -235,7 +235,7 @@ def mixed_matchings(G, count, seed):
     for _ in range(count):
         perm = rng.permutation(G.n)
         for j in range(0, G.n, G.k):
-            w[G.edge_id(perm[j: j + G.k])] += 1.0 / count
+            w[G.edges.index(tuple(sorted(perm[j: j + G.k].tolist())))] += 1.0 / count
     return as_verified(G, EdgeWeights.from_weights(G, w))
 
 
@@ -288,59 +288,64 @@ class TestBlockedPickMatchesFullCumsum:
         for seed in range(10):
             assert_matches_reference(G, x, TrajectoryConfig(), seed)
 
-    def test_mixed_size_and_repeated_tracked_sets(self):
+    def test_mixed_size_tracked_sets(self):
+        # K_12^(4) tracks 12 singletons, all 66 pairs and 100 sampled triples
         G = gen_complete(12, 4)
         x, _ = max_entropy_fpm(G)
-        sets = ((0,), (1, 2), (5, 3, 4), (2, 1), (7,), (8, 9, 10), (6, 11))
-        traj = assert_matches_reference(G, x, TrajectoryConfig(tracked_sets=sets), seed=2)
-        assert traj.tracked_degrees[0].tolist() == [165.0, 45.0, 9.0, 45.0, 165.0, 9.0, 45.0]
-        # the degree deviation as a per-set loop over degree(G, S)
+        traj = assert_matches_reference(G, x, TrajectoryConfig(), seed=2)
+        sizes = [len(S) for S in traj.tracked_sets]
+        assert [sizes.count(size) for size in (1, 2, 3)] == [12, 66, 100]
+        # the degree deviation as a per-set loop over brute-force degrees in G
         p = (3 - np.arange(traj.steps + 1)) / 3
         devs = []
         for s_idx, S in enumerate(traj.tracked_sets):
-            pred = p ** (4 - len(S)) * degree(G, S)
+            deg = sum(set(S) <= set(e) for e in G.edges)
+            assert traj.tracked_degrees[0, s_idx] == deg == math.comb(12 - len(S), 4 - len(S))
+            pred = p ** (4 - len(S)) * deg
             obs = traj.tracked_degrees[:, s_idx]
             ok = ~np.isnan(obs) & (pred > 0)
             devs.append(float(np.max(np.abs(obs[ok] - pred[ok]) / pred[ok])))
         report = trajectory_deviation(traj, G, x, horizon_fraction=1.0)
         assert report["max_degree_deviation"] == max(devs) > 0.0
 
-    @pytest.mark.parametrize("bad", [(), (0, 0), (0, 1, 2), (12,)])
-    def test_invalid_tracked_sets_rejected(self, bad):
-        G = gen_complete(12, 3)
-        with pytest.raises(InvalidArgumentError):
-            resolve_tracked_sets(G, TrajectoryConfig(tracked_sets=((0,), bad)))
 
-
-class TestPredictedStats:
+class TestCenters:
     def test_step_zero_matches_initial_values(self):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)
-        weight, entropy, degs = predicted_stats(G, x, 0, tracked_sets=[(0,)])
+        p, weight, entropy = centers(G, x, 0)
+        assert p == 1.0
         assert weight == pytest.approx(2.0)
         assert entropy == pytest.approx(x.entropy)
-        assert degs[(0,)] == pytest.approx(10.0)
 
     def test_final_step_is_zero(self):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)
-        weight, entropy, _ = predicted_stats(G, x, 2)
-        assert weight == 0.0 and entropy == 0.0
+        p, weight, entropy = centers(G, x, 2)
+        assert p == weight == entropy == 0.0
 
     def test_k6_weight_center_after_one_step(self):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)
-        weight, _, _ = predicted_stats(G, x, 1)
-        assert weight == pytest.approx(0.25)
+        p, weight, _ = centers(G, x, 1)
+        assert p == 0.5 and weight == pytest.approx(0.25)
 
-    def test_range_check(self):
+    @pytest.mark.parametrize("steps", [3, -1, np.arange(4)])
+    def test_range_check(self, steps):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)
         with pytest.raises(InvalidArgumentError):
-            predicted_stats(G, x, 3)
+            centers(G, x, steps)
+
+    def test_array_of_steps_equals_one_at_a_time(self):
+        G = gen_complete(12, 3)
+        x, _ = max_entropy_fpm(G)
+        p, weight, entropy = centers(G, x, np.arange(5))
+        for i in range(5):
+            assert (p[i], weight[i], entropy[i]) == centers(G, x, i)
 
     def test_centers_agree_across_reports(self, tmp_path):
-        # predicted_stats, trajectory_deviation and the trajectory CSV all use
+        # centers, trajectory_deviation and the trajectory CSV all use
         # p(i)^k (n/k) and p(i)^k h(x)
         G = gen_complete(12, 3)
         x, _ = max_entropy_fpm(G)
@@ -352,7 +357,7 @@ class TestPredictedStats:
         assert len(rows) == traj.steps + 1 == 5
         for i, row in enumerate(rows):
             p = (4 - i) / 4
-            weight, entropy, _ = predicted_stats(G, x, i)
+            _, weight, entropy = centers(G, x, i)
             assert (weight, entropy) == (p**3 * 4, p**3 * x.entropy)
             assert [row[3], row[5]] == [repr(weight), repr(entropy)]
             if i < 4:
@@ -393,7 +398,7 @@ class TestSamplePM:
         not the variant with k on the ln(n/k) term."""
         G = gen_complete(12, 3)
         x, _ = max_entropy_fpm(G)
-        cfg = TrajectoryConfig(stop_fraction=0.75, track_singletons=False, sampled_sets_per_size=0)
+        cfg = TrajectoryConfig(stop_fraction=0.75, sampled_sets_per_size=0)
         steps = 3
         acc = np.zeros(steps)
         cnt = np.zeros(steps)
@@ -441,6 +446,23 @@ class TestTrajectoryFiles:
         assert meta["graph_digest"] == G.digest()
         assert meta["seed"] == 5
         assert meta["stop_reason"] == traj.stop_reason
+
+    def test_metadata_keeps_the_fixed_tracking_keys(self, tmp_path):
+        # the tracking policy is fixed; its three keys keep the metadata layout
+        G = gen_complete(6, 3)
+        x, _ = max_entropy_fpm(G)
+        traj = run_greedy(G, x, TrajectoryConfig(sampled_sets_per_size=2), seed=5)
+        path = tmp_path / "traj.meta.json"
+        write_trajectory_metadata(str(path), traj)
+        assert json.loads(path.read_text())["config"] == {
+            "c": 0.05,
+            "sampled_sets_per_size": 2,
+            "stop_fraction": None,
+            "track_singletons": True,
+            "tracked_sets": None,
+            "tracking_seed": 0,
+        }
+        assert '"track_singletons": true,' in path.read_text()
 
     def test_csv_bytes_deterministic(self, tmp_path):
         G = gen_complete(6, 3)

@@ -5,7 +5,7 @@ edges as sorted tuples, a dict from each edge to its id and per-vertex
 incidence tuples; the ``reference_*`` functions are the canonical text,
 degree, minimum d-degree, shifting search and partner loop that read those
 structures.  Every graph must give the same edges, index, digest, degrees,
-edge ids, shifting structures and partner lists.
+subset-code runs, shifting structures and partner lists.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ from hypermatch.errors import InvalidArgumentError
 from hypermatch.hypergraph import (
     DiracParams,
     Hypergraph,
-    degree,
+    encode,
     gen_complete,
     gen_random_dirac,
     min_d_degree,
@@ -155,13 +155,13 @@ class TestIndexMatchesReference:
         assert codes.tolist() == sorted(codes.tolist())
         assert [R.edges[i] for i in ids] == sorted(R.edges)
         for d in range(k):
-            for S in itertools.combinations(range(n), d):
-                assert degree(G, S) == reference_degree(R, S)
             assert min_d_degree(G, d) == reference_min_d_degree(R, d)
-        queries = list(itertools.combinations(range(n), k)) + [(0,) * k, (0, n) + (1,) * (k - 2),
-                                                               tuple(range(k - 1)), tuple(range(k + 1))]
-        for q in queries:
-            assert G.edge_id(q[::-1]) == R.edge_id(q[::-1])
+            if not d:
+                continue
+            # the run of a d-set's code is as long as the set's degree
+            runs = dict(zip(*np.unique(index.subset_codes(d)[0], return_counts=True)))
+            for S in itertools.combinations(range(n), d):
+                assert runs.get(int(encode(np.array([S]), n)[0]), 0) == reference_degree(R, S)
 
 
 def shuffled(G, seed):
@@ -206,7 +206,6 @@ class TestShiftingMatchesReference:
                     assert got == ref
                     continue
                 assert (got.U_sets, got.e_ids, got.f_ids) == ref
-                got.check(G)
                 found += 1
         assert found > 0
 

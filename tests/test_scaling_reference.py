@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from hypermatch import bipartite, shifting
+from hypermatch import bipartite, entropy, shifting
 from hypermatch.counting import PMOracle
 from hypermatch.entropy import (
     EdgeWeights,
@@ -162,13 +162,14 @@ class TestVertexScaling:
         assert_same(result, ref)
         assert result.converged
 
-    def test_damped_fallback_equal(self):
+    def test_damped_fallback_equal(self, monkeypatch):
+        monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
+        monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
         G = GRAPHS["dirac15"]()
         index = G.index()
         x0 = rng_from(12).random(G.num_edges) + 0.05
         result = scale_to_unit_sums(
-            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000,
-            1e6, stall_window=2, stall_ratio=0.99,
+            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000, 1e6
         )
         ref = reference_scale_to_unit_sums(
             *vertex_constraints(G), x0, 1e-10, 5000, 1e6, stall_window=2, stall_ratio=0.99
@@ -215,7 +216,8 @@ class TestVertexScaling:
         C = max(1.0, well_distributed_factor(G, x_hat))
         params = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=C, max_steps=30)
         calls = recorder(monkeypatch, shifting, "scale_vertex_sums")
-        final, log = anneal_and_shift(G, adv, x_hat, params, renormalize_every=1)
+        monkeypatch.setattr(shifting, "RENORMALIZE_EVERY", 1)
+        final, log = anneal_and_shift(G, adv, x_hat, params)
         assert log.renormalizations == len(calls) == len(log.steps) > 0
         for args, kwargs, result in calls:
             _, x0, tol, max_iter = args

@@ -31,6 +31,7 @@ from hypermatch.shifting import (
     shift_gain_lower_bound,
     well_distributed_fpm,
 )
+from test_hypergraph_reference import ReferenceGraph, reference_find_shifting_structure
 
 
 def pm_indicator(G, pm):
@@ -39,19 +40,26 @@ def pm_indicator(G, pm):
     return as_verified(G, EdgeWeights.from_weights(G, w))
 
 
+def assert_reference_structure(G, s, **filters):
+    """s is what the per-edge Python search finds on the same (e, f) pair."""
+    R = ReferenceGraph(G.k, G.n, G.edges)
+    ref = reference_find_shifting_structure(R, s.e_ids[0], s.f_ids[0], **filters)
+    assert (s.U_sets, s.e_ids, s.f_ids) == ref
+
+
 class TestFindStructure:
     def test_k8_pairs_first_candidate(self):
         G = gen_complete(8, 2)
-        s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]))
+        s = find_shifting_structure(G, G.edges.index((0, 1)), G.edges.index((0, 2)))
         assert s.U_sets == ((3,),)
         assert G.edges[s.e_ids[1]] == (2, 3) and G.edges[s.f_ids[1]] == (1, 3)
-        s.check(G)
+        assert_reference_structure(G, s)
 
     def test_k9_triples_lexicographic(self):
         G = gen_complete(9, 3)
-        s = find_shifting_structure(G, G.edge_id([0, 1, 2]), G.edge_id([0, 3, 4]))
+        s = find_shifting_structure(G, G.edges.index((0, 1, 2)), G.edges.index((0, 3, 4)))
         assert s.U_sets == ((5, 6), (7, 8))
-        s.check(G)
+        assert_reference_structure(G, s)
 
     def test_requires_single_shared_vertex(self):
         G = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
@@ -67,21 +75,21 @@ class TestFindStructure:
         # blocking the first weight-decreasing edge (2, 3) moves U_2 to (4,)
         G = gen_complete(8, 2)
         e_ok = np.ones(G.num_edges, dtype=bool)
-        e_ok[G.edge_id([2, 3])] = False
-        s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]), e_ok=e_ok)
+        e_ok[G.edges.index((2, 3))] = False
+        s = find_shifting_structure(G, G.edges.index((0, 1)), G.edges.index((0, 2)), e_ok=e_ok)
         assert s.U_sets == ((4,),)
         assert G.edges[s.e_ids[1]] == (2, 4) and G.edges[s.f_ids[1]] == (1, 4)
-        s.check(G)
+        assert_reference_structure(G, s, e_edge_ok=lambda i: e_ok[i])
 
     def test_f_mask_skips_to_the_next_candidate(self):
         # blocking the first weight-increasing edge (1, 3) moves U_2 to (4,)
         G = gen_complete(8, 2)
         f_ok = np.ones(G.num_edges, dtype=bool)
-        f_ok[G.edge_id([1, 3])] = False
-        s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]), f_ok=f_ok)
+        f_ok[G.edges.index((1, 3))] = False
+        s = find_shifting_structure(G, G.edges.index((0, 1)), G.edges.index((0, 2)), f_ok=f_ok)
         assert s.U_sets == ((4,),)
         assert G.edges[s.e_ids[1]] == (2, 4) and G.edges[s.f_ids[1]] == (1, 4)
-        s.check(G)
+        assert_reference_structure(G, s, f_edge_ok=lambda i: f_ok[i])
 
     def test_masks_of_the_wrong_length_rejected(self):
         G = gen_complete(8, 2)
@@ -92,7 +100,7 @@ class TestFindStructure:
 def worked_example():
     """k=2 example: e-side edges at 0.5, f-side at 0.1, elsewhere 0."""
     G = gen_complete(8, 2)
-    s = find_shifting_structure(G, G.edge_id([0, 1]), G.edge_id([0, 2]))
+    s = find_shifting_structure(G, G.edges.index((0, 1)), G.edges.index((0, 2)))
     w = np.zeros(G.num_edges)
     for eid in s.e_ids:
         w[eid] = 0.5
@@ -118,7 +126,7 @@ class TestApplyShift:
         G = gen_complete(9, 3)
         x_star, _ = max_entropy_fpm(G)
         x = convex_combine(x_star, pm_indicator(G, PMOracle(G).sample(rng_from(2))), 0.3)
-        s = find_shifting_structure(G, G.edge_id([0, 1, 2]), G.edge_id([0, 3, 4]))
+        s = find_shifting_structure(G, G.edges.index((0, 1, 2)), G.edges.index((0, 3, 4)))
         delta = 0.4 * float(min(x.weights[i] for i in s.e_ids))
         before = vertex_sums(G, x.weights)
         after = vertex_sums(G, apply_shift(x, s, delta).weights)
@@ -163,7 +171,7 @@ class TestShiftConservation:
     def test_vertex_sums_unchanged(self, case):
         G, x, s, delta = case
         assert x.verified
-        s.check(G)
+        assert_reference_structure(G, s)
         after = vertex_sums(G, apply_shift(x, s, delta).weights)
         assert float(np.abs(after - vertex_sums(G, x.weights)).max()) <= 1e-12
 
@@ -235,25 +243,26 @@ class TestGoodConfiguration:
     def test_uniform_has_no_high_weight_edge(self):
         G, params = self.k9_params()
         x, _ = max_entropy_fpm(G)
-        assert find_good_configuration(G, x, params).status == "no-high-weight-edge"
+        assert find_good_configuration(G, x, params) == ("no-high-weight-edge", None)
 
     def test_pm_mixture_yields_configuration(self):
         G, params = self.k9_params()
         x_star, _ = max_entropy_fpm(G)
         x = convex_combine(pm_indicator(G, PMOracle(G).sample(rng_from(7))), x_star, 0.1)
-        result = find_good_configuration(G, x, params)
-        assert result.status == "found"
-        cfg = result.config
-        cfg.structure.check(G)
-        assert cfg.e1_weight >= params.high_threshold(G)
-        assert cfg.min_e_weight >= 2 * params.delta
-        assert cfg.max_f_weight <= params.eta - params.delta
+        status, s = find_good_configuration(G, x, params)
+        assert status == "found"
+        w = x.weights
+        e_ok, f_ok = w >= 2 * params.delta, w <= params.eta - params.delta
+        assert_reference_structure(G, s, e_edge_ok=lambda i: e_ok[i], f_edge_ok=lambda i: f_ok[i])
+        assert w[s.e_ids[0]] >= params.high_threshold(G)
+        assert min(w[i] for i in s.e_ids) >= 2 * params.delta
+        assert max(w[i] for i in s.f_ids) <= params.eta - params.delta
 
     def test_search_exhausted_when_no_partner_exists(self):
         G = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
         x = pm_indicator(G, (0, 1))
         params = AnnealParams.for_graph(G, gamma=0.5, epsilon=0.8, C=2.0)
-        assert find_good_configuration(G, x, params).status == "search-exhausted"
+        assert find_good_configuration(G, x, params) == ("search-exhausted", None)
 
     def test_heavy_edges_scanned_in_id_order(self):
         # every edge of the mixed-in matching is heavy; the scan starts at the
@@ -263,7 +272,7 @@ class TestGoodConfiguration:
         pm = PMOracle(G).sample(rng_from(7))
         x = convex_combine(pm_indicator(G, pm), x_star, 0.1)
         assert [i for i in range(G.num_edges) if x.weights[i] >= params.high_threshold(G)] == sorted(pm)
-        e1 = find_good_configuration(G, x, params).config.structure.e_ids[0]
+        e1 = find_good_configuration(G, x, params)[1].e_ids[0]
         assert e1 == min(pm) and type(e1) is int
 
     def test_deterministic_scan(self):
@@ -272,7 +281,7 @@ class TestGoodConfiguration:
         x = convex_combine(pm_indicator(G, PMOracle(G).sample(rng_from(7))), x_star, 0.1)
         a = find_good_configuration(G, x, params)
         b = find_good_configuration(G, x, params)
-        assert a.config.structure == b.config.structure
+        assert a[0] == b[0] == "found" and a[1] == b[1]
 
 
 class TestAnnealParams:
