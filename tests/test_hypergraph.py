@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from hypermatch.hypergraph import (
     DiracParams,
     Hypergraph,
     degree_ratio_profile,
+    encode,
     gen_complete,
     gen_random_dirac,
     is_dirac,
@@ -137,6 +139,22 @@ class TestHypergraph:
 
 
 class TestDegrees:
+    def test_degree_examples(self):
+        K6 = gen_complete(6, 3)
+        index = K6.index()
+        assert index.degrees.tolist() == [10] * 6
+        codes, _ = index.subset_codes(2)
+        key = encode(np.array([[0, 1]]), 6)
+        assert (np.searchsorted(codes, key, "right") - np.searchsorted(codes, key)).tolist() == [4]
+        assert min_d_degree(K6, 0) == K6.num_edges == 20
+
+    def test_degree_errors(self):
+        K6 = gen_complete(6, 3)
+        with pytest.raises(InvalidArgumentError, match=r"d=3 outside \[0, 2\]"):
+            min_d_degree(K6, 3)
+        with pytest.raises(InvalidArgumentError, match=r"d=-1 outside \[0, 2\]"):
+            min_d_degree(K6, -1)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(random_hypergraphs())
     def test_min_d_degree_matches_brute_force(self, G):
