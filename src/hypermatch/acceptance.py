@@ -103,8 +103,8 @@ def _random_dirac_instances(
 def _complete_minus_pm(n: int, k: int, seed: int) -> Hypergraph:
     """Complete graph minus one uniform random perfect matching (stays dense)."""
     G = gen_complete(n, k)
-    pm = PMOracle(G).sample(rng_from(seed))
-    keep = [e for i, e in enumerate(G.edges) if i not in set(pm)]
+    pm = set(PMOracle(G).sample(rng_from(seed)))
+    keep = [e for i, e in enumerate(G.edges) if i not in pm]
     return Hypergraph(k, n, keep)
 
 

@@ -20,7 +20,13 @@ each state: the matchings through edge e are the sum over its transitions
 of ways(parent) * count(child), which equals count(V(e)).  The sampler
 takes each feasible lead edge at the current lowest vertex with
 probability (completions after taking it) / (completions now), read from
-the memo, which makes its output distribution exactly uniform.
+the memo, which makes its output distribution exactly uniform.  It builds
+a state's choices (its count, the running sums of completions and the lead
+edges they belong to) the first time a draw reaches it and keeps them for
+later draws, until the kept choices hold ``SAMPLE_CACHE_EDGES`` lead edges
+in all; states first reached after that are rebuilt on every visit.  Many
+draws on one oracle thus pay for the distinct states they pass, not for
+every round, and the draws are the same either way.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -32,6 +38,7 @@ exact rationals converted to floats only at the module boundary.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +57,10 @@ DEFAULT_COUNT_CAP = 24
 # or as many as its layer has states: its temporaries stay small next to the
 # memo entries of the layer, on tiny graphs too.
 EXPAND_BLOCK = 1 << 12
+# The sampler keeps the choices of the states it visits until they hold this
+# many lead edges in all (about 1 MB), so a cold n = 21-24 oracle, with about
+# 2M transitions, never keeps a copy of all of them.
+SAMPLE_CACHE_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,9 @@ class PMOracle:
         # (states, counts) per layer, from the empty mask to the full one
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []
         self._memo: dict[int, int] = {}
+        # state -> (count, running sums of completions, lead pairs), see sample
+        self._choices: dict[int, tuple[int, array, list[list[int]]]] = {}
+        self._choice_edges = 0
 
     def _transitions(
         self, states: np.ndarray
@@ -177,33 +191,48 @@ class PMOracle:
 
         One integer draw per matching round; exactly uniform because each
         feasible edge is taken with probability (completions after it) /
-        (completions now).
+        (completions now).  The choices of a state are built and checked on
+        its first visit and kept for later draws while the kept choices hold
+        fewer than ``SAMPLE_CACHE_EDGES`` lead edges.
         """
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
-        memo = self._memo
+        choices = self._choices
         full = self.full_mask
         mask = 0
         chosen: list[int] = []
         while mask != full:
-            now = memo[mask]
-            free = ~mask & full
-            picks: list[list[int]] = []
-            cumulative: list[int] = []
-            running = 0
-            for pair in self._lead_pairs[(free & -free).bit_length() - 1]:
-                if pair[1] & mask == 0:
-                    c = memo[mask | pair[1]]
-                    if c:
-                        running += c
-                        picks.append(pair)
-                        cumulative.append(running)
-            if running != now:
-                raise InvariantError("conditional counts failed to telescope")
+            now, cumulative, picks = choices.get(mask) or self._choice(mask)
             eid, emask = picks[bisect_right(cumulative, randbelow(rng, now))]
             chosen.append(eid)
             mask |= emask
         return tuple(chosen)
+
+    def _choice(self, mask: int) -> tuple[int, array, list[list[int]]]:
+        """The count of ``mask``, the running sums of completions over its
+        feasible lead edges (checked to telescope to the count) and those
+        edges' (id, mask) pairs; kept while there is room (see sample)."""
+        memo = self._memo
+        now = memo[mask]
+        free = ~mask & self.full_mask
+        picks: list[list[int]] = []
+        cumulative: list[int] = []
+        running = 0
+        for pair in self._lead_pairs[(free & -free).bit_length() - 1]:
+            if pair[1] & mask == 0:
+                c = memo[mask | pair[1]]
+                if c:
+                    running += c
+                    picks.append(pair)
+                    cumulative.append(running)
+        if running != now:
+            raise InvariantError("conditional counts failed to telescope")
+        # counts are below 2**63 (module docstring), so int64 holds the sums
+        entry = (now, array("q", cumulative), picks)
+        if self._choice_edges < SAMPLE_CACHE_EDGES:
+            self._choices[mask] = entry
+            self._choice_edges += len(picks)
+        return entry
 
 
 def _next_layer(children: Iterator[np.ndarray]) -> np.ndarray:
@@ -262,20 +291,18 @@ def pm_marginals(G: Hypergraph) -> EdgeWeights:
     """Exact edge marginals of the uniform perfect-matching distribution.
 
     The result is a fractional perfect matching with exactly unit vertex
-    sums (rational arithmetic internally, floats at the boundary).
+    sums: ``PMOracle.marginals`` checks every vertex's integer through-count
+    against the total (rational arithmetic internally, floats at the boundary).
     """
     margs = PMOracle(G).marginals()
-    for v in range(G.n):
-        if sum(margs[i] for i in G.incident(v)) != 1:
-            raise InvariantError(f"marginals at vertex {v} do not sum to 1")
     return EdgeWeights.from_weights(G, [float(q) for q in margs], STATUS_VERIFIED)
 
 
 def entropy_identities_check(G: Hypergraph) -> dict:
     """Check k h(marginals) >= ln Phi(G) and solver dominance on one graph."""
-    x = pm_marginals(G)
-    total = count_pm(G).value
-    ln_phi = math.log(total)
+    oracle = PMOracle(G)
+    x = EdgeWeights.from_weights(G, [float(q) for q in oracle.marginals()], STATUS_VERIFIED)
+    ln_phi = math.log(oracle.count_pm())
     k_h = G.k * x.entropy
     solver_x, report = max_entropy_fpm(G)
     return {

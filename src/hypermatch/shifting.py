@@ -449,10 +449,8 @@ def well_distributed_fpm(
         )
     if oracle.count_pm() == 0:
         raise SamplingError("graph has no perfect matching")
-    counts = np.zeros(G.num_edges)
-    for t in range(trials):
-        counts[list(oracle.sample(rng_from(seed, t)))] += 1.0
-    empirical = counts / trials
+    chosen = [eid for t in range(trials) for eid in oracle.sample(rng_from(seed, t))]
+    empirical = np.bincount(chosen, minlength=G.num_edges) / trials
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.
     floored = np.maximum(empirical, 0.5 / trials)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from hypermatch import counting
 from hypermatch.counting import (
     DEFAULT_COUNT_CAP,
+    SAMPLE_CACHE_EDGES,
     PMOracle,
     count_pm,
     entropy_identities_check,
@@ -183,14 +185,22 @@ class TestLayeredDPMatchesRecursive:
         # the forward pass over the layers of mask 0 adds no state
         assert len(new._memo) == states
 
-    def test_samples_match_the_reference(self, graph):
+    # 8 lead edges fill the sampler's kept choices within the first draws
+    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8])
+    def test_samples_match_the_reference(self, graph, cache_edges, monkeypatch):
+        monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", cache_edges)
         new, ref = PMOracle(graph), RecursiveOracle(graph)
         if not ref.count_pm():
             with pytest.raises(SamplingError):
                 new.sample(rng_from(0))
             return
+        largest_group = max(len(pairs) for pairs in new._lead_pairs)
         for seed in range(20):
             assert new.sample(rng_from(seed)) == ref.sample(rng_from(seed))
+            kept = sum(len(picks) for _, _, picks in new._choices.values())
+            assert kept == new._choice_edges <= cache_edges + largest_group
+        # the kept choices were read, and past the tiny bound states were rebuilt
+        assert new._choice_edges >= min(cache_edges, 8)
 
 
 class TestOracleGuards:
@@ -267,11 +277,15 @@ class TestCounts:
         assert PMOracle(G).count_pm() == count_matchings_by_id_order(G)
 
 
+DIRAC_15 = gen_random_dirac(15, 3, DiracParams(2, 0.2), density=0.9, seed=15)
+
+
 class TestSampling:
-    def test_pinned_samples_on_dirac_15(self):
+    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8])
+    def test_pinned_samples_on_dirac_15(self, cache_edges, monkeypatch):
         # recorded from the recursive oracle the layered DP replaced
-        G = gen_random_dirac(15, 3, DiracParams(2, 0.2), density=0.9, seed=15)
-        oracle = PMOracle(G)
+        monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", cache_edges)
+        oracle = PMOracle(DIRAC_15)
         assert oracle.count_pm() == 962673 and len(oracle._memo) == 1889
         assert [oracle.sample(rng_from(s)) for s in range(5)] == [
             (57, 107, 157, 323, 418),
@@ -280,6 +294,14 @@ class TestSampling:
             (7, 172, 256, 338, 342),
             (45, 91, 253, 288, 360),
         ]
+
+    def test_warm_oracle_draws_like_a_fresh_one(self):
+        warm = PMOracle(DIRAC_15)
+        for s in range(500):
+            warm.sample(rng_from(1000 + s))
+        assert len(warm._choices) > 100
+        for s in range(20):
+            assert warm.sample(rng_from(s)) == PMOracle(DIRAC_15).sample(rng_from(s))
 
     def test_unique_pm_always_returned(self):
         for seed in range(5):

@@ -421,17 +421,22 @@ class TestWellDistributedFPM:
         with pytest.raises(ResourceLimitError, match="cap"):
             well_distributed_fpm(gen_complete(30, 3), DiracParams(2, 3.0), seed=5, trials=10)
 
-    def test_draws_pinned(self):
-        # the draws of streams (5, t) and the projection, pinned bit for bit
-        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=7)
+    @pytest.mark.parametrize("n,weights_sha,report_sha", [
+        pytest.param(12, "d94d330799ab2b2e427c5c5f7dd19fa21c3142986e57adec985c38e9614c248a",
+                     "80f29d37c825f45efb0c98352a88d5f3338d6f376c3313b502c1938ff7c34b46",
+                     id="n12"),
+        pytest.param(15, "69d146019221863a5781936a7470efa32fcf65c3129632a51e8d86a7290231b0",
+                     "d116fe7e5cc31ef59f033ff71646c5a4e949bd6c4c09141c232b89d9ce40a76a",
+                     id="n15"),
+    ])
+    def test_draws_pinned(self, n, weights_sha, report_sha):
+        # the draws of streams (5, t) and the projection, pinned bit for bit;
+        # the 2,000 draws revisit states, so they read the sampler's kept choices
+        G = gen_random_dirac(n, 3, DiracParams(2, 0.2), 0.95, seed=7)
         x, report = well_distributed_fpm(G, DiracParams(2, 0.2), seed=5, trials=2000)
-        assert hashlib.sha256(x.weights.tobytes()).hexdigest() == (
-            "d94d330799ab2b2e427c5c5f7dd19fa21c3142986e57adec985c38e9614c248a"
-        )
+        assert hashlib.sha256(x.weights.tobytes()).hexdigest() == weights_sha
         canonical = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(canonical).hexdigest() == (
-            "80f29d37c825f45efb0c98352a88d5f3338d6f376c3313b502c1938ff7c34b46"
-        )
+        assert hashlib.sha256(canonical).hexdigest() == report_sha
 
     @pytest.mark.parametrize("n,seed", [(9, 31), (12, 32), (15, 33)])
     def test_factor_bounded_on_dirac_instances(self, n, seed):
