@@ -22,7 +22,6 @@ from .counting import (
     count_pm,
     entropy_identities_check,
     phi_complete,
-    pm_marginals,
     sample_uniform_pms,
     verify_count_vs_entropy,
 )

@@ -411,7 +411,7 @@ def criterion_7_marginal_inequalities() -> CriterionResult:
         worst_dom = math.inf
         checked = 0
         for G in _suite_under_12():
-            report = entropy_identities_check(G)
+            _, report = entropy_identities_check(G)
             worst_margin = min(worst_margin, report["k_h_marginals"] - report["ln_phi"])
             worst_dom = min(worst_dom, report["h_solver"] - report["h_marginals"])
             checked += 1

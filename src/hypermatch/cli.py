@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import acceptance
 from .bipartite import certify_entropy_lower_bound, matching_count_bound_report
-from .counting import count_pm, entropy_identities_check, pm_marginals, verify_count_vs_entropy
+from .counting import count_pm, entropy_identities_check, verify_count_vs_entropy
 from .entropy import (
     as_verified,
     jensen_bounds,
@@ -219,10 +219,9 @@ def _cmd_count(args) -> int:
 def _cmd_marginals(args) -> int:
     prov = _provenance(args, [args.graph])
     G = read_hypergraph(args.graph)
-    x = pm_marginals(G)
+    x, report = entropy_identities_check(G)
     wts_path = _out_path(args, "marginals.wts")
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
-    report = entropy_identities_check(G)
     report["weights_file"] = os.path.basename(wts_path)
     report["_provenance"] = prov
     _write_json(_out_path(args, "marginals_report.json"), report)

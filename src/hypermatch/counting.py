@@ -287,25 +287,21 @@ def sample_uniform_pms(G: Hypergraph, seed: int, trials: int) -> list[tuple[int,
     return [oracle.sample(rng) for _ in range(trials)]
 
 
-def pm_marginals(G: Hypergraph) -> EdgeWeights:
-    """Exact edge marginals of the uniform perfect-matching distribution.
+def entropy_identities_check(G: Hypergraph) -> tuple[EdgeWeights, dict]:
+    """Check k h(marginals) >= ln Phi(G) and solver dominance on one graph.
 
-    The result is a fractional perfect matching with exactly unit vertex
-    sums: ``PMOracle.marginals`` checks every vertex's integer through-count
+    Returns the exact edge marginals of the uniform perfect-matching
+    distribution with the report; one DP fill serves both.  The marginals
+    are a fractional perfect matching with exactly unit vertex sums:
+    ``PMOracle.marginals`` checks every vertex's integer through-count
     against the total (rational arithmetic internally, floats at the boundary).
     """
-    margs = PMOracle(G).marginals()
-    return EdgeWeights.from_weights(G, [float(q) for q in margs], STATUS_VERIFIED)
-
-
-def entropy_identities_check(G: Hypergraph) -> dict:
-    """Check k h(marginals) >= ln Phi(G) and solver dominance on one graph."""
     oracle = PMOracle(G)
     x = EdgeWeights.from_weights(G, [float(q) for q in oracle.marginals()], STATUS_VERIFIED)
     ln_phi = math.log(oracle.count_pm())
     k_h = G.k * x.entropy
     solver_x, report = max_entropy_fpm(G)
-    return {
+    return x, {
         "n": G.n,
         "k": G.k,
         "ln_phi": ln_phi,

@@ -38,7 +38,7 @@ from .entropy import (
 )
 from .errors import InvalidArgumentError, SamplingError
 from .hypergraph import DiracParams, Hypergraph, is_dirac
-from .seeds import rng_from
+from .seeds import rng_from, substream_states
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
 EPSILON_SHRINK = 0.95
@@ -422,12 +422,16 @@ def well_distributed_fpm(
 ) -> tuple[EdgeWeights, dict]:
     """Well-distributed fractional matching from exactly uniform perfect matchings.
 
-    Trial t draws one uniform perfect matching from stream (seed, t); the
-    empirical edge marginals over ``trials`` draws are then projected onto
-    exact vertex sums by the proportional-scaling solver, initialised at
-    the (positively floored) empirical values.  A projection that does not
-    converge raises SamplingError; otherwise its vertex sums are checked
-    before the result is marked verified.
+    Trial t draws one uniform perfect matching from stream (seed, t).  The
+    PCG64 states of the streams are derived in vectorised blocks
+    (``seeds.substream_states``, bit-identical to ``rng_from(seed, t)``) and
+    one Generator is re-keyed to each in turn; setting the whole state also
+    clears PCG64's buffered 32-bit word, so no draw carries over from one
+    trial to the next.  The empirical edge marginals over the draws are then
+    projected onto exact vertex sums by the proportional-scaling solver,
+    initialised at the (positively floored) empirical values.  A projection
+    that does not converge raises SamplingError; otherwise its vertex sums
+    are checked before the result is marked verified.
 
     The paper's hybrid measure first runs T = floor(gamma/(10 k^2) * n)
     rounds of uniform-random-edge greedy.  A (d, gamma)-Dirac graph has
@@ -435,8 +439,8 @@ def well_distributed_fpm(
     oracle's n <= 24; a (d, gamma) that gives T >= 1 is refused.  The
     report keeps ``prefix_rounds`` and ``resamples`` (both 0) and ``beta``.
     """
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
+    if not 1 <= trials <= 2**32:
+        raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials}")
     params.validate_for(G.k)
     dirac = is_dirac(G, params)
     beta = params.gamma / (10.0 * G.k * G.k)
@@ -449,7 +453,11 @@ def well_distributed_fpm(
         )
     if oracle.count_pm() == 0:
         raise SamplingError("graph has no perfect matching")
-    chosen = [eid for t in range(trials) for eid in oracle.sample(rng_from(seed, t))]
+    rng = rng_from(seed)  # re-keyed to stream (seed, t) before trial t
+    chosen: list[int] = []
+    for state in substream_states(seed, range(trials)):
+        rng.bit_generator.state = state
+        chosen += oracle.sample(rng)
     empirical = np.bincount(chosen, minlength=G.num_edges) / trials
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.

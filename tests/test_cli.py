@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from hypermatch import counting
 from hypermatch.cli import main
 from hypermatch.hypergraph import gen_complete, read_hypergraph, write_hypergraph
 
@@ -68,6 +69,19 @@ class TestSubcommands:
         assert run(["marginals", "--graph", k6_path, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "marginals_report.json").read_text())
         assert report["marginal_inequality_ok"] and report["solver_dominance_ok"]
+
+    def test_marginals_fills_the_dp_once(self, k6_path, tmp_path, monkeypatch):
+        # the weights file and the report read one exact oracle
+        built = []
+
+        class CountedOracle(counting.PMOracle):
+            def __init__(self, G):
+                built.append(G.n)
+                super().__init__(G)
+
+        monkeypatch.setattr(counting, "PMOracle", CountedOracle)
+        assert run(["marginals", "--graph", k6_path, "--out", str(tmp_path)]) == 0
+        assert built == [6]
 
     def test_greedy_writes_trajectories(self, k6_path, tmp_path):
         assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "2",

@@ -16,7 +16,6 @@ from hypermatch.counting import (
     count_pm,
     entropy_identities_check,
     phi_complete,
-    pm_marginals,
     sample_uniform_pms,
     verify_count_vs_entropy,
 )
@@ -339,6 +338,10 @@ class TestSampling:
             sample_uniform_pms(no_pm, 1, 1)[0]
 
 
+def pm_marginals(G):
+    return entropy_identities_check(G)[0]
+
+
 class TestMarginals:
     def test_k6_uniform(self):
         x = pm_marginals(gen_complete(6, 3))
@@ -370,13 +373,16 @@ class TestMarginals:
 
 class TestEntropyIdentities:
     def test_k6_numbers(self):
-        report = entropy_identities_check(gen_complete(6, 3))
+        G = gen_complete(6, 3)
+        x, report = entropy_identities_check(G)
+        assert x.weights.tolist() == [float(q) for q in PMOracle(G).marginals()]
+        assert x.verified and report["h_marginals"] == x.entropy
         assert report["k_h_marginals"] == pytest.approx(6 * math.log(10), abs=1e-9)
         assert report["ln_phi"] == pytest.approx(math.log(10), abs=1e-12)
         assert report["marginal_inequality_ok"] and report["solver_dominance_ok"]
 
     def test_single_pm_equality_case(self):
-        report = entropy_identities_check(SINGLE_PM)
+        _, report = entropy_identities_check(SINGLE_PM)
         assert report["k_h_marginals"] == 0.0
         assert report["ln_phi"] == 0.0
         assert report["marginal_inequality_ok"]

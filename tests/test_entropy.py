@@ -19,7 +19,7 @@ from hypermatch.entropy import (
 )
 from hypermatch.errors import InfeasibleError, InvalidArgumentError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
-from hypermatch.counting import PMOracle, pm_marginals
+from hypermatch.counting import PMOracle, entropy_identities_check
 from hypermatch.seeds import rng_from
 
 
@@ -71,7 +71,7 @@ class TestConstructionPaths:
         write_weights(path, x)
         write_weights(raw_path, EdgeWeights.from_weights(G, x.weights))
         built = [x, pm, convex_combine(x, pm, 0.5), read_weights(raw_path, G),
-                 read_weights(path, G), pm_marginals(G)]
+                 read_weights(path, G), entropy_identities_check(G)[0]]
         for y in built:
             assert not y.weights.flags.writeable
             assert y.entropy == weight_entropy(y.weights)
