@@ -23,6 +23,7 @@ of its degree.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ class TrajectoryConfig:
     ``stop_fraction`` of n/k caps the number of steps (None runs to the
     freeze, i.e. until no positive-weight edge remains).  The tracked sets
     are all singletons plus ``sampled_sets_per_size`` random sets of each
-    size 2..k-1, drawn from stream (0, size).
+    size 2..k-1, drawn from stream (0, size) once per process.
     """
 
     c: float = 0.05
@@ -63,6 +64,9 @@ class TrajectoryConfig:
             raise InvalidArgumentError(f"trajectory exponent c={self.c} outside (0, 1)")
         if self.stop_fraction is not None and not 0.0 < self.stop_fraction <= 1.0:
             raise InvalidArgumentError(f"stop_fraction={self.stop_fraction} outside (0, 1]")
+        if type(self.sampled_sets_per_size) is not int or self.sampled_sets_per_size < 0:
+            raise InvalidArgumentError(
+                f"sampled_sets_per_size={self.sampled_sets_per_size!r} is not a non-negative int")
 
     def to_dict(self) -> dict:
         # The last three keys record the fixed tracking policy, so that
@@ -82,20 +86,24 @@ def concentration_horizon(n: int, k: int, c: float) -> float:
     return (1.0 - float(n) ** (-c)) * n / k
 
 
+@functools.lru_cache
+def _sampled_sets(n: int, size: int, quota: int) -> tuple[tuple[int, ...], ...]:
+    """``quota`` distinct sorted ``size``-subsets of range(n), in order: all of
+    them when ``quota`` is C(n, size), else drawn from stream (0, size)."""
+    if quota == comb(n, size):
+        return tuple(itertools.combinations(range(n), size))
+    rng = rng_from(0, size)
+    chosen: set[tuple[int, ...]] = set()
+    while len(chosen) < quota:
+        chosen.add(tuple(sorted(int(v) for v in rng.choice(n, size=size, replace=False))))
+    return tuple(sorted(chosen))
+
+
 def resolve_tracked_sets(G: Hypergraph, cfg: TrajectoryConfig) -> tuple[tuple[int, ...], ...]:
     """The tracked vertex sets for a run, deterministic given the config."""
     sets: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
     for size in range(2, G.k):
-        quota = min(cfg.sampled_sets_per_size, comb(G.n, size))
-        if quota == comb(G.n, size):
-            sets.extend(itertools.combinations(range(G.n), size))
-            continue
-        rng = rng_from(0, size)
-        chosen: set[tuple[int, ...]] = set()
-        while len(chosen) < quota:
-            s = tuple(sorted(int(v) for v in rng.choice(G.n, size=size, replace=False)))
-            chosen.add(s)
-        sets.extend(sorted(chosen))
+        sets.extend(_sampled_sets(G.n, size, min(cfg.sampled_sets_per_size, comb(G.n, size))))
     return tuple(sets)
 
 
@@ -152,14 +160,15 @@ def run_greedy(
     draws r = u * total, finds the block by a cumulative sum over the block
     sums and the edge by a cumulative sum inside that block (the first edge
     whose running sum exceeds r, as ``searchsorted(side="right")`` over all
-    edges), then deletes the incident edges of the picked edge's vertices
-    and recomputes only the sums of the blocks they fall in.  Work per step
-    is the deleted edges plus the tracked sets, except for the recorded
-    residual weight and entropy, which are summed over all edges as
-    ``w.sum()`` and ``ent[alive].sum()`` so that their bits do not depend on
-    the pick.  The picks equal those of a full cumulative sum over all
-    edges unless r falls within rounding of an edge boundary; the
-    per-step log-probabilities may differ from it in the last bits.
+    edges), then deletes the incident edges of the picked edge's vertices.
+    Work per step is the deleted edges and the tracked sets plus three O(m)
+    passes: the recorded residual weight and entropy, summed over all edges
+    as ``w.sum()`` and ``ent[alive].sum()`` so that their bits do not depend
+    on the pick, and all block sums in one ``sum(axis=1)`` (a step touches
+    about half the blocks, so re-summing only those costs more).  The picks
+    equal those of a full cumulative sum over all edges unless r falls
+    within rounding of an edge boundary; the per-step log-probabilities may
+    differ from it in the last bits.
     Freezes when no positive weight survives.
     """
     check_alignment(G, x)
@@ -179,7 +188,6 @@ def run_greedy(
     w_padded[:m] = w
     w_alive = w_padded[:m]
     blocks = w_padded.reshape(n_blocks, PICK_BLOCK)
-    block_sums = blocks.sum(axis=1)
     alive_e = np.ones(m, dtype=bool)
     alive_v = np.ones(n, dtype=bool)
 
@@ -218,7 +226,7 @@ def run_greedy(
     record()
     stop_reason = STOP_FROZEN
     while len(chosen) < max_steps:
-        block_cum = np.cumsum(block_sums)
+        block_cum = np.cumsum(blocks.sum(axis=1))
         total = float(block_cum[-1]) if n_blocks else 0.0
         if total <= 0.0:
             stop_reason = STOP_FROZEN
@@ -240,16 +248,12 @@ def run_greedy(
         deleted = []
         for v in verts:
             cand = incidence[indptr[v]: indptr[v + 1]]
-            cand = cand[alive_e[cand]]
+            cand = cand[alive_e.take(cand)]
             alive_e[cand] = False
             deleted.append(cand)
         newly = np.concatenate(deleted)
         w_alive[newly] = 0.0
-        touched = np.zeros(n_blocks, dtype=bool)
-        touched[newly // PICK_BLOCK] = True
-        touched = np.flatnonzero(touched)
-        block_sums[touched] = blocks[touched].sum(axis=1)
-        deg_v -= np.bincount(edge_verts[newly].ravel(), minlength=n)
+        deg_v -= np.bincount(edge_verts.take(newly, axis=0).ravel(), minlength=n)
         alive_v[verts] = False
         record()
     else:

@@ -1,10 +1,12 @@
+import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hypermatch.counting import PMOracle
+from hypermatch.counting import PMOracle, count_pm, phi_complete
 from hypermatch.entropy import EdgeWeights, as_verified, max_entropy_fpm
 from hypermatch.errors import InvalidArgumentError
 from hypermatch.greedy import (
@@ -136,6 +138,11 @@ class TestRunGreedy:
                 want = math.comb(n - k * i - len(S), k - len(S))
                 assert deg == pytest.approx(want, rel=1e-9)
             assert alive == n - k * i
+
+    @pytest.mark.parametrize("quota", [-1, 2.5])
+    def test_sampled_sets_per_size_must_be_a_non_negative_int(self, quota):
+        with pytest.raises(InvalidArgumentError):
+            TrajectoryConfig(sampled_sets_per_size=quota)
 
     def test_tracked_set_resolution_is_deterministic(self):
         G = gen_complete(12, 3)
@@ -307,6 +314,132 @@ class TestBlockedPickMatchesFullCumsum:
             devs.append(float(np.max(np.abs(obs[ok] - pred[ok]) / pred[ok])))
         report = trajectory_deviation(traj, G, x, horizon_fraction=1.0)
         assert report["max_degree_deviation"] == max(devs) > 0.0
+
+
+def drawn_sets(n, size, quota):
+    """The sampled tracked sets as every run used to draw them: a fresh
+    rejection loop on stream (0, size)."""
+    rng = rng_from(0, size)
+    chosen = set()
+    while len(chosen) < quota:
+        chosen.add(tuple(sorted(int(v) for v in rng.choice(n, size=size, replace=False))))
+    return sorted(chosen)
+
+
+class TestTrackedSetCache:
+    def test_pairs_of_fifteen_vertices_equal_a_fresh_draw(self):
+        # 100 of the C(15, 2) = 105 pairs, on two graphs with the same n
+        K = gen_complete(15, 3)
+        D = gen_random_dirac(15, 3, DiracParams(2, 0.2), 0.95, seed=7)
+        cfg = TrajectoryConfig()
+        want = drawn_sets(15, 2, 100)
+        for G in (K, D, K):
+            sets = resolve_tracked_sets(G, cfg)
+            assert list(sets[:15]) == [(v,) for v in range(15)]
+            assert list(sets[15:]) == want
+        assert resolve_tracked_sets(K, cfg) == resolve_tracked_sets(D, cfg)
+
+    def test_triples_of_k12_4_equal_a_fresh_draw(self):
+        G = gen_complete(12, 4)
+        for quota in (100, 7, 0, 100):
+            sets = resolve_tracked_sets(G, TrajectoryConfig(sampled_sets_per_size=quota))
+            pairs = [S for S in sets if len(S) == 2]
+            triples = [S for S in sets if len(S) == 3]
+            all_pairs = list(itertools.combinations(range(12), 2))
+            assert pairs == (all_pairs if quota >= 66 else drawn_sets(12, 2, quota))
+            assert triples == drawn_sets(12, 3, quota)
+
+
+TRAJECTORY_FIELDS = (
+    "chosen", "step_logprob", "residual_weight", "residual_entropy",
+    "alive_vertices", "tracked_degrees",
+)
+
+
+def trajectory_digest(G, x, cfg):
+    """sha256 over the raw bytes of every recorded array of seeds 0-2."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        traj = run_greedy(G, x, cfg, seed)
+        for field in TRAJECTORY_FIELDS:
+            digest.update(getattr(traj, field).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedTrajectoryBytes:
+    """Seeds 0-2 of four runs, pinned to the bit; assert_matches_reference
+    compares step_logprob only to rtol 1e-12."""
+
+    def test_k60_stop_08_without_sampled_sets(self):
+        G = gen_complete(60, 3)
+        x, _ = max_entropy_fpm(G)
+        cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
+        assert trajectory_digest(G, x, cfg) == (
+            "d7d3de23dc2d900578d89a55382edc9c6ac52f8758d349445c28ce879afe85ec"
+        )
+
+    def test_dirac_60_with_default_tracking(self):
+        G = gen_random_dirac(60, 3, DiracParams(2, 0.2), 0.9, seed=1)
+        x, _ = max_entropy_fpm(G)
+        assert trajectory_digest(G, x, TrajectoryConfig()) == (
+            "94667696f31eb4e9db029ad22570053674bb8c99170246c5706702b6adf7a0a9"
+        )
+
+    def test_k30_matching_mixture_to_the_freeze(self):
+        G = gen_complete(30, 3)
+        x = mixed_matchings(G, 3, seed=11)
+        assert trajectory_digest(G, x, TrajectoryConfig()) == (
+            "63a26244788cc95d5f1ad4fb28c27c5a295c75816e9472485b15a98241887a7f"
+        )
+
+    def test_k12_4(self):
+        G = gen_complete(12, 4)
+        x, _ = max_entropy_fpm(G)
+        assert trajectory_digest(G, x, TrajectoryConfig()) == (
+            "9d99763ca06014da95167960eb4e38ceecb85001c24806f3e5d3d74dfab52342"
+        )
+
+
+class TestKnuthEstimator:
+    """A run to the freeze that makes n/k steps outputs an ordered perfect
+    matching with probability exp(sum step_logprob), and every ordered
+    matching is reachable when x > 0 on every edge, so
+    E[exp(-sum step_logprob) 1{n/k steps}] = (n/k)! Phi(G) (Knuth, Math.
+    Comp. 1975)."""
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 15, 18])
+    def test_complete_graph_is_exact(self, n):
+        # uniform x: step i picks among C(n - 3i, 3) equal edges
+        G = gen_complete(n, 3)
+        x, _ = max_entropy_fpm(G)
+        want = math.log(math.factorial(n // 3) * phi_complete(n, 3).value)
+        for seed in range(3):
+            traj = run_greedy(G, x, TrajectoryConfig(sampled_sets_per_size=0), seed)
+            assert traj.steps == n // 3
+            assert -traj.step_logprob.sum() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_random_dirac_graph_is_unbiased(self):
+        G = gen_random_dirac(15, 3, DiracParams(2, 0.2), 0.95, seed=7)
+        x, _ = max_entropy_fpm(G)
+        assert (x.weights > 0).all()
+        scale = math.factorial(5) * count_pm(G).value
+        cfg = TrajectoryConfig(sampled_sets_per_size=0)
+        ratios = np.zeros(3000)
+        neg_logp = []
+        for seed in range(ratios.size):
+            traj = run_greedy(G, x, cfg, seed)
+            if traj.steps == 5:
+                neg_logp.append(-float(traj.step_logprob.sum()))
+                ratios[seed] = math.exp(neg_logp[-1]) / scale
+        mean, se = ratios.mean(), ratios.std(ddof=1) / math.sqrt(ratios.size)
+        print(
+            f"Knuth ratio {mean:.4f} +/- {se:.4f} over {len(neg_logp)} completed runs; "
+            f"mean -sum step_logprob {np.mean(neg_logp):.4f} against "
+            f"h(x) - (1 - 1/k) n + ln (n/k)! = "
+            f"{x.entropy - (1 - 1 / 3) * 15 + math.lgamma(6):.4f}"
+        )
+        assert len(neg_logp) > 2500
+        assert abs(mean - 1.0) <= 4 * se
 
 
 class TestCenters:
