@@ -360,7 +360,7 @@ def criterion_6_greedy_concentration(seeds: int = 200) -> CriterionResult:
             steps = range(i_max + 1)
             p, asym_w, asym_e = centers(G, x, np.arange(i_max + 1))
             # every vertex of K_n has the same degree, so vertex 0 stands for all
-            asym_d = p ** (G.k - 1) * G.index().degrees[0]
+            asym_d = p ** (G.k - 1) * G.degrees[0]
             survival = np.array([_complete_survival(n, 3, i) for i in steps])
             survival_d = np.array([_complete_survival(n, 3, i, 1) for i in steps])
             exact_w = survival * asym_w[0]

@@ -20,7 +20,6 @@ entropy certifies
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -92,14 +91,12 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
         raise ResourceLimitError(f"C({n},{d}) exceeds the lift cap {DEFAULT_LIFT_CAP}")
     a_subsets = encode(all_subsets(n, d), n)
     b_subsets = encode(all_subsets(n, k - d), n)
-    edge_verts = G.index().edge_verts
-    a_ends, b_ends = [], []
-    for cols in itertools.combinations(range(k), d):
-        rest = [c for c in range(k) if c not in cols]
-        a_ends.append(np.searchsorted(a_subsets, encode(edge_verts[:, list(cols)], n)))
-        b_ends.append(np.searchsorted(b_subsets, encode(edge_verts[:, rest], n)))
-    # Edge-major: the splits of edge 0 first, in column-choice order.
-    ai, bi = np.stack(a_ends, axis=1).ravel(), np.stack(b_ends, axis=1).ravel()
+    # Block j of the d-subset codes and block C(k, d)-1-j of the (k-d)-subset
+    # codes split the edges the same way; edge-major, the splits of edge 0
+    # come first, in column-choice order.
+    splits = (comb(k, d), G.num_edges)
+    ai = np.searchsorted(a_subsets, G._subset_codes(d)).reshape(splits).T.ravel()
+    bi = np.searchsorted(b_subsets, G._subset_codes(k - d)).reshape(splits)[::-1].T.ravel()
     mult_a = comb(n, k - d)
     mult_b = comb(n, d)
     n_tilde = comb(n, d) * comb(n, k - d)

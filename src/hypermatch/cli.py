@@ -279,6 +279,8 @@ def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
 
 
 def _cmd_greedy(args) -> int:
+    if args.trials < 1:
+        raise InvalidArgumentError(f"--trials must be >= 1, got {args.trials}")
     prov = _provenance(args, [args.graph, args.weights])
     G = read_hypergraph(args.graph)
     if args.weights:

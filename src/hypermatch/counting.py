@@ -5,8 +5,8 @@ transition always matches the lowest-indexed unmatched vertex v, so each
 perfect matching is generated exactly once (no edge-order overcounting).
 Every vertex below v is matched, so the only edges that can be taken at v
 are its *lead edges*, the edges whose lowest vertex is v; the oracle keeps
-their ids and vertex masks per vertex in id order, read from the graph
-index, and never scans the other edges through v.
+their ids and vertex masks per vertex in id order, read from the graph's
+edge rows, and never scans the other edges through v.
 
 One fill from the empty mask serves counting, exact marginals and uniform
 sampling.  Forward, the states of a layer (all with the same number of
@@ -80,7 +80,7 @@ class PMOracle:
             raise ResourceLimitError(f"n={G.n} exceeds the exact-count cap {DEFAULT_COUNT_CAP}")
         self.G = G
         self.full_mask = (1 << G.n) - 1
-        edge_verts = G.index().edge_verts
+        edge_verts = G.edge_verts
         # Edge ids grouped by lowest vertex (column 0), in id order within a
         # group, and their vertex masks; the sampler reads them as Python pairs.
         ids = np.argsort(edge_verts[:, 0], kind="stable")
@@ -177,7 +177,7 @@ class PMOracle:
         # Each matching covers each vertex exactly once, so the incident
         # counts must telescope back to the total.
         incident = np.zeros(self.G.n, dtype=np.int64)
-        np.add.at(incident, self.G.index().edge_verts, through[:, None])
+        np.add.at(incident, self.G.edge_verts, through[:, None])
         bad = np.flatnonzero(incident != total)
         if bad.size:
             v = int(bad[0])

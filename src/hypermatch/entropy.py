@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InvalidArgumentError, ParseError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _text_lines
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 
@@ -101,7 +101,7 @@ def check_alignment(G: Hypergraph, x: EdgeWeights) -> None:
 def vertex_sums(G: Hypergraph, weights: np.ndarray) -> np.ndarray:
     """Incident weight per vertex, added in edge-id order at each vertex."""
     per_slot = np.repeat(np.asarray(weights, dtype=float), G.k)
-    return np.bincount(G.index().edge_verts.ravel(), weights=per_slot, minlength=G.n)
+    return np.bincount(G.edge_verts.ravel(), weights=per_slot, minlength=G.n)
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,9 @@ def scale_vertex_sums(
     G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int, potential_cap: float
 ) -> ScalingResult:
     """``scale_to_unit_sums`` on the vertex sums of G: one unit-coefficient
-    constraint per row of the graph's incidence index."""
-    index = G.index()
+    constraint per vertex, read from the graph's incidence arrays."""
     return scale_to_unit_sums(
-        index.indptr, index.incidence, np.ones(index.incidence.size), x0, tol, max_iter,
-        potential_cap,
+        G.indptr, G.incidence, np.ones(G.incidence.size), x0, tol, max_iter, potential_cap
     )
 
 
@@ -280,7 +278,7 @@ def max_entropy_fpm(
     if G.n == 0:
         empty = EdgeWeights.from_weights(G, np.zeros(0), STATUS_VERIFIED)
         return empty, SolverReport(0, 0.0, 0.0, True, np.zeros(0))
-    uncovered = np.flatnonzero(G.index().degrees == 0)
+    uncovered = np.flatnonzero(G.degrees == 0)
     if uncovered.size:
         raise InfeasibleError(f"vertex {int(uncovered[0])} has no incident edge")
     m = G.num_edges
@@ -333,22 +331,21 @@ def read_weights(path: str, G: Hypergraph) -> EdgeWeights:
     digest = None
     status = STATUS_RAW
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if len(fields) == 2 and fields[0] == "graph":
-                    digest = fields[1]
-                elif len(fields) == 2 and fields[0] == "status":
-                    status = fields[1]
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ParseError("not a decimal weight", path, lineno)
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            fields = line[1:].split()
+            if len(fields) == 2 and fields[0] == "graph":
+                digest = fields[1]
+            elif len(fields) == 2 and fields[0] == "status":
+                status = fields[1]
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ParseError("not a decimal weight", path, lineno)
     if digest is not None and digest != G.digest():
         raise InvalidArgumentError(f"weights file {path} was written for a different graph")
     x = EdgeWeights.from_weights(G, values)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .entropy import EdgeWeights, check_alignment
 from .errors import InvalidArgumentError
-from .hypergraph import GraphIndex, Hypergraph, encode
+from .hypergraph import Hypergraph, encode
 from .seeds import rng_from
 
 STOP_FROZEN = "no-positive-weight-edge"
@@ -129,17 +129,17 @@ class GreedyTrajectory:
         return int(self.chosen.size)
 
 
-def _set_edges(index: GraphIndex, sets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+def _set_edges(G: Hypergraph, sets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """(set, edge) pairs: each edge containing every vertex of each set of 2..k-1 vertices.
 
-    A set's edges are the run of its code in the index's subset codes.
+    A set's edges are the run of its code in the graph's subset codes.
     """
     owner: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     edges: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     for size in sorted({len(S) for S in sets}):
         ids = [i for i, S in enumerate(sets) if len(S) == size]
-        codes, edge_ids = index.subset_codes(size)
-        keys = encode(np.array([sets[i] for i in ids]), index.n)
+        codes, edge_ids = G.subset_codes(size)
+        keys = encode(np.array([sets[i] for i in ids]), G.n)
         lo, hi = np.searchsorted(codes, keys), np.searchsorted(codes, keys, "right")
         owner.append(np.repeat(ids, hi - lo))
         edges.extend(edge_ids[a:b] for a, b in zip(lo, hi))
@@ -155,10 +155,10 @@ def run_greedy(
 ) -> GreedyTrajectory:
     """Simulate the process; stream (seed, *stream) draws one uniform per step.
 
-    The run works on the graph's cached ``index()``.  The alive weights are
-    split into blocks of ``PICK_BLOCK`` edges with one sum each; a step
-    draws r = u * total, finds the block by a cumulative sum over the block
-    sums and the edge by a cumulative sum inside that block (the first edge
+    The run reads the graph's edge rows and incidence arrays.  The alive
+    weights are split into blocks of ``PICK_BLOCK`` edges with one sum each;
+    a step draws r = u * total, finds the block by a cumulative sum over the
+    block sums and the edge by a cumulative sum inside that block (the first edge
     whose running sum exceeds r, as ``searchsorted(side="right")`` over all
     edges), then deletes the incident edges of the picked edge's vertices.
     Work per step is the deleted edges and the tracked sets plus three O(m)
@@ -177,8 +177,7 @@ def run_greedy(
     n, k, m = G.n, G.k, G.num_edges
     rng = rng_from(seed, *stream)
     tracked = resolve_tracked_sets(G, cfg)
-    index = G.index()
-    edge_verts, indptr, incidence = index.edge_verts, index.indptr, index.incidence
+    edge_verts, indptr, incidence = G.edge_verts, G.indptr, G.incidence
 
     w = x.weights.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -193,13 +192,13 @@ def run_greedy(
 
     # Singleton degrees are maintained by decrement; larger tracked sets are
     # counted at each record over their concatenated incident edge lists.
-    deg_v = index.degrees.astype(float)
+    deg_v = G.degrees.astype(float)
     members = np.array([v for S in tracked for v in S], dtype=np.intp)
     set_starts = np.cumsum([0] + [len(S) for S in tracked[:-1]], dtype=np.intp)
     single = np.array([i for i, S in enumerate(tracked) if len(S) == 1], dtype=np.intp)
     single_v = members[set_starts[single]]
     big = np.array([i for i, S in enumerate(tracked) if len(S) > 1], dtype=np.intp)
-    owner, owned_edges = _set_edges(index, [tracked[i] for i in big])
+    owner, owned_edges = _set_edges(G, [tracked[i] for i in big])
 
     max_steps = n // k
     if cfg.stop_fraction is not None:

@@ -7,9 +7,11 @@ immutable after construction.
 
 Vertex sets are looked up by their codes alone: a set's ascending vertices
 read as a base-n integer, smallest vertex most significant, so code order is
-lexicographic order.  Minimum d-degrees, the greedy process's tracked sets
-and the shifting search all read codes from ``GraphIndex``.  A graph whose
-k-set codes overflow int64 (n^k >= 2^63) is refused with ResourceLimitError.
+lexicographic order.  A ``Hypergraph`` holds its edge rows and incidence
+arrays and encodes every subset of its edges' columns in one place; minimum
+d-degrees, the bipartite lift, the greedy process's tracked sets and the
+shifting search all read those codes.  A graph whose k-set codes overflow
+int64 (n^k >= 2^63) is refused with ResourceLimitError.
 
 The ``.khg`` text format: first non-comment line is ``k n``, then one edge
 per line as k ascending vertex ids; ``#`` starts a comment, blank lines are
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,75 +54,6 @@ def encode(rows: np.ndarray, n: int) -> np.ndarray:
     for col in range(1, rows.shape[1]):
         code = code * n + rows[:, col]
     return code
-
-
-@dataclass(frozen=True)
-class GraphIndex:
-    """Read-only numpy arrays of a hypergraph and its vertex-set codes.
-
-    ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
-    vertex v in ascending order.  Vertex sets are looked up by their codes
-    alone: the sorted subset codes of each size and the vertex links are
-    built on first use and cached.
-    """
-
-    edge_verts: np.ndarray  # (m, k): row i holds the ascending vertices of edge i
-    indptr: np.ndarray  # (n + 1,): CSR offsets into ``incidence``
-    incidence: np.ndarray  # (m k,): edge ids grouped by vertex
-    degrees: np.ndarray  # (n,): number of edges at each vertex
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.degrees.size
-
-    def subset_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of the d-subsets of all edges, ascending, with their edge ids.
-
-        m C(k, d) entries; a d-set's code repeats once per edge containing it.
-        Built on first use per d and cached.
-        """
-        cached = self._cache.get(d)
-        if cached is None:
-            codes = self._subset_codes(d)
-            order = np.argsort(codes, kind="stable")
-            cached = _frozen(codes[order], order % max(1, self.edge_verts.shape[0]))
-            self._cache[d] = cached
-        return cached
-
-    def _subset_codes(self, d: int) -> np.ndarray:
-        """The codes of the d-subsets of all edges, one block of m per column choice.
-
-        Raises ResourceLimitError when m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT.
-        """
-        m, k = self.edge_verts.shape
-        work = m * comb(k, d)
-        if work > DEFAULT_DEGREE_WORK_LIMIT:
-            raise ResourceLimitError(
-                f"{work:.2e} codes of {d}-subsets of edges exceed the work limit "
-                f"{DEFAULT_DEGREE_WORK_LIMIT:.0e}"
-            )
-        cols = itertools.combinations(range(k), d)
-        return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
-
-    def links(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every vertex's link: the (k-1)-sets U for which U + {v} is an edge.
-
-        ``codes[indptr[v]:indptr[v + 1]]`` are the codes of v's link sets in
-        ascending order and the same slice of ``ids`` the ids of the edges
-        U + {v}.  Built on first use and cached.
-        """
-        cached = self._cache.get("links")
-        if cached is None:
-            k = self.edge_verts.shape[1]
-            # Column j: the code of each edge without its j-th vertex.
-            without = np.stack(
-                [encode(np.delete(self.edge_verts, j, axis=1), self.n) for j in range(k)], axis=1
-            ).ravel()
-            order = np.lexsort((without, self.edge_verts.ravel()))
-            cached = _frozen(without[order], order // k)
-            self._cache["links"] = cached
-        return cached
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -183,14 +116,22 @@ def _canonical_text(k: int, n: int, edge_verts: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertices 0..n-1.
+    """Immutable k-uniform hypergraph on vertices 0..n-1, with read-only numpy arrays.
 
-    Two graphs are equal when k, n and the edges in id order are equal.
+    ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
+    vertex v in ascending order.  The sorted subset codes of each size, the
+    vertex links and the digest are built on first use and kept in one
+    cache.  Two graphs are equal when k, n and the edges in id order are
+    equal.
     """
 
     k: int
     n: int
-    _index: GraphIndex = field(repr=False)
+    edge_verts: np.ndarray = field(repr=False)  # (m, k): row i holds the ascending vertices of edge i
+    indptr: np.ndarray = field(repr=False)  # (n + 1,): CSR offsets into ``incidence``
+    incidence: np.ndarray = field(repr=False)  # (m k,): edge ids grouped by vertex
+    degrees: np.ndarray = field(repr=False)  # (n,): number of edges at each vertex
+    _cache: dict = field(repr=False)
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
         if k < 2:
@@ -206,16 +147,16 @@ class Hypergraph:
         degrees = np.bincount(flat, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        arrays = _frozen(rows, indptr, incidence, degrees)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_index", GraphIndex(*arrays))
+        _frozen(rows, indptr, incidence, degrees)
+        # The dataclass is frozen, so the fields go straight into the instance dict.
+        vars(self).update(k=k, n=n, edge_verts=rows, indptr=indptr, incidence=incidence,
+                          degrees=degrees, _cache={})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
         return (self.k, self.n) == (other.k, other.n) and np.array_equal(
-            self._index.edge_verts, other._index.edge_verts
+            self.edge_verts, other.edge_verts
         )
 
     def __hash__(self) -> int:
@@ -223,34 +164,78 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return self._index.edge_verts.shape[0]
+        return self.edge_verts.shape[0]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """The edges in id order, as ascending tuples."""
-        return tuple(map(tuple, self._index.edge_verts.tolist()))
+        return tuple(map(tuple, self.edge_verts.tolist()))
 
     def incident(self, v: int) -> tuple[int, ...]:
         """Ids of the edges containing vertex v."""
         if not 0 <= v < self.n:
             raise InvalidArgumentError(f"vertex {v} outside [0, {self.n})")
-        ix = self._index
-        return tuple(ix.incidence[ix.indptr[v]: ix.indptr[v + 1]].tolist())
+        return tuple(self.incidence[self.indptr[v]: self.indptr[v + 1]].tolist())
 
     def canonical_text(self) -> str:
-        return _canonical_text(self.k, self.n, self._index.edge_verts)
+        return _canonical_text(self.k, self.n, self.edge_verts)
 
     def digest(self) -> str:
         """SHA-256 of the canonical text; identifies graph content and edge order."""
-        cached = getattr(self, "_digest", None)
+        cached = self._cache.get("digest")
         if cached is None:
-            cached = hashlib.sha256(self.canonical_text().encode()).hexdigest()
-            object.__setattr__(self, "_digest", cached)
+            text = self.canonical_text().encode()
+            cached = self._cache["digest"] = hashlib.sha256(text).hexdigest()
         return cached
 
-    def index(self) -> GraphIndex:
-        """The numpy index, built at construction."""
-        return self._index
+    def subset_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the d-subsets of all edges, ascending, with their edge ids.
+
+        m C(k, d) entries; a d-set's code repeats once per edge containing it.
+        Built on first use per d and cached.
+        """
+        cached = self._cache.get(d)
+        if cached is None:
+            codes = self._subset_codes(d)
+            order = np.argsort(codes, kind="stable")
+            cached = self._cache[d] = _frozen(codes[order], order % max(1, self.num_edges))
+        return cached
+
+    def _subset_codes(self, d: int) -> np.ndarray:
+        """The codes of the d-subsets of all edges, one block of m per column choice.
+
+        The blocks follow ``itertools.combinations(range(k), d)``, so block j
+        of size d and block C(k, d)-1-j of size k-d take complementary
+        columns.  Raises ResourceLimitError when m C(k, d) exceeds
+        DEFAULT_DEGREE_WORK_LIMIT.
+        """
+        work = self.num_edges * comb(self.k, d)
+        if work > DEFAULT_DEGREE_WORK_LIMIT:
+            raise ResourceLimitError(
+                f"{work:.2e} codes of {d}-subsets of edges exceed the work limit "
+                f"{DEFAULT_DEGREE_WORK_LIMIT:.0e}"
+            )
+        cols = itertools.combinations(range(self.k), d)
+        return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's link: the (k-1)-sets U for which U + {v} is an edge.
+
+        ``codes[indptr[v]:indptr[v + 1]]`` are the codes of v's link sets in
+        ascending order and the same slice of ``ids`` the ids of the edges
+        U + {v}.  Built on first use and cached.  The codes come from
+        ``_subset_codes(k - 1)``, so graphs with more than
+        DEFAULT_DEGREE_WORK_LIMIT / k edges raise ResourceLimitError.
+        """
+        cached = self._cache.get("links")
+        if cached is None:
+            k = self.k
+            # Block k-1-j of the (k-1)-subset codes drops column j; edge-major,
+            # entry j of each edge is the code of the edge without its j-th vertex.
+            without = self._subset_codes(k - 1).reshape(k, self.num_edges)[::-1].T.ravel()
+            order = np.lexsort((without, self.edge_verts.ravel()))
+            cached = self._cache["links"] = _frozen(without[order], order // k)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -323,14 +308,23 @@ class AlphaTable:
 
     @classmethod
     def from_file(cls, path: str) -> "AlphaTable":
-        """Load overrides from JSON: {"entries": [{"d":, "k":, "alpha": "p/q"}]}."""
+        """Load overrides from JSON: {"entries": [{"d":, "k":, "alpha": "p/q"}]}.
+
+        Raises ConfigError naming the file when it does not hold that shape.
+        """
         import json
 
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for item in data.get("entries", []):
-            entries[(int(item["d"]), int(item["k"]))] = Fraction(str(item["alpha"]))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            entries = {
+                (int(item["d"]), int(item["k"])): Fraction(str(item["alpha"]))
+                for item in data.get("entries", [])
+            }
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(
+                f"alpha table {path} is malformed: {type(exc).__name__}: {exc}"
+            ) from None
         return cls(entries)
 
 
@@ -339,13 +333,13 @@ def min_d_degree(G: Hypergraph, d: int) -> int:
     d-subset codes of all edges.
 
     Zero when some d-set is in no edge, else the shortest run of equal codes.
-    The sorted codes are not kept on the index.
+    The sorted codes are not cached on the graph.
     """
     if not 0 <= d <= G.k - 1:
         raise InvalidArgumentError(f"d={d} outside [0, {G.k - 1}]")
     if d == 0:
         return G.num_edges
-    codes = np.sort(G.index()._subset_codes(d))
+    codes = np.sort(G._subset_codes(d))
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     if starts.size < comb(G.n, d) or not starts.size:
         return 0
@@ -440,38 +434,49 @@ def write_hypergraph(G: Hypergraph, path: str, header_comments: Sequence[str] = 
         fh.write(G.canonical_text())
 
 
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a UTF-8 text file, counting from 1.
+
+    Raises ParseError, without a line number, when the file is not UTF-8.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", path) from None
+
+
 def read_hypergraph(path: str) -> Hypergraph:
     """Parse a .khg file; raises ParseError with the offending line number."""
     k = n = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ParseError("non-integer token", path, lineno)
-            if k is None:
-                if len(values) != 2:
-                    raise ParseError("header must be 'k n'", path, lineno)
-                k, n = values
-                if k < 2 or n < 0:
-                    raise ParseError(f"invalid header k={k} n={n}", path, lineno)
-                continue
-            if len(values) != k:
-                raise ParseError(f"edge has {len(values)} vertices, expected {k}", path, lineno)
-            if any(values[i] >= values[i + 1] for i in range(k - 1)):
-                raise ParseError("edge vertices must be strictly ascending", path, lineno)
-            if values[0] < 0 or values[-1] >= n:
-                raise ParseError(f"vertex outside [0, {n})", path, lineno)
-            e = tuple(values)
-            if e in seen:
-                raise ParseError(f"duplicate edge {e}", path, lineno)
-            seen.add(e)
-            edges.append(e)
+    for lineno, raw in _text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError("non-integer token", path, lineno)
+        if k is None:
+            if len(values) != 2:
+                raise ParseError("header must be 'k n'", path, lineno)
+            k, n = values
+            if k < 2 or n < 0:
+                raise ParseError(f"invalid header k={k} n={n}", path, lineno)
+            continue
+        if len(values) != k:
+            raise ParseError(f"edge has {len(values)} vertices, expected {k}", path, lineno)
+        if any(values[i] >= values[i + 1] for i in range(k - 1)):
+            raise ParseError("edge vertices must be strictly ascending", path, lineno)
+        if values[0] < 0 or values[-1] >= n:
+            raise ParseError(f"vertex outside [0, {n})", path, lineno)
+        e = tuple(values)
+        if e in seen:
+            raise ParseError(f"duplicate edge {e}", path, lineno)
+        seen.add(e)
+        edges.append(e)
     if k is None:
         raise ParseError("empty file", path, 0)
     return Hypergraph(k, n, edges)

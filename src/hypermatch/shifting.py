@@ -68,11 +68,8 @@ def partner_edges(G: Hypergraph, e_id: int) -> np.ndarray:
     Ordered by that shared vertex, then by id: the edges at each vertex of
     the edge in turn, keeping those listed at only one of them.
     """
-    index = G.index()
-    ptr = index.indptr
-    at = np.concatenate(
-        [index.incidence[ptr[v]: ptr[v + 1]] for v in index.edge_verts[e_id].tolist()]
-    )
+    ptr = G.indptr
+    at = np.concatenate([G.incidence[ptr[v]: ptr[v + 1]] for v in G.edge_verts[e_id].tolist()])
     return at[np.bincount(at)[at] == 1]
 
 
@@ -98,14 +95,13 @@ def find_shifting_structure(
     taken in code order, that is lexicographic order; one mask per U_i
     keeps those that avoid the blocked vertices and pass both edge masks.
     """
-    index = G.index()
     for mask in (e_ok, f_ok):
         if mask is not None and np.shape(mask) != (G.num_edges,):
             raise InvalidArgumentError(
                 f"edge masks need shape ({G.num_edges},), got {np.shape(mask)}"
             )
-    e = set(index.edge_verts[e_id].tolist())
-    f = set(index.edge_verts[f_id].tolist())
+    e = set(G.edge_verts[e_id].tolist())
+    f = set(G.edge_verts[f_id].tolist())
     shared = e & f
     if len(shared) != 1:
         raise InvalidArgumentError(f"edges must intersect in exactly one vertex, got {len(shared)}")
@@ -117,8 +113,8 @@ def find_shifting_structure(
     U_sets: list[tuple[int, ...]] = []
     e_ids = [e_id]
     f_ids = [f_id]
-    codes, ids = index.links()
-    ptr = index.indptr
+    codes, ids = G.links()
+    ptr = G.indptr
     for vi, ui in zip(v_rest, u_rest):
         at_u, at_v = ptr[ui], ptr[vi]
         link_u, link_v = codes[at_u: ptr[ui + 1]], codes[at_v: ptr[vi + 1]]
@@ -127,7 +123,7 @@ def find_shifting_structure(
         eids, fids = ids[at_u + hit], ids[at_v + pos[hit]]
         # u_i is blocked, so U avoids the blocked vertices when u_i is the
         # only blocked vertex of the edge U + {u_i}.
-        ok = blocked[index.edge_verts[eids]].sum(axis=1) == 1
+        ok = blocked[G.edge_verts[eids]].sum(axis=1) == 1
         if e_ok is not None:
             ok &= e_ok[eids]
         if f_ok is not None:
@@ -136,7 +132,7 @@ def find_shifting_structure(
         if not first.size:
             return None
         eid, fid = int(eids[first[0]]), int(fids[first[0]])
-        U = tuple(w for w in index.edge_verts[eid].tolist() if w != ui)
+        U = tuple(w for w in G.edge_verts[eid].tolist() if w != ui)
         blocked[list(U)] = True
         U_sets.append(U)
         e_ids.append(eid)

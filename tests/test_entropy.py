@@ -251,7 +251,7 @@ class TestSolver:
         monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
         monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
         G = gen_complete(8, 2)
-        index = G.index()
+        index = G
         rng = rng_from(12)
         x0 = rng.random(G.num_edges) + 0.05
         result = scale_to_unit_sums(

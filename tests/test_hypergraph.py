@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermatch import hypergraph
+from hypermatch.entropy import read_weights
 from hypermatch.errors import (
     ConfigError,
     GenerationError,
@@ -84,7 +85,7 @@ class TestHypergraph:
 
     def test_accepts_empty_and_unsorted(self):
         assert Hypergraph(3, 6, []).num_edges == 0
-        assert Hypergraph(3, 0, []).index().indptr.tolist() == [0]
+        assert Hypergraph(3, 0, []).indptr.tolist() == [0]
         G = Hypergraph(3, 6, [(5, 0, 3), (4, 2, 1)])
         assert G.edges == ((0, 3, 5), (1, 2, 4))
         assert G.edges.index((0, 3, 5)) == 0 and (1, 2, 3) not in G.edges
@@ -106,7 +107,7 @@ class TestHypergraph:
         assert time.perf_counter() - start < 1.0
 
     def test_subset_codes_work_limit(self, monkeypatch):
-        index = gen_complete(10, 3).index()
+        index = gen_complete(10, 3)
         monkeypatch.setattr(hypergraph, "DEFAULT_DEGREE_WORK_LIMIT", 10)
         with pytest.raises(ResourceLimitError, match="work limit"):
             index.subset_codes(2)
@@ -123,7 +124,7 @@ class TestHypergraph:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(random_hypergraphs())
     def test_incidence_rebuild_matches(self, G):
-        index = G.index()
+        index = G
         assert index.edge_verts.tolist() == [list(e) for e in G.edges]
         for v in range(G.n):
             expected = [i for i, e in enumerate(G.edges) if v in e]
@@ -141,7 +142,7 @@ class TestHypergraph:
 class TestDegrees:
     def test_degree_examples(self):
         K6 = gen_complete(6, 3)
-        index = K6.index()
+        index = K6
         assert index.degrees.tolist() == [10] * 6
         codes, _ = index.subset_codes(2)
         key = encode(np.array([[0, 1]]), 6)
@@ -216,6 +217,35 @@ class TestAlphaTable:
         path = tmp_path / "alpha.json"
         path.write_text('{"entries": [{"d": 1, "k": 4, "alpha": "3/5"}]}')
         assert AlphaTable.from_file(str(path)).lookup(1, 4) == Fraction(3, 5)
+
+
+NOT_UTF8 = b"3 6\n0 1 \xff\n"
+
+
+@pytest.mark.parametrize(
+    "name, body, error",
+    [
+        ("alpha.json", b'{"entries": [', ConfigError),  # not JSON
+        ("alpha.json", b"[]", ConfigError),  # top level is a list
+        ("alpha.json", b'{"entries": 5}', ConfigError),
+        ("alpha.json", b'{"entries": [{"d": 1, "k": 4}]}', ConfigError),  # no alpha
+        ("alpha.json", b'{"entries": [{"d": 1, "k": 4, "alpha": "x/y"}]}', ConfigError),
+        ("alpha.json", b'{"entries": [{"d": 1, "k": 4, "alpha": "1/0"}]}', ConfigError),
+        ("graph.khg", NOT_UTF8, ParseError),
+        ("weights.wts", NOT_UTF8, ParseError),
+    ],
+)
+def test_bad_input_files_raise_typed_errors(tmp_path, name, body, error):
+    path = tmp_path / name
+    path.write_bytes(body)
+    read = {
+        "alpha.json": AlphaTable.from_file,
+        "graph.khg": read_hypergraph,
+        "weights.wts": lambda p: read_weights(p, gen_complete(6, 3)),
+    }[name]
+    with pytest.raises(error) as err:
+        read(str(path))
+    assert str(path) in str(err.value)
 
 
 class TestDirac:

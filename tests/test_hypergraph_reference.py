@@ -145,7 +145,7 @@ class TestIndexMatchesReference:
         assert G.edges == R.edges
         assert G.canonical_text() == R.canonical_text()
         assert G.digest() == hashlib.sha256(R.canonical_text().encode()).hexdigest()
-        index = G.index()
+        index = G
         assert index.edge_verts.tolist() == [list(e) for e in R.edges]
         assert index.degrees.tolist() == [len(ids) for ids in R.incidence]
         for v in range(n):
@@ -162,6 +162,23 @@ class TestIndexMatchesReference:
             runs = dict(zip(*np.unique(index.subset_codes(d)[0], return_counts=True)))
             for S in itertools.combinations(range(n), d):
                 assert runs.get(int(encode(np.array([S]), n)[0]), 0) == reference_degree(R, S)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shuffled_graph_inputs())
+    def test_links_match_brute_force(self, inputs):
+        k, n, edges = inputs
+        G = Hypergraph(k, n, edges)
+        want_codes, want_ids = [], []
+        for v in range(n):
+            link = sorted(
+                (int(encode(np.array([[u for u in e if u != v]]), n)[0]), i)
+                for i, e in enumerate(G.edges) if v in e
+            )
+            want_codes.extend(c for c, _ in link)
+            want_ids.extend(i for _, i in link)
+        codes, ids = G.links()
+        assert codes.tolist() == want_codes
+        assert ids.tolist() == want_ids
 
 
 def shuffled(G, seed):

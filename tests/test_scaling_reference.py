@@ -166,7 +166,7 @@ class TestVertexScaling:
         monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
         monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
         G = GRAPHS["dirac15"]()
-        index = G.index()
+        index = G
         x0 = rng_from(12).random(G.num_edges) + 0.05
         result = scale_to_unit_sums(
             index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000, 1e6
@@ -241,6 +241,9 @@ class TestLiftMatchesReference:
             (lambda: gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.9, seed=7), 2),
             (lambda: gen_random_dirac(8, 4, DiracParams(3, 0.1), 0.95, seed=3), 2),
             (lambda: gen_random_dirac(8, 4, DiracParams(3, 0.1), 0.95, seed=3), 3),
+            (lambda: gen_random_dirac(12, 2, DiracParams(1, 0.2), 0.9, seed=5), 1),
+            (lambda: gen_complete(10, 5), 3),
+            (lambda: gen_complete(10, 5), 4),
         ],
     )
     def test_subsets_quotient_edges_sources_and_side_degrees(self, make, d):
