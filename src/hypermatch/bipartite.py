@@ -267,10 +267,11 @@ def bound_chain_report(
     }
 
 
-def certify_entropy_lower_bound(G: Hypergraph, d: int) -> dict:
-    """Full certificate: solver entropy and the lift pipeline vs the bound."""
+def certify_entropy_lower_bound(G: Hypergraph, d: int, solved=None) -> dict:
+    """Full certificate: solver entropy and the lift pipeline vs the bound;
+    ``solved`` is ``max_entropy_fpm(G)`` if the caller already has it."""
     bound = entropy_lower_bound(G, d)
-    x_star, solver_report = max_entropy_fpm(G)
+    x_star, solver_report = solved or max_entropy_fpm(G)
     lft = lift(G, d)
     bw, bip_report = bipartite_max_entropy(lft)
     x_pull = pull_back(G, lft, bw)
@@ -297,6 +298,7 @@ def matching_count_bound_report(
     G: Hypergraph,
     params: DiracParams,
     alpha=None,
+    solved=None,
 ) -> dict:
     """Matching-count lower-bound arithmetic around p = delta_d / C(n-d, k-d).
 
@@ -304,7 +306,8 @@ def matching_count_bound_report(
     entropy-route value h - (1 - 1/k) n), the target
     ln Phi(K_n^{(k)}) + (n/k) ln p, and the Stirling-chain intermediates of
     the deduction for audit.  Residuals carry no pass/fail: the statement is
-    asymptotic.
+    asymptotic.  ``solved`` is ``max_entropy_fpm(G)`` if the caller
+    already has it.
     """
     n, k, d = G.n, G.k, params.d
     if not (2 * d >= k and d <= k - 1):
@@ -317,7 +320,7 @@ def matching_count_bound_report(
     if n <= DEFAULT_COUNT_CAP:
         value = count_pm(G).value
         exact = math.log(value) if value > 0 else -math.inf
-    x_star, _ = max_entropy_fpm(G)
+    x_star, _ = solved or max_entropy_fpm(G)
     entropy_route = x_star.entropy - (1.0 - 1.0 / k) * n
     ln_phi = exact if exact is not None else entropy_route
     # Stirling-chain intermediates of the deduction, evaluated numerically.

@@ -208,7 +208,7 @@ def _cmd_count(args) -> int:
     }
     if args.d is not None and args.gamma is not None:
         payload["entropy_comparison"] = verify_count_vs_entropy(
-            G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table)
+            G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table), count=result
         )
     path = _out_path(args, "count.json")
     _write_json(path, payload)
@@ -329,10 +329,11 @@ def _cmd_greedy(args) -> int:
 def _cmd_bound(args) -> int:
     prov = _provenance(args, [args.graph])
     G = read_hypergraph(args.graph)
+    solved = max_entropy_fpm(G)
     report = {
-        "certificate": certify_entropy_lower_bound(G, args.d),
+        "certificate": certify_entropy_lower_bound(G, args.d, solved),
         "matching_count_bound": matching_count_bound_report(
-            G, DiracParams(args.d, args.gamma), alpha=_load_alpha(args.alpha_table)
+            G, DiracParams(args.d, args.gamma), alpha=_load_alpha(args.alpha_table), solved=solved
         ),
         "_provenance": prov,
     }

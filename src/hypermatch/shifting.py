@@ -38,7 +38,6 @@ from .entropy import (
 )
 from .errors import InvalidArgumentError, SamplingError
 from .hypergraph import DiracParams, Hypergraph, is_dirac
-from .seeds import rng_from, substream_states
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
 EPSILON_SHRINK = 0.95
@@ -418,16 +417,14 @@ def well_distributed_fpm(
 ) -> tuple[EdgeWeights, dict]:
     """Well-distributed fractional matching from exactly uniform perfect matchings.
 
-    Trial t draws one uniform perfect matching from stream (seed, t).  The
-    PCG64 states of the streams are derived in vectorised blocks
-    (``seeds.substream_states``, bit-identical to ``rng_from(seed, t)``) and
-    one Generator is re-keyed to each in turn; setting the whole state also
-    clears PCG64's buffered 32-bit word, so no draw carries over from one
-    trial to the next.  The empirical edge marginals over the draws are then
-    projected onto exact vertex sums by the proportional-scaling solver,
-    initialised at the (positively floored) empirical values.  A projection
-    that does not converge raises SamplingError; otherwise its vertex sums
-    are checked before the result is marked verified.
+    Trial t draws one uniform perfect matching from stream (seed, t); the
+    trials are drawn in lockstep by ``PMOracle.sample_streams``, each the
+    matching ``sample(rng_from(seed, t))`` returns.  The empirical edge
+    marginals over the draws are then projected onto exact vertex sums by
+    the proportional-scaling solver, initialised at the (positively floored)
+    empirical values.  A projection that does not converge raises
+    SamplingError; otherwise its vertex sums are checked before the result
+    is marked verified.
 
     The paper's hybrid measure first runs T = floor(gamma/(10 k^2) * n)
     rounds of uniform-random-edge greedy.  A (d, gamma)-Dirac graph has
@@ -447,14 +444,7 @@ def well_distributed_fpm(
             f"gamma={params.gamma} gives {T} greedy prefix rounds at n={G.n}; "
             "only the exactly uniform measure (no prefix) is supported"
         )
-    if oracle.count_pm() == 0:
-        raise SamplingError("graph has no perfect matching")
-    rng = rng_from(seed)  # re-keyed to stream (seed, t) before trial t
-    chosen: list[int] = []
-    for state in substream_states(seed, range(trials)):
-        rng.bit_generator.state = state
-        chosen += oracle.sample(rng)
-    empirical = np.bincount(chosen, minlength=G.num_edges) / trials
+    empirical = np.bincount(oracle.sample_streams(seed, trials).ravel(), minlength=G.num_edges) / trials
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.
     floored = np.maximum(empirical, 0.5 / trials)

@@ -8,6 +8,8 @@ the paper's leading-order centers sit from them (about 0.196, 0.132 and
 shrink as n grows.
 """
 
+import re
+
 from hypermatch import acceptance
 
 
@@ -33,7 +35,18 @@ def test_criterion_4_shift_correctness():
 
 
 def test_criterion_5_anneal_contract():
-    _check(acceptance.criterion_5_anneal_contract())
+    result = acceptance.criterion_5_anneal_contract()
+    _check(result)
+    # at desk scale the validated regime makes no shift; the active one does
+    assert "validated regime: 0 shifts (vacuous)," in result.details
+    assert re.search(r"active regime: [1-9]\d* shifts,", result.details)
+
+
+def test_criterion_5_quick_run_names_its_vacuous_regimes():
+    # verify --quick: neither regime shifts, and the line says so
+    line = acceptance.criterion_5_anneal_contract(instances=5).summary_line()
+    assert "validated regime: 0 shifts (vacuous)," in line
+    assert "active regime: 0 shifts (vacuous)," in line
 
 
 def test_criterion_6_greedy_concentration():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hypermatch import counting
+from hypermatch import bipartite, cli, counting, entropy
 from hypermatch.cli import main
 from hypermatch.hypergraph import gen_complete, read_hypergraph, write_hypergraph
 
@@ -19,6 +19,20 @@ def k6_path(tmp_path):
 
 def run(args):
     return main(args)
+
+
+@pytest.fixture()
+def built_oracles(monkeypatch):
+    """The n of every exact oracle built from here on."""
+    built = []
+
+    class CountedOracle(counting.PMOracle):
+        def __init__(self, G):
+            built.append(G.n)
+            super().__init__(G)
+
+    monkeypatch.setattr(counting, "PMOracle", CountedOracle)
+    return built
 
 
 class TestSubcommands:
@@ -70,18 +84,31 @@ class TestSubcommands:
         report = json.loads((tmp_path / "marginals_report.json").read_text())
         assert report["marginal_inequality_ok"] and report["solver_dominance_ok"]
 
-    def test_marginals_fills_the_dp_once(self, k6_path, tmp_path, monkeypatch):
+    def test_marginals_fills_the_dp_once(self, k6_path, tmp_path, built_oracles):
         # the weights file and the report read one exact oracle
-        built = []
-
-        class CountedOracle(counting.PMOracle):
-            def __init__(self, G):
-                built.append(G.n)
-                super().__init__(G)
-
-        monkeypatch.setattr(counting, "PMOracle", CountedOracle)
         assert run(["marginals", "--graph", k6_path, "--out", str(tmp_path)]) == 0
-        assert built == [6]
+        assert built_oracles == [6]
+
+    def test_count_fills_the_dp_once(self, k6_path, tmp_path, built_oracles):
+        # the count and its entropy comparison read one exact oracle
+        assert run(["count", "--graph", k6_path, "--d", "2", "--gamma", "0.3",
+                    "--out", str(tmp_path)]) == 0
+        assert built_oracles == [6]
+
+    def test_bound_solves_once(self, k6_path, tmp_path, monkeypatch):
+        # the certificate and the matching-count bound read one solve
+        calls = []
+        real = entropy.max_entropy_fpm
+
+        def counted(G, *args, **kwargs):
+            calls.append(G.n)
+            return real(G, *args, **kwargs)
+
+        for module in (cli, bipartite):
+            monkeypatch.setattr(module, "max_entropy_fpm", counted)
+        assert run(["bound", "--graph", k6_path, "--d", "2", "--gamma", "0.3",
+                    "--out", str(tmp_path)]) == 0
+        assert calls == [6]
 
     def test_greedy_writes_trajectories(self, k6_path, tmp_path):
         assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", "2",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hypermatch import counting
+from hypermatch import counting, seeds
 from hypermatch.counting import (
     DEFAULT_COUNT_CAP,
     SAMPLE_CACHE_EDGES,
@@ -162,6 +162,7 @@ class TestLayeredDPMatchesRecursive:
         graphs = list(REFERENCE_GRAPHS.values())
         oracles = [PMOracle(G) for G in graphs]
         assert {G.k for G in graphs} == {2, 3, 4}
+        assert {G.k for G, o in zip(graphs, oracles) if o.count_pm()} == {2, 3, 4}
         assert any(G.n % G.k for G in graphs)
         assert any(G.n % G.k == 0 and o.count_pm() == 0 for G, o in zip(graphs, oracles))
         # dead ends: reachable states with no completion, next to live ones
@@ -213,6 +214,8 @@ class TestOracleGuards:
             for n in range(0, DEFAULT_COUNT_CAP + 1, k)
         )
         assert largest == phi_complete(24, 3).value < 2**63
+        # sample_streams packs (state index << 44 | running sum) into int64
+        assert largest < 2**44
         PMOracle(gen_complete(24, 3))
         PMOracle(gen_complete(24, 2))
 
@@ -336,6 +339,81 @@ class TestSampling:
         no_pm = Hypergraph(3, 6, [(0, 1, 2), (0, 3, 4)])
         with pytest.raises(SamplingError):
             sample_uniform_pms(no_pm, 1, 1)[0]
+
+
+def draw_and_words(G, seed, t):
+    """``sample`` on stream (seed, t) and the raw words it consumed."""
+    rng = rng_from(seed, t)
+    matching = PMOracle(G).sample(rng)
+    fresh = rng_from(seed, t).bit_generator
+    used = 0
+    while fresh.state != rng.bit_generator.state:
+        fresh.random_raw()
+        used += 1
+    return matching, used
+
+
+def count_redraws(monkeypatch):
+    """Record each ``PMOracle.sample`` call made from here on."""
+    calls = []
+    real = PMOracle.sample
+
+    def counted(self, rng):
+        calls.append(1)
+        return real(self, rng)
+
+    monkeypatch.setattr(PMOracle, "sample", counted)
+    return calls
+
+
+class TestLockstepStreams:
+    """``sample_streams`` row t against ``sample(rng_from(seed, t))``, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+    def test_rows_are_the_sequential_draws(self, name, seed, monkeypatch):
+        G = REFERENCE_GRAPHS[name]
+        oracle = PMOracle(G)
+        if not oracle.count_pm():
+            with pytest.raises(SamplingError):
+                oracle.sample_streams(seed, 5)
+            return
+        expected = [PMOracle(G).sample(rng_from(seed, t)) for t in range(60)]
+        redraws = count_redraws(monkeypatch)
+        assert [tuple(row) for row in oracle.sample_streams(seed, 60).tolist()] == expected
+        assert redraws == []
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
+    def test_trials_out_of_words_are_redrawn(self, seed, monkeypatch):
+        sequential = [draw_and_words(DIRAC_15, seed, t) for t in range(100)]
+        monkeypatch.setattr(counting, "STREAM_WORDS", 1)
+        redraws = count_redraws(monkeypatch)
+        rows = PMOracle(DIRAC_15).sample_streams(seed, 100)
+        assert [tuple(row) for row in rows.tolist()] == [m for m, _ in sequential]
+        # exactly the trials whose sequential draw took more than one word
+        assert len(redraws) == sum(used > 1 for _, used in sequential) > 0
+
+    def test_block_seams(self, monkeypatch):
+        monkeypatch.setattr(seeds, "STATE_BLOCK", 3)
+        rows = PMOracle(DIRAC_15).sample_streams(2**40 + 3, 10)
+        assert [tuple(row) for row in rows.tolist()] == [
+            PMOracle(DIRAC_15).sample(rng_from(2**40 + 3, t)) for t in range(10)
+        ]
+
+    def test_single_matching_takes_no_word(self, monkeypatch):
+        # every count is 1, so even streams with no words are never redrawn
+        assert all(draw_and_words(SINGLE_PM, 5, t) == ((0, 1), 0) for t in range(5))
+        monkeypatch.setattr(counting, "STREAM_WORDS", 0)
+        redraws = count_redraws(monkeypatch)
+        assert PMOracle(SINGLE_PM).sample_streams(5, 5).tolist() == [[0, 1]] * 5
+        assert redraws == []
+
+    def test_broken_layer_count_breaks_the_telescoping(self):
+        oracle = PMOracle(gen_complete(6, 3))
+        oracle.count_pm()
+        oracle._layers[0][1][0] += 1
+        with pytest.raises(InvariantError, match="telescope"):
+            oracle.sample_streams(0, 4)
 
 
 def pm_marginals(G):
