@@ -161,10 +161,7 @@ def bipartite_max_entropy(lft: BipartiteLift) -> tuple[BipartiteWeights, dict]:
     coeffs = np.where(order < q, float(lft.mult_b), float(lft.mult_a))
     mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))
-    result = scale_to_unit_sums(
-        indptr, order % q, coeffs, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER,
-        potential_cap=1e3 * math.log(max(lft.n_tilde, 3)),
-    )
+    result = scale_to_unit_sums(indptr, order % q, coeffs, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER)
     copies = lft.copies_per_quotient_edge
     y = result.x
     h_expanded = float(copies) * weight_entropy(y)

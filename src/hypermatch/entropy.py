@@ -28,12 +28,6 @@ from .hypergraph import Hypergraph, _text_lines
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 
-# scale_to_unit_sums switches to damped simultaneous updates once the
-# residual falls by less than STALL_RATIO over STALL_WINDOW sweeps.
-STALL_WINDOW = 100
-STALL_RATIO = 1e-3
-DAMPING = 0.5
-
 # Below this a weight is treated as exactly zero in entropy terms.
 ZERO_WEIGHT = 1e-300
 
@@ -171,84 +165,53 @@ class ScalingResult:
     iterations: int
     max_residual: float
     converged: bool
-    fallback_used: bool
 
 
 def scale_to_unit_sums(
-    indptr: np.ndarray,
-    ids: np.ndarray,
-    coeffs: np.ndarray,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    potential_cap: float,
+    indptr: np.ndarray, ids: np.ndarray, coeffs: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
 ) -> ScalingResult:
     """Scale positive x0 so each constraint sum_e coeff*x[e] equals 1.
 
     Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
     entries of x) and ``coeffs``.  Cyclic sweeps rescale one constraint at a
-    time (exact coordinate ascent on the dual); if the residual stalls
-    (relative drop below ``STALL_RATIO`` over ``STALL_WINDOW`` sweeps),
-    switches to simultaneous multiplicative updates damped by ``DAMPING``.
-    The accumulated per-constraint log-scalings are returned as potentials;
-    divergence beyond ``potential_cap`` is diagnosed as infeasibility.
+    time (exact coordinate ascent on the dual) until the largest residual is
+    at most ``tol`` or ``max_iter`` sweeps have run.  The accumulated
+    per-constraint log-scalings are returned as potentials; one beyond
+    1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
         raise InvalidArgumentError("scaling requires a strictly positive starting point")
     bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
     ncon = len(bounds)
+    cap = 1e3 * math.log(max(ncon, 3))
     mu = np.zeros(ncon, dtype=float)
-
-    def all_sums() -> np.ndarray:
-        return np.array([float(coeffs[lo:hi] @ x[ids[lo:hi]]) for lo, hi in bounds])
-
-    history: list[float] = []
-    fallback = False
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        if not fallback:
-            for j, (lo, hi) in enumerate(bounds):
-                con = ids[lo:hi]
-                s = float(coeffs[lo:hi] @ x[con])
-                if s <= 0:
-                    raise InfeasibleError(f"constraint {j} has no positive incident weight")
-                x[con] /= s
-                mu[j] -= math.log(s)
-        else:
-            sums = all_sums()
-            if float(sums.min()) <= 0:
-                raise InfeasibleError("a constraint lost all incident weight")
-            step = -DAMPING * np.log(sums)
-            mu += step
-            for j, (lo, hi) in enumerate(bounds):
-                x[ids[lo:hi]] *= math.exp(step[j])
-        sums = all_sums()
+        for j, (lo, hi) in enumerate(bounds):
+            con = ids[lo:hi]
+            s = float(coeffs[lo:hi] @ x[con])
+            if s <= 0:
+                raise InfeasibleError(f"constraint {j} has no positive incident weight")
+            x[con] /= s
+            mu[j] -= math.log(s)
+        sums = np.array([float(coeffs[lo:hi] @ x[ids[lo:hi]]) for lo, hi in bounds])
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
-            return ScalingResult(x, mu, sweeps, residual, True, fallback)
-        if float(np.abs(mu).max()) > potential_cap:
+            return ScalingResult(x, mu, sweeps, residual, True)
+        if float(np.abs(mu).max()) > cap:
             raise InfeasibleError(
-                f"diverging potentials (|mu| > {potential_cap:.3g}); "
+                f"diverging potentials (|mu| > {cap:.3g}); "
                 "no fractional perfect matching on this support"
             )
-        history.append(residual)
-        if not fallback and len(history) > STALL_WINDOW:
-            old = history[-STALL_WINDOW - 1]
-            if residual > old * (1.0 - STALL_RATIO):
-                fallback = True
-    return ScalingResult(x, mu, sweeps, residual, False, fallback)
+    return ScalingResult(x, mu, sweeps, residual, False)
 
 
-def scale_vertex_sums(
-    G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int, potential_cap: float
-) -> ScalingResult:
+def scale_vertex_sums(G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int) -> ScalingResult:
     """``scale_to_unit_sums`` on the vertex sums of G: one unit-coefficient
     constraint per vertex, read from the graph's incidence arrays."""
-    return scale_to_unit_sums(
-        G.indptr, G.incidence, np.ones(G.incidence.size), x0, tol, max_iter, potential_cap
-    )
+    return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.incidence.size), x0, tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -272,6 +235,9 @@ def max_entropy_fpm(
     convergence ``x_e = exp(sum_{v in e} lambda_v - 1)`` up to rounding.
     Raises InfeasibleError for graphs with an uncovered vertex or diverging
     potentials; returns converged=False when the iteration budget runs out.
+    The entropy is accurate to about ``max_residual`` times max|ln x_e| per
+    vertex, not to ``tol``: on a random n = 60 Dirac 3-graph it lies 5.2e-7
+    above the optimum, about 50 times the vertex-sum tolerance.
     """
     if not tol > 0 or max_iter < 1:
         raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
@@ -283,12 +249,11 @@ def max_entropy_fpm(
         raise InfeasibleError(f"vertex {int(uncovered[0])} has no incident edge")
     m = G.num_edges
     x0_value = G.n / (G.k * m)
-    cap = 1e3 * math.log(max(G.n, 3))
-    result = scale_vertex_sums(G, np.full(m, x0_value), tol, max_iter, potential_cap=cap)
+    result = scale_vertex_sums(G, np.full(m, x0_value), tol, max_iter)
     # Shift the accumulated scalings into true dual potentials:
     # x_e = x0 * prod_v exp(mu_v) = exp(sum_v lambda_v - 1) with the shift below.
     lam = result.potentials + (1.0 + math.log(x0_value)) / G.k
-    status = STATUS_VERIFIED if result.converged and result.max_residual <= tol else STATUS_RAW
+    status = STATUS_VERIFIED if result.converged else STATUS_RAW
     x = EdgeWeights.from_weights(G, np.minimum(result.x, 1.0), status)
     report = SolverReport(result.iterations, result.max_residual, x.entropy, result.converged, lam)
     return x, report

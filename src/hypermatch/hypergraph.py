@@ -317,10 +317,11 @@ class AlphaTable:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            entries = {
-                (int(item["d"]), int(item["k"])): Fraction(str(item["alpha"]))
-                for item in data.get("entries", [])
-            }
+            entries = {}
+            for item in data.get("entries", []):
+                if type(item["d"]) is not int or type(item["k"]) is not int:
+                    raise TypeError(f"d and k must be JSON integers in {item!r}")
+                entries[(item["d"], item["k"])] = Fraction(str(item["alpha"]))
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(
                 f"alpha table {path} is malformed: {type(exc).__name__}: {exc}"
@@ -370,7 +371,15 @@ def is_dirac(G: Hypergraph, params: DiracParams, alpha: Optional[AlphaTable] = N
 
 
 def all_subsets(n: int, size: int) -> np.ndarray:
-    """Every size-subset of [n] as an ascending int64 row, in lexicographic order."""
+    """Every size-subset of [n] as an ascending int64 row, in lexicographic order.
+
+    Raises ResourceLimitError, promptly for any n, when C(n, size) > DEFAULT_DEGREE_WORK_LIMIT.
+    """
+    count = 1
+    for i in range(min(size, n - size)):
+        count = count * (n - i) // (i + 1)  # C(n, i + 1)
+        if count > DEFAULT_DEGREE_WORK_LIMIT:
+            raise ResourceLimitError(f"C({n}, {size}) subsets exceed the work limit {DEFAULT_DEGREE_WORK_LIMIT:.0e}")
     return np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.int64
     ).reshape(-1, size)

@@ -405,7 +405,7 @@ def anneal_and_shift(
             AnnealStep(step, structure.e_ids, structure.f_ids, params.delta, before, x.entropy, bound)
         )
         if step % RENORMALIZE_EVERY == 0 and float(x.weights.min()) > 0:
-            result = scale_vertex_sums(G, x.weights, 1e-13, 50, potential_cap=1e6)
+            result = scale_vertex_sums(G, x.weights, 1e-13, 50)
             x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest, x.status)
             log.renormalizations += 1
     log.final_entropy = x.entropy
@@ -448,7 +448,7 @@ def well_distributed_fpm(
     # Never-sampled edges get half a count so multiplicative scaling can
     # still move weight onto them.
     floored = np.maximum(empirical, 0.5 / trials)
-    result = scale_vertex_sums(G, floored, 1e-10, 20000, potential_cap=1e6)
+    result = scale_vertex_sums(G, floored, 1e-10, 20000)
     if not result.converged:
         raise SamplingError(
             f"projection onto unit vertex sums did not converge (residual {result.max_residual:.3e})"

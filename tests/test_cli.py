@@ -269,6 +269,11 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and str(table) in err["message"]
 
+    def test_gen_past_work_limit(self, tmp_path, capsys):
+        assert run(["gen", "--n", "100000", "--k", "3", "--complete", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ResourceLimitError" and "work limit" in err["message"]
+
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 1
         err = json.loads(capsys.readouterr().err.strip())

@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -242,28 +243,59 @@ class TestSolver:
         assert not report.converged
         assert x.weights[1] < 1e-4
 
-    def test_damped_fallback_path_still_converges(self, monkeypatch):
-        # force the stall detector with a tight window; the damped updates
-        # must keep making progress on a smooth instance
-        from hypermatch import entropy
-        from hypermatch.entropy import scale_to_unit_sums
-
-        monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
-        monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
-        G = gen_complete(8, 2)
-        index = G
-        rng = rng_from(12)
-        x0 = rng.random(G.num_edges) + 0.05
-        result = scale_to_unit_sums(
-            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000,
-            potential_cap=1e6,
-        )
-        assert result.fallback_used
-        assert result.converged and result.max_residual <= 1e-10
-
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
             max_entropy_fpm(gen_complete(4, 2), tol=-1.0)
+
+
+def dual_value(G, lam):
+    """g(lam) = sum_e exp(sum_{v in e} lam_v - 1) - sum_v lam_v, summed exactly.
+
+    Weak duality makes g(lam) >= h* for every lam, converged or not.
+    """
+    return math.fsum(math.exp(math.fsum(lam[row]) - 1.0) for row in G.edge_verts) - math.fsum(lam)
+
+
+DIRAC_SMALL = [
+    lambda: gen_random_dirac(9, 3, DiracParams(2, 0.2), 0.95, seed=11),
+    lambda: gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.9, seed=3),
+    lambda: gen_random_dirac(15, 3, DiracParams(2, 0.2), 0.9, seed=4),
+    lambda: gen_random_dirac(12, 4, DiracParams(3, 0.1), 0.95, seed=2),
+]
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("make", DIRAC_SMALL)
+    def test_noisy_potentials_bound_exact_marginals(self, make):
+        # the exact marginals are an exactly feasible fpm, so h(marginals) <= h* <= g(lam)
+        G = make()
+        marginals, _ = entropy_identities_check(G)
+        _, report = max_entropy_fpm(G)
+        rng = rng_from(G.n, G.k)
+        for scale in (1e-6, 1e-3, 1e-1, 1.0):
+            for _ in range(25):
+                lam = report.potentials + rng.normal(0.0, scale, G.n)
+                assert dual_value(G, lam) >= marginals.entropy
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (12, 3), (8, 2), (8, 4)])
+    def test_solver_potentials_give_the_closed_form(self, n, k):
+        # K_n^(k): the uniform fpm 1/C(n-1, k-1) on every edge is optimal
+        G = gen_complete(n, k)
+        _, report = max_entropy_fpm(G)
+        h = n / k * math.log(comb(n - 1, k - 1))
+        assert dual_value(G, report.potentials) == pytest.approx(h, rel=1e-12)
+
+    @pytest.mark.parametrize("make", DIRAC_SMALL + [
+        lambda: gen_random_dirac(30, 3, DiracParams(2, 0.2), 0.9, seed=5),
+    ])
+    def test_gap_within_residual_slack(self, make):
+        # x_e = exp(sum lam - 1) gives g(lam) - h(x) = sum_v lam_v (s_v - 1),
+        # so the gap is at most residual * sum|lam| plus rounding
+        G = make()
+        x, report = max_entropy_fpm(G)
+        lam = report.potentials
+        slack = report.max_residual * float(np.abs(lam).sum()) + 1e-9 * max(1.0, x.entropy)
+        assert abs(dual_value(G, lam) - x.entropy) <= slack
 
 
 class TestConvexCombine:

@@ -231,6 +231,9 @@ NOT_UTF8 = b"3 6\n0 1 \xff\n"
         ("alpha.json", b'{"entries": [{"d": 1, "k": 4}]}', ConfigError),  # no alpha
         ("alpha.json", b'{"entries": [{"d": 1, "k": 4, "alpha": "x/y"}]}', ConfigError),
         ("alpha.json", b'{"entries": [{"d": 1, "k": 4, "alpha": "1/0"}]}', ConfigError),
+        ("alpha.json", b'{"entries": [{"d": 1.7, "k": 3, "alpha": "1/2"}]}', ConfigError),
+        ("alpha.json", b'{"entries": [{"d": true, "k": 4.9, "alpha": "1/2"}]}', ConfigError),
+        ("alpha.json", b'{"entries": [{"d": "1", "k": 4, "alpha": "1/2"}]}', ConfigError),
         ("graph.khg", NOT_UTF8, ParseError),
         ("weights.wts", NOT_UTF8, ParseError),
     ],
@@ -273,6 +276,13 @@ class TestGenerators:
         assert gen_complete(4, 2).num_edges == 6
         assert gen_complete(6, 3).num_edges == 20
         assert gen_complete(3, 3).num_edges == 1
+
+    def test_complete_refused_past_work_limit(self):
+        # C(100000, 3) = 1.7e14 rows: refused before any is listed
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="work limit"):
+            gen_complete(100_000, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_density_one_gives_complete(self):
         G = gen_random_dirac(12, 3, DiracParams(1, 0.05), density=1.0, seed=1)

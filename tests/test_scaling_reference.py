@@ -4,7 +4,7 @@
 constraint came as its own id array and coefficient array; the constraint
 builders below are the per-vertex ``incident(v)`` lists and the bipartite
 append loops.  Every caller of the CSR core must give bit-identical weights,
-potentials, sweep counts and fallback flags.  ``reference_lift`` is the
+potentials, sweep counts and convergence flags.  ``reference_lift`` is the
 bipartite lift as it was built from subset tuples and subset-to-index dicts;
 the code-built lift must give the same subsets, quotient edges, source
 edges and side degrees.
@@ -16,14 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from hypermatch import bipartite, entropy, shifting
+from hypermatch import bipartite, shifting
 from hypermatch.counting import PMOracle
 from hypermatch.entropy import (
     EdgeWeights,
     as_verified,
     convex_combine,
     max_entropy_fpm,
-    scale_to_unit_sums,
     scale_vertex_sums,
     well_distributed_factor,
 )
@@ -33,50 +32,27 @@ from hypermatch.seeds import rng_from
 from hypermatch.shifting import anneal_and_shift, auto_anneal_params, well_distributed_fpm
 
 
-def reference_scale_to_unit_sums(
-    con_edges, con_coeffs, x0, tol, max_iter, potential_cap,
-    stall_window=100, stall_ratio=1e-3, damping=0.5,
-):
+def reference_scale_to_unit_sums(con_edges, con_coeffs, x0, tol, max_iter):
     x = np.array(x0, dtype=float)
     ncon = len(con_edges)
     mu = np.zeros(ncon, dtype=float)
-
-    def all_sums():
-        return np.array([float(coeffs @ x[ids]) for ids, coeffs in zip(con_edges, con_coeffs)])
-
-    history = []
-    fallback = False
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        if not fallback:
-            for j in range(ncon):
-                ids, coeffs = con_edges[j], con_coeffs[j]
-                s = float(coeffs @ x[ids])
-                if s <= 0:
-                    raise InfeasibleError(f"constraint {j} has no positive incident weight")
-                x[ids] /= s
-                mu[j] -= math.log(s)
-        else:
-            sums = all_sums()
-            if float(sums.min()) <= 0:
-                raise InfeasibleError("a constraint lost all incident weight")
-            step = -damping * np.log(sums)
-            mu += step
-            for j in range(ncon):
-                x[con_edges[j]] *= math.exp(step[j])
-        sums = all_sums()
+        for j in range(ncon):
+            ids, coeffs = con_edges[j], con_coeffs[j]
+            s = float(coeffs @ x[ids])
+            if s <= 0:
+                raise InfeasibleError(f"constraint {j} has no positive incident weight")
+            x[ids] /= s
+            mu[j] -= math.log(s)
+        sums = np.array([float(coeffs @ x[ids]) for ids, coeffs in zip(con_edges, con_coeffs)])
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
-            return x, mu, sweeps, residual, True, fallback
-        if float(np.abs(mu).max()) > potential_cap:
+            return x, mu, sweeps, residual, True
+        if float(np.abs(mu).max()) > 1e3 * math.log(max(ncon, 3)):
             raise InfeasibleError("diverging potentials")
-        history.append(residual)
-        if not fallback and len(history) > stall_window:
-            old = history[-stall_window - 1]
-            if residual > old * (1.0 - stall_ratio):
-                fallback = True
-    return x, mu, sweeps, residual, False, fallback
+    return x, mu, sweeps, residual, False
 
 
 def vertex_constraints(G):
@@ -117,11 +93,10 @@ def reference_lift(G, d):
 
 
 def assert_same(result, ref):
-    x, mu, sweeps, residual, converged, fallback = ref
+    x, mu, sweeps, residual, converged = ref
     assert result.x.tobytes() == x.tobytes()
     assert result.potentials.tobytes() == mu.tobytes()
-    assert (result.iterations, result.max_residual) == (sweeps, residual)
-    assert (result.converged, result.fallback_used) == (converged, fallback)
+    assert (result.iterations, result.max_residual, result.converged) == (sweeps, residual, converged)
 
 
 def recorder(monkeypatch, module, name):
@@ -129,10 +104,10 @@ def recorder(monkeypatch, module, name):
     real = getattr(module, name)
     calls = []
 
-    def wrapped(*args, **kwargs):
+    def wrapped(*args):
         args = [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
-        result = real(*args, **kwargs)
-        calls.append((args, kwargs, result))
+        result = real(*args)
+        calls.append((args, result))
         return result
 
     monkeypatch.setattr(module, name, wrapped)
@@ -157,25 +132,10 @@ class TestVertexScaling:
             x0 = np.full(m, G.n / (G.k * m))
         else:
             x0 = rng_from(21).random(m) + 0.01
-        result = scale_vertex_sums(G, x0, 1e-10, 2000, 1e6)
-        ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, 1e-10, 2000, 1e6)
+        result = scale_vertex_sums(G, x0, 1e-10, 2000)
+        ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, 1e-10, 2000)
         assert_same(result, ref)
         assert result.converged
-
-    def test_damped_fallback_equal(self, monkeypatch):
-        monkeypatch.setattr(entropy, "STALL_WINDOW", 2)
-        monkeypatch.setattr(entropy, "STALL_RATIO", 0.99)
-        G = GRAPHS["dirac15"]()
-        index = G
-        x0 = rng_from(12).random(G.num_edges) + 0.05
-        result = scale_to_unit_sums(
-            index.indptr, index.incidence, np.ones(index.incidence.size), x0, 1e-10, 5000, 1e6
-        )
-        ref = reference_scale_to_unit_sums(
-            *vertex_constraints(G), x0, 1e-10, 5000, 1e6, stall_window=2, stall_ratio=0.99
-        )
-        assert result.fallback_used
-        assert_same(result, ref)
 
     @pytest.mark.parametrize("name", ["K12", "dirac15", "dirac30"])
     def test_solver_equal(self, name):
@@ -183,10 +143,9 @@ class TestVertexScaling:
         x, report = max_entropy_fpm(G)
         x0_value = G.n / (G.k * G.num_edges)
         ref = reference_scale_to_unit_sums(
-            *vertex_constraints(G), np.full(G.num_edges, x0_value), 1e-8, 20000,
-            1e3 * math.log(max(G.n, 3)),
+            *vertex_constraints(G), np.full(G.num_edges, x0_value), 1e-8, 20000
         )
-        ref_x, ref_mu, sweeps, residual, converged, _ = ref
+        ref_x, ref_mu, sweeps, residual, converged = ref
         assert x.weights.tobytes() == np.minimum(ref_x, 1.0).tobytes()
         lam = ref_mu + (1.0 + math.log(x0_value)) / G.k
         assert report.potentials.tobytes() == lam.tobytes()
@@ -198,11 +157,9 @@ class TestVertexScaling:
         calls = recorder(monkeypatch, shifting, "scale_vertex_sums")
         G = GRAPHS["dirac15"]()
         x, _ = well_distributed_fpm(G, DiracParams(2, 0.2), seed=7, trials=300)
-        [(args, kwargs, result)] = calls
+        [(args, result)] = calls
         _, x0, tol, max_iter = args
-        ref = reference_scale_to_unit_sums(
-            *vertex_constraints(G), x0, tol, max_iter, kwargs["potential_cap"]
-        )
+        ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, tol, max_iter)
         assert_same(result, ref)
         assert x.weights.tobytes() == np.minimum(ref[0], 1.0).tobytes()
 
@@ -219,13 +176,11 @@ class TestVertexScaling:
         monkeypatch.setattr(shifting, "RENORMALIZE_EVERY", 1)
         final, log = anneal_and_shift(G, adv, x_hat, params)
         assert log.renormalizations == len(calls) == len(log.steps) > 0
-        for args, kwargs, result in calls:
+        for args, result in calls:
             _, x0, tol, max_iter = args
-            ref = reference_scale_to_unit_sums(
-                *vertex_constraints(G), x0, tol, max_iter, kwargs["potential_cap"]
-            )
+            ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, tol, max_iter)
             assert_same(result, ref)
-        assert final.weights.tobytes() == np.minimum(calls[-1][2].x, 1.0).tobytes()
+        assert final.weights.tobytes() == np.minimum(calls[-1][1].x, 1.0).tobytes()
 
 
 class TestLiftMatchesReference:
@@ -277,16 +232,14 @@ class TestBipartiteScaling:
         calls = recorder(monkeypatch, bipartite, "scale_to_unit_sums")
         lft = bipartite.lift(make(), d)
         bw, _ = bipartite.bipartite_max_entropy(lft)
-        [(args, kwargs, result)] = calls
+        [(args, result)] = calls
         indptr, ids, coeffs, y0, tol, max_iter = args
         con_edges, con_coeffs = bipartite_constraints(lft)
         assert len(indptr) - 1 == len(con_edges)
         for j, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
             assert ids[lo:hi].tolist() == con_edges[j].tolist()
             assert coeffs[lo:hi].tobytes() == con_coeffs[j].tobytes()
-        ref = reference_scale_to_unit_sums(
-            con_edges, con_coeffs, y0, tol, max_iter, kwargs["potential_cap"]
-        )
+        ref = reference_scale_to_unit_sums(con_edges, con_coeffs, y0, tol, max_iter)
         assert_same(result, ref)
         assert bw.per_copy.tobytes() == ref[0].tobytes()
         assert (bw.iterations, bw.max_residual, bw.converged) == ref[2:5]

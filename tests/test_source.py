@@ -8,6 +8,15 @@ import hypermatch
 SOURCE = pathlib.Path(hypermatch.__file__).parent
 
 
+def loaded_names(tree):
+    """Every name and attribute that the tree reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_no_assert_statements():
     # invariants must survive ``python -O``, so they raise InvariantError
     found = []
@@ -30,13 +39,8 @@ def test_every_export_is_used_by_the_package():
     }
     loaded = set()
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        if path.name != "__init__.py":
+            loaded |= loaded_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     assert sorted(exported - loaded) == []
 
 
@@ -61,3 +65,22 @@ def test_no_unused_imports():
         }
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in loaded]
     assert unused == []
+
+
+def test_every_constant_is_read_by_the_package():
+    # a module-level constant that no package code reads is a knob nobody turns
+    constants, loaded = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants += [
+                    (path.name, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id.isupper()
+                ]
+        loaded |= loaded_names(tree)
+    assert len(constants) >= 30
+    assert [f"{module} {name}" for module, name in constants if name not in loaded] == []
