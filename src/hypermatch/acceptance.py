@@ -1,7 +1,8 @@
 """Acceptance suite: one callable per criterion, used by tests and the CLI.
 
 Each criterion returns a CriterionResult with a pass/fail verdict at its
-pinned tolerance and a details string.  ``run_all`` executes the whole
+pinned tolerance and a details string: its body returns (passed, details)
+and the ``_criterion`` decorator times it.  ``run_all`` executes the whole
 gate; the ``quick`` flag shrinks trial counts for smoke runs (the gate is
 the full run).
 
@@ -19,6 +20,7 @@ as n grows.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +29,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 from math import comb, perm
-from typing import Callable
 
 import numpy as np
 
@@ -77,10 +78,19 @@ class CriterionResult:
         return f"[{flag}] {self.name} ({self.elapsed:.1f}s): {self.details}"
 
 
-def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.time()
-    passed, details = fn()
-    return CriterionResult(name, passed, details, time.time() - start)
+def _criterion(name: str):
+    """Make a function returning (passed, details) return a timed CriterionResult."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CriterionResult:
+            start = time.time()
+            passed, details = fn(*args, **kwargs)
+            return CriterionResult(name, passed, details, time.time() - start)
+
+        return run
+
+    return wrap
 
 
 def _random_dirac_instances(
@@ -113,130 +123,135 @@ def _complete_minus_pm(n: int, k: int, seed: int) -> Hypergraph:
 # --------------------------------------------------------------------------
 
 
-def criterion_1_exact_counts() -> CriterionResult:
+@_criterion("1 exact-count oracle")
+def criterion_1_exact_counts():
     """count_pm on complete graphs equals the closed form; runtime < 10 s."""
-
-    def body():
-        lines = []
-        ok = True
-        start = time.time()
-        for n, k in COMPLETE_FAMILY:
-            got = count_pm(gen_complete(n, k)).value
-            want = phi_complete(n, k).value
-            if got != want:
-                ok = False
-                lines.append(f"K_{n}^({k}): {got} != {want}")
-        elapsed = time.time() - start
-        if elapsed >= 10.0:
+    lines = []
+    ok = True
+    start = time.time()
+    for n, k in COMPLETE_FAMILY:
+        got = count_pm(gen_complete(n, k)).value
+        want = phi_complete(n, k).value
+        if got != want:
             ok = False
-            lines.append(f"runtime {elapsed:.1f}s >= 10s")
-        detail = "; ".join(lines) if lines else f"8 exact matches in {elapsed:.2f}s"
-        return ok, detail
+            lines.append(f"K_{n}^({k}): {got} != {want}")
+    elapsed = time.time() - start
+    if elapsed >= 10.0:
+        ok = False
+        lines.append(f"runtime {elapsed:.1f}s >= 10s")
+    return ok, "; ".join(lines) if lines else f"8 exact matches in {elapsed:.2f}s"
 
-    return _timed("1 exact-count oracle", body)
 
-
-def criterion_2_solver_on_complete() -> CriterionResult:
+@_criterion("2 max-entropy solver symmetry")
+def criterion_2_solver_on_complete():
     """Solver entropy equals (n/k) ln C(n-1, k-1) within 1e-6, residuals <= 1e-8."""
-
-    def body():
-        worst_h = 0.0
-        worst_r = 0.0
-        for n, k in COMPLETE_FAMILY:
-            x, report = max_entropy_fpm(gen_complete(n, k))
-            want = (n / k) * math.log(comb(n - 1, k - 1))
-            worst_h = max(worst_h, abs(x.entropy - want))
-            worst_r = max(worst_r, report.max_residual)
-        ok = worst_h <= 1e-6 and worst_r <= 1e-8
-        return ok, f"max |h - closed form| = {worst_h:.2e}, max residual = {worst_r:.2e}"
-
-    return _timed("2 max-entropy solver symmetry", body)
+    worst_h = 0.0
+    worst_r = 0.0
+    for n, k in COMPLETE_FAMILY:
+        x, report = max_entropy_fpm(gen_complete(n, k))
+        want = (n / k) * math.log(comb(n - 1, k - 1))
+        worst_h = max(worst_h, abs(x.entropy - want))
+        worst_r = max(worst_r, report.max_residual)
+    ok = worst_h <= 1e-6 and worst_r <= 1e-8
+    return ok, f"max |h - closed form| = {worst_h:.2e}, max residual = {worst_r:.2e}"
 
 
-def criterion_3_jensen_sandwich(quota: int = 100) -> CriterionResult:
+@_criterion("3 Jensen sandwich")
+def criterion_3_jensen_sandwich(quota: int = 100):
     """Jensen bounds sandwich solver entropy on random Dirac instances."""
-
-    def body():
-        instances: list[Hypergraph] = []
-        instances += _random_dirac_instances([8, 10, 12, 14], 2, 1, 0.2, 0.9, 3000, quota // 2)
-        instances += _random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.92, 4000, quota - quota // 2)
-        violations = 0
-        margin_low = math.inf
-        margin_high = math.inf
-        for G in instances:
-            x, report = max_entropy_fpm(G)
-            L = float(x.weights.max())
-            upper, lower = jensen_bounds(G, L)
-            if not (lower <= x.entropy <= upper):
-                violations += 1
-            margin_low = min(margin_low, x.entropy - lower)
-            margin_high = min(margin_high, upper - x.entropy)
-        ok = violations == 0 and len(instances) >= quota
-        return ok, (
-            f"{len(instances)} instances, {violations} violations; "
-            f"min slack lower {margin_low:.3g}, upper {margin_high:.3g}"
-        )
-
-    return _timed("3 Jensen sandwich", body)
+    instances: list[Hypergraph] = []
+    instances += _random_dirac_instances([8, 10, 12, 14], 2, 1, 0.2, 0.9, 3000, quota // 2)
+    instances += _random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.92, 4000, quota - quota // 2)
+    violations = 0
+    margin_low = math.inf
+    margin_high = math.inf
+    for G in instances:
+        x, report = max_entropy_fpm(G)
+        L = float(x.weights.max())
+        upper, lower = jensen_bounds(G, L)
+        if not (lower <= x.entropy <= upper):
+            violations += 1
+        margin_low = min(margin_low, x.entropy - lower)
+        margin_high = min(margin_high, upper - x.entropy)
+    ok = violations == 0 and len(instances) >= quota
+    return ok, (
+        f"{len(instances)} instances, {violations} violations; "
+        f"min slack lower {margin_low:.3g}, upper {margin_high:.3g}"
+    )
 
 
-def criterion_4_shift_correctness(count: int = 1000) -> CriterionResult:
+@_criterion("4 shift correctness")
+def criterion_4_shift_correctness(count: int = 1000):
     """Vertex sums conserved to 1e-12 and gains clear the bound - 1e-9."""
+    graphs = [gen_complete(9, 3), gen_complete(8, 2), gen_complete(8, 4),
+              gen_complete(12, 3)]
+    solved = [(G, max_entropy_fpm(G)[0]) for G in graphs]
+    rng = rng_from(777)
+    worst_drift = 0.0
+    worst_gap = math.inf
+    done = 0
+    attempts = 0
+    while done < count and attempts < 50 * count:
+        attempts += 1
+        G, x_base = solved[attempts % len(solved)]
+        oracle = PMOracle(G)
+        t = 0.5 * float(rng.random())
+        pm = oracle.sample(rng)
+        ind = np.zeros(G.num_edges)
+        ind[list(pm)] = 1.0
+        x_pm = as_verified(G, EdgeWeights.from_weights(G, ind))
+        x = convex_combine(x_base, x_pm, t)
+        e_id = int(rng.integers(0, G.num_edges))
+        partners = partner_edges(G, e_id)
+        if not partners.size:
+            continue
+        f_id = int(partners[int(rng.integers(0, partners.size))])
+        structure = find_shifting_structure(G, e_id, f_id)
+        if structure is None:
+            continue
+        w = x.weights
+        min_e = min(float(w[i]) for i in structure.e_ids)
+        max_f = max(float(w[i]) for i in structure.f_ids)
+        if min_e <= 0:
+            continue
+        delta = 0.45 * min_e * float(rng.random())
+        eta = max_f + delta + 0.01
+        if max_f + delta > 1.0:
+            continue
+        bound = shift_gain_lower_bound(x, structure, delta, eta)
+        before = vertex_sums(G, x.weights)
+        shifted = apply_shift(x, structure, delta)
+        drift = float(np.abs(vertex_sums(G, shifted.weights) - before).max())
+        gap = (shifted.entropy - x.entropy) - bound
+        worst_drift = max(worst_drift, drift)
+        worst_gap = min(worst_gap, gap)
+        done += 1
+    ok = done == count and worst_drift <= 1e-12 and worst_gap >= -1e-9
+    return ok, (
+        f"{done} shifts; max vertex-sum drift {worst_drift:.2e}; "
+        f"min (gain - bound) = {worst_gap:.3g}"
+    )
 
-    def body():
-        graphs = [gen_complete(9, 3), gen_complete(8, 2), gen_complete(8, 4),
-                  gen_complete(12, 3)]
-        solved = [(G, max_entropy_fpm(G)[0]) for G in graphs]
-        rng = rng_from(777)
-        worst_drift = 0.0
-        worst_gap = math.inf
-        done = 0
-        attempts = 0
-        while done < count and attempts < 50 * count:
-            attempts += 1
-            G, x_base = solved[attempts % len(solved)]
-            oracle = PMOracle(G)
-            t = 0.5 * float(rng.random())
-            pm = oracle.sample(rng)
-            ind = np.zeros(G.num_edges)
-            ind[list(pm)] = 1.0
-            x_pm = as_verified(G, EdgeWeights.from_weights(G, ind))
-            x = convex_combine(x_base, x_pm, t)
-            e_id = int(rng.integers(0, G.num_edges))
-            partners = partner_edges(G, e_id)
-            if not partners.size:
-                continue
-            f_id = int(partners[int(rng.integers(0, partners.size))])
-            structure = find_shifting_structure(G, e_id, f_id)
-            if structure is None:
-                continue
-            w = x.weights
-            min_e = min(float(w[i]) for i in structure.e_ids)
-            max_f = max(float(w[i]) for i in structure.f_ids)
-            if min_e <= 0:
-                continue
-            delta = 0.45 * min_e * float(rng.random())
-            eta = max_f + delta + 0.01
-            if max_f + delta > 1.0:
-                continue
-            bound = shift_gain_lower_bound(x, structure, delta, eta)
-            before = vertex_sums(G, x.weights)
-            shifted = apply_shift(x, structure, delta)
-            drift = float(np.abs(vertex_sums(G, shifted.weights) - before).max())
-            gap = (shifted.entropy - x.entropy) - bound
-            worst_drift = max(worst_drift, drift)
-            worst_gap = min(worst_gap, gap)
-            done += 1
-        ok = done == count and worst_drift <= 1e-12 and worst_gap >= -1e-9
-        return ok, (
-            f"{done} shifts; max vertex-sum drift {worst_drift:.2e}; "
-            f"min (gain - bound) = {worst_gap:.3g}"
+
+def _anneal_regime(G, x_adv, x_hat, C, failures, label, **regime):
+    """One criterion-5 run; a miss of min weight >= delta or factor <= D (unless
+    search-exhausted) goes to ``failures``.  Returns (shifts, decreasing steps,
+    net entropy gain, search-exhausted)."""
+    params = auto_anneal_params(G, 0.5, 0.9, C, max_steps=40000, **regime)
+    x_final, log = anneal_and_shift(G, x_adv, x_hat, params)
+    flagged = log.termination == "search-exhausted"
+    min_w = float(x_final.weights.min())
+    factor = well_distributed_factor(G, x_final)
+    if not (min_w >= params.delta - 1e-15 and (factor <= params.D or flagged)):
+        failures.append(
+            f"{label}: min_w={min_w:.3g} factor={factor:.3g} D={params.D:.3g} term={log.termination}"
         )
+    decreasing = sum(s.entropy_after < s.entropy_before - 1e-12 for s in log.steps)
+    return len(log.steps), decreasing, log.final_entropy >= log.start_entropy - 1e-12, flagged
 
-    return _timed("4 shift correctness", body)
 
-
-def criterion_5_anneal_contract(instances: int = 20) -> CriterionResult:
+@_criterion("5 anneal monotonicity and output contract")
+def criterion_5_anneal_contract(instances: int = 20):
     """Monotone entropy, min weight >= delta, factor <= D or flagged.
 
     Runs the validated-parameter regime (auto-shrunk epsilon until the
@@ -246,75 +261,42 @@ def criterion_5_anneal_contract(instances: int = 20) -> CriterionResult:
     rate is reported: at desk scale active runs can and do take
     negative-gain steps.
     """
-
-    def body():
-        gen_params = DiracParams(2, 0.2)
-        graphs = _random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.95, 5000, instances)
-        flags = 0
-        steps = 0
-        active_flags = 0
-        active_mono_viol = 0
-        active_steps = 0
-        active_net_gain_ok = 0
-        failures = []
-        for idx, G in enumerate(graphs):
-            x_star, _ = max_entropy_fpm(G)
-            pms = sample_uniform_pms(G, 9000 + idx, 3)
-            w = np.zeros(G.num_edges)
-            for pm in pms:
-                w[list(pm)] += 1.0 / len(pms)
-            x_adv = as_verified(G, EdgeWeights.from_weights(G, w))
-            x_hat, _ = well_distributed_fpm(G, gen_params, seed=9100 + idx, trials=3000)
-            C = max(1.0, well_distributed_factor(G, x_hat))
-
-            params = auto_anneal_params(G, 0.5, 0.9, C, max_steps=40000,
-                                        require_positive_gain=True)
-            x_final, log = anneal_and_shift(G, x_adv, x_hat, params)
-            steps += len(log.steps)
-            mono = all(
-                s.entropy_after >= s.entropy_before - 1e-12 for s in log.steps
-            ) and log.final_entropy >= log.start_entropy - 1e-12
-            min_w_ok = float(x_final.weights.min()) >= params.delta - 1e-15
-            factor = well_distributed_factor(G, x_final)
-            flagged = log.termination == "search-exhausted"
-            flags += flagged
-            factor_ok = factor <= params.D or flagged
-            if not (mono and min_w_ok and factor_ok):
-                failures.append(
-                    f"instance {idx}: mono={mono} min_w={min_w_ok} factor={factor:.3g} D={params.D:.3g}"
-                )
-
-            active = auto_anneal_params(G, 0.5, 0.9, C, max_steps=40000,
-                                        require_termination=True)
-            xa, loga = anneal_and_shift(G, x_adv, x_hat, active)
-            active_steps += len(loga.steps)
-            active_mono_viol += sum(
-                s.entropy_after < s.entropy_before - 1e-12 for s in loga.steps
-            )
-            active_net_gain_ok += loga.final_entropy >= loga.start_entropy - 1e-12
-            a_flagged = loga.termination == "search-exhausted"
-            active_flags += a_flagged
-            a_factor = well_distributed_factor(G, xa)
-            if not (float(xa.weights.min()) >= active.delta - 1e-15
-                    and (a_factor <= active.D or a_flagged)):
-                failures.append(
-                    f"instance {idx} (active): min_w={float(xa.weights.min()):.3g} "
-                    f"factor={a_factor:.3g} D={active.D:.3g} term={loga.termination}"
-                )
-        ok = not failures
-        shifts = [f"{s} shifts" + " (vacuous)" * (s == 0) for s in (steps, active_steps)]
-        detail = (
-            f"{len(graphs)} instances; validated regime: {shifts[0]}, all clauses hold, "
-            f"search-exhausted rate {flags}/{len(graphs)}; active regime: "
-            f"{shifts[1]}, {active_mono_viol} decreasing steps (reported), "
-            f"net entropy gain on {active_net_gain_ok}/{len(graphs)}, "
-            f"flag rate {active_flags}/{len(graphs)}"
+    gen_params = DiracParams(2, 0.2)
+    graphs = _random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.95, 5000, instances)
+    # per regime: shifts, decreasing steps, runs with net entropy gain, flags
+    tally = np.zeros((2, 4), dtype=np.int64)
+    failures = []
+    for idx, G in enumerate(graphs):
+        pms = sample_uniform_pms(G, 9000 + idx, 3)
+        w = np.zeros(G.num_edges)
+        for pm in pms:
+            w[list(pm)] += 1.0 / len(pms)
+        x_adv = as_verified(G, EdgeWeights.from_weights(G, w))
+        x_hat, _ = well_distributed_fpm(G, gen_params, seed=9100 + idx, trials=3000)
+        C = max(1.0, well_distributed_factor(G, x_hat))
+        tally[0] += _anneal_regime(G, x_adv, x_hat, C, failures, f"instance {idx}",
+                                   require_positive_gain=True)
+        tally[1] += _anneal_regime(G, x_adv, x_hat, C, failures, f"instance {idx} (active)",
+                                   require_termination=True)
+    (steps, mono_viol, net_gain_ok, flags), active_tally = tally.tolist()
+    active_steps, active_mono_viol, active_net_gain_ok, active_flags = active_tally
+    # the validated regime asserts monotone entropy on every run
+    if mono_viol or net_gain_ok < len(graphs):
+        failures.append(
+            f"validated regime: {mono_viol} decreasing steps, net gain on {net_gain_ok}/{len(graphs)}"
         )
-        if failures:
-            detail += " | FAILURES: " + "; ".join(failures)
-        return ok, detail
-
-    return _timed("5 anneal monotonicity and output contract", body)
+    ok = not failures
+    shifts = [f"{s} shifts" + " (vacuous)" * (s == 0) for s in (steps, active_steps)]
+    detail = (
+        f"{len(graphs)} instances; validated regime: {shifts[0]}, all clauses hold, "
+        f"search-exhausted rate {flags}/{len(graphs)}; active regime: "
+        f"{shifts[1]}, {active_mono_viol} decreasing steps (reported), "
+        f"net entropy gain on {active_net_gain_ok}/{len(graphs)}, "
+        f"flag rate {active_flags}/{len(graphs)}"
+    )
+    if failures:
+        detail += " | FAILURES: " + "; ".join(failures)
+    return ok, detail
 
 
 def _complete_survival(n: int, k: int, i: int, s: int = 0) -> float:
@@ -326,77 +308,74 @@ def _complete_survival(n: int, k: int, i: int, s: int = 0) -> float:
     return perm(n - k * i - s, k - s) / perm(n - s, k - s)
 
 
-def criterion_6_greedy_concentration(seeds: int = 200) -> CriterionResult:
+@_criterion("6 greedy trajectory concentration")
+def criterion_6_greedy_concentration(seeds: int = 200):
     """Mean trajectories vs exact finite-n centers at 10% / 10% / 15%.
 
     Also reports the largest gap |asymptotic - exact| / asymptotic between
     the paper's centers and the exact ones per n, which must strictly shrink
     from n = 60 to 90 to 120 (see module doc).
     """
-
-    def body():
-        start = time.time()
-        per_n = []
-        gaps = []
-        ok = True
-        for n in (60, 90, 120):
-            G = gen_complete(n, 3)
-            x, _ = max_entropy_fpm(G)
-            cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
-            i_max = int(0.8 * n / 3)
-            sum_w = np.zeros(i_max + 1)
-            sum_e = np.zeros(i_max + 1)
-            deg_sum = np.zeros((i_max + 1, n))
-            deg_cnt = np.zeros((i_max + 1, n))
-            for s in range(seeds):
-                traj = run_greedy(G, x, cfg, seed=s)
-                sum_w += traj.residual_weight[: i_max + 1]
-                sum_e += traj.residual_entropy[: i_max + 1]
-                degs = traj.tracked_degrees[: i_max + 1]
-                alive = ~np.isnan(degs)
-                deg_sum[alive] += degs[alive]
-                deg_cnt += alive
-            mean_w = sum_w / seeds
-            mean_e = sum_e / seeds
-            with np.errstate(invalid="ignore", divide="ignore"):
-                mean_d = np.where(deg_cnt > 0, deg_sum / np.maximum(deg_cnt, 1), np.nan)
-            steps = range(i_max + 1)
-            p, asym_w, asym_e = centers(G, x, np.arange(i_max + 1))
-            # every vertex of K_n has the same degree, so vertex 0 stands for all
-            asym_d = p ** (G.k - 1) * G.degrees[0]
-            survival = np.array([_complete_survival(n, 3, i) for i in steps])
-            survival_d = np.array([_complete_survival(n, 3, i, 1) for i in steps])
-            exact_w = survival * asym_w[0]
-            exact_e = survival * asym_e[0]
-            exact_d = survival_d * asym_d[0]
-            dev_w = float(np.max(np.abs(mean_w - exact_w) / exact_w))
-            dev_e = float(np.max(np.abs(mean_e - exact_e) / exact_e))
-            dev_d = float(np.nanmax(np.abs(mean_d - exact_d[:, None]) / exact_d[:, None]))
-            gap = max(
-                float(np.max(np.abs(a - b) / a))
-                for a, b in ((asym_w, exact_w), (asym_e, exact_e), (asym_d, exact_d))
-            )
-            gaps.append(gap)
-            n_ok = dev_w <= 0.10 and dev_e <= 0.10 and dev_d <= 0.15
-            ok = ok and n_ok
-            per_n.append(
-                f"n={n}: exact-center dev weight {dev_w:.1e}, entropy {dev_e:.1e}, "
-                f"degree {dev_d:.1e}; asymptotic-center gap {gap:.3f} "
-                f"-> {'ok' if n_ok else 'OUT OF BAND'}"
-            )
-        shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
-        ok = ok and shrinking
-        per_n.append(
-            "asymptotic-center gap "
-            + ("strictly shrinking in n" if shrinking else "NOT shrinking in n")
+    start = time.time()
+    per_n = []
+    gaps = []
+    ok = True
+    for n in (60, 90, 120):
+        G = gen_complete(n, 3)
+        x, _ = max_entropy_fpm(G)
+        cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
+        i_max = int(0.8 * n / 3)
+        sum_w = np.zeros(i_max + 1)
+        sum_e = np.zeros(i_max + 1)
+        deg_sum = np.zeros((i_max + 1, n))
+        deg_cnt = np.zeros((i_max + 1, n))
+        for s in range(seeds):
+            traj = run_greedy(G, x, cfg, seed=s)
+            sum_w += traj.residual_weight[: i_max + 1]
+            sum_e += traj.residual_entropy[: i_max + 1]
+            degs = traj.tracked_degrees[: i_max + 1]
+            alive = ~np.isnan(degs)
+            deg_sum[alive] += degs[alive]
+            deg_cnt += alive
+        mean_w = sum_w / seeds
+        mean_e = sum_e / seeds
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_d = np.where(deg_cnt > 0, deg_sum / np.maximum(deg_cnt, 1), np.nan)
+        steps = range(i_max + 1)
+        p, asym_w, asym_e = centers(G, x, np.arange(i_max + 1))
+        # every vertex of K_n has the same degree, so vertex 0 stands for all
+        asym_d = p ** (G.k - 1) * G.degrees[0]
+        survival = np.array([_complete_survival(n, 3, i) for i in steps])
+        survival_d = np.array([_complete_survival(n, 3, i, 1) for i in steps])
+        exact_w = survival * asym_w[0]
+        exact_e = survival * asym_e[0]
+        exact_d = survival_d * asym_d[0]
+        dev_w = float(np.max(np.abs(mean_w - exact_w) / exact_w))
+        dev_e = float(np.max(np.abs(mean_e - exact_e) / exact_e))
+        dev_d = float(np.nanmax(np.abs(mean_d - exact_d[:, None]) / exact_d[:, None]))
+        gap = max(
+            float(np.max(np.abs(a - b) / a))
+            for a, b in ((asym_w, exact_w), (asym_e, exact_e), (asym_d, exact_d))
         )
-        elapsed = time.time() - start
-        if elapsed >= 120.0:
-            ok = False
-            per_n.append(f"runtime {elapsed:.0f}s >= 120s")
-        return ok, f"{seeds} seeds; " + "; ".join(per_n)
-
-    return _timed("6 greedy trajectory concentration", body)
+        gaps.append(gap)
+        n_ok = dev_w <= 0.10 and dev_e <= 0.10 and dev_d <= 0.15
+        ok = ok and n_ok
+        per_n.append(
+            f"n={n}: exact-center dev weight {dev_w:.1e}, entropy {dev_e:.1e}, "
+            f"degree {dev_d:.1e}; asymptotic-center gap {gap:.3f} "
+            f"-> {'ok' if n_ok else 'OUT OF BAND'}"
+        )
+    shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
+    ok = ok and shrinking
+    per_n.append(
+        "asymptotic-center gap "
+        + ("strictly shrinking in n" if shrinking else "NOT shrinking in n")
+    )
+    elapsed = time.time() - start
+    if elapsed >= 120.0:
+        ok = False
+        per_n.append(f"runtime {elapsed:.0f}s >= 120s")
+    return ok, f"{seeds} seeds; " + "; ".join(per_n)
 
 
 def _suite_under_12(extra_random: int = 10) -> list[Hypergraph]:
@@ -406,83 +385,69 @@ def _suite_under_12(extra_random: int = 10) -> list[Hypergraph]:
     return graphs
 
 
-def criterion_7_marginal_inequalities() -> CriterionResult:
+@_criterion("7 marginal-entropy inequality")
+def criterion_7_marginal_inequalities():
     """k h(marginals) >= ln Phi and solver dominance on every n <= 12 instance."""
-
-    def body():
-        worst_margin = math.inf
-        worst_dom = math.inf
-        checked = 0
-        for G in _suite_under_12():
-            _, report = entropy_identities_check(G)
-            worst_margin = min(worst_margin, report["k_h_marginals"] - report["ln_phi"])
-            worst_dom = min(worst_dom, report["h_solver"] - report["h_marginals"])
-            checked += 1
-        ok = worst_margin >= -1e-9 and worst_dom >= -1e-6
-        return ok, (
-            f"{checked} instances; min(k h(marg) - ln Phi) = {worst_margin:.4g}; "
-            f"min(h_solver - h(marg)) = {worst_dom:.3g}"
-        )
-
-    return _timed("7 marginal-entropy inequality", body)
+    worst_margin = math.inf
+    worst_dom = math.inf
+    checked = 0
+    for G in _suite_under_12():
+        _, report = entropy_identities_check(G)
+        worst_margin = min(worst_margin, report["k_h_marginals"] - report["ln_phi"])
+        worst_dom = min(worst_dom, report["h_solver"] - report["h_marginals"])
+        checked += 1
+    ok = worst_margin >= -1e-9 and worst_dom >= -1e-6
+    return ok, (
+        f"{checked} instances; min(k h(marg) - ln Phi) = {worst_margin:.4g}; "
+        f"min(h_solver - h(marg)) = {worst_dom:.3g}"
+    )
 
 
-def criterion_8_entropy_bound_certificates(instances: int = 50) -> CriterionResult:
+@_criterion("8 entropy lower-bound certificate")
+def criterion_8_entropy_bound_certificates(instances: int = 50):
     """Solver and lift pipeline clear the closed-form bound - 1e-6."""
-
-    def body():
-        graphs = _random_dirac_instances([9, 12], 3, 2, 0.2, 0.95, 7000, instances)
-        failures = []
-        min_solver_margin = math.inf
-        min_pull_margin = math.inf
-        for idx, G in enumerate(graphs):
-            cert = certify_entropy_lower_bound(G, 2)
-            min_solver_margin = min(min_solver_margin, cert["h_solver"] - cert["bound"])
-            min_pull_margin = min(min_pull_margin, cert["h_pullback"] - cert["bound"])
-            if not (cert["solver_clears_bound"] and cert["pullback_clears_bound"]):
-                failures.append(f"instance {idx}")
-        K6 = gen_complete(6, 3)
-        cert6 = certify_entropy_lower_bound(K6, 2)
-        tight = abs(cert6["h_solver"] - cert6["bound"])
-        if tight > 1e-6 or not cert6["pullback_clears_bound"]:
-            failures.append(f"K_6 tightness gap {tight:.2e}")
-        ok = not failures
-        return ok, (
-            f"{len(graphs)} instances; min solver margin {min_solver_margin:.4g}, "
-            f"min pull-back margin {min_pull_margin:.4g}; K_6 tightness gap {tight:.2e}"
-            + ("; FAILURES: " + ", ".join(failures) if failures else "")
-        )
-
-    return _timed("8 entropy lower-bound certificate", body)
+    graphs = _random_dirac_instances([9, 12], 3, 2, 0.2, 0.95, 7000, instances)
+    failures = []
+    min_solver_margin = math.inf
+    min_pull_margin = math.inf
+    for idx, G in enumerate(graphs):
+        cert = certify_entropy_lower_bound(G, 2)
+        min_solver_margin = min(min_solver_margin, cert["h_solver"] - cert["bound"])
+        min_pull_margin = min(min_pull_margin, cert["h_pullback"] - cert["bound"])
+        if not (cert["solver_clears_bound"] and cert["pullback_clears_bound"]):
+            failures.append(f"instance {idx}")
+    K6 = gen_complete(6, 3)
+    cert6 = certify_entropy_lower_bound(K6, 2)
+    tight = abs(cert6["h_solver"] - cert6["bound"])
+    if tight > 1e-6 or not cert6["pullback_clears_bound"]:
+        failures.append(f"K_6 tightness gap {tight:.2e}")
+    ok = not failures
+    return ok, (
+        f"{len(graphs)} instances; min solver margin {min_solver_margin:.4g}, "
+        f"min pull-back margin {min_pull_margin:.4g}; K_6 tightness gap {tight:.2e}"
+        + ("; FAILURES: " + ", ".join(failures) if failures else "")
+    )
 
 
-def criterion_9_residual_trend() -> CriterionResult:
+def _residual_per_n(G: Hypergraph) -> float:
+    """r(n)/n of a 3-graph, with r(n) = ln Phi - (h* - (2/3) n)."""
+    x, _ = max_entropy_fpm(G)
+    return (math.log(count_pm(G).value) - (x.entropy - (2.0 / 3.0) * G.n)) / G.n
+
+
+@_criterion("9 residual trend")
+def criterion_9_residual_trend():
     """r(n)/n strictly decreasing on complete 3-graphs, n in {6,...,18}."""
-
-    def body():
-        values = []
-        for n in (6, 9, 12, 15, 18):
-            G = gen_complete(n, 3)
-            ln_phi = math.log(count_pm(G).value)
-            x, _ = max_entropy_fpm(G)
-            r = ln_phi - (x.entropy - (2.0 / 3.0) * n)
-            values.append(r / n)
-        decreasing = all(values[i] > values[i + 1] for i in range(len(values) - 1))
-        near = []
-        for n in (6, 9, 12):
-            G = _complete_minus_pm(n, 3, seed=900 + n)
-            ln_phi = math.log(count_pm(G).value)
-            x, _ = max_entropy_fpm(G)
-            near.append((n, (ln_phi - (x.entropy - (2.0 / 3.0) * n)) / n))
-        detail = (
-            "complete r/n: " + ", ".join(f"{v:.4f}" for v in values)
-            + (" (strictly decreasing)" if decreasing else " (NOT decreasing)")
-            + "; near-complete r/n: "
-            + ", ".join(f"n={n}: {v:.4f}" for n, v in near)
-        )
-        return decreasing, detail
-
-    return _timed("9 residual trend", body)
+    values = [_residual_per_n(gen_complete(n, 3)) for n in (6, 9, 12, 15, 18)]
+    decreasing = all(a > b for a, b in zip(values, values[1:]))
+    near = [(n, _residual_per_n(_complete_minus_pm(n, 3, seed=900 + n))) for n in (6, 9, 12)]
+    detail = (
+        "complete r/n: " + ", ".join(f"{v:.4f}" for v in values)
+        + (" (strictly decreasing)" if decreasing else " (NOT decreasing)")
+        + "; near-complete r/n: "
+        + ", ".join(f"n={n}: {v:.4f}" for n, v in near)
+    )
+    return decreasing, detail
 
 
 def _tree_bytes(root: str) -> dict[str, bytes]:
@@ -495,71 +460,69 @@ def _tree_bytes(root: str) -> dict[str, bytes]:
     return out
 
 
-def criterion_10_determinism() -> CriterionResult:
+@_criterion("10 determinism")
+def criterion_10_determinism():
     """Same config twice -> byte-identical artifacts, digests recompute."""
+    from .cli import main as cli_main
 
-    def body():
-        from .cli import main as cli_main
-
-        with tempfile.TemporaryDirectory() as tmp:
-            base = os.path.join(tmp, "g")
-            code = cli_main(
-                ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",
-                 "--gamma", "0.2", "--seed", "42", "--out", base]
-            )
-            if code != 0:
-                return False, f"gen exited {code}"
-            graph = os.path.join(base, "graph.khg")
-            runs = [
-                ["entropy", "--graph", graph],
-                ["count", "--graph", graph],
-                ["marginals", "--graph", graph],
-                ["greedy", "--graph", graph, "--seed", "5", "--trials", "2"],
-                ["anneal", "--graph", graph, "--seed", "6", "--d", "2", "--gamma",
-                 "0.5", "--epsilon", "0.9", "--trials", "500", "--auto"],
-                ["bound", "--graph", graph, "--d", "2", "--gamma", "0.2"],
-                ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",
-                 "--gamma", "0.2", "--seed", "42"],
-            ]
-            mismatches = []
-            digest_problems = []
-            for ridx, argv in enumerate(runs):
-                dirs = []
-                for rep in range(2):
-                    out_dir = os.path.join(tmp, f"run{ridx}_{rep}")
-                    code = cli_main(argv + ["--out", out_dir])
-                    if code != 0:
-                        mismatches.append(f"{argv[0]} exited {code}")
-                        break
-                    dirs.append(out_dir)
-                if len(dirs) == 2:
-                    t1, t2 = _tree_bytes(dirs[0]), _tree_bytes(dirs[1])
-                    if t1.keys() != t2.keys() or any(t1[k] != t2[k] for k in t1):
-                        mismatches.append(argv[0])
-                    for name, blob in t1.items():
-                        if name.endswith(".json"):
-                            payload = json.loads(blob)
-                            prov = payload.get("_provenance")
-                            if prov:
-                                recomputed = hashlib.sha256(
-                                    json.dumps(prov["config"], sort_keys=True,
-                                               separators=(",", ":")).encode()
-                                ).hexdigest()
-                                if recomputed != prov["config_digest"]:
-                                    digest_problems.append(name)
-                                for in_path, digest in prov["input_digests"].items():
-                                    with open(in_path, "rb") as fh:
-                                        if hashlib.sha256(fh.read()).hexdigest() != digest:
-                                            digest_problems.append(f"{name}:{in_path}")
-            ok = not mismatches and not digest_problems
-            detail = f"{len(runs)} subcommands run twice, byte-identical"
-            if mismatches:
-                detail = "mismatched: " + ", ".join(mismatches)
-            if digest_problems:
-                detail += "; bad digests: " + ", ".join(digest_problems)
-            return ok, detail
-
-    return _timed("10 determinism", body)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "g")
+        code = cli_main(
+            ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",
+             "--gamma", "0.2", "--seed", "42", "--out", base]
+        )
+        if code != 0:
+            return False, f"gen exited {code}"
+        graph = os.path.join(base, "graph.khg")
+        runs = [
+            ["entropy", "--graph", graph],
+            ["count", "--graph", graph],
+            ["marginals", "--graph", graph],
+            ["greedy", "--graph", graph, "--seed", "5", "--trials", "2"],
+            ["anneal", "--graph", graph, "--seed", "6", "--d", "2", "--gamma",
+             "0.5", "--epsilon", "0.9", "--trials", "500", "--auto"],
+            ["bound", "--graph", graph, "--d", "2", "--gamma", "0.2"],
+            ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",
+             "--gamma", "0.2", "--seed", "42"],
+        ]
+        mismatches = []
+        digest_problems = []
+        for ridx, argv in enumerate(runs):
+            dirs = []
+            for rep in range(2):
+                out_dir = os.path.join(tmp, f"run{ridx}_{rep}")
+                code = cli_main(argv + ["--out", out_dir])
+                if code != 0:
+                    mismatches.append(f"{argv[0]} exited {code}")
+                    break
+                dirs.append(out_dir)
+            if len(dirs) == 2:
+                t1, t2 = _tree_bytes(dirs[0]), _tree_bytes(dirs[1])
+                if t1.keys() != t2.keys() or any(t1[k] != t2[k] for k in t1):
+                    mismatches.append(argv[0])
+                for name, blob in t1.items():
+                    if name.endswith(".json"):
+                        payload = json.loads(blob)
+                        prov = payload.get("_provenance")
+                        if prov:
+                            # recomputed here so the check shares no code with the CLI
+                            recomputed = hashlib.sha256(
+                                json.dumps(prov["config"], sort_keys=True,
+                                           separators=(",", ":")).encode()
+                            ).hexdigest()
+                            if recomputed != prov["config_digest"]:
+                                digest_problems.append(name)
+                            for in_path, digest in prov["input_digests"].items():
+                                with open(in_path, "rb") as fh:
+                                    if hashlib.sha256(fh.read()).hexdigest() != digest:
+                                        digest_problems.append(f"{name}:{in_path}")
+        ok = not mismatches and not digest_problems
+        detail = f"{len(runs)} subcommands run twice, byte-identical"
+        if mismatches:
+            detail = "mismatched: " + ", ".join(mismatches)
+        if digest_problems:
+            detail += "; bad digests: " + ", ".join(digest_problems)
+        return ok, detail
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:

@@ -3,15 +3,20 @@
 All randomized subcommands require an explicit --seed; there is no
 time-based default anywhere, so re-running a command reproduces its
 artifacts byte for byte.  Reports are JSON, traces and trajectories are
-CSV, graphs are .khg and weight vectors are .wts.  Every artifact embeds
-the digest of the resolved run configuration and the digests of its input
-files.
+CSV, graphs are .khg and weight vectors are .wts.  Each JSON report
+carries a ``_provenance`` block: the resolved run configuration, its digest
+and the digests of the input files.  Graphs, weights, the anneal trace and
+trajectory CSVs carry the config and input digests as header comments.
+Trajectory .meta.json files carry the graph digest, seed, stream and
+trajectory config but no config or input digests, and the acceptance
+report carries none.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -65,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _canon_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
-
-
-def _digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _digest_file(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -81,18 +78,6 @@ def _digest_file(path: str) -> str:
 # Options that change how a run executes or where it writes, not what it
 # computes; the alpha table enters through its file digest instead.
 _EXECUTION_KEYS = frozenset({"out", "handler", "jobs", "alpha_table"})
-
-
-def _provenance(args, inputs: Sequence[Optional[str]]) -> dict:
-    """The run's config (its parsed options) and the digests of its input files
-    (the given paths that are set, and the alpha table if one is set)."""
-    config = {key: value for key, value in vars(args).items() if key not in _EXECUTION_KEYS}
-    inputs = [path for path in (*inputs, args.alpha_table) if path]
-    return {
-        "config": config,
-        "config_digest": _digest_text(_canon_json(config)),
-        "input_digests": {path: _digest_file(path) for path in inputs},
-    }
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -111,13 +96,41 @@ def _load_alpha(path: Optional[str]) -> Optional[AlphaTable]:
     return AlphaTable.from_file(path) if path else None
 
 
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _command(handler):
+    """Run an artifact-writing subcommand around ``handler(args, G, prov)``.
+
+    The runner records the provenance: the run's config (its parsed
+    options) and the digests of its input files (``--graph``, ``--weights``
+    and ``--alpha-table`` when set).  It reads ``--graph`` when the
+    subcommand takes one (G is None otherwise) and makes ``--out``.  The
+    handler writes its own graph, weights and CSV files and returns
+    ``(report name, report, line)``; the runner writes the report with
+    ``_provenance`` added and prints the line.
+    """
+
+    @functools.wraps(handler)
+    def run(args) -> int:
+        graph = getattr(args, "graph", None)
+        config = {key: value for key, value in vars(args).items() if key not in _EXECUTION_KEYS}
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=True)
+        inputs = [p for p in (graph, getattr(args, "weights", None), args.alpha_table) if p]
+        prov = {
+            "config": config,
+            "config_digest": hashlib.sha256(canon.encode()).hexdigest(),
+            "input_digests": {path: _digest_file(path) for path in inputs},
+        }
+        G = read_hypergraph(graph) if graph else None
+        os.makedirs(args.out, exist_ok=True)
+        name, report, line = handler(args, G, prov)
+        _write_json(os.path.join(args.out, name), {**report, "_provenance": prov})
+        print(line)
+        return 0
+
+    return run
 
 
-def _cmd_gen(args) -> int:
-    prov = _provenance(args, [])
+@_command
+def _cmd_gen(args, _, prov):
     if args.complete:
         G = gen_complete(args.n, args.k)
     else:
@@ -131,20 +144,15 @@ def _cmd_gen(args) -> int:
             args.seed,
             alpha=_load_alpha(args.alpha_table),
         )
-    path = _out_path(args, "graph.khg")
+    path = os.path.join(args.out, "graph.khg")
     write_hypergraph(G, path, header_comments=_comment_lines(prov))
-    _write_json(
-        _out_path(args, "gen_report.json"),
-        {"graph": os.path.basename(path), "n": G.n, "k": G.k, "num_edges": G.num_edges,
-         "graph_digest": G.digest(), "_provenance": prov},
-    )
-    print(f"wrote {path} ({G.num_edges} edges)")
-    return 0
+    report = {"graph": "graph.khg", "n": G.n, "k": G.k, "num_edges": G.num_edges,
+              "graph_digest": G.digest()}
+    return "gen_report.json", report, f"wrote {path} ({G.num_edges} edges)"
 
 
-def _cmd_degrees(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_degrees(args, G, prov):
     profile = degree_ratio_profile(G)
     report = {
         "n": G.n,
@@ -156,82 +164,57 @@ def _cmd_degrees(args) -> int:
         "profile_nonincreasing": all(
             profile[i] >= profile[i + 1] for i in range(len(profile) - 1)
         ),
-        "_provenance": prov,
     }
     if args.d is not None and args.gamma is not None:
         report["dirac"] = bool(
             is_dirac(G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table))
         )
-    path = _out_path(args, "degrees.json")
-    _write_json(path, report)
-    print(f"wrote {path}")
-    return 0
+    return "degrees.json", report, f"wrote {os.path.join(args.out, 'degrees.json')}"
 
 
-def _cmd_entropy(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_entropy(args, G, prov):
     x, report = max_entropy_fpm(G, tol=args.tol, max_iter=args.max_iter)
-    wts_path = _out_path(args, "weights.wts")
+    wts_path = os.path.join(args.out, "weights.wts")
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
     L = float(x.weights.max()) if x.weights.size else 1.0
     upper, lower = jensen_bounds(G, L)
-    _write_json(
-        _out_path(args, "entropy_report.json"),
-        {
-            "entropy": report.entropy,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "max_residual": report.max_residual,
-            "potentials": [float(v) for v in report.potentials],
-            "max_weight": L,
-            "jensen_upper": upper,
-            "jensen_lower": lower,
-            "well_distributed_factor": well_distributed_factor(G, x),
-            "weights_file": os.path.basename(wts_path),
-            "_provenance": prov,
-        },
-    )
-    print(f"h = {report.entropy:.12g}  converged={report.converged}  wrote {wts_path}")
-    return 0
+    return "entropy_report.json", {
+        "entropy": report.entropy,
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "max_residual": report.max_residual,
+        "potentials": [float(v) for v in report.potentials],
+        "max_weight": L,
+        "jensen_upper": upper,
+        "jensen_lower": lower,
+        "well_distributed_factor": well_distributed_factor(G, x),
+        "weights_file": "weights.wts",
+    }, f"h = {report.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
 
 
-def _cmd_count(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_count(args, G, prov):
     result = count_pm(G)
-    payload = {
-        "value": str(result.value),
-        "note": result.note,
-        "graph_digest": result.graph_digest,
-        "_provenance": prov,
-    }
+    report = {"value": str(result.value), "note": result.note, "graph_digest": result.graph_digest}
     if args.d is not None and args.gamma is not None:
-        payload["entropy_comparison"] = verify_count_vs_entropy(
+        report["entropy_comparison"] = verify_count_vs_entropy(
             G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table), count=result
         )
-    path = _out_path(args, "count.json")
-    _write_json(path, payload)
-    print(json.dumps({"value": str(result.value)}))
-    return 0
+    return "count.json", report, json.dumps({"value": str(result.value)})
 
 
-def _cmd_marginals(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_marginals(args, G, prov):
     x, report = entropy_identities_check(G)
-    wts_path = _out_path(args, "marginals.wts")
+    wts_path = os.path.join(args.out, "marginals.wts")
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
-    report["weights_file"] = os.path.basename(wts_path)
-    report["_provenance"] = prov
-    _write_json(_out_path(args, "marginals_report.json"), report)
-    print(f"h(marginals) = {x.entropy:.12g}  wrote {wts_path}")
-    return 0
+    report["weights_file"] = "marginals.wts"
+    return "marginals_report.json", report, f"h(marginals) = {x.entropy:.12g}  wrote {wts_path}"
 
 
-def _cmd_anneal(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_anneal(args, G, prov):
     dirac = DiracParams(args.d, args.gamma)
     x_star, solver_report = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
@@ -241,33 +224,26 @@ def _cmd_anneal(args) -> int:
     else:
         params = AnnealParams.for_graph(G, args.gamma, args.epsilon, C, max_steps=args.max_steps)
     x_final, log = anneal_and_shift(G, x_star, x_hat, params)
-    wts_path = _out_path(args, "anneal.wts")
+    wts_path = os.path.join(args.out, "anneal.wts")
     write_weights(wts_path, x_final, extra_comments=_comment_lines(prov))
-    trace_path = _out_path(args, "anneal_trace.csv")
-    log.write_csv(trace_path, header_comments=_comment_lines(prov))
-    _write_json(
-        _out_path(args, "anneal_report.json"),
-        {
-            "termination": log.termination,
-            "steps": len(log.steps),
-            "entropy_solver": x_star.entropy,
-            "entropy_start": log.start_entropy,
-            "entropy_final": log.final_entropy,
-            "proof_inequality_holds": log.proof_inequality_holds,
-            "gain_ratio": log.gain_ratio,
-            "well_distributed_factor_final": well_distributed_factor(G, x_final),
-            "effective_params": dataclasses.asdict(params),
-            "base_matching_report": hat_report,
-            "weights_file": os.path.basename(wts_path),
-            "trace_file": os.path.basename(trace_path),
-            "_provenance": prov,
-        },
-    )
-    print(
+    log.write_csv(os.path.join(args.out, "anneal_trace.csv"), header_comments=_comment_lines(prov))
+    return "anneal_report.json", {
+        "termination": log.termination,
+        "steps": len(log.steps),
+        "entropy_solver": x_star.entropy,
+        "entropy_start": log.start_entropy,
+        "entropy_final": log.final_entropy,
+        "proof_inequality_holds": log.proof_inequality_holds,
+        "gain_ratio": log.gain_ratio,
+        "well_distributed_factor_final": well_distributed_factor(G, x_final),
+        "effective_params": dataclasses.asdict(params),
+        "base_matching_report": hat_report,
+        "weights_file": "anneal.wts",
+        "trace_file": "anneal_trace.csv",
+    }, (
         f"anneal: {len(log.steps)} steps, {log.termination}, "
         f"h {log.start_entropy:.6g} -> {log.final_entropy:.6g}, wrote {wts_path}"
     )
-    return 0
 
 
 def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
@@ -278,17 +254,15 @@ def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
     return trajectory_deviation(traj, G, x)
 
 
-def _cmd_greedy(args) -> int:
+@_command
+def _cmd_greedy(args, G, prov):
     if args.trials < 1:
         raise InvalidArgumentError(f"--trials must be >= 1, got {args.trials}")
-    prov = _provenance(args, [args.graph, args.weights])
-    G = read_hypergraph(args.graph)
     if args.weights:
         x = as_verified(G, read_weights(args.weights, G))
     else:
         x, _ = max_entropy_fpm(G)
     cfg = TrajectoryConfig(c=args.c, stop_fraction=args.stop_fraction)
-    os.makedirs(args.out, exist_ok=True)
     trials = list(range(args.trials))
     # more workers than CPUs only add start-up cost; os.cpu_count() may be None
     jobs = min(args.jobs, os.cpu_count() or 1)
@@ -305,46 +279,35 @@ def _cmd_greedy(args) -> int:
         summaries = [
             _greedy_single(G, x, cfg, args.seed, (t,), args.out, prov, t) for t in trials
         ]
-    _write_json(
-        _out_path(args, "greedy_report.json"),
-        {
-            "trials": args.trials,
-            "max_weight_deviation": max(s["max_weight_deviation"] for s in summaries),
-            "max_entropy_deviation": max(s["max_entropy_deviation"] for s in summaries),
-            "max_degree_deviation": max(s["max_degree_deviation"] for s in summaries),
-            "reached_horizon_rate": sum(s["reached_horizon"] for s in summaries) / len(summaries),
-            "per_trial": [
-                {k: s[k] for k in ("max_weight_deviation", "max_entropy_deviation",
-                                   "max_degree_deviation", "reached_horizon", "ran_to",
-                                   "stop_reason")}
-                for s in summaries
-            ],
-            "_provenance": prov,
-        },
-    )
-    print(f"ran {args.trials} trajectories into {args.out}")
-    return 0
+    return "greedy_report.json", {
+        "trials": args.trials,
+        "max_weight_deviation": max(s["max_weight_deviation"] for s in summaries),
+        "max_entropy_deviation": max(s["max_entropy_deviation"] for s in summaries),
+        "max_degree_deviation": max(s["max_degree_deviation"] for s in summaries),
+        "reached_horizon_rate": sum(s["reached_horizon"] for s in summaries) / len(summaries),
+        "per_trial": [
+            {k: s[k] for k in ("max_weight_deviation", "max_entropy_deviation",
+                               "max_degree_deviation", "reached_horizon", "ran_to",
+                               "stop_reason")}
+            for s in summaries
+        ],
+    }, f"ran {args.trials} trajectories into {args.out}"
 
 
-def _cmd_bound(args) -> int:
-    prov = _provenance(args, [args.graph])
-    G = read_hypergraph(args.graph)
+@_command
+def _cmd_bound(args, G, prov):
     solved = max_entropy_fpm(G)
+    cert = certify_entropy_lower_bound(G, args.d, solved)
     report = {
-        "certificate": certify_entropy_lower_bound(G, args.d, solved),
+        "certificate": cert,
         "matching_count_bound": matching_count_bound_report(
             G, DiracParams(args.d, args.gamma), alpha=_load_alpha(args.alpha_table), solved=solved
         ),
-        "_provenance": prov,
     }
-    path = _out_path(args, "bound_report.json")
-    _write_json(path, report)
-    cert = report["certificate"]
-    print(
+    return "bound_report.json", report, (
         f"bound {cert['bound']:.6g}  h_solver {cert['h_solver']:.6g}  "
-        f"h_pullback {cert['h_pullback']:.6g}  wrote {path}"
+        f"h_pullback {cert['h_pullback']:.6g}  wrote {os.path.join(args.out, 'bound_report.json')}"
     )
-    return 0
 
 
 def _cmd_verify(args) -> int:

@@ -375,6 +375,8 @@ def all_subsets(n: int, size: int) -> np.ndarray:
 
     Raises ResourceLimitError, promptly for any n, when C(n, size) > DEFAULT_DEGREE_WORK_LIMIT.
     """
+    if size < 0:
+        raise InvalidArgumentError(f"subset size must be >= 0, got {size}")
     count = 1
     for i in range(min(size, n - size)):
         count = count * (n - i) // (i + 1)  # C(n, i + 1)
@@ -382,7 +384,7 @@ def all_subsets(n: int, size: int) -> np.ndarray:
             raise ResourceLimitError(f"C({n}, {size}) subsets exceed the work limit {DEFAULT_DEGREE_WORK_LIMIT:.0e}")
     return np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.int64
-    ).reshape(-1, size)
+    ).reshape(comb(n, size), size)
 
 
 def gen_complete(n: int, k: int) -> Hypergraph:

@@ -8,9 +8,13 @@ the paper's leading-order centers sit from them (about 0.196, 0.132 and
 shrink as n grows.
 """
 
+import math
 import re
 
+import pytest
+
 from hypermatch import acceptance
+from hypermatch.shifting import auto_anneal_params
 
 
 def _check(result):
@@ -47,6 +51,23 @@ def test_criterion_5_quick_run_names_its_vacuous_regimes():
     line = acceptance.criterion_5_anneal_contract(instances=5).summary_line()
     assert "validated regime: 0 shifts (vacuous)," in line
     assert "active regime: 0 shifts (vacuous)," in line
+
+
+@pytest.mark.parametrize("C", [1.0, 2.0])
+def test_criterion_5_validated_threshold_is_above_every_weight(C):
+    # gain ratio >= 1 with D = eps^-3k, delta = eps / (2 C^2 n^(k-1)) and
+    # eta = (4/gamma) / C(n-1, k-1) >= (4/gamma) (k-1)! / n^(k-1) forces
+    # eps^-(2k+1) >= 2^k C^(2(k-1)) ((4/gamma) (k-1)!)^k, so D/n^(k-1) is at
+    # least that to the power 3k/(2k+1), over n^(k-1); above 1, no edge is heavy
+    gamma = 0.5
+    for G in acceptance._random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.95, 5000, 6):
+        k, scale = G.k, float(G.n) ** (G.k - 1)
+        params = auto_anneal_params(G, gamma, 0.9, C, max_steps=40000,
+                                    require_positive_gain=True)
+        base = 2**k * C ** (2 * (k - 1)) * ((4 / gamma) * math.factorial(k - 1)) ** k
+        floor = base ** (3 * k / (2 * k + 1)) / scale
+        assert floor > 1
+        assert params.high_threshold(G) == params.D / scale >= floor
 
 
 def test_criterion_6_greedy_concentration():

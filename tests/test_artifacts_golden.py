@@ -4,10 +4,13 @@ The eight README subcommands run in-process from a fresh working directory
 with relative ``run/`` paths (greedy with ``--jobs 1``), exactly as the
 README lists them.  Every artifact they write must hash to the recorded
 digest: a change that alters any count, weight, trace, trajectory, report
-or provenance byte fails here.
+or provenance byte fails here.  The line each subcommand prints is pinned
+as well.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -59,16 +62,37 @@ GOLDEN = {
     "weights.wts": "e87b6e3289852983bbc9376b65ca8064beb5cd4c062150568480b841836c7119",
 }
 
+STDOUT = [
+    "wrote run/graph.khg (211 edges)\n",
+    "wrote run/degrees.json\n",
+    "h = 15.8571272424  converged=True  wrote run/weights.wts\n",
+    '{"value": "13016"}\n',
+    "h(marginals) = 15.8557343369  wrote run/marginals.wts\n",
+    "ran 8 trajectories into run/\n",
+    "anneal: 0 steps, no-high-weight-edge, h 15.8559 -> 15.8559, wrote run/anneal.wts\n",
+    "bound 14.6026  h_solver 15.8571  h_pullback 15.8555  wrote run/bound_report.json\n",
+]
+
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
+def flow(tmp_path_factory):
+    """(sha256 of every file in run/, what each subcommand printed)."""
     cwd = tmp_path_factory.mktemp("flow")
+    printed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(cwd)
         for argv in FLOW:
-            assert main(argv) == 0, argv
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            printed.append(buf.getvalue())
     run = cwd / "run"
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.iterdir()}, printed
+
+
+@pytest.fixture(scope="module")
+def artifacts(flow):
+    return flow[0]
 
 
 def test_the_flow_writes_exactly_the_golden_files(artifacts):
@@ -78,3 +102,7 @@ def test_the_flow_writes_exactly_the_golden_files(artifacts):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_digest(artifacts, name):
     assert artifacts.get(name) == GOLDEN[name]
+
+
+def test_each_subcommand_prints_its_line(flow):
+    assert flow[1] == STDOUT

@@ -284,6 +284,15 @@ class TestGenerators:
             gen_complete(100_000, 3)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n,size,rows", [(5, 0, 1), (0, 0, 1), (3, 5, 0), (5, -1, None)])
+    def test_all_subsets_edge_sizes(self, n, size, rows):
+        # the empty set is the one 0-subset; no size-subset exists past n
+        if rows is None:
+            with pytest.raises(InvalidArgumentError, match="subset size"):
+                hypergraph.all_subsets(n, size)
+        else:
+            assert hypergraph.all_subsets(n, size).shape == (rows, size)
+
     def test_density_one_gives_complete(self):
         G = gen_random_dirac(12, 3, DiracParams(1, 0.05), density=1.0, seed=1)
         assert G == gen_complete(12, 3)

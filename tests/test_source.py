@@ -84,3 +84,18 @@ def test_every_constant_is_read_by_the_package():
         loaded |= loaded_names(tree)
     assert len(constants) >= 30
     assert [f"{module} {name}" for module, name in constants if name not in loaded] == []
+
+
+def test_run_all_calls_every_criterion_in_order():
+    # a criterion that run_all does not call would go missing from ``verify``
+    tree = ast.parse((SOURCE / "acceptance.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined = [name for name in functions if name.startswith("criterion_")]
+    called = [
+        node.func.id
+        for node in ast.walk(functions["run_all"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id.startswith("criterion_")
+    ]
+    assert len(called) >= 10
+    assert called == sorted(defined, key=lambda name: int(name.split("_")[1]))
