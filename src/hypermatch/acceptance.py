@@ -20,8 +20,10 @@ as n grows.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -185,7 +187,7 @@ def criterion_4_shift_correctness(count: int = 1000):
     """Vertex sums conserved to 1e-12 and gains clear the bound - 1e-9."""
     graphs = [gen_complete(9, 3), gen_complete(8, 2), gen_complete(8, 4),
               gen_complete(12, 3)]
-    solved = [(G, max_entropy_fpm(G)[0]) for G in graphs]
+    solved = [(G, max_entropy_fpm(G)[0], PMOracle(G)) for G in graphs]
     rng = rng_from(777)
     worst_drift = 0.0
     worst_gap = math.inf
@@ -193,8 +195,7 @@ def criterion_4_shift_correctness(count: int = 1000):
     attempts = 0
     while done < count and attempts < 50 * count:
         attempts += 1
-        G, x_base = solved[attempts % len(solved)]
-        oracle = PMOracle(G)
+        G, x_base, oracle = solved[attempts % len(solved)]
         t = 0.5 * float(rng.random())
         pm = oracle.sample(rng)
         ind = np.zeros(G.num_edges)
@@ -465,7 +466,8 @@ def criterion_10_determinism():
     """Same config twice -> byte-identical artifacts, digests recompute."""
     from .cli import main as cli_main
 
-    with tempfile.TemporaryDirectory() as tmp:
+    # the inner runs' own lines (with their temp paths) are not the suite's output
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         base = os.path.join(tmp, "g")
         code = cli_main(
             ["gen", "--n", "9", "--k", "3", "--density", "0.95", "--d", "2",

@@ -73,6 +73,12 @@ class BipartiteLift:
         return self.mult_a * self.mult_b
 
 
+def _check_degree_order(d: int, k: int) -> None:
+    """Refuse d outside the entropy bound's hypothesis k/2 <= d <= k-1 (k >= 2 gives d >= 1)."""
+    if not (2 * d >= k and d <= k - 1):
+        raise InvalidArgumentError(f"d={d} violates the hypothesis k/2 <= d <= k-1 for k={k}")
+
+
 def lift(G: Hypergraph, d: int) -> BipartiteLift:
     """Build the quotient bipartite lift for degree order d.
 
@@ -83,10 +89,7 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
     computed directly and the attaining side is recorded.
     """
     n, k = G.n, G.k
-    if not (2 * d >= k and d <= k - 1):
-        raise InvalidArgumentError(
-            f"d={d} violates the hypothesis k/2 <= d <= k-1 for k={k}"
-        )
+    _check_degree_order(d, k)
     if comb(n, d) > DEFAULT_LIFT_CAP or comb(n, k - d) > DEFAULT_LIFT_CAP:
         raise ResourceLimitError(f"C({n},{d}) exceeds the lift cap {DEFAULT_LIFT_CAP}")
     a_subsets = encode(all_subsets(n, d), n)
@@ -218,8 +221,7 @@ def pull_back(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> EdgeWe
 def entropy_lower_bound(G: Hypergraph, d: int) -> float:
     """(n/k) ln( (k/n) * C(n,d)/C(k,d) * delta_d(G) ), for k/2 <= d <= k-1."""
     n, k = G.n, G.k
-    if not (2 * d >= k and 1 <= d <= k - 1):
-        raise InvalidArgumentError(f"d={d} violates the hypothesis k/2 <= d <= k-1 for k={k}")
+    _check_degree_order(d, k)
     delta = min_d_degree(G, d)
     if delta == 0:
         return -math.inf
@@ -307,8 +309,7 @@ def matching_count_bound_report(
     already has it.
     """
     n, k, d = G.n, G.k, params.d
-    if not (2 * d >= k and d <= k - 1):
-        raise InvalidArgumentError(f"d={d} violates the hypothesis k/2 <= d <= k-1 for k={k}")
+    _check_degree_order(d, k)
     delta = min_d_degree(G, d)
     p = delta / comb(n - d, k - d)
     phi_complete_value = phi_complete(n, k).value

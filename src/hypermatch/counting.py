@@ -27,9 +27,9 @@ later draws, until the kept choices hold ``SAMPLE_CACHE_EDGES`` lead edges
 in all; states first reached after that are rebuilt on every visit.  Many
 draws on one oracle thus pay for the distinct states they pass, not for
 every round, and the draws are the same either way.  ``sample_streams``
-draws streams (seed, t) in lockstep, ``seeds.STATE_BLOCK`` trials per numpy
-pass a round, from each stream's first ``STREAM_WORDS`` raw words; a trial
-that needs more is redrawn by ``sample``, so the draws are again the same.
+draws streams (seed, t) in lockstep, ``STATE_BLOCK`` trials per numpy pass a
+round, from each stream's first ``STREAM_WORDS`` raw words; a trial that
+needs more is redrawn by ``sample``, so the draws are again the same.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -53,8 +53,7 @@ import numpy as np
 from .entropy import EdgeWeights, STATUS_VERIFIED, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
-from . import seeds
-from .seeds import randbelow, rng_from
+from .seeds import randbelow, randbelow_words, rng_from, stream_words
 
 # The exact oracle refuses graphs on more vertices than this.
 DEFAULT_COUNT_CAP = 24
@@ -66,8 +65,9 @@ EXPAND_BLOCK = 1 << 12
 # many lead edges in all (about 1 MB), so a cold n = 21-24 oracle, with about
 # 2M transitions, never keeps a copy of all of them.
 SAMPLE_CACHE_EDGES = 1 << 16
-# sample_streams reads this many raw words of each stream up front; a trial
-# that needs more is redrawn by sample, so the value changes speed, not draws.
+# sample_streams draws blocks of this many trials, from this many raw words of
+# each stream (a trial that needs more is redrawn); neither changes the draws.
+STATE_BLOCK = 4096
 STREAM_WORDS = 32
 
 
@@ -221,23 +221,17 @@ class PMOracle:
 
         A round orders the transitions of the states a block occupies by
         (state, edge id), so each state's running sums are ``sample``'s
-        (checked to telescope), and draws as ``randbelow`` does: one word is
-        one attempt, ``word >> (64 - bits)``, kept if below the count, and a
-        count of 1 takes no word.  Counts are below 2**44, so one
-        ``searchsorted`` on (state << 44 | running sum) picks the first edge
-        whose sum exceeds the draw, never one without completions.
+        (checked to telescope), and draws as ``randbelow`` does, from
+        ``stream_words`` by ``randbelow_words``.  Counts are below 2**44, so
+        one ``searchsorted`` on (state << 44 | running sum) picks the first
+        edge whose sum exceeds the draw, never one without completions.
         """
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
         out = np.empty((trials, self.G.n // self.G.k), dtype=np.int64)
-        rng = rng_from(seed)  # re-keyed to stream (seed, t) for trial t
-        for lo in range(0, trials, seeds.STATE_BLOCK):
-            hi = min(trials, lo + seeds.STATE_BLOCK)
-            block = list(seeds.substream_states(seed, range(lo, hi)))
-            words = np.empty((hi - lo, STREAM_WORDS), dtype=np.uint64)
-            for row, state in zip(words, block):
-                rng.bit_generator.state = state
-                row[:] = rng.bit_generator.random_raw(STREAM_WORDS)
+        for lo in range(0, trials, STATE_BLOCK):
+            hi = min(trials, lo + STATE_BLOCK)
+            words = stream_words(seed, range(lo, hi), STREAM_WORDS)
             used, mask = np.zeros((2, hi - lo), dtype=np.int64)
             lost = np.zeros(hi - lo, dtype=bool)
             for r in range(out.shape[1]):
@@ -253,23 +247,12 @@ class PMOracle:
                 now = counts[np.searchsorted(layer, occupied)]
                 if np.any(sums[np.searchsorted(parent, span, side="right")] - base != now):
                     raise InvariantError("conditional counts failed to telescope")
-                shift, need = (64 - np.frexp(now)[1]).astype(np.uint64)[at], now[at]
-                value = np.zeros(hi - lo, dtype=np.int64)
-                draw = np.flatnonzero(need > 1)
-                while draw.size:
-                    lost[draw] |= used[draw] == STREAM_WORDS
-                    draw = draw[~lost[draw]]
-                    got = (words[draw, used[draw]] >> shift[draw]).astype(np.int64)
-                    used[draw] += 1
-                    kept = got < need[draw]
-                    value[draw[kept]] = got[kept]
-                    draw = draw[~kept]
+                value = randbelow_words(words, used, lost, now[at])
                 pick = np.searchsorted(parent << 44 | sums[1:] - base[parent], at << 44 | value, "right")
                 out[lo:hi, r] = eid[pick]
                 mask = child[pick]
             for t in np.flatnonzero(lost).tolist():
-                rng.bit_generator.state = block[t]
-                out[lo + t] = self.sample(rng)
+                out[lo + t] = self.sample(rng_from(seed, lo + t))
         return out
 
     def _choice(self, mask: int) -> tuple[int, array, list[list[int]]]:

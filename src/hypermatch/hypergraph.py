@@ -422,11 +422,8 @@ def gen_random_dirac(
     all_sets = all_subsets(n, k)
     best_delta = -1
     for attempt in range(max_attempts):
-        if density >= 1.0:
-            G = Hypergraph(k, n, all_sets)
-        else:
-            draws = rng_from(seed, attempt).random(len(all_sets))
-            G = Hypergraph(k, n, all_sets[draws < density])
+        draws = rng_from(seed, attempt).random(len(all_sets))
+        G = Hypergraph(k, n, all_sets[draws < density])
         delta = min_d_degree(G, params.d)
         best_delta = max(best_delta, delta)
         if delta >= (a + params.gamma) * comb(n - params.d, k - params.d):

@@ -6,15 +6,13 @@ derived with ``SeedSequence(master, spawn_key=indices)``, so any stochastic
 operation documents itself as "stream (seed, i, j, ...)" and is reproducible
 bit for bit.  Nothing in the package ever reads global RNG state.
 
-A loop over many one-key substreams (seed, t) derives their PCG64 states
-in vectorised numpy passes, one per block of ``STATE_BLOCK`` keys
-(``substream_states``), bit-identical to ``rng_from(seed, t)``, and
-re-keys one Generator per trial.
+A loop over many one-key substreams (seed, t) derives their PCG64 states in
+one vectorised pass and reads their first raw words (``stream_words``,
+bit-identical to ``rng_from(seed, t)``), then draws from them row by row
+with ``randbelow_words``, the word-for-word twin of ``randbelow``.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -27,8 +25,6 @@ _M128 = 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# substream_states derives this many keys' states per numpy pass.
-STATE_BLOCK = 4096
 
 
 def check_seed(seed: int) -> int:
@@ -48,24 +44,26 @@ def rng_from(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def substream_states(seed: int, keys) -> Iterator[dict]:
-    """``bit_generator.state`` of ``rng_from(seed, t)`` for every t in ``keys``.
+def stream_words(seed: int, keys, count: int) -> np.ndarray:
+    """Row i is ``rng_from(seed, keys[i]).bit_generator.random_raw(count)``.
 
-    A transcription of numpy's ``SeedSequence``, vectorised over blocks of
-    ``STATE_BLOCK`` keys so that a long trial loop holds one block of states
-    at a time: the entropy words [seed low, seed high, 0, 0, t] are hashmixed
-    and mixed into a 4-word uint32 pool, and ``generate_state(4, uint64)`` is
-    drawn from it; PCG64's two-step seeding then runs on Python 128-bit ints.
-    Keys of 2^32 and more take a second entropy word and are refused here,
-    before any state is made.  A test checks the states against numpy's.
+    ``_block_states`` transcribes numpy's ``SeedSequence``, vectorised over
+    the keys: the entropy words [seed low, seed high, 0, 0, t] are hashmixed
+    into a 4-word uint32 pool, ``generate_state(4, uint64)`` is drawn from
+    it, and PCG64's two-step seeding runs on Python 128-bit ints.  One bit
+    generator is re-keyed from each state to read the words.  Keys of 2^32
+    and more take a second entropy word and are refused.
     """
     seed = check_seed(seed)
     t = np.asarray(keys)
     if t.ndim != 1 or (t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() > _M32)):
         raise InvalidArgumentError(f"spawn keys must be integers in [0, 2^32): {keys!r}")
-    t = t.astype(np.uint32)
-    blocks = range(0, t.size, STATE_BLOCK)
-    return (state for lo in blocks for state in _block_states(seed, t[lo:lo + STATE_BLOCK]))
+    words = np.empty((t.size, count), dtype=np.uint64)
+    bit_generator = np.random.PCG64(0)
+    for row, state in zip(words, _block_states(seed, t.astype(np.uint32))):
+        bit_generator.state = state
+        row[:] = bit_generator.random_raw(count)
+    return words
 
 
 def _block_states(seed: int, t: np.ndarray) -> list[dict]:
@@ -107,27 +105,45 @@ def _block_states(seed: int, t: np.ndarray) -> list[dict]:
 
 
 def randbelow(rng: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n) for arbitrary-precision ``n``.
+    """Uniform integer in [0, n) for 1 <= n < 2^64.
 
-    Rejection sampling on 64-bit words, so the draw stays exactly uniform
-    even when ``n`` exceeds the generator's native word size.  Each word is
-    one raw PCG64 output, the word ``rng.integers(0, 2**64, dtype=np.uint64)``
-    would return; a test pins the resulting sequence.  Other bit generators
-    are refused: MT19937's raw outputs, for one, are 32-bit words.
+    Rejection sampling: each attempt takes one raw PCG64 word (the one
+    ``rng.integers(0, 2**64, dtype=np.uint64)`` returns) and keeps its top
+    ``n.bit_length()`` bits if they are below n; n = 1 takes no word.  A
+    test pins the sequence.  Other bit generators are refused (MT19937's
+    raw words, for one, have 32 bits).
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise InvalidArgumentError(f"randbelow needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-    if n <= 0:
-        raise InvalidArgumentError("randbelow requires n >= 1")
+    if not 1 <= n < _U64:
+        raise InvalidArgumentError(f"randbelow requires 1 <= n < 2^64, got {n}")
     if n == 1:
         return 0
-    bits = n.bit_length()
-    words = (bits + 63) // 64
+    shift = 64 - n.bit_length()
     raw = rng.bit_generator.random_raw
     while True:
-        value = 0
-        for _ in range(words):
-            value = (value << 64) | int(raw())
-        value >>= words * 64 - bits
+        value = int(raw()) >> shift
         if value < n:
             return value
+
+
+def randbelow_words(words: np.ndarray, used: np.ndarray, lost: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row-wise ``randbelow``: row i draws below ``n[i]`` from ``words[i]``.
+
+    Row i reads words from ``used[i]`` on, as ``randbelow`` does, and
+    advances ``used``; a row that runs out is marked in ``lost`` and, like
+    a row lost before, draws 0.  Bounds are int64 below 2^53, where
+    ``frexp`` gives their bit lengths exactly.
+    """
+    value = np.zeros(n.size, dtype=np.int64)
+    shift = (64 - np.frexp(n)[1]).astype(np.uint64)
+    draw = np.flatnonzero((n > 1) & ~lost)
+    while draw.size:
+        lost[draw] |= used[draw] == words.shape[1]
+        draw = draw[~lost[draw]]
+        got = (words[draw, used[draw]] >> shift[draw]).astype(np.int64)
+        used[draw] += 1
+        kept = got < n[draw]
+        value[draw[kept]] = got[kept]
+        draw = draw[~kept]
+    return value

@@ -86,5 +86,8 @@ def test_criterion_9_residual_trend():
     _check(acceptance.criterion_9_residual_trend())
 
 
-def test_criterion_10_determinism():
-    _check(acceptance.criterion_10_determinism())
+def test_criterion_10_determinism(capsys):
+    result = acceptance.criterion_10_determinism()
+    _check(result)
+    # the inner CLI runs print nothing, so verify's output is its own lines
+    assert capsys.readouterr().out == result.summary_line() + "\n"

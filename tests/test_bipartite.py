@@ -54,10 +54,8 @@ class TestLift:
         assert l.min_degree_attained in ("A", "both")
 
     def test_hypothesis_range_enforced(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="violates"):
             lift(gen_complete(6, 3), 1)  # 2d < k
-        with pytest.raises(InvalidArgumentError):
-            entropy_lower_bound(gen_complete(6, 3), 1)
 
     def test_cap(self):
         # C(450, 2) = 100,725 d-subsets exceed the lift cap of 10^5
@@ -143,6 +141,10 @@ class TestPullBack:
 
 
 class TestEntropyLowerBound:
+    def test_hypothesis_range_enforced(self):
+        with pytest.raises(InvalidArgumentError, match="violates"):
+            entropy_lower_bound(gen_complete(6, 3), 1)  # 2d < k
+
     def test_k6_tightness(self):
         assert entropy_lower_bound(gen_complete(6, 3), 2) == pytest.approx(
             2 * math.log(10), abs=1e-12
@@ -167,6 +169,10 @@ class TestEntropyLowerBound:
 
 
 class TestMatchingCountBoundReport:
+    def test_hypothesis_range_enforced(self):
+        with pytest.raises(InvalidArgumentError, match="violates"):
+            matching_count_bound_report(gen_complete(8, 4), DiracParams(4, 0.3))  # d > k-1
+
     def test_complete_graph_zero_residual(self):
         report = matching_count_bound_report(gen_complete(6, 3), DiracParams(2, 0.3))
         assert report["p"] == pytest.approx(1.0)

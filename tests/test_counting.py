@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from hypermatch import counting, seeds
+from hypermatch import counting
 from hypermatch.counting import (
     DEFAULT_COUNT_CAP,
     SAMPLE_CACHE_EDGES,
@@ -394,7 +394,7 @@ class TestLockstepStreams:
         assert len(redraws) == sum(used > 1 for _, used in sequential) > 0
 
     def test_block_seams(self, monkeypatch):
-        monkeypatch.setattr(seeds, "STATE_BLOCK", 3)
+        monkeypatch.setattr(counting, "STATE_BLOCK", 3)
         rows = PMOracle(DIRAC_15).sample_streams(2**40 + 3, 10)
         assert [tuple(row) for row in rows.tolist()] == [
             PMOracle(DIRAC_15).sample(rng_from(2**40 + 3, t)) for t in range(10)

@@ -2,24 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypermatch import seeds
 from hypermatch.errors import InvalidArgumentError
-from hypermatch.seeds import randbelow, rng_from, substream_states
+from hypermatch.seeds import randbelow, randbelow_words, rng_from, stream_words
 
 # Recorded from rng.integers(0, 2**64, dtype=np.uint64) words; a numpy whose
 # raw PCG64 words differ from those breaks every seeded stream.
 PINNED = {
     2: [1, 0, 0, 1],
     10**6: [322155, 889819, 458730, 29598],
-    2**64 + 13: [
-        5942540397832550497, 16126074002236320699, 9953533961392033888, 11206840971073805868,
-    ],
-    3 * 2**130: [
-        389821406224046498165756978678590391314,
-        1151315361284255525678959322929074612117,
-        2913976071592403079938840188831806742886,
-        801573722119846522494127421538209005822,
-    ],
 }
 
 
@@ -27,7 +17,7 @@ def test_randbelow_pinned_stream():
     rng = rng_from(20240601, 3)
     for n, expected in PINNED.items():
         assert [randbelow(rng, n) for _ in expected] == expected
-    assert rng.random() == 0.3605978800299402
+    assert rng.random() == 0.7996965462617227
 
 
 def test_randbelow_rejects_empty_range():
@@ -36,53 +26,82 @@ def test_randbelow_rejects_empty_range():
         randbelow(rng_from(1), 0)
 
 
+@pytest.mark.parametrize("n", [2**64, 2**64 + 13, 3 * 2**130])
+def test_randbelow_refuses_bounds_of_two_words(n):
+    with pytest.raises(InvalidArgumentError, match="2\\^64"):
+        randbelow(rng_from(1), n)
+
+
 def test_randbelow_refuses_32_bit_generator():
     with pytest.raises(InvalidArgumentError):
         randbelow(np.random.Generator(np.random.MT19937(5)), 2**40)
 
 
-def numpy_state(seed, key):
-    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))).state
-
-
-# substream_states transcribes numpy's SeedSequence mixing and PCG64 seeding;
+# stream_words transcribes numpy's SeedSequence mixing and PCG64 seeding;
 # these tests are the intended alarm if a numpy upgrade changes either.
+def numpy_words(seed, keys, count):
+    return [rng_from(seed, t).bit_generator.random_raw(count).tolist() for t in keys]
+
+
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), keys=st.lists(st.integers(0, 2**32 - 1), max_size=8))
-def test_substream_states_match_numpy(seed, keys):
-    assert list(substream_states(seed, keys)) == [numpy_state(seed, t) for t in keys]
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    keys=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+    count=st.integers(0, 40),
+)
+def test_stream_words_match_numpy(seed, keys, count):
+    words = stream_words(seed, keys, count)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), count)
+    assert words.tolist() == numpy_words(seed, keys, count)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-def test_substream_states_edges_match_numpy(seed):
+def test_stream_words_edges_match_numpy(seed):
     keys = [0, 1, 2**31, 2**32 - 1]
-    assert list(substream_states(seed, keys)) == [numpy_state(seed, t) for t in keys]
-
-
-def test_substream_states_across_blocks(monkeypatch):
-    # a long trial loop is derived block by block; the blocks join seamlessly
-    monkeypatch.setattr(seeds, "STATE_BLOCK", 3)
-    expected = [rng_from(2**40 + 3, t).bit_generator.state for t in range(10)]
-    assert list(substream_states(2**40 + 3, range(10))) == expected
-
-
-def test_rekeyed_generator_draws_like_rng_from():
-    # re-keying one generator also drops the 32-bit word PCG64 buffers
-    rng = rng_from(3)
-    for t, state in enumerate(substream_states(3, range(4))):
-        rng.bit_generator.state = state
-        fresh = rng_from(3, t)
-        assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
-            fresh.integers(0, 2**32, 3, dtype=np.uint32).tolist()
-        assert rng.random() == fresh.random()
+    assert stream_words(seed, keys, 5).tolist() == numpy_words(seed, keys, 5)
 
 
 @pytest.mark.parametrize("keys", [[2**32], [-1], [0, 2**64], [1.5], [[0]]])
-def test_substream_states_refuse_keys_outside_one_word(keys):
-    # refused when called, before the first state is consumed
+def test_stream_words_refuse_keys_outside_one_word(keys):
     with pytest.raises(InvalidArgumentError, match="spawn keys"):
-        substream_states(1, keys)
+        stream_words(1, keys, 4)
 
 
-def test_substream_states_of_no_keys():
-    assert list(substream_states(1, [])) == []
+def test_stream_words_of_no_keys():
+    assert stream_words(1, [], 4).shape == (0, 4)
+
+
+# 1 takes no word, 2^j + 1 rejects about half its words and 2^j - 1 almost
+# none; the exact oracle's counts stay below 2**44
+BOUNDS = [1, 2, 3] + [2**j + s for j in range(2, 44) for s in (-1, 1)] + [2**44]
+
+
+def words_taken(rng, seed, t):
+    """Raw words stream (seed, t) has given since ``rng_from(seed, t)``."""
+    fresh, taken = rng_from(seed, t).bit_generator, 0
+    while fresh.state != rng.bit_generator.state:
+        fresh.random_raw()
+        taken += 1
+    return taken
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_randbelow_words_draws_like_randbelow(seed):
+    rows, rounds, count = 200, 5, 8
+    bounds = [[BOUNDS[(7 * t + r) % len(BOUNDS)] for t in range(rows)] for r in range(rounds)]
+    words = stream_words(seed, range(rows), count)
+    used = np.zeros(rows, dtype=np.int64)
+    lost = np.zeros(rows, dtype=bool)
+    drawn = [randbelow_words(words, used, lost, np.array(b, dtype=np.int64)) for b in bounds]
+    kept = 0
+    for t in range(rows):
+        rng = rng_from(seed, t)
+        expected = [randbelow(rng, b[t]) for b in bounds]
+        # a row is lost exactly when its sequential draws take more words
+        taken = words_taken(rng, seed, t)
+        assert lost[t] == (taken > count)
+        if not lost[t]:
+            kept += 1
+            assert [int(d[t]) for d in drawn] == expected
+            assert used[t] == taken
+    assert 0 < kept < rows
