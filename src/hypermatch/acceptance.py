@@ -46,6 +46,7 @@ from .entropy import (
     EdgeWeights,
     as_verified,
     convex_combine,
+    dual_value,
     jensen_bounds,
     max_entropy_fpm,
     vertex_sums,
@@ -237,7 +238,7 @@ def criterion_4_shift_correctness(count: int = 1000):
 def _anneal_regime(G, x_adv, x_hat, C, failures, label, **regime):
     """One criterion-5 run; a miss of min weight >= delta or factor <= D (unless
     search-exhausted) goes to ``failures``.  Returns (shifts, decreasing steps,
-    net entropy gain, search-exhausted)."""
+    net entropy gain, search-exhausted) and the heavy threshold D/n^(k-1)."""
     params = auto_anneal_params(G, 0.5, 0.9, C, max_steps=40000, **regime)
     x_final, log = anneal_and_shift(G, x_adv, x_hat, params)
     flagged = log.termination == "search-exhausted"
@@ -248,7 +249,8 @@ def _anneal_regime(G, x_adv, x_hat, C, failures, label, **regime):
             f"{label}: min_w={min_w:.3g} factor={factor:.3g} D={params.D:.3g} term={log.termination}"
         )
     decreasing = sum(s.entropy_after < s.entropy_before - 1e-12 for s in log.steps)
-    return len(log.steps), decreasing, log.final_entropy >= log.start_entropy - 1e-12, flagged
+    net_gain = log.final_entropy >= log.start_entropy - 1e-12
+    return (len(log.steps), decreasing, net_gain, flagged), params.high_threshold(G)
 
 
 @_criterion("5 anneal monotonicity and output contract")
@@ -266,7 +268,7 @@ def criterion_5_anneal_contract(instances: int = 20):
     graphs = _random_dirac_instances([9, 12, 15], 3, 2, 0.2, 0.95, 5000, instances)
     # per regime: shifts, decreasing steps, runs with net entropy gain, flags
     tally = np.zeros((2, 4), dtype=np.int64)
-    failures = []
+    failures, thresholds = [], []
     for idx, G in enumerate(graphs):
         pms = sample_uniform_pms(G, 9000 + idx, 3)
         w = np.zeros(G.num_edges)
@@ -275,10 +277,12 @@ def criterion_5_anneal_contract(instances: int = 20):
         x_adv = as_verified(G, EdgeWeights.from_weights(G, w))
         x_hat, _ = well_distributed_fpm(G, gen_params, seed=9100 + idx, trials=3000)
         C = max(1.0, well_distributed_factor(G, x_hat))
-        tally[0] += _anneal_regime(G, x_adv, x_hat, C, failures, f"instance {idx}",
-                                   require_positive_gain=True)
+        counts, threshold = _anneal_regime(G, x_adv, x_hat, C, failures, f"instance {idx}",
+                                           require_positive_gain=True)
+        tally[0] += counts
+        thresholds.append(threshold)
         tally[1] += _anneal_regime(G, x_adv, x_hat, C, failures, f"instance {idx} (active)",
-                                   require_termination=True)
+                                   require_termination=True)[0]
     (steps, mono_viol, net_gain_ok, flags), active_tally = tally.tolist()
     active_steps, active_mono_viol, active_net_gain_ok, active_flags = active_tally
     # the validated regime asserts monotone entropy on every run
@@ -293,7 +297,8 @@ def criterion_5_anneal_contract(instances: int = 20):
         f"search-exhausted rate {flags}/{len(graphs)}; active regime: "
         f"{shifts[1]}, {active_mono_viol} decreasing steps (reported), "
         f"net entropy gain on {active_net_gain_ok}/{len(graphs)}, "
-        f"flag rate {active_flags}/{len(graphs)}"
+        f"flag rate {active_flags}/{len(graphs)}; validated-regime min D/n^(k-1) "
+        f"{min(thresholds):.4g} (weights are <= 1)"
     )
     if failures:
         detail += " | FAILURES: " + "; ".join(failures)
@@ -315,31 +320,31 @@ def criterion_6_greedy_concentration(seeds: int = 200):
 
     Also reports the largest gap |asymptotic - exact| / asymptotic between
     the paper's centers and the exact ones per n, which must strictly shrink
-    from n = 60 to 90 to 120 (see module doc).
+    from n = 60 to 90 to 120 (see module doc), and the largest across-seed
+    relative spread of residual weight and entropy (0 up to rounding on K_n).
     """
     start = time.time()
     per_n = []
     gaps = []
+    spread = np.zeros(2)
     ok = True
     for n in (60, 90, 120):
         G = gen_complete(n, 3)
         x, _ = max_entropy_fpm(G)
         cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
         i_max = int(0.8 * n / 3)
-        sum_w = np.zeros(i_max + 1)
-        sum_e = np.zeros(i_max + 1)
         deg_sum = np.zeros((i_max + 1, n))
         deg_cnt = np.zeros((i_max + 1, n))
+        runs = []
         for s in range(seeds):
             traj = run_greedy(G, x, cfg, seed=s)
-            sum_w += traj.residual_weight[: i_max + 1]
-            sum_e += traj.residual_entropy[: i_max + 1]
+            runs.append((traj.residual_weight[: i_max + 1], traj.residual_entropy[: i_max + 1]))
             degs = traj.tracked_degrees[: i_max + 1]
             alive = ~np.isnan(degs)
             deg_sum[alive] += degs[alive]
             deg_cnt += alive
-        mean_w = sum_w / seeds
-        mean_e = sum_e / seeds
+        mean_w, mean_e = np.mean(runs, axis=0)
+        spread = np.maximum(spread, (np.ptp(runs, axis=0) / [mean_w, mean_e]).max(axis=1))
         with np.errstate(invalid="ignore", divide="ignore"):
             mean_d = np.where(deg_cnt > 0, deg_sum / np.maximum(deg_cnt, 1), np.nan)
         steps = range(i_max + 1)
@@ -376,6 +381,7 @@ def criterion_6_greedy_concentration(seeds: int = 200):
     if elapsed >= 120.0:
         ok = False
         per_n.append(f"runtime {elapsed:.0f}s >= 120s")
+    per_n.append(f"largest across-seed relative spread: weight {spread[0]:.1e}, entropy {spread[1]:.1e}")
     return ok, f"{seeds} seeds; " + "; ".join(per_n)
 
 
@@ -406,13 +412,16 @@ def criterion_7_marginal_inequalities():
 
 @_criterion("8 entropy lower-bound certificate")
 def criterion_8_entropy_bound_certificates(instances: int = 50):
-    """Solver and lift pipeline clear the closed-form bound - 1e-6."""
+    """Solver and lift pipeline clear the closed-form bound - 1e-6; reports the largest dual gap."""
     graphs = _random_dirac_instances([9, 12], 3, 2, 0.2, 0.95, 7000, instances)
     failures = []
     min_solver_margin = math.inf
     min_pull_margin = math.inf
+    max_dual_gap = -math.inf
     for idx, G in enumerate(graphs):
-        cert = certify_entropy_lower_bound(G, 2)
+        x, report = solved = max_entropy_fpm(G)
+        max_dual_gap = max(max_dual_gap, dual_value(G, report.potentials) - x.entropy)
+        cert = certify_entropy_lower_bound(G, 2, solved=solved)
         min_solver_margin = min(min_solver_margin, cert["h_solver"] - cert["bound"])
         min_pull_margin = min(min_pull_margin, cert["h_pullback"] - cert["bound"])
         if not (cert["solver_clears_bound"] and cert["pullback_clears_bound"]):
@@ -425,7 +434,8 @@ def criterion_8_entropy_bound_certificates(instances: int = 50):
     ok = not failures
     return ok, (
         f"{len(graphs)} instances; min solver margin {min_solver_margin:.4g}, "
-        f"min pull-back margin {min_pull_margin:.4g}; K_6 tightness gap {tight:.2e}"
+        f"min pull-back margin {min_pull_margin:.4g}; K_6 tightness gap {tight:.2e}; "
+        f"max dual gap {max_dual_gap:.2e}"
         + ("; FAILURES: " + ", ".join(failures) if failures else "")
     )
 

@@ -259,6 +259,15 @@ def max_entropy_fpm(
     return x, report
 
 
+def dual_value(G: Hypergraph, potentials) -> float:
+    """g(lambda) = sum_e exp(sum_{v in e} lambda_v - 1) - sum_v lambda_v, in ``math.fsum``
+    sums; weak duality makes it >= h* for every lambda, converged or not."""
+    lam = np.asarray(potentials, dtype=float)
+    if lam.shape != (G.n,):
+        raise InvalidArgumentError(f"need {G.n} potentials, got shape {lam.shape}")
+    return math.fsum(math.exp(math.fsum(lam[row]) - 1.0) for row in G.edge_verts) - math.fsum(lam)
+
+
 def convex_combine(x1: EdgeWeights, x2: EdgeWeights, t: float) -> EdgeWeights:
     """(1-t) x1 + t x2; entropy is concave so the mixture's entropy dominates."""
     if not 0.0 <= t <= 1.0:

@@ -6,10 +6,10 @@ derived with ``SeedSequence(master, spawn_key=indices)``, so any stochastic
 operation documents itself as "stream (seed, i, j, ...)" and is reproducible
 bit for bit.  Nothing in the package ever reads global RNG state.
 
-A loop over many one-key substreams (seed, t) derives their PCG64 states in
-one vectorised pass and reads their first raw words (``stream_words``,
-bit-identical to ``rng_from(seed, t)``), then draws from them row by row
-with ``randbelow_words``, the word-for-word twin of ``randbelow``.
+A loop over many one-key substreams (seed, t) reads their first raw words
+in one numpy pass (``stream_words``, bit-identical to ``rng_from(seed, t)``),
+then draws from them row by row with ``randbelow_words``, the word-for-word
+twin of ``randbelow``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from .errors import InvalidArgumentError
 
 _U64 = 2**64
 _M32 = 2**32 - 1
-_M128 = 2**128 - 1
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants and the multiplier M (hi, lo) of PCG's 128-bit LCG.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def check_seed(seed: int) -> int:
@@ -47,28 +46,42 @@ def rng_from(seed: int, *indices: int) -> np.random.Generator:
 def stream_words(seed: int, keys, count: int) -> np.ndarray:
     """Row i is ``rng_from(seed, keys[i]).bit_generator.random_raw(count)``.
 
-    ``_block_states`` transcribes numpy's ``SeedSequence``, vectorised over
-    the keys: the entropy words [seed low, seed high, 0, 0, t] are hashmixed
-    into a 4-word uint32 pool, ``generate_state(4, uint64)`` is drawn from
-    it, and PCG64's two-step seeding runs on Python 128-bit ints.  One bit
-    generator is re-keyed from each state to read the words.  Keys of 2^32
-    and more take a second entropy word and are refused.
+    numpy's path on uint64 (hi, lo) arrays, one entry per key, checked
+    against numpy by a property test: ``_block_states`` hashes [seed low,
+    seed high, 0, 0, t] as ``SeedSequence`` does into initstate and initseq;
+    PCG64 seeds inc = 2 initseq + 1, state = (inc + initstate) M + inc, then
+    steps state M + inc mod 2^128 and outputs rotr64(hi ^ lo, hi >> 58) per
+    word.  Keys take one entropy word, so 2^32 and more are refused.
     """
     seed = check_seed(seed)
     t = np.asarray(keys)
     if t.ndim != 1 or (t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() > _M32)):
         raise InvalidArgumentError(f"spawn keys must be integers in [0, 2^32): {keys!r}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise InvalidArgumentError(f"count must be a non-negative integer: {count!r}")
+    s_hi, s_lo, i_hi, i_lo = _block_states(seed, t.astype(np.uint32))
+    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    hi, lo = _lcg_step(s_hi, s_lo, _lcg_step(*inc, inc))  # (inc + initstate) M + inc
     words = np.empty((t.size, count), dtype=np.uint64)
-    bit_generator = np.random.PCG64(0)
-    for row, state in zip(words, _block_states(seed, t.astype(np.uint32))):
-        bit_generator.state = state
-        row[:] = bit_generator.random_raw(count)
+    for j in range(count):
+        hi, lo = _lcg_step(hi, lo, inc)
+        x, r = hi ^ lo, hi >> 58
+        words[:, j] = x >> r | x << (-r & 63)
     return words
 
 
-def _block_states(seed: int, t: np.ndarray) -> list[dict]:
-    zeros = np.zeros(t.size, np.uint32)
-    words = [zeros + (seed & _M32), zeros + (seed >> 32), zeros, zeros, t]
+def _lcg_step(hi, lo, inc):
+    """(hi, lo) M + inc mod 2^128; the high word of lo M_lo from 32-bit limbs."""
+    m_hi, m_lo = _PCG_MULT
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, m_lo & _M32, m_lo >> 32
+    mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
+    high = a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+    out_lo = lo * m_lo + inc[1]
+    return high + lo * m_hi + hi * m_lo + inc[0] + (out_lo < inc[1]), out_lo
+
+
+def _block_states(seed: int, t: np.ndarray) -> list[np.ndarray]:
+    words = [np.full_like(t, w) for w in (seed & _M32, seed >> 32, 0, 0)] + [t]
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -83,10 +96,8 @@ def _block_states(seed: int, t: np.ndarray) -> list[dict]:
         return value ^ (value >> 16)
 
     pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for dst in range(4):
         pool[dst] = mix(pool[dst], hashmix(words[4]))
     hash_const, out = _INIT_B, []
@@ -95,13 +106,7 @@ def _block_states(seed: int, t: np.ndarray) -> list[dict]:
         hash_const = hash_const * _MULT_B & _M32
         value = (value * hash_const).astype(np.uint64)
         out.append(value ^ (value >> 16))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
 
 
 def randbelow(rng: np.random.Generator, n: int) -> int:

@@ -91,3 +91,26 @@ def test_criterion_10_determinism(capsys):
     _check(result)
     # the inner CLI runs print nothing, so verify's output is its own lines
     assert capsys.readouterr().out == result.summary_line() + "\n"
+
+
+def _printed(details, label):
+    return float(re.search(re.escape(label) + r" ([-+.e\d]+)", details).group(1))
+
+
+def test_criterion_5_prints_why_the_validated_regime_is_vacuous():
+    # the smallest heavy threshold is above 1, so no weight is ever heavy
+    details = acceptance.criterion_5_anneal_contract(instances=5).details
+    assert _printed(details, "validated-regime min D/n^(k-1)") > 1
+
+
+def test_criterion_6_prints_a_seed_free_spread_on_complete_graphs():
+    # on K_n^(3) every run deletes 3 vertices a step: the residuals do not
+    # depend on the seed, so the spread is rounding only
+    details = acceptance.criterion_6_greedy_concentration(seeds=3).details
+    spread = re.search(r"spread: weight ([-+.e\d]+), entropy ([-+.e\d]+)$", details)
+    assert max(map(float, spread.groups())) <= 1e-12
+
+
+def test_criterion_8_prints_its_largest_dual_gap():
+    details = acceptance.criterion_8_entropy_bound_certificates(instances=4).details
+    assert abs(_printed(details, "max dual gap")) <= 1e-6

@@ -9,6 +9,7 @@ from hypermatch.entropy import (
     EdgeWeights,
     as_verified,
     convex_combine,
+    dual_value,
     is_fractional_pm,
     jensen_bounds,
     max_entropy_fpm,
@@ -18,6 +19,7 @@ from hypermatch.entropy import (
     well_distributed_factor,
     write_weights,
 )
+from hypermatch.bipartite import entropy_lower_bound
 from hypermatch.errors import InfeasibleError, InvalidArgumentError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
 from hypermatch.counting import PMOracle, entropy_identities_check
@@ -248,14 +250,6 @@ class TestSolver:
             max_entropy_fpm(gen_complete(4, 2), tol=-1.0)
 
 
-def dual_value(G, lam):
-    """g(lam) = sum_e exp(sum_{v in e} lam_v - 1) - sum_v lam_v, summed exactly.
-
-    Weak duality makes g(lam) >= h* for every lam, converged or not.
-    """
-    return math.fsum(math.exp(math.fsum(lam[row]) - 1.0) for row in G.edge_verts) - math.fsum(lam)
-
-
 DIRAC_SMALL = [
     lambda: gen_random_dirac(9, 3, DiracParams(2, 0.2), 0.95, seed=11),
     lambda: gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.9, seed=3),
@@ -296,6 +290,17 @@ class TestDualCertificate:
         lam = report.potentials
         slack = report.max_residual * float(np.abs(lam).sum()) + 1e-9 * max(1.0, x.entropy)
         assert abs(dual_value(G, lam) - x.entropy) <= slack
+
+    @pytest.mark.parametrize("make", DIRAC_SMALL)
+    def test_solver_potentials_bound_the_closed_form_from_above(self, make):
+        # g(lam) >= h* >= the degree bound, for any lam
+        G = make()
+        _, report = max_entropy_fpm(G)
+        assert dual_value(G, report.potentials) >= entropy_lower_bound(G, 2)
+
+    def test_refuses_potentials_of_another_size(self):
+        with pytest.raises(InvalidArgumentError, match="potentials"):
+            dual_value(gen_complete(6, 3), np.zeros(5))
 
 
 class TestConvexCombine:

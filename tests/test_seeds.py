@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,3 +107,32 @@ def test_randbelow_words_draws_like_randbelow(seed):
             assert [int(d[t]) for d in drawn] == expected
             assert used[t] == taken
     assert 0 < kept < rows
+
+
+@pytest.mark.parametrize("count", [-1, np.int64(-3), 1.5, 2.0, "4", None])
+def test_stream_words_refuse_a_count_that_is_not_a_non_negative_integer(count):
+    with pytest.raises(InvalidArgumentError, match="count"):
+        stream_words(1, [0, 1], count)
+
+
+def test_stream_words_build_no_bit_generator(monkeypatch):
+    keys = [0, 1, 2**31, 2**32 - 1]
+    expected = numpy_words(2**64 - 1, keys, 33)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stream_words constructed a PCG64")
+
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    assert stream_words(2**64 - 1, keys, 33).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 40])
+def test_stream_words_wrap_without_warnings(seed, count):
+    # uint64 arithmetic wraps silently on arrays but warns on numpy scalars
+    keys = [0, 2**32 - 1]
+    expected = numpy_words(seed, keys, count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = stream_words(seed, keys, count)
+    assert words.tolist() == expected
