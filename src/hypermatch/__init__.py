@@ -28,7 +28,6 @@ from .counting import (
 from .entropy import (
     EdgeWeights,
     FeasibilityCheck,
-    SolverReport,
     as_verified,
     convex_combine,
     is_fractional_pm,

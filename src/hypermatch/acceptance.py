@@ -440,23 +440,30 @@ def criterion_8_entropy_bound_certificates(instances: int = 50):
     )
 
 
-def _residual_per_n(G: Hypergraph) -> float:
-    """r(n)/n of a 3-graph, with r(n) = ln Phi - (h* - (2/3) n)."""
-    x, _ = max_entropy_fpm(G)
-    return (math.log(count_pm(G).value) - (x.entropy - (2.0 / 3.0) * G.n)) / G.n
+def _residual_per_n(G: Hypergraph) -> tuple[float, float]:
+    """r(n)/n and r_cert(n)/n of a 3-graph: r(n) = ln Phi - (h* - (2/3) n), and
+    r_cert(n) puts the solver's dual value g(lambda) >= h* in place of h*."""
+    x, solve = max_entropy_fpm(G)
+    ln_phi = math.log(count_pm(G).value)
+    h_values = (x.entropy, dual_value(G, solve.potentials))
+    return tuple((ln_phi - (h - (2.0 / 3.0) * G.n)) / G.n for h in h_values)
 
 
 @_criterion("9 residual trend")
 def criterion_9_residual_trend():
-    """r(n)/n strictly decreasing on complete 3-graphs, n in {6,...,18}."""
-    values = [_residual_per_n(gen_complete(n, 3)) for n in (6, 9, 12, 15, 18)]
+    """r(n)/n strictly decreasing on complete 3-graphs, n in {6,...,18};
+    prints the dual-certified r_cert(n)/n beside it (not a gate)."""
+    pairs = [_residual_per_n(gen_complete(n, 3)) for n in (6, 9, 12, 15, 18)]
+    values = [r for r, _ in pairs]
     decreasing = all(a > b for a, b in zip(values, values[1:]))
-    near = [(n, _residual_per_n(_complete_minus_pm(n, 3, seed=900 + n))) for n in (6, 9, 12)]
+    near = [(n, _residual_per_n(_complete_minus_pm(n, 3, seed=900 + n))[0]) for n in (6, 9, 12)]
     detail = (
         "complete r/n: " + ", ".join(f"{v:.4f}" for v in values)
         + (" (strictly decreasing)" if decreasing else " (NOT decreasing)")
         + "; near-complete r/n: "
         + ", ".join(f"n={n}: {v:.4f}" for n, v in near)
+        + "; complete r_cert/n: " + ", ".join(f"{c:.4f}" for _, c in pairs)
+        + f"; max |r - r_cert|/n {max(abs(r - c) for r, c in pairs):.2e}"
     )
     return decreasing, detail
 
@@ -543,7 +550,7 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         criterion_2_solver_on_complete(),
         criterion_3_jensen_sandwich(quota=20 if quick else 100),
         criterion_4_shift_correctness(count=200 if quick else 1000),
-        criterion_5_anneal_contract(instances=5 if quick else 20),
+        criterion_5_anneal_contract(instances=6 if quick else 20),
         criterion_6_greedy_concentration(seeds=30 if quick else 200),
         criterion_7_marginal_inequalities(),
         criterion_8_entropy_bound_certificates(instances=10 if quick else 50),

@@ -28,9 +28,8 @@ import numpy as np
 from .counting import DEFAULT_COUNT_CAP, count_pm, phi_complete
 from .entropy import (
     EdgeWeights,
-    STATUS_RAW,
-    STATUS_VERIFIED,
-    is_fractional_pm,
+    ScalingResult,
+    as_verified,
     max_entropy_fpm,
     scale_to_unit_sums,
     weight_entropy,
@@ -67,10 +66,6 @@ class BipartiteLift:
     min_degree_b_side: int
     min_degree: int
     min_degree_attained: str  # "A", "B" or "both"
-
-    @property
-    def copies_per_quotient_edge(self) -> int:
-        return self.mult_a * self.mult_b
 
 
 def _check_degree_order(d: int, k: int) -> None:
@@ -127,26 +122,15 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
     )
 
 
-@dataclass(frozen=True)
-class BipartiteWeights:
-    """Per-copy weights of the lifted matching, one value per quotient edge.
-
-    ``entropy`` is the expanded entropy over all mult_a * mult_b copies.
-    """
-
-    per_copy: np.ndarray
-    entropy: float
-    max_residual: float
-    converged: bool
-    iterations: int
-
-
-def bipartite_max_entropy(lft: BipartiteLift) -> tuple[BipartiteWeights, dict]:
+def bipartite_max_entropy(lft: BipartiteLift) -> tuple[ScalingResult, dict]:
     """Max-entropy bipartite fractional perfect matching on the quotient.
 
-    Requires the bipartite minimum degree to be at least ntilde/2 (the
-    regime where a matching of entropy >= ntilde ln(min degree) is
-    guaranteed to exist); asserts that the solved entropy clears that bound.
+    Returns the solve, whose ``x`` is the weight of each copy of a quotient
+    edge (all mult_a * mult_b = ntilde copies weigh the same), and a report
+    whose ``entropy`` is the expanded ntilde h(x).  Requires the bipartite
+    minimum degree to be at least ntilde/2 (the regime where a matching of
+    entropy >= ntilde ln(min degree) is guaranteed to exist); asserts that
+    the solved entropy clears that bound.
     """
     if lft.min_degree < lft.n_tilde / 2:
         raise InvalidArgumentError(
@@ -165,16 +149,7 @@ def bipartite_max_entropy(lft: BipartiteLift) -> tuple[BipartiteWeights, dict]:
     mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))
     result = scale_to_unit_sums(indptr, order % q, coeffs, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER)
-    copies = lft.copies_per_quotient_edge
-    y = result.x
-    h_expanded = float(copies) * weight_entropy(y)
-    bw = BipartiteWeights(
-        per_copy=y,
-        entropy=h_expanded,
-        max_residual=result.max_residual,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    h_expanded = float(lft.n_tilde) * weight_entropy(result.x)
     guarantee = lft.n_tilde * math.log(lft.min_degree)
     slack = 1e-6 * max(1.0, float(lft.n_tilde))
     if result.converged and h_expanded < guarantee - slack:
@@ -192,30 +167,21 @@ def bipartite_max_entropy(lft: BipartiteLift) -> tuple[BipartiteWeights, dict]:
         "converged": bool(result.converged),
         "iterations": result.iterations,
     }
-    return bw, report
+    return result, report
 
 
-def _source_sums(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> np.ndarray:
+def _source_sums(G: Hypergraph, lft: BipartiteLift, bw: ScalingResult) -> np.ndarray:
     """S_e: the total weight of the lifted copies of each source edge e."""
-    copies = float(lft.copies_per_quotient_edge)
-    return np.bincount(
-        lft.source_edge, weights=copies * bw.per_copy,
-        minlength=G.num_edges,
-    )
+    return np.bincount(lft.source_edge, weights=float(lft.n_tilde) * bw.x, minlength=G.num_edges)
 
 
-def pull_back(G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights) -> EdgeWeights:
-    """x[e] = (sum over e's lifted copies of their weight) / L, on G."""
+def pull_back(G: Hypergraph, lft: BipartiteLift, bw: ScalingResult) -> EdgeWeights:
+    """x[e] = (sum over e's lifted copies of their weight) / L, on G, verified
+    to vertex sums within 1e-9."""
     if G.digest() != lft.source_digest:
         raise InvalidArgumentError("lift was built from a different graph")
-    status = STATUS_VERIFIED if bw.converged else STATUS_RAW
-    x = EdgeWeights.from_weights(G, np.minimum(_source_sums(G, lft, bw) / lft.L, 1.0), status)
-    check = is_fractional_pm(G, x, tol=1e-9)
-    if not check.ok:
-        raise InvalidArgumentError(
-            f"pull-back is not a fractional perfect matching (residual {check.max_residual:.2e})"
-        )
-    return x
+    x = EdgeWeights.from_weights(G, np.minimum(_source_sums(G, lft, bw) / lft.L, 1.0))
+    return as_verified(G, x, tol=1e-9)
 
 
 def entropy_lower_bound(G: Hypergraph, d: int) -> float:
@@ -229,7 +195,7 @@ def entropy_lower_bound(G: Hypergraph, d: int) -> float:
 
 
 def bound_chain_report(
-    G: Hypergraph, lft: BipartiteLift, bw: BipartiteWeights, x: EdgeWeights
+    G: Hypergraph, lft: BipartiteLift, bw: ScalingResult, x: EdgeWeights
 ) -> dict:
     """Evaluate each line of the pull-back entropy chain numerically.
 
@@ -245,7 +211,8 @@ def bound_chain_report(
     line1 = (math.log(L / Q) / L) * total + (1.0 / L) * float(
         (positive * (math.log(Q) - np.log(positive))).sum()
     )
-    line2 = (1.0 / L) * math.log((k / n) / comb(k, d)) * total + bw.entropy / L
+    h_lifted = float(lft.n_tilde) * weight_entropy(bw.x)
+    line2 = (1.0 / L) * math.log((k / n) / comb(k, d)) * total + h_lifted / L
     line3 = (1.0 / L) * math.log((k / n) / comb(k, d)) * lft.n_tilde + (
         lft.n_tilde * math.log(lft.min_degree) / L
     )
@@ -270,7 +237,7 @@ def certify_entropy_lower_bound(G: Hypergraph, d: int, solved=None) -> dict:
     """Full certificate: solver entropy and the lift pipeline vs the bound;
     ``solved`` is ``max_entropy_fpm(G)`` if the caller already has it."""
     bound = entropy_lower_bound(G, d)
-    x_star, solver_report = solved or max_entropy_fpm(G)
+    x_star, solve = solved or max_entropy_fpm(G)
     lft = lift(G, d)
     bw, bip_report = bipartite_max_entropy(lft)
     x_pull = pull_back(G, lft, bw)
@@ -284,9 +251,9 @@ def certify_entropy_lower_bound(G: Hypergraph, d: int, solved=None) -> dict:
         "solver_clears_bound": bool(x_star.entropy >= bound - 1e-6),
         "h_pullback": x_pull.entropy,
         "pullback_clears_bound": bool(x_pull.entropy >= bound - 1e-6),
-        "solver_converged": bool(solver_report.converged),
+        "solver_converged": bool(solve.converged),
         "lemma_check": bool(
-            bw.entropy >= bip_report["entropy_guarantee"] - 1e-6 * max(1.0, lft.n_tilde)
+            bip_report["entropy"] >= bip_report["entropy_guarantee"] - 1e-6 * max(1.0, lft.n_tilde)
         ),
         "lift": bip_report,
         "chain": chain,

@@ -180,7 +180,7 @@ def _cmd_entropy(args, G, prov):
     L = float(x.weights.max()) if x.weights.size else 1.0
     upper, lower = jensen_bounds(G, L)
     return "entropy_report.json", {
-        "entropy": report.entropy,
+        "entropy": x.entropy,
         "converged": report.converged,
         "iterations": report.iterations,
         "max_residual": report.max_residual,
@@ -190,7 +190,7 @@ def _cmd_entropy(args, G, prov):
         "jensen_lower": lower,
         "well_distributed_factor": well_distributed_factor(G, x),
         "weights_file": "weights.wts",
-    }, f"h = {report.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
+    }, f"h = {x.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
 
 
 @_command
@@ -216,7 +216,7 @@ def _cmd_marginals(args, G, prov):
 @_command
 def _cmd_anneal(args, G, prov):
     dirac = DiracParams(args.d, args.gamma)
-    x_star, solver_report = max_entropy_fpm(G)
+    x_star, _ = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
     C = max(1.0, well_distributed_factor(G, x_hat))
     if args.auto:
@@ -233,8 +233,8 @@ def _cmd_anneal(args, G, prov):
         "entropy_solver": x_star.entropy,
         "entropy_start": log.start_entropy,
         "entropy_final": log.final_entropy,
-        "proof_inequality_holds": log.proof_inequality_holds,
-        "gain_ratio": log.gain_ratio,
+        "proof_inequality_holds": params.proof_inequality_holds(G),
+        "gain_ratio": params.gain_ratio(G),
         "well_distributed_factor_final": well_distributed_factor(G, x_final),
         "effective_params": dataclasses.asdict(params),
         "base_matching_report": hat_report,

@@ -160,6 +160,9 @@ def jensen_bounds(G: Hypergraph, L: float) -> tuple[float, float]:
 
 @dataclass
 class ScalingResult:
+    """One proportional-scaling solve.  ``potentials`` are the core's log-scalings
+    mu, one per constraint, or the dual lambda in a ``max_entropy_fpm`` result."""
+
     x: np.ndarray
     potentials: np.ndarray
     iterations: int
@@ -214,25 +217,18 @@ def scale_vertex_sums(G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int) 
     return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.incidence.size), x0, tol, max_iter)
 
 
-@dataclass(frozen=True)
-class SolverReport:
-    iterations: int
-    max_residual: float
-    entropy: float
-    converged: bool
-    potentials: np.ndarray
-
-
 def max_entropy_fpm(
     G: Hypergraph,
     tol: float = DEFAULT_FEASIBILITY_TOL,
     max_iter: int = 20000,
-) -> tuple[EdgeWeights, SolverReport]:
+) -> tuple[EdgeWeights, ScalingResult]:
     """Entropy-maximising fractional perfect matching of G.
 
     Starts from the uniform positive vector x_e = n/(k |E|) and scales
-    vertex sums to 1.  The report carries the dual potentials lambda_v; at
+    vertex sums to 1.  The result's potentials are the dual lambda_v; at
     convergence ``x_e = exp(sum_{v in e} lambda_v - 1)`` up to rounding.
+    The weights are ``verified-fpm`` only at a residual within the reader's
+    ``DEFAULT_FEASIBILITY_TOL``, whatever ``tol`` the solve stopped at.
     Raises InfeasibleError for graphs with an uncovered vertex or diverging
     potentials; returns converged=False when the iteration budget runs out.
     The entropy is accurate to about ``max_residual`` times max|ln x_e| per
@@ -243,7 +239,7 @@ def max_entropy_fpm(
         raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
     if G.n == 0:
         empty = EdgeWeights.from_weights(G, np.zeros(0), STATUS_VERIFIED)
-        return empty, SolverReport(0, 0.0, 0.0, True, np.zeros(0))
+        return empty, ScalingResult(np.zeros(0), np.zeros(0), 0, 0.0, True)
     uncovered = np.flatnonzero(G.degrees == 0)
     if uncovered.size:
         raise InfeasibleError(f"vertex {int(uncovered[0])} has no incident edge")
@@ -253,10 +249,9 @@ def max_entropy_fpm(
     # Shift the accumulated scalings into true dual potentials:
     # x_e = x0 * prod_v exp(mu_v) = exp(sum_v lambda_v - 1) with the shift below.
     lam = result.potentials + (1.0 + math.log(x0_value)) / G.k
-    status = STATUS_VERIFIED if result.converged else STATUS_RAW
+    status = STATUS_VERIFIED if result.max_residual <= DEFAULT_FEASIBILITY_TOL else STATUS_RAW
     x = EdgeWeights.from_weights(G, np.minimum(result.x, 1.0), status)
-    report = SolverReport(result.iterations, result.max_residual, x.entropy, result.converged, lam)
-    return x, report
+    return x, replace(result, potentials=lam)
 
 
 def dual_value(G: Hypergraph, potentials) -> float:

@@ -346,8 +346,6 @@ class AnnealLog:
     params: AnnealParams
     start_entropy: float
     final_entropy: float
-    proof_inequality_holds: bool
-    gain_ratio: float
     steps: list[AnnealStep] = field(default_factory=list)
     renormalizations: int = 0
 
@@ -385,14 +383,8 @@ def anneal_and_shift(
     if violations:
         raise InvalidArgumentError("invalid anneal parameters: " + "; ".join(violations))
     x = convex_combine(x_star, x_hat, params.epsilon / params.C)
-    log = AnnealLog(
-        termination="step-limit",
-        params=params,
-        start_entropy=x.entropy,
-        final_entropy=x.entropy,
-        proof_inequality_holds=params.proof_inequality_holds(G),
-        gain_ratio=params.gain_ratio(G),
-    )
+    log = AnnealLog(termination="step-limit", params=params,
+                    start_entropy=x.entropy, final_entropy=x.entropy)
     for step in range(1, params.max_steps + 1):
         status, structure = find_good_configuration(G, x, params)
         if structure is None:

@@ -47,7 +47,7 @@ def test_criterion_5_anneal_contract():
 
 
 def test_criterion_5_quick_run_names_its_vacuous_regimes():
-    # verify --quick: neither regime shifts, and the line says so
+    # on the first 5 instances neither regime shifts, and the line says so
     line = acceptance.criterion_5_anneal_contract(instances=5).summary_line()
     assert "validated regime: 0 shifts (vacuous)," in line
     assert "active regime: 0 shifts (vacuous)," in line
@@ -83,7 +83,11 @@ def test_criterion_8_entropy_bound_certificates():
 
 
 def test_criterion_9_residual_trend():
-    _check(acceptance.criterion_9_residual_trend())
+    result = acceptance.criterion_9_residual_trend()
+    _check(result)
+    # g(lambda) >= h*, and at the solver's potentials it is h* up to rounding
+    assert re.search(r"complete r_cert/n: (\d\.\d{4}, ){4}\d\.\d{4};", result.details)
+    assert _printed(result.details, "max |r - r_cert|/n") <= 1e-9
 
 
 def test_criterion_10_determinism(capsys):
@@ -114,3 +118,13 @@ def test_criterion_6_prints_a_seed_free_spread_on_complete_graphs():
 def test_criterion_8_prints_its_largest_dual_gap():
     details = acceptance.criterion_8_entropy_bound_certificates(instances=4).details
     assert abs(_printed(details, "max dual gap")) <= 1e-6
+
+
+def test_verify_quick_makes_active_regime_shifts(monkeypatch):
+    # run_all(quick=True) is ``verify --quick``; only criterion 5 runs for real
+    for name in dir(acceptance):
+        if name.startswith("criterion_") and not name.startswith("criterion_5_"):
+            monkeypatch.setattr(acceptance, name, lambda **kwargs: None)
+    [result] = [r for r in acceptance.run_all(quick=True) if r is not None]
+    assert result.name.startswith("5 ")
+    assert int(re.search(r"active regime: (\d+) shifts", result.details).group(1)) > 0

@@ -71,10 +71,10 @@ class TestLift:
         # every source edge expands to exactly Q lifted copies
         per_source = {}
         for eid in l.source_edge:
-            per_source[eid] = per_source.get(eid, 0) + l.copies_per_quotient_edge
+            per_source[eid] = per_source.get(eid, 0) + l.n_tilde
         assert set(per_source) == set(range(G.num_edges))
         assert all(v == l.Q for v in per_source.values())
-        assert len(l.quotient_edges) * l.copies_per_quotient_edge == G.num_edges * l.Q
+        assert len(l.quotient_edges) * l.n_tilde == G.num_edges * l.Q
 
     @pytest.mark.parametrize(
         "k,d,ns",
@@ -95,8 +95,8 @@ class TestBipartiteMaxEntropy:
         assert report["converged"]
         # complete source graph: uniform per-copy weight 1/60 and entropy
         # exactly ntilde ln(min degree)
-        assert np.allclose(bw.per_copy, 1.0 / 60.0, atol=1e-12)
-        assert bw.entropy == pytest.approx(90 * math.log(60), rel=1e-12)
+        assert np.allclose(bw.x, 1.0 / 60.0, atol=1e-12)
+        assert report["entropy"] == pytest.approx(90 * math.log(60), rel=1e-12)
 
     def test_degree_hypothesis_enforced(self):
         sparse = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])

@@ -359,6 +359,19 @@ class TestWeightsFile:
         with pytest.raises(InvalidArgumentError, match="vertex 0 residual 8.000e"):
             read_weights(path, G)
 
+    def test_loose_tolerance_gives_raw_weights_that_read_back(self, tmp_path):
+        # tol 1e-3 stops at a residual the reader's 1e-8 check refuses, so
+        # the weights must not claim verified-fpm
+        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=7)
+        x, report = max_entropy_fpm(G, tol=1e-3)
+        assert report.converged and 1e-8 < report.max_residual <= 1e-3
+        assert x.status == "raw"
+        path = str(tmp_path / "w.wts")
+        write_weights(path, x)
+        back = read_weights(path, G)
+        assert back.status == "raw"
+        assert back.weights.tobytes() == x.weights.tobytes()
+
     def test_digest_mismatch_rejected(self, tmp_path):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)

@@ -241,5 +241,5 @@ class TestBipartiteScaling:
             assert coeffs[lo:hi].tobytes() == con_coeffs[j].tobytes()
         ref = reference_scale_to_unit_sums(con_edges, con_coeffs, y0, tol, max_iter)
         assert_same(result, ref)
-        assert bw.per_copy.tobytes() == ref[0].tobytes()
+        assert bw.x.tobytes() == ref[0].tobytes()
         assert (bw.iterations, bw.max_residual, bw.converged) == ref[2:5]

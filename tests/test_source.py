@@ -99,3 +99,28 @@ def test_run_all_calls_every_criterion_in_order():
     ]
     assert len(called) >= 10
     assert called == sorted(defined, key=lambda name: int(name.split("_")[1]))
+
+
+def test_no_two_dataclasses_share_three_fields():
+    # two dataclasses with three or more field names in common are two
+    # result types for one computation
+    fields = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            decorated = isinstance(node, ast.ClassDef) and any(
+                "dataclass" in loaded_names(ast.Expression(dec)) for dec in node.decorator_list
+            )
+            if decorated:
+                fields[node.name] = {
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+    assert len(fields) >= 10
+    names = sorted(fields)
+    shared = {
+        (a, b): sorted(fields[a] & fields[b])
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+        if len(fields[a] & fields[b]) >= 3
+    }
+    assert shared == {}
