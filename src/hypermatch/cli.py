@@ -113,7 +113,7 @@ def _command(handler):
         graph = getattr(args, "graph", None)
         config = {key: value for key, value in vars(args).items() if key not in _EXECUTION_KEYS}
         canon = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=True)
-        inputs = [p for p in (graph, getattr(args, "weights", None), args.alpha_table) if p]
+        inputs = [p for p in (graph, getattr(args, "weights", None), getattr(args, "alpha_table", None)) if p]
         prov = {
             "config": config,
             "config_digest": hashlib.sha256(canon.encode()).hexdigest(),
@@ -179,6 +179,7 @@ def _cmd_entropy(args, G, prov):
     write_weights(wts_path, x, extra_comments=_comment_lines(prov))
     L = float(x.weights.max()) if x.weights.size else 1.0
     upper, lower = jensen_bounds(G, L)
+    line = f"h = {x.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
     return "entropy_report.json", {
         "entropy": x.entropy,
         "converged": report.converged,
@@ -190,7 +191,7 @@ def _cmd_entropy(args, G, prov):
         "jensen_lower": lower,
         "well_distributed_factor": well_distributed_factor(G, x),
         "weights_file": "weights.wts",
-    }, f"h = {x.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
+    }, line if x.verified else f"{line}  status=raw"
 
 
 @_command
@@ -218,6 +219,7 @@ def _cmd_anneal(args, G, prov):
     dirac = DiracParams(args.d, args.gamma)
     x_star, _ = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
+    hat_report["dirac"] = bool(is_dirac(G, dirac, _load_alpha(args.alpha_table)))
     C = max(1.0, well_distributed_factor(G, x_hat))
     if args.auto:
         params = auto_anneal_params(G, args.gamma, args.epsilon, C, max_steps=args.max_steps)
@@ -256,8 +258,8 @@ def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
 
 @_command
 def _cmd_greedy(args, G, prov):
-    if args.trials < 1:
-        raise InvalidArgumentError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials < 1 or args.jobs < 1:
+        raise InvalidArgumentError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
     if args.weights:
         x = as_verified(G, read_weights(args.weights, G))
     else:
@@ -338,11 +340,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, graph=True):
+    def add_common(p, graph=True, alpha=True):
         if graph:
             p.add_argument("--graph", required=True, help="input .khg file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--alpha-table", default=None, help="alpha override JSON")
+        if alpha:
+            p.add_argument("--alpha-table", default=None, help="alpha override JSON")
 
     p = sub.add_parser("gen", help="generate a hypergraph instance")
     p.add_argument("--n", type=int, required=True)
@@ -364,7 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("entropy", help="max-entropy fractional perfect matching")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=20000)
-    add_common(p)
+    add_common(p, alpha=False)
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("count", help="exact perfect matching count")
@@ -375,7 +378,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("marginals", help="exact matching marginals")
-    add_common(p)
+    add_common(p, alpha=False)
     p.set_defaults(handler=_cmd_marginals)
 
     p = sub.add_parser("anneal", help="anneal-and-shift a near-optimal matching")
@@ -397,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stop-fraction", type=float, default=None)
     p.add_argument("--c", type=float, default=0.05)
     p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
+    add_common(p, alpha=False)
     p.set_defaults(handler=_cmd_greedy)
 
     p = sub.add_parser("bound", help="entropy lower bound certificates")
@@ -425,6 +428,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(json.dumps({"error": "missing-file", "message": str(exc)}), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     except HypermatchError as exc:
         print(

@@ -50,7 +50,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .entropy import EdgeWeights, STATUS_VERIFIED, max_entropy_fpm
+from .entropy import EdgeWeights, as_verified, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
 from .seeds import randbelow, randbelow_words, rng_from, stream_words
@@ -341,10 +341,10 @@ def entropy_identities_check(G: Hypergraph) -> tuple[EdgeWeights, dict]:
     distribution with the report; one DP fill serves both.  The marginals
     are a fractional perfect matching with exactly unit vertex sums:
     ``PMOracle.marginals`` checks every vertex's integer through-count
-    against the total (rational arithmetic internally, floats at the boundary).
+    against the total, and ``as_verified`` checks the float vertex sums.
     """
     oracle = PMOracle(G)
-    x = EdgeWeights.from_weights(G, [float(q) for q in oracle.marginals()], STATUS_VERIFIED)
+    x = as_verified(G, EdgeWeights.from_weights(G, [float(q) for q in oracle.marginals()]))
     ln_phi = math.log(oracle.count_pm())
     k_h = G.k * x.entropy
     solver_x, report = max_entropy_fpm(G)

@@ -48,26 +48,26 @@ def weight_entropy(weights: np.ndarray) -> float:
 class EdgeWeights:
     """Edge weight vector aligned with a graph's edge order.
 
-    ``status`` is ``"raw"`` until the vertex sums have been checked, then
-    ``"verified-fpm"``.  The entropy is computed once at construction.
+    Every constructor builds ``"raw"`` weights; only a vertex-sum check in
+    this module marks them ``"verified-fpm"``.  The entropy is computed once.
     """
 
     weights: np.ndarray
     graph_digest: str
     entropy: float
-    status: str
+    status: str = STATUS_RAW
 
     @classmethod
-    def from_weights(cls, G: Hypergraph, weights, status: str = STATUS_RAW) -> "EdgeWeights":
+    def from_weights(cls, G: Hypergraph, weights) -> "EdgeWeights":
         w = np.array(weights, dtype=float)
         if w.shape != (G.num_edges,):
             raise InvalidArgumentError(
                 f"weight vector has length {w.size}, graph has {G.num_edges} edges"
             )
-        return cls._checked(w, G.digest(), status)
+        return cls._checked(w, G.digest())
 
     @classmethod
-    def _checked(cls, w: np.ndarray, graph_digest: str, status: str) -> "EdgeWeights":
+    def _checked(cls, w: np.ndarray, graph_digest: str) -> "EdgeWeights":
         """Check that the float array w is finite and in [0, 1], freeze it
         (the result owns it) and compute its entropy."""
         if w.size:
@@ -78,7 +78,7 @@ class EdgeWeights:
             if float(w.max()) > 1.0 + 1e-9:
                 raise InvalidArgumentError(f"weight {float(w.max())!r} exceeds 1")
         w.flags.writeable = False
-        return cls(w, graph_digest, weight_entropy(w), status)
+        return cls(w, graph_digest, weight_entropy(w))
 
     @property
     def verified(self) -> bool:
@@ -238,7 +238,7 @@ def max_entropy_fpm(
     if not tol > 0 or max_iter < 1:
         raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
     if G.n == 0:
-        empty = EdgeWeights.from_weights(G, np.zeros(0), STATUS_VERIFIED)
+        empty = as_verified(G, EdgeWeights.from_weights(G, np.zeros(0)))
         return empty, ScalingResult(np.zeros(0), np.zeros(0), 0, 0.0, True)
     uncovered = np.flatnonzero(G.degrees == 0)
     if uncovered.size:
@@ -249,8 +249,9 @@ def max_entropy_fpm(
     # Shift the accumulated scalings into true dual potentials:
     # x_e = x0 * prod_v exp(mu_v) = exp(sum_v lambda_v - 1) with the shift below.
     lam = result.potentials + (1.0 + math.log(x0_value)) / G.k
-    status = STATUS_VERIFIED if result.max_residual <= DEFAULT_FEASIBILITY_TOL else STATUS_RAW
-    x = EdgeWeights.from_weights(G, np.minimum(result.x, 1.0), status)
+    x = EdgeWeights.from_weights(G, np.minimum(result.x, 1.0))
+    if result.max_residual <= DEFAULT_FEASIBILITY_TOL:
+        x = replace(x, status=STATUS_VERIFIED)
     return x, replace(result, potentials=lam)
 
 
@@ -264,15 +265,14 @@ def dual_value(G: Hypergraph, potentials) -> float:
 
 
 def convex_combine(x1: EdgeWeights, x2: EdgeWeights, t: float) -> EdgeWeights:
-    """(1-t) x1 + t x2; entropy is concave so the mixture's entropy dominates."""
+    """(1-t) x1 + t x2 as raw weights; entropy is concave so the mixture's
+    entropy dominates, and a mixture of two fpms is an fpm up to rounding."""
     if not 0.0 <= t <= 1.0:
         raise InvalidArgumentError(f"t={t} outside [0, 1]")
     if x1.graph_digest != x2.graph_digest or x1.weights.shape != x2.weights.shape:
         raise InvalidArgumentError("cannot combine weights from different graphs")
-    if not (x1.verified and x2.verified):
-        raise InvalidArgumentError("convex_combine requires verified fractional perfect matchings")
     w = (1.0 - t) * x1.weights + t * x2.weights
-    return EdgeWeights._checked(np.minimum(w, 1.0), x1.graph_digest, STATUS_VERIFIED)
+    return EdgeWeights._checked(np.minimum(w, 1.0), x1.graph_digest)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .entropy import (
     well_distributed_factor,
 )
 from .errors import InvalidArgumentError, SamplingError
-from .hypergraph import DiracParams, Hypergraph, is_dirac
+from .hypergraph import DiracParams, Hypergraph
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
 EPSILON_SHRINK = 0.95
@@ -158,7 +158,7 @@ def apply_shift(x: EdgeWeights, structure: ShiftingStructure, delta: float) -> E
         w[eid] -= delta
     for fid in structure.f_ids:
         w[fid] += delta
-    return EdgeWeights._checked(np.clip(w, 0.0, 1.0), x.graph_digest, x.status)
+    return EdgeWeights._checked(np.clip(w, 0.0, 1.0), x.graph_digest)
 
 
 def shift_gain_lower_bound(
@@ -210,8 +210,8 @@ class AnnealParams:
     def for_graph(
         cls, G: Hypergraph, gamma: float, epsilon: float, C: float, max_steps: int = 100000
     ) -> "AnnealParams":
-        if epsilon <= 0 or gamma <= 0 or C < 1:
-            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1")
+        if epsilon <= 0 or gamma <= 0 or C < 1 or max_steps < 0:
+            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1, max_steps >= 0")
         scale = float(G.n) ** (G.k - 1)
         return cls(
             epsilon=epsilon,
@@ -343,7 +343,6 @@ class AnnealStep:
 @dataclass
 class AnnealLog:
     termination: str
-    params: AnnealParams
     start_entropy: float
     final_entropy: float
     steps: list[AnnealStep] = field(default_factory=list)
@@ -377,14 +376,14 @@ def anneal_and_shift(
     delta-shifts at good configurations.  Stops at ``no-high-weight-edge``
     (every weight now below D/n^{k-1}), ``search-exhausted`` or
     ``step-limit``.  Every ``RENORMALIZE_EVERY`` shifts the weights are
-    re-projected onto exact vertex sums to wash out float drift.
+    re-projected onto exact vertex sums to wash out float drift.  The
+    starting mixture and the result must pass ``as_verified``.
     """
     violations = params.hard_violations(G)
     if violations:
         raise InvalidArgumentError("invalid anneal parameters: " + "; ".join(violations))
-    x = convex_combine(x_star, x_hat, params.epsilon / params.C)
-    log = AnnealLog(termination="step-limit", params=params,
-                    start_entropy=x.entropy, final_entropy=x.entropy)
+    x = as_verified(G, convex_combine(x_star, x_hat, params.epsilon / params.C))
+    log = AnnealLog(termination="step-limit", start_entropy=x.entropy, final_entropy=x.entropy)
     for step in range(1, params.max_steps + 1):
         status, structure = find_good_configuration(G, x, params)
         if structure is None:
@@ -398,10 +397,10 @@ def anneal_and_shift(
         )
         if step % RENORMALIZE_EVERY == 0 and float(x.weights.min()) > 0:
             result = scale_vertex_sums(G, x.weights, 1e-13, 50)
-            x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest, x.status)
+            x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest)
             log.renormalizations += 1
     log.final_entropy = x.entropy
-    return x, log
+    return as_verified(G, x), log
 
 
 def well_distributed_fpm(
@@ -427,7 +426,6 @@ def well_distributed_fpm(
     if not 1 <= trials <= 2**32:
         raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials}")
     params.validate_for(G.k)
-    dirac = is_dirac(G, params)
     beta = params.gamma / (10.0 * G.k * G.k)
     T = int(beta * G.n)
     oracle = PMOracle(G)
@@ -451,7 +449,6 @@ def well_distributed_fpm(
         "prefix_rounds": 0,
         "beta": beta,
         "resamples": 0,
-        "dirac": bool(dirac),
         "projection_residual": result.max_residual,
         "projection_converged": bool(result.converged),
         "well_distributed_factor": well_distributed_factor(G, x),

@@ -17,9 +17,58 @@ from hypermatch import acceptance
 from hypermatch.shifting import auto_anneal_params
 
 
+# What ``verify`` prints per criterion at the full run sizes, with criterion
+# 1's runtime cut off.  A change that alters a line updates it here.
+DETAILS = {
+    "1 exact-count oracle": "8 exact matches",
+    "2 max-entropy solver symmetry": "max |h - closed form| = 3.55e-15, max residual = 4.44e-16",
+    "3 Jensen sandwich": "100 instances, 0 violations; min slack lower 2.66e-15, upper 0.534",
+    "4 shift correctness": (
+        "1000 shifts; max vertex-sum drift 3.33e-16; min (gain - bound) = 0.000209"
+    ),
+    "5 anneal monotonicity and output contract": (
+        "20 instances; "
+        "validated regime: 0 shifts (vacuous), all clauses hold, search-exhausted rate 0/20; "
+        "active regime: 16095 shifts, 1260 decreasing steps (reported), net entropy gain on 20/20, flag rate 0/20; "
+        "validated-regime min D/n^(k-1) 4.793e+06 (weights are <= 1)"
+    ),
+    "6 greedy trajectory concentration": (
+        "200 seeds; n=60: exact-center dev weight 4.3e-15, entropy 5.1e-15, degree 1.1e-16; "
+        "asymptotic-center gap 0.196 -> ok; "
+        "n=90: exact-center dev weight 7.0e-15, entropy 5.3e-15, degree 1.1e-16; "
+        "asymptotic-center gap 0.132 -> ok; "
+        "n=120: exact-center dev weight 7.5e-15, entropy 4.3e-15, degree 1.2e-16; "
+        "asymptotic-center gap 0.099 -> ok; asymptotic-center gap strictly shrinking in n; "
+        "largest across-seed relative spread: weight 3.0e-15, entropy 2.7e-15"
+    ),
+    "7 marginal-entropy inequality": (
+        "19 instances; min(k h(marg) - ln Phi) = 3.296; min(h_solver - h(marg)) = 0"
+    ),
+    "8 entropy lower-bound certificate": (
+        "50 instances; min solver margin 0.2726, min pull-back margin 0.2714; "
+        "K_6 tightness gap 8.88e-16; max dual gap 5.27e-08"
+    ),
+    "9 residual trend": (
+        "complete r/n: 0.2829, 0.1820, 0.1344, 0.1066, 0.0883 (strictly decreasing); "
+        "near-complete r/n: n=6: 0.3005, n=9: 0.1824, n=12: 0.1346; "
+        "complete r_cert/n: 0.2829, 0.1820, 0.1344, 0.1066, 0.0883; "
+        "max |r - r_cert|/n 7.08e-16"
+    ),
+    "10 determinism": "7 subcommands run twice, byte-identical",
+}
+# criterion 5 at ``verify --quick`` size
+QUICK_5 = (
+    "6 instances; "
+    "validated regime: 0 shifts (vacuous), all clauses hold, search-exhausted rate 0/6; "
+    "active regime: 3375 shifts, 232 decreasing steps (reported), net entropy gain on 6/6, flag rate 0/6; "
+    "validated-regime min D/n^(k-1) 1.188e+07 (weights are <= 1)"
+)
+
+
 def _check(result):
     print(result.summary_line())
     assert result.passed, result.details
+    assert re.sub(r" in \d+\.\d\ds$", "", result.details) == DETAILS[result.name]
 
 
 def test_criterion_1_exact_count_oracle():
@@ -128,3 +177,4 @@ def test_verify_quick_makes_active_regime_shifts(monkeypatch):
     [result] = [r for r in acceptance.run_all(quick=True) if r is not None]
     assert result.name.startswith("5 ")
     assert int(re.search(r"active regime: (\d+) shifts", result.details).group(1)) > 0
+    assert result.details == QUICK_5

@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from hypermatch import bipartite, cli, counting, entropy
+from hypermatch import acceptance, bipartite, cli, counting, entropy
 from hypermatch.cli import main
 from hypermatch.hypergraph import gen_complete, read_hypergraph, write_hypergraph
+from hypermatch.shifting import AnnealParams
 
 
 @pytest.fixture()
@@ -15,6 +18,13 @@ def k6_path(tmp_path):
     path = tmp_path / "k6.khg"
     write_hypergraph(gen_complete(6, 3), str(path))
     return str(path)
+
+
+@pytest.fixture()
+def readme_graph(tmp_path):
+    assert main(["gen", "--n", "12", "--k", "3", "--density", "0.95", "--d", "2",
+                 "--gamma", "0.2", "--seed", "7", "--out", str(tmp_path / "run")]) == 0
+    return str(tmp_path / "run" / "graph.khg")
 
 
 def run(args):
@@ -194,13 +204,71 @@ class TestSubcommands:
         assert report["matching_count_bound"]["p"] == pytest.approx(1.0)
 
 
-class TestProvenance:
-    @pytest.fixture()
-    def readme_graph(self, tmp_path):
-        assert run(["gen", "--n", "12", "--k", "3", "--density", "0.95", "--d", "2",
-                    "--gamma", "0.2", "--seed", "7", "--out", str(tmp_path / "run")]) == 0
-        return str(tmp_path / "run" / "graph.khg")
+    def test_entropy_at_a_loose_tolerance_says_its_weights_are_raw(self, readme_graph, tmp_path,
+                                                                   capsys):
+        # converged at tol 1e-3, but the vertex sums miss the 1e-8 of a verified fpm
+        assert run(["entropy", "--graph", readme_graph, "--tol", "1e-3", "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "converged=True" in line and line.endswith("weights.wts  status=raw")
+        assert (tmp_path / "weights.wts").read_text().splitlines()[1] == "# status raw"
 
+    @pytest.mark.parametrize("status", ["verified-fpm", "raw"])
+    def test_greedy_reads_a_weights_file_that_passes_the_check(self, k6_path, tmp_path, status):
+        # a raw header is fine once the vertex sums pass: the CLI checks them
+        G = read_hypergraph(k6_path)
+        x = entropy.EdgeWeights.from_weights(G, np.full(G.num_edges, 0.1))
+        if status == "verified-fpm":
+            x = entropy.as_verified(G, x)
+        path = tmp_path / "in.wts"
+        entropy.write_weights(str(path), x)
+        assert path.read_text().splitlines()[1] == f"# status {status}"
+        assert run(["greedy", "--graph", k6_path, "--weights", str(path), "--seed", "3",
+                    "--out", str(tmp_path / "out")]) == 0
+        prov = json.loads((tmp_path / "out" / "greedy_report.json").read_text())["_provenance"]
+        assert sorted(prov["input_digests"]) == sorted([k6_path, str(path)])
+
+    def test_greedy_refuses_a_weights_file_that_is_not_an_fpm(self, k6_path, tmp_path, capsys):
+        G = read_hypergraph(k6_path)
+        path = str(tmp_path / "in.wts")
+        entropy.write_weights(path, entropy.EdgeWeights.from_weights(G, np.full(G.num_edges, 0.05)))
+        assert run(["greedy", "--graph", k6_path, "--weights", path, "--seed", "3",
+                    "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgumentError" and "not a fractional" in err["message"]
+
+    @pytest.mark.parametrize("max_steps", ["0", "50"])
+    def test_anneal_without_auto_runs_the_given_epsilon(self, k6_path, tmp_path, max_steps):
+        # --max-steps 0 is a mix-only run: the checked mixture is the result
+        assert run(["anneal", "--graph", k6_path, "--seed", "4", "--d", "1", "--gamma", "0.5",
+                    "--epsilon", "0.9", "--trials", "400", "--max-steps", max_steps,
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "anneal_report.json").read_text())
+        C = max(1.0, report["base_matching_report"]["well_distributed_factor"])
+        expected = AnnealParams.for_graph(read_hypergraph(k6_path), 0.5, 0.9, C, int(max_steps))
+        assert report["effective_params"] == dataclasses.asdict(expected)
+        assert (tmp_path / "anneal.wts").read_text().splitlines()[1] == "# status verified-fpm"
+        if max_steps == "0":
+            assert (report["steps"], report["termination"]) == (0, "step-limit")
+            assert report["entropy_final"] == report["entropy_start"]
+
+
+class TestVerify:
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_exit_code_report_and_last_line(self, tmp_path, capsys, monkeypatch, passed):
+        results = [acceptance.CriterionResult("1 first", True, "ok", 0.5),
+                   acceptance.CriterionResult("2 second", passed, "checked", 0.25)]
+        monkeypatch.setattr(acceptance, "run_all", lambda quick: results)
+        assert run(["verify", "--out", str(tmp_path)]) == (0 if passed else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [r.summary_line() for r in results] + [
+            "ACCEPTANCE: " + ("PASS" if passed else "FAIL")]
+        report = json.loads((tmp_path / "acceptance_report.json").read_text())
+        assert report == {"passed": passed, "criteria": [
+            {"name": r.name, "passed": r.passed, "details": r.details, "elapsed_s": r.elapsed}
+            for r in results]}
+
+
+class TestProvenance:
     def test_alpha_table_is_an_input(self, readme_graph, tmp_path):
         # alpha_1(3) = 9/10 turns the README graph's vertex-degree check from
         # true to false, so the table must show up in the run's provenance
@@ -217,6 +285,23 @@ class TestProvenance:
             readme_graph: plain["_provenance"]["input_digests"][readme_graph],
             str(table): hashlib.sha256(table.read_bytes()).hexdigest(),
         }
+
+    def test_anneal_and_degrees_agree_on_dirac_under_a_table(self, readme_graph, tmp_path):
+        # alpha_2(3) = 1 makes no graph (2, 0.2)-Dirac; the anneal report reads the table too
+        table = tmp_path / "alpha.json"
+        table.write_text(json.dumps({"entries": [{"d": 2, "k": 3, "alpha": "1"}]}))
+        found = []
+        for extra in ([], ["--alpha-table", str(table)]):
+            out = str(tmp_path / f"out{len(extra)}")
+            assert run(["degrees", "--graph", readme_graph, "--d", "2", "--gamma", "0.2",
+                        "--out", out] + extra) == 0
+            assert run(["anneal", "--graph", readme_graph, "--seed", "5", "--d", "2",
+                        "--gamma", "0.2", "--epsilon", "0.9", "--auto", "--trials", "200",
+                        "--out", out] + extra) == 0
+            degrees = json.loads(open(os.path.join(out, "degrees.json")).read())
+            anneal = json.loads(open(os.path.join(out, "anneal_report.json")).read())
+            found.append((degrees["dirac"], anneal["base_matching_report"]["dirac"]))
+        assert found == [(True, True), (False, False)]
 
     @pytest.mark.parametrize("command,name", [("count", "count.json"),
                                               ("bound", "bound_report.json")])

@@ -428,19 +428,19 @@ class TestWellDistributedFPM:
 
     @pytest.mark.parametrize("n,graph_seed,seed,weights_sha,report_sha", [
         pytest.param(12, 7, 5, "d94d330799ab2b2e427c5c5f7dd19fa21c3142986e57adec985c38e9614c248a",
-                     "80f29d37c825f45efb0c98352a88d5f3338d6f376c3313b502c1938ff7c34b46",
+                     "51a380419a1210b72ccfc9d5cbe66b1ec32520089ec99bba3df084228947631f",
                      id="n12"),
         pytest.param(15, 7, 5, "69d146019221863a5781936a7470efa32fcf65c3129632a51e8d86a7290231b0",
-                     "d116fe7e5cc31ef59f033ff71646c5a4e949bd6c4c09141c232b89d9ce40a76a",
+                     "80871f2f0740854018b89d0930fe484c9932f2efca60778eb3d01e1417d169e8",
                      id="n15"),
         # master seeds of 2^32 and more take two entropy words in every stream
         pytest.param(12, 8, 2**40 + 3,
                      "80abfbb02e62917ca4ad81f0298886f909ad952a21a43a1f189a63a8fdae5199",
-                     "77a5e45010aaddc0eff953f2394969dbabb2430a5ea6551ef6cd959092600cd4",
+                     "2d74c412f8d3787f731353491a8f067aefe462664fe7de130ded5b8fc8366305",
                      id="n12-two-word-seed"),
         pytest.param(15, 9, 2**64 - 1,
                      "b874e1a11da01846c8edc4384f9f7a7b9e2add27153b4f7e3e6ecba30ccb95bf",
-                     "f45276b684d4e4c1a6907a0998e05788cccbf65bac09ba2b1011d8217dc2deee",
+                     "a8f345045886fb805084cc8b780f7d2caa01c1ba06c097bedf8e2add83351c99",
                      id="n15-two-word-seed"),
     ])
     def test_draws_pinned(self, n, graph_seed, seed, weights_sha, report_sha):

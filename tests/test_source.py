@@ -124,3 +124,30 @@ def test_no_two_dataclasses_share_three_fields():
         if len(fields[a] & fields[b]) >= 3
     }
     assert shared == {}
+
+
+def test_only_a_vertex_sum_check_marks_weights_verified():
+    # ``verified-fpm`` is set in entropy.py alone, by the functions that check
+    # vertex sums first, and read by the ``verified`` test
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [
+                    (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef) else node.name, item)
+                    for item in node.body
+                ]
+            else:
+                scopes.append((getattr(node, "name", "<module>"), node))
+        readers |= {f"{path.name} {name}" for name, scope in scopes if "STATUS_VERIFIED" in loaded_names(scope)}
+        readers |= {
+            f"{path.name} import"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "STATUS_VERIFIED"
+        }
+    assert readers == {
+        f"entropy.py {name}"
+        for name in ("as_verified", "max_entropy_fpm", "EdgeWeights.verified", "read_weights")
+    }
