@@ -102,7 +102,8 @@ def _command(handler):
     The runner records the provenance: the run's config (its parsed
     options) and the digests of its input files (``--graph``, ``--weights``
     and ``--alpha-table`` when set).  It reads ``--graph`` when the
-    subcommand takes one (G is None otherwise) and makes ``--out``.  The
+    subcommand takes one (G is None otherwise) and makes ``--out``, which
+    it removes again, if still empty, when the handler raises.  The
     handler writes its own graph, weights and CSV files and returns
     ``(report name, report, line)``; the runner writes the report with
     ``_provenance`` added and prints the line.
@@ -120,8 +121,14 @@ def _command(handler):
             "input_digests": {path: _digest_file(path) for path in inputs},
         }
         G = read_hypergraph(graph) if graph else None
+        made = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
-        name, report, line = handler(args, G, prov)
+        try:
+            name, report, line = handler(args, G, prov)
+        except BaseException:
+            if made and not os.listdir(args.out):
+                os.rmdir(args.out)
+            raise
         _write_json(os.path.join(args.out, name), {**report, "_provenance": prov})
         print(line)
         return 0

@@ -176,39 +176,40 @@ def scale_to_unit_sums(
     """Scale positive x0 so each constraint sum_e coeff*x[e] equals 1.
 
     Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
-    entries of x) and ``coeffs``.  Cyclic sweeps rescale one constraint at a
-    time (exact coordinate ascent on the dual) until the largest residual is
-    at most ``tol`` or ``max_iter`` sweeps have run.  The accumulated
-    per-constraint log-scalings are returned as potentials; one beyond
-    1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
+    entries of x) and ``coeffs``; the row views are sliced once per solve.
+    Cyclic sweeps rescale one constraint at a time (exact coordinate ascent
+    on the dual), each with one gather of its entries of x, until the
+    largest residual is at most ``tol`` or ``max_iter`` sweeps have run.
+    The accumulated per-constraint log-scalings are returned as potentials;
+    one beyond 1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
         raise InvalidArgumentError("scaling requires a strictly positive starting point")
-    bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
-    ncon = len(bounds)
+    rows = [(ids[lo:hi], coeffs[lo:hi]) for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    ncon = len(rows)
     cap = 1e3 * math.log(max(ncon, 3))
-    mu = np.zeros(ncon, dtype=float)
+    mu = [0.0] * ncon
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for j, (lo, hi) in enumerate(bounds):
-            con = ids[lo:hi]
-            s = float(coeffs[lo:hi] @ x[con])
+        for j, (con, c) in enumerate(rows):
+            xc = x[con]
+            s = float(c @ xc)
             if s <= 0:
                 raise InfeasibleError(f"constraint {j} has no positive incident weight")
-            x[con] /= s
+            x[con] = xc / s
             mu[j] -= math.log(s)
-        sums = np.array([float(coeffs[lo:hi] @ x[ids[lo:hi]]) for lo, hi in bounds])
+        sums = np.array([float(c @ x[con]) for con, c in rows])
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
-            return ScalingResult(x, mu, sweeps, residual, True)
+            return ScalingResult(x, np.array(mu), sweeps, residual, True)
         if float(np.abs(mu).max()) > cap:
             raise InfeasibleError(
                 f"diverging potentials (|mu| > {cap:.3g}); "
                 "no fractional perfect matching on this support"
             )
-    return ScalingResult(x, mu, sweeps, residual, False)
+    return ScalingResult(x, np.array(mu), sweeps, residual, False)
 
 
 def scale_vertex_sums(G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int) -> ScalingResult:
@@ -232,11 +233,12 @@ def max_entropy_fpm(
     Raises InfeasibleError for graphs with an uncovered vertex or diverging
     potentials; returns converged=False when the iteration budget runs out.
     The entropy is accurate to about ``max_residual`` times max|ln x_e| per
-    vertex, not to ``tol``: on a random n = 60 Dirac 3-graph it lies 5.2e-7
-    above the optimum, about 50 times the vertex-sum tolerance.
+    vertex, not to ``tol``: on ``gen_random_dirac(60, 3, DiracParams(2, 0.2),
+    0.9, seed=1)`` it lies 5.2e-7 above the optimum, about 50 times the
+    vertex-sum tolerance.
     """
-    if not tol > 0 or max_iter < 1:
-        raise InvalidArgumentError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
+    if not 0 < tol < math.inf or max_iter < 1:
+        raise InvalidArgumentError(f"need finite tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
     if G.n == 0:
         empty = as_verified(G, EdgeWeights.from_weights(G, np.zeros(0)))
         return empty, ScalingResult(np.zeros(0), np.zeros(0), 0, 0.0, True)

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -62,6 +62,11 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether every row is strictly ascending, compared one column pair at a time."""
+    return all((rows[:, j] < rows[:, j + 1]).all() for j in range(rows.shape[1] - 1))
+
+
 def _edge_rows(k: int, n: int, edges) -> np.ndarray:
     """The edges as ascending int64 rows.
 
@@ -76,13 +81,13 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
         rows = None
     if rows is not None and rows.ndim == 2 and rows.shape[1] == k and np.can_cast(rows.dtype, np.int64):
         rows = rows.astype(np.int64)
-        if not (rows[:, 1:] > rows[:, :-1]).all():
+        if not _ascending(rows):
             rows.sort(axis=1)
-        if not rows.size or (
-            (rows[:, 1:] > rows[:, :-1]).all() and rows.min() >= 0 and rows.max() < n
-            and (np.diff(np.sort(encode(rows, n))) > 0).all()
-        ):
-            return rows
+        if not rows.size or (_ascending(rows) and rows.min() >= 0 and rows.max() < n):
+            # Ascending codes (every generator, every sorted .khg) need no sort to be distinct.
+            codes = encode(rows, n)
+            if (np.diff(codes) > 0).all() or (np.diff(np.sort(codes)) > 0).all():
+                return rows
     # Irregular input or a bad edge: convert edge by edge, naming the first bad one.
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -102,15 +107,14 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
 def _canonical_text(k: int, n: int, edge_verts: np.ndarray) -> str:
     """``k n`` and then one line of space-separated decimal vertex ids per edge.
 
-    The digits of each vertex come from a NUL-padded table; the padding is dropped.
+    Each vertex slot gathers one NUL-padded ``V`` token (numpy gathers raw bytes
+    faster than ``S`` strings): its digits and a space, or a newline in the
+    last column.  The padding is dropped.
     """
     width = len(str(max(n - 1, 0)))
-    table = np.array([str(v).encode() for v in range(n)], dtype=f"S{width}")
-    slots = np.zeros(edge_verts.shape + (width + 1,), dtype=np.uint8)
-    slots[..., :width] = table.view(np.uint8).reshape(n, width)[edge_verts]
-    slots[..., width] = ord(" ")
-    slots[:, -1, width] = ord("\n")
-    body = slots.ravel()
+    table = [(f"{v} ", f"{v}\n") for v in range(n)]
+    tokens = np.array(table, dtype=f"S{width + 1}").reshape(n, 2).view(f"V{width + 1}")
+    body = tokens[edge_verts, [0] * (k - 1) + [1]].view(np.uint8).ravel()
     return f"{k} {n}\n" + body[body != 0].tobytes().decode()
 
 
@@ -119,7 +123,8 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1, with read-only numpy arrays.
 
     ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
-    vertex v in ascending order.  The sorted subset codes of each size, the
+    vertex v in ascending order, from a stable argsort of the edge rows in
+    their narrowest integer dtype.  The sorted subset codes of each size, the
     vertex links and the digest are built on first use and kept in one
     cache.  Two graphs are equal when k, n and the edges in id order are
     equal.
@@ -142,8 +147,8 @@ class Hypergraph:
             raise ResourceLimitError(f"codes of {k}-sets of {n} vertices overflow int64 (n^k >= 2^63)")
         rows = _edge_rows(k, n, edges)
         flat = rows.ravel()
-        # A stable sort keeps each vertex's edge ids in ascending order.
-        incidence = np.argsort(flat, kind="stable") // k
+        # A stable sort keeps each vertex's edge ids in ascending order (a radix sort on 8 or 16 bits).
+        incidence = np.argsort(flat.astype(np.min_scalar_type(n - 1)), kind="stable") // k
         degrees = np.bincount(flat, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -248,8 +253,8 @@ class DiracParams:
     def __post_init__(self):
         if self.d < 1:
             raise InvalidArgumentError(f"degree order d must be >= 1, got {self.d}")
-        if not self.gamma > 0:
-            raise InvalidArgumentError(f"gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and isfinite(self.gamma)):
+            raise InvalidArgumentError(f"gamma must be positive and finite, got {self.gamma}")
 
     def validate_for(self, k: int) -> None:
         if not 1 <= self.d <= k - 1:
@@ -373,7 +378,9 @@ def is_dirac(G: Hypergraph, params: DiracParams, alpha: Optional[AlphaTable] = N
 def all_subsets(n: int, size: int) -> np.ndarray:
     """Every size-subset of [n] as an ascending int64 row, in lexicographic order.
 
-    Raises ResourceLimitError, promptly for any n, when C(n, size) > DEFAULT_DEGREE_WORK_LIMIT.
+    Built a column at a time: a row ending at vertex l repeats once for each
+    vertex that can follow l, in ascending order.  Raises ResourceLimitError,
+    promptly for any n, when C(n, size) > DEFAULT_DEGREE_WORK_LIMIT.
     """
     if size < 0:
         raise InvalidArgumentError(f"subset size must be >= 0, got {size}")
@@ -382,9 +389,13 @@ def all_subsets(n: int, size: int) -> np.ndarray:
         count = count * (n - i) // (i + 1)  # C(n, i + 1)
         if count > DEFAULT_DEGREE_WORK_LIMIT:
             raise ResourceLimitError(f"C({n}, {size}) subsets exceed the work limit {DEFAULT_DEGREE_WORK_LIMIT:.0e}")
-    return np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), size)), np.int64
-    ).reshape(comb(n, size), size)
+    rows, last = np.zeros((1, 0), dtype=np.int64), np.full(1, -1, dtype=np.int64)
+    for col in range(size):
+        counts = np.maximum(n - size + col - last, 0)  # the vertices that can fill column col
+        # Each row's block counts up from its last + 1: arange minus the block's cumsum offset.
+        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        rows = np.column_stack((np.repeat(rows, counts, axis=0), last))
+    return rows
 
 
 def gen_complete(n: int, k: int) -> Hypergraph:

@@ -322,47 +322,12 @@ class TestProvenance:
 
 
 class TestErrors:
-    def test_unknown_flag_emits_json(self, capsys):
-        assert run(["count", "--bogus", "x"]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "usage"
-
-    def test_missing_file(self, tmp_path, capsys):
-        assert run(["count", "--graph", str(tmp_path / "absent.khg")]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "missing-file"
-
-    def test_parse_error_reports_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.khg"
-        bad.write_text("3 6\n0 1\n")
-        assert run(["count", "--graph", str(bad)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ParseError" and ":2:" in err["message"]
-
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_greedy_needs_a_trial(self, k6_path, tmp_path, capsys, trials):
         assert run(["greedy", "--graph", k6_path, "--seed", "3", "--trials", trials,
                     "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidArgumentError" and "--trials" in err["message"]
-
-    def test_malformed_alpha_table(self, k6_path, tmp_path, capsys):
-        table = tmp_path / "alpha.json"
-        table.write_text('{"entries": [{"d": 1, "k": 3, "alpha": "1/0"}]}')
-        assert run(["degrees", "--graph", k6_path, "--d", "1", "--gamma", "0.1",
-                    "--alpha-table", str(table), "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigError" and str(table) in err["message"]
-
-    def test_gen_past_work_limit(self, tmp_path, capsys):
-        assert run(["gen", "--n", "100000", "--k", "3", "--complete", "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ResourceLimitError" and "work limit" in err["message"]
-
-    def test_unknown_suite(self, capsys):
-        assert run(["verify", "--suite", "bogus"]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "InvalidArgumentError"
 
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         bad = tmp_path / "k4.khg"

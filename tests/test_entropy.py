@@ -151,6 +151,14 @@ class TestSolver:
         assert x.entropy == pytest.approx(2 * math.log(10), abs=1e-9)
         assert np.allclose(x.weights, 0.1, atol=1e-9)
 
+    def test_entropy_error_quoted_in_the_docstring(self):
+        # At tol 1e-8 the entropy lies 5.2e-7 above the optimum, about 50 times the tolerance.
+        G = gen_random_dirac(60, 3, DiracParams(2, 0.2), 0.9, seed=1)
+        x, _ = max_entropy_fpm(G)
+        tight, report = max_entropy_fpm(G, tol=1e-14)
+        assert report.converged
+        assert x.entropy - tight.entropy == pytest.approx(5.2e-7, abs=0.05e-7)
+
     def test_disjoint_union_of_k4s(self):
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         edges += [(a + 4, b + 4) for a in range(4) for b in range(a + 1, 4)]

@@ -477,6 +477,10 @@ class TestCenters:
         for i in range(5):
             assert (p[i], weight[i], entropy[i]) == centers(G, x, i)
 
+    def test_module_docstring_finite_size_error(self):
+        # k(k-1)(1 - p(i)) / (2 p(i) n) at n = 60, k = 3, i = 0.8 n/3, where p(i) = 0.2
+        assert 3 * 2 * (1 - (20 - 16) / 20) / (2 * (20 - 16) / 20 * 60) == pytest.approx(0.20)
+
     def test_centers_agree_across_reports(self, tmp_path):
         # centers, trajectory_deviation and the trajectory CSV all use
         # p(i)^k (n/k) and p(i)^k h(x)

@@ -181,6 +181,48 @@ class TestIndexMatchesReference:
         assert ids.tolist() == want_ids
 
 
+def mixed_width_edges(k, n, seed, count=300):
+    """Distinct random k-sets of [n] in random order, each tuple permuted; each
+    vertex is drawn among those of a uniformly drawn digit width."""
+    rng = rng_from(seed)
+    width = rng.integers(0, len(str(n - 1)), size=(count, k))
+    lo = np.where(width == 0, 0, 10**width)
+    hi = np.minimum(10 ** (width + 1), n)
+    rows = (lo + rng.random((count, k)) * (hi - lo)).astype(np.int64).tolist()
+    distinct = {}
+    for row in rows:
+        if len(set(row)) == k:
+            distinct.setdefault(tuple(sorted(row)), tuple(row))
+    return list(distinct.values())
+
+
+class TestDigitWidths:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [10, 11, 100, 101, 1000, 1001])
+    def test_text_and_digest_match_reference(self, n, k):
+        edges = mixed_width_edges(k, n, seed=n * 10 + k)
+        G, R = Hypergraph(k, n, edges), ReferenceGraph(k, n, edges)
+        assert G.edges == R.edges
+        assert G.canonical_text() == R.canonical_text()
+        assert G.digest() == hashlib.sha256(R.canonical_text().encode()).hexdigest()
+        if n > 100 and k > 2:  # some line holds tokens of three widths
+            assert any(len({len(str(v)) for v in e}) >= 3 for e in G.edges)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_ascending_rows_with_a_repeat_are_refused(self, as_array):
+        for edges in ([(0, 1, 2), (0, 1, 2)], [(0, 5, 1000), (1, 2, 3), (0, 5, 1000)]):
+            rows = np.array(edges) if as_array else edges
+            with pytest.raises(InvalidArgumentError, match=rf"duplicate edge \({edges[0][0]}, "):
+                Hypergraph(3, 1001, rows)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_unsorted_rows_come_out_sorted(self, as_array):
+        edges = [(1000, 0, 5), (3, 2, 1), (7, 999, 20)]
+        G = Hypergraph(3, 1001, np.array(edges) if as_array else edges)
+        assert G.edge_verts.tolist() == [[0, 5, 1000], [1, 2, 3], [7, 20, 999]]
+        assert G.canonical_text() == "3 1001\n0 5 1000\n1 2 3\n7 20 999\n"
+
+
 def shuffled(G, seed):
     """G with its edges in random order, each tuple reversed."""
     order = rng_from(seed).permutation(G.num_edges)

@@ -378,6 +378,22 @@ class TestAnneal:
         assert max(s.bound for s in log.steps) == pytest.approx(-2.777e-3, rel=1e-3)
         assert len(log.steps) <= params.epsilon * G.n / per_step + 1
 
+    # (shifts, sha256 of the trace CSV) of the mixture run at the auto parameters, by seed.
+    TRACES = {
+        11: (230, "f31366c66669d7f0410f0716c7f68d10c4be422c5217c8042e3c883c5e83a715"),
+        13: (1037, "0e632cdfb04240b428bb8d978852b936a0c7e6c81140650202eaac6641f72781"),
+        19: (260, "86def768867d51cfed7f57f2bc0029bd193dc33644abe3a4ce84594a5d68c895"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRACES))
+    def test_mixture_traces_keep_their_bits(self, seed, tmp_path):
+        G, adv, x_hat, C = self.adversarial(seed)
+        params = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=C, max_steps=30000)
+        _, log = anneal_and_shift(G, adv, x_hat, params)
+        path = tmp_path / "trace.csv"
+        log.write_csv(str(path))
+        assert (len(log.steps), hashlib.sha256(path.read_bytes()).hexdigest()) == self.TRACES[seed]
+
     def test_trace_csv_round_trip(self, tmp_path):
         G, adv, x_hat, C = self.adversarial()
         params = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=C, max_steps=500)
