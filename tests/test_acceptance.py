@@ -8,6 +8,7 @@ the paper's leading-order centers sit from them (about 0.196, 0.132 and
 shrink as n grows.
 """
 
+import hashlib
 import math
 import re
 
@@ -56,6 +57,8 @@ DETAILS = {
     ),
     "10 determinism": "7 subcommands run twice, byte-identical",
 }
+# sha256 of criterion 5's anneal steps at the full run size
+TRACE_5 = "d25368334cb1d949b1db71dca1c9b40bf01694f473f26bfb3f465bc37d9559ec"
 # criterion 5 at ``verify --quick`` size
 QUICK_5 = (
     "6 instances; "
@@ -87,12 +90,30 @@ def test_criterion_4_shift_correctness():
     _check(acceptance.criterion_4_shift_correctness())
 
 
-def test_criterion_5_anneal_contract():
+def test_criterion_5_anneal_contract(monkeypatch):
+    logs = []
+    anneal = acceptance.anneal_and_shift
+
+    def recorded(*args, **kwargs):
+        x, log = anneal(*args, **kwargs)
+        logs.append(log)
+        return x, log
+
+    monkeypatch.setattr(acceptance, "anneal_and_shift", recorded)
     result = acceptance.criterion_5_anneal_contract()
     _check(result)
     # at desk scale the validated regime makes no shift; the active one does
     assert "validated regime: 0 shifts (vacuous)," in result.details
     assert re.search(r"active regime: [1-9]\d* shifts,", result.details)
+    # every step of the 40 anneal runs, in call order, pinned to the bit
+    digest = hashlib.sha256()
+    for log in logs:
+        for s in log.steps:
+            row = (s.e_ids, s.f_ids, repr(s.delta), repr(s.entropy_before),
+                   repr(s.entropy_after), repr(s.bound))
+            digest.update(repr(row).encode())
+    assert len(logs) == 40
+    assert digest.hexdigest() == TRACE_5
 
 
 def test_criterion_5_quick_run_names_its_vacuous_regimes():

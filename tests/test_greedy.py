@@ -352,7 +352,7 @@ class TestTrackedSetCache:
 
 TRAJECTORY_FIELDS = (
     "chosen", "step_logprob", "residual_weight", "residual_entropy",
-    "alive_vertices", "tracked_degrees",
+    "tracked_degrees",
 )
 
 
@@ -375,28 +375,28 @@ class TestPinnedTrajectoryBytes:
         x, _ = max_entropy_fpm(G)
         cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
         assert trajectory_digest(G, x, cfg) == (
-            "d7d3de23dc2d900578d89a55382edc9c6ac52f8758d349445c28ce879afe85ec"
+            "8a4011b445e689adec1f9e42f7f683b7c485f67e236883aa2e4a29d20eb074d8"
         )
 
     def test_dirac_60_with_default_tracking(self):
         G = gen_random_dirac(60, 3, DiracParams(2, 0.2), 0.9, seed=1)
         x, _ = max_entropy_fpm(G)
         assert trajectory_digest(G, x, TrajectoryConfig()) == (
-            "94667696f31eb4e9db029ad22570053674bb8c99170246c5706702b6adf7a0a9"
+            "4452180a77bc080ca3750cf58f2f27ad7e5937fed23d4442d1511ba8f8bf241e"
         )
 
     def test_k30_matching_mixture_to_the_freeze(self):
         G = gen_complete(30, 3)
         x = mixed_matchings(G, 3, seed=11)
         assert trajectory_digest(G, x, TrajectoryConfig()) == (
-            "63a26244788cc95d5f1ad4fb28c27c5a295c75816e9472485b15a98241887a7f"
+            "f83639e909750c01c4d9be221424c25e98781fed47de8219c62107c2afd2f829"
         )
 
     def test_k12_4(self):
         G = gen_complete(12, 4)
         x, _ = max_entropy_fpm(G)
         assert trajectory_digest(G, x, TrajectoryConfig()) == (
-            "9d99763ca06014da95167960eb4e38ceecb85001c24806f3e5d3d74dfab52342"
+            "5dd5c8714e9867ef56011967f40030d53bafdd6ffd211736e278a7acb0b18a0d"
         )
 
 
