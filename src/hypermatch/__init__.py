@@ -27,10 +27,8 @@ from .counting import (
 )
 from .entropy import (
     EdgeWeights,
-    FeasibilityCheck,
     as_verified,
     convex_combine,
-    is_fractional_pm,
     jensen_bounds,
     max_entropy_fpm,
     read_weights,

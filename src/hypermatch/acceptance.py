@@ -249,7 +249,7 @@ def _anneal_regime(G, x_adv, x_hat, C, failures, label, **regime):
             f"{label}: min_w={min_w:.3g} factor={factor:.3g} D={params.D:.3g} term={log.termination}"
         )
     decreasing = sum(s.entropy_after < s.entropy_before - 1e-12 for s in log.steps)
-    net_gain = log.final_entropy >= log.start_entropy - 1e-12
+    net_gain = x_final.entropy >= log.start_entropy - 1e-12
     return (len(log.steps), decreasing, net_gain, flagged), params.high_threshold(G)
 
 

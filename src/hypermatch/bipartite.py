@@ -62,9 +62,7 @@ class BipartiteLift:
     n_tilde: int
     L: float
     Q: int
-    min_degree_a_side: int  # min over A copies of the bipartite degree
-    min_degree_b_side: int
-    min_degree: int
+    min_degree: int  # min over both sides' copies of the bipartite degree
     min_degree_attained: str  # "A", "B" or "both"
 
 
@@ -115,8 +113,6 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
         n_tilde=n_tilde,
         L=(k / n) * n_tilde,
         Q=comb(k, d) * n_tilde,
-        min_degree_a_side=min_a,
-        min_degree_b_side=min_b,
         min_degree=min(min_a, min_b),
         min_degree_attained=attained,
     )

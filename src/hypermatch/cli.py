@@ -39,8 +39,8 @@ from .greedy import (
     TrajectoryConfig,
     run_greedy,
     trajectory_deviation,
+    trajectory_metadata,
     write_trajectory_csv,
-    write_trajectory_metadata,
 )
 from .hypergraph import (
     AlphaTable,
@@ -92,8 +92,13 @@ def _comment_lines(prov: dict) -> list[str]:
     return lines
 
 
-def _load_alpha(path: Optional[str]) -> Optional[AlphaTable]:
-    return AlphaTable.from_file(path) if path else None
+def _dirac_options(args) -> tuple[Optional[DiracParams], Optional[AlphaTable]]:
+    """The Dirac parameters of ``--d`` and ``--gamma`` and the ``--alpha-table``,
+    each None when not given; a lone ``--d`` or ``--gamma`` is refused."""
+    if (args.d is None) != (args.gamma is None):
+        raise InvalidArgumentError("--d and --gamma must be given together")
+    dirac = None if args.d is None else DiracParams(args.d, args.gamma)
+    return dirac, (AlphaTable.from_file(args.alpha_table) if args.alpha_table else None)
 
 
 def _command(handler):
@@ -141,16 +146,10 @@ def _cmd_gen(args, _, prov):
     if args.complete:
         G = gen_complete(args.n, args.k)
     else:
-        if args.seed is None or args.d is None or args.gamma is None or args.density is None:
+        dirac, alpha = _dirac_options(args)
+        if args.seed is None or dirac is None or args.density is None:
             raise InvalidArgumentError("random generation needs --density, --d, --gamma and --seed")
-        G = gen_random_dirac(
-            args.n,
-            args.k,
-            DiracParams(args.d, args.gamma),
-            args.density,
-            args.seed,
-            alpha=_load_alpha(args.alpha_table),
-        )
+        G = gen_random_dirac(args.n, args.k, dirac, args.density, args.seed, alpha=alpha)
     path = os.path.join(args.out, "graph.khg")
     write_hypergraph(G, path, header_comments=_comment_lines(prov))
     report = {"graph": "graph.khg", "n": G.n, "k": G.k, "num_edges": G.num_edges,
@@ -160,6 +159,7 @@ def _cmd_gen(args, _, prov):
 
 @_command
 def _cmd_degrees(args, G, prov):
+    dirac, alpha = _dirac_options(args)
     profile = degree_ratio_profile(G)
     report = {
         "n": G.n,
@@ -172,10 +172,8 @@ def _cmd_degrees(args, G, prov):
             profile[i] >= profile[i + 1] for i in range(len(profile) - 1)
         ),
     }
-    if args.d is not None and args.gamma is not None:
-        report["dirac"] = bool(
-            is_dirac(G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table))
-        )
+    if dirac is not None:
+        report["dirac"] = bool(is_dirac(G, dirac, alpha))
     return "degrees.json", report, f"wrote {os.path.join(args.out, 'degrees.json')}"
 
 
@@ -203,12 +201,11 @@ def _cmd_entropy(args, G, prov):
 
 @_command
 def _cmd_count(args, G, prov):
+    dirac, alpha = _dirac_options(args)
     result = count_pm(G)
     report = {"value": str(result.value), "note": result.note, "graph_digest": result.graph_digest}
-    if args.d is not None and args.gamma is not None:
-        report["entropy_comparison"] = verify_count_vs_entropy(
-            G, DiracParams(args.d, args.gamma), _load_alpha(args.alpha_table), count=result
-        )
+    if dirac is not None:
+        report["entropy_comparison"] = verify_count_vs_entropy(G, dirac, alpha, count=result)
     return "count.json", report, json.dumps({"value": str(result.value)})
 
 
@@ -223,10 +220,10 @@ def _cmd_marginals(args, G, prov):
 
 @_command
 def _cmd_anneal(args, G, prov):
-    dirac = DiracParams(args.d, args.gamma)
+    dirac, alpha = _dirac_options(args)
     x_star, _ = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
-    hat_report["dirac"] = bool(is_dirac(G, dirac, _load_alpha(args.alpha_table)))
+    hat_report["dirac"] = bool(is_dirac(G, dirac, alpha))
     C = max(1.0, well_distributed_factor(G, x_hat))
     if args.auto:
         params = auto_anneal_params(G, args.gamma, args.epsilon, C, max_steps=args.max_steps)
@@ -241,7 +238,7 @@ def _cmd_anneal(args, G, prov):
         "steps": len(log.steps),
         "entropy_solver": x_star.entropy,
         "entropy_start": log.start_entropy,
-        "entropy_final": log.final_entropy,
+        "entropy_final": x_final.entropy,
         "proof_inequality_holds": params.proof_inequality_holds(G),
         "gain_ratio": params.gain_ratio(G),
         "well_distributed_factor_final": well_distributed_factor(G, x_final),
@@ -251,15 +248,15 @@ def _cmd_anneal(args, G, prov):
         "trace_file": "anneal_trace.csv",
     }, (
         f"anneal: {len(log.steps)} steps, {log.termination}, "
-        f"h {log.start_entropy:.6g} -> {log.final_entropy:.6g}, wrote {wts_path}"
+        f"h {log.start_entropy:.6g} -> {x_final.entropy:.6g}, wrote {wts_path}"
     )
 
 
-def _greedy_single(G, x, cfg, seed, stream, out_dir, prov, trial):
-    traj = run_greedy(G, x, cfg, seed, stream=stream)
+def _greedy_single(G, x, cfg, seed, out_dir, prov, trial):
+    traj = run_greedy(G, x, cfg, seed, stream=(trial,))
     csv_path = os.path.join(out_dir, f"trajectory_{trial:04d}.csv")
     write_trajectory_csv(csv_path, traj, G, x, header_comments=_comment_lines(prov))
-    write_trajectory_metadata(os.path.join(out_dir, f"trajectory_{trial:04d}.meta.json"), traj)
+    _write_json(os.path.join(out_dir, f"trajectory_{trial:04d}.meta.json"), trajectory_metadata(traj))
     return trajectory_deviation(traj, G, x)
 
 
@@ -272,22 +269,16 @@ def _cmd_greedy(args, G, prov):
     else:
         x, _ = max_entropy_fpm(G)
     cfg = TrajectoryConfig(c=args.c, stop_fraction=args.stop_fraction)
-    trials = list(range(args.trials))
+    trial = functools.partial(_greedy_single, G, x, cfg, args.seed, args.out, prov)
     # more workers than CPUs only add start-up cost; os.cpu_count() may be None
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_greedy_single, G, x, cfg, args.seed, (t,), args.out, prov, t)
-                for t in trials
-            ]
-            summaries = [f.result() for f in futures]
+            summaries = list(pool.map(trial, range(args.trials)))
     else:
-        summaries = [
-            _greedy_single(G, x, cfg, args.seed, (t,), args.out, prov, t) for t in trials
-        ]
+        summaries = list(map(trial, range(args.trials)))
     return "greedy_report.json", {
         "trials": args.trials,
         "max_weight_deviation": max(s["max_weight_deviation"] for s in summaries),
@@ -305,13 +296,12 @@ def _cmd_greedy(args, G, prov):
 
 @_command
 def _cmd_bound(args, G, prov):
+    dirac, alpha = _dirac_options(args)
     solved = max_entropy_fpm(G)
     cert = certify_entropy_lower_bound(G, args.d, solved)
     report = {
         "certificate": cert,
-        "matching_count_bound": matching_count_bound_report(
-            G, DiracParams(args.d, args.gamma), alpha=_load_alpha(args.alpha_table), solved=solved
-        ),
+        "matching_count_bound": matching_count_bound_report(G, dirac, alpha=alpha, solved=solved),
     }
     return "bound_report.json", report, (
         f"bound {cert['bound']:.6g}  h_solver {cert['h_solver']:.6g}  "

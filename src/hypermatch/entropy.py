@@ -98,29 +98,21 @@ def vertex_sums(G: Hypergraph, weights: np.ndarray) -> np.ndarray:
     return np.bincount(G.edge_verts.ravel(), weights=per_slot, minlength=G.n)
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    ok: bool
-    max_residual: float
-    worst_vertex: int
+def as_verified(G: Hypergraph, x: EdgeWeights, tol: float = DEFAULT_FEASIBILITY_TOL) -> EdgeWeights:
+    """Return x with verified status after checking that every vertex's
+    incident weight sums to 1 within tol.
 
-
-def is_fractional_pm(G: Hypergraph, x: EdgeWeights, tol: float = DEFAULT_FEASIBILITY_TOL) -> FeasibilityCheck:
-    """Whether every vertex's incident weight sums to 1 within tol."""
+    Raises InvalidArgumentError naming the worst vertex, its residual and
+    tol otherwise; a NaN vertex sum is refused too.
+    """
     check_alignment(G, x)
     residuals = np.abs(vertex_sums(G, x.weights) - 1.0)
     worst = int(residuals.argmax()) if G.n else 0
-    worst_res = float(residuals[worst]) if G.n else 0.0
-    return FeasibilityCheck(worst_res <= tol, worst_res, worst)
-
-
-def as_verified(G: Hypergraph, x: EdgeWeights, tol: float = DEFAULT_FEASIBILITY_TOL) -> EdgeWeights:
-    """Return x with verified status, or raise if it is not an fpm."""
-    check = is_fractional_pm(G, x, tol)
-    if not check.ok:
+    residual = float(residuals[worst]) if G.n else 0.0
+    if not residual <= tol:
         raise InvalidArgumentError(
-            f"not a fractional perfect matching: vertex {check.worst_vertex} "
-            f"residual {check.max_residual:.3e} > {tol:.1e}"
+            f"not a fractional perfect matching: vertex {worst} "
+            f"residual {residual:.3e} > {tol:.1e}"
         )
     return replace(x, status=STATUS_VERIFIED)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from math import comb
@@ -81,11 +80,6 @@ class TrajectoryConfig:
         }
 
 
-def concentration_horizon(n: int, k: int, c: float) -> float:
-    """(1 - n^{-c}) n/k, the step range the concentration statement covers."""
-    return (1.0 - float(n) ** (-c)) * n / k
-
-
 @functools.lru_cache
 def _sampled_sets(n: int, size: int, quota: int) -> tuple[tuple[int, ...], ...]:
     """``quota`` distinct sorted ``size``-subsets of range(n), in order: all of
@@ -120,7 +114,6 @@ class GreedyTrajectory:
     step_logprob: np.ndarray
     residual_weight: np.ndarray
     residual_entropy: np.ndarray
-    alive_vertices: np.ndarray
     tracked_degrees: np.ndarray  # shape (steps+1, n_sets); NaN once the set loses a vertex
     stop_reason: str
 
@@ -208,13 +201,11 @@ def run_greedy(
     logprobs: list[float] = []
     rows_w: list[float] = []
     rows_e: list[float] = []
-    rows_alive: list[int] = []
     rows_deg: list[np.ndarray] = []
 
     def record() -> None:
         rows_w.append(float(w_alive.sum()))
         rows_e.append(float(ent[alive_e].sum()))
-        rows_alive.append(int(alive_v.sum()))
         degs = np.full(len(tracked), np.nan)
         if tracked:
             degs[single] = deg_v[single_v]
@@ -268,7 +259,6 @@ def run_greedy(
         step_logprob=np.array(logprobs),
         residual_weight=np.array(rows_w),
         residual_entropy=np.array(rows_e),
-        alive_vertices=np.array(rows_alive, dtype=np.intp),
         tracked_degrees=np.array(rows_deg),
         stop_reason=stop_reason,
     )
@@ -298,21 +288,25 @@ def trajectory_deviation(
 ) -> dict:
     """Relative deviations of a trajectory from its predicted centers.
 
-    The summary maximises over steps i <= horizon, where the horizon
-    defaults to the concentration range (1 - n^{-c}) n/k.  Degree deviations
-    are measured only while the tracked set is fully alive.  The centers are
-    the leading-order ones of ``centers``, so even an exact run
-    deviates by their finite-size error, about k(k-1)(1 - p(i)) / (2 p(i) n).
+    The summary maximises over steps i <= horizon, where the horizon is
+    ``horizon_fraction`` n/k and defaults to the concentration range
+    (1 - n^{-c}) n/k.  Degree deviations are measured only while the
+    tracked set is fully alive.  The centers are the leading-order ones of
+    ``centers``, so even an exact run deviates by their finite-size error,
+    about k(k-1)(1 - p(i)) / (2 p(i) n).  Keys: ``reached_horizon``,
+    ``ran_to`` (steps run), ``stop_reason`` and the largest relative
+    deviation of the weight, the entropy and the tracked degrees,
+    ``max_weight_deviation``, ``max_entropy_deviation`` and
+    ``max_degree_deviation``.
     """
     check_alignment(G, x)
     if traj.graph_digest != G.digest():
         raise InvalidArgumentError("trajectory was recorded on a different graph")
     n, k = G.n, G.k
-    steps_total = n / k
     horizon = (
-        concentration_horizon(n, k, traj.config.c)
+        (1.0 - float(n) ** (-traj.config.c)) * n / k
         if horizon_fraction is None
-        else horizon_fraction * steps_total
+        else horizon_fraction * (n / k)
     )
     i_max = min(traj.steps, int(math.floor(horizon + 1e-9)))
     p, pred_w, pred_e = centers(G, x, np.arange(i_max + 1))
@@ -332,7 +326,6 @@ def trajectory_deviation(
     obs_d = traj.tracked_degrees[: i_max + 1]
     ok = ~np.isnan(obs_d) & (pred_d > 0)
     return {
-        "horizon_steps": i_max,
         "reached_horizon": bool(traj.steps >= math.floor(horizon)),
         "ran_to": traj.steps,
         "stop_reason": traj.stop_reason,
@@ -341,8 +334,6 @@ def trajectory_deviation(
         "max_degree_deviation": (
             float(np.max(np.abs(obs_d[ok] - pred_d[ok]) / pred_d[ok])) if ok.any() else 0.0
         ),
-        "weight_deviation_per_step": [float(d) for d in dev_w],
-        "entropy_deviation_per_step": [float(d) for d in dev_e],
     }
 
 
@@ -387,8 +378,10 @@ def write_trajectory_csv(
             )
 
 
-def write_trajectory_metadata(path: str, traj: GreedyTrajectory) -> None:
-    meta = {
+def trajectory_metadata(traj: GreedyTrajectory) -> dict:
+    """The JSON sidecar of a trajectory: graph digest, seed, stream, config,
+    tracked sets, steps and stop reason."""
+    return {
         "graph_digest": traj.graph_digest,
         "seed": traj.seed,
         "stream": list(traj.stream),
@@ -397,6 +390,3 @@ def write_trajectory_metadata(path: str, traj: GreedyTrajectory) -> None:
         "steps": traj.steps,
         "stop_reason": traj.stop_reason,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -55,7 +55,6 @@ class ShiftingStructure:
     ``e_ids[i]`` is U_{i+1} + {u_{i+1}} and ``f_ids[i]`` is U_{i+1} + {v_{i+1}}.
     """
 
-    k: int
     U_sets: tuple[tuple[int, ...], ...]
     e_ids: tuple[int, ...]
     f_ids: tuple[int, ...]
@@ -136,7 +135,7 @@ def find_shifting_structure(
         U_sets.append(U)
         e_ids.append(eid)
         f_ids.append(fid)
-    return ShiftingStructure(G.k, tuple(U_sets), tuple(e_ids), tuple(f_ids))
+    return ShiftingStructure(tuple(U_sets), tuple(e_ids), tuple(f_ids))
 
 
 def apply_shift(x: EdgeWeights, structure: ShiftingStructure, delta: float) -> EdgeWeights:
@@ -182,7 +181,7 @@ def shift_gain_lower_bound(
             )
     if delta == 0:
         return 0.0
-    k = structure.k
+    k = len(structure.e_ids)
     return delta * math.log(float(w[structure.e_ids[0]]) * delta ** (k - 1) / (2.0 * eta**k))
 
 
@@ -344,9 +343,7 @@ class AnnealStep:
 class AnnealLog:
     termination: str
     start_entropy: float
-    final_entropy: float
     steps: list[AnnealStep] = field(default_factory=list)
-    renormalizations: int = 0
 
     def write_csv(self, path: str, header_comments: Sequence[str] = ()) -> None:
         k = len(self.steps[0].e_ids) if self.steps else 0
@@ -383,7 +380,7 @@ def anneal_and_shift(
     if violations:
         raise InvalidArgumentError("invalid anneal parameters: " + "; ".join(violations))
     x = as_verified(G, convex_combine(x_star, x_hat, params.epsilon / params.C))
-    log = AnnealLog(termination="step-limit", start_entropy=x.entropy, final_entropy=x.entropy)
+    log = AnnealLog(termination="step-limit", start_entropy=x.entropy)
     for step in range(1, params.max_steps + 1):
         status, structure = find_good_configuration(G, x, params)
         if structure is None:
@@ -398,8 +395,6 @@ def anneal_and_shift(
         if step % RENORMALIZE_EVERY == 0 and float(x.weights.min()) > 0:
             result = scale_vertex_sums(G, x.weights, 1e-13, 50)
             x = EdgeWeights._checked(np.minimum(result.x, 1.0), x.graph_digest)
-            log.renormalizations += 1
-    log.final_entropy = x.entropy
     return as_verified(G, x), log
 
 

@@ -15,7 +15,7 @@ from hypermatch.bipartite import (
     matching_count_bound_report,
 )
 from hypermatch.counting import PMOracle
-from hypermatch.entropy import is_fractional_pm, max_entropy_fpm
+from hypermatch.entropy import as_verified, max_entropy_fpm
 from hypermatch.errors import InvalidArgumentError, ResourceLimitError
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac, min_d_degree
 from hypermatch.seeds import rng_from
@@ -41,16 +41,14 @@ class TestLift:
         assert l.L == pytest.approx(45.0)
         assert l.Q == 270
         assert len(l.quotient_edges) == 60  # each of 20 edges splits 3 ways
-        assert l.min_degree_a_side == comb(6, 2) * 4
-        assert l.min_degree_b_side == comb(6, 1) * 10
-        assert l.min_degree == 60
+        assert l.min_degree == comb(6, 2) * 4 == comb(6, 1) * 10
+        assert l.min_degree_attained == "both"
 
     def test_min_degree_side_recorded(self):
         G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=44)
         l = lift(G, 2)
-        assert l.min_degree_a_side == comb(9, 2) * min_d_degree(G, 2)
-        assert l.min_degree == min(l.min_degree_a_side, l.min_degree_b_side)
         # for d >= k/2 the A side attains the minimum (double counting)
+        assert l.min_degree == comb(9, 2) * min_d_degree(G, 2)
         assert l.min_degree_attained in ("A", "both")
 
     def test_hypothesis_range_enforced(self):
@@ -118,7 +116,7 @@ class TestPullBack:
         l = lift(G, 2)
         bw, _ = bipartite_max_entropy(l)
         x = pull_back(G, l, bw)
-        assert is_fractional_pm(G, x, tol=1e-9).ok
+        assert as_verified(G, x, tol=1e-9).verified
 
     def test_chain_lines_hold(self):
         G = gen_random_dirac(9, 3, DiracParams(2, 0.2), density=0.95, seed=46)

@@ -19,7 +19,7 @@ from hypermatch.counting import (
     sample_uniform_pms,
     verify_count_vs_entropy,
 )
-from hypermatch.entropy import is_fractional_pm
+from hypermatch.entropy import as_verified
 from hypermatch.errors import (
     InvalidArgumentError,
     InvariantError,
@@ -446,7 +446,7 @@ class TestMarginals:
             assert sum(margs[i] for i in G.incident(v)) == 1
         x = pm_marginals(G)
         assert x.verified
-        assert is_fractional_pm(G, x, tol=1e-12).ok
+        assert as_verified(G, x, tol=1e-12).verified
 
 
 class TestEntropyIdentities:

@@ -10,7 +10,6 @@ from hypermatch.entropy import (
     as_verified,
     convex_combine,
     dual_value,
-    is_fractional_pm,
     jensen_bounds,
     max_entropy_fpm,
     read_weights,
@@ -91,16 +90,23 @@ class TestConstructionPaths:
 class TestFeasibility:
     def test_uniform_is_fpm(self):
         G = gen_complete(4, 2)
-        assert is_fractional_pm(G, uniform_fpm(G)).ok
+        assert uniform_fpm(G).verified
 
     def test_zero_weights_fail_everywhere(self):
         G = gen_complete(4, 2)
-        check = is_fractional_pm(G, EdgeWeights.from_weights(G, np.zeros(6)))
-        assert not check.ok and check.max_residual == pytest.approx(1.0)
+        with pytest.raises(InvalidArgumentError, match=r"vertex 0 residual 1\.000e\+00 > 1\.0e-08"):
+            as_verified(G, EdgeWeights.from_weights(G, np.zeros(6)))
+
+    def test_nan_vertex_sum_is_refused(self):
+        G = gen_complete(4, 2)
+        w = np.full(6, 1.0 / 3)
+        w[5] = np.nan  # edge (2, 3); the constructors refuse it, the check must too
+        with pytest.raises(InvalidArgumentError, match="vertex 2 residual nan"):
+            as_verified(G, EdgeWeights(w, G.digest(), 0.0))
 
     def test_indicator_is_fpm(self):
         G = gen_complete(6, 3)
-        assert is_fractional_pm(G, pm_indicator(G, PMOracle(G).sample(rng_from(1)))).ok
+        assert pm_indicator(G, PMOracle(G).sample(rng_from(1))).verified
 
     def test_length_mismatch(self):
         G = gen_complete(4, 2)

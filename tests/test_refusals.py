@@ -21,6 +21,7 @@ from hypermatch.hypergraph import gen_complete, write_hypergraph
 ANNEAL = "anneal --graph {k6} --seed 4 --d 1 --gamma 0.5 --trials 400 --epsilon"
 GEN = "gen --n 12 --k 3"
 NO_SEED = "seed must be an integer in [0, 2^64)"
+TOGETHER = "--d and --gamma must be given together"
 
 REFUSALS = [
     # argv, exit code, error name, message fragment
@@ -53,8 +54,15 @@ REFUSALS = [
     (ANNEAL + " inf --auto", 1, "InvalidArgumentError", "no valid epsilon"),
     ("entropy --graph {k6} --tol nan", 1, "InvalidArgumentError", "need finite tol > 0"),
     ("entropy --graph {k6} --tol inf", 1, "InvalidArgumentError", "need finite tol > 0"),
+    ("entropy --graph {k6} --tol=-inf", 1, "InvalidArgumentError", "need finite tol > 0"),
     ("greedy --graph {k6} --seed 3 --c nan", 1, "InvalidArgumentError", "c=nan"),
     ("greedy --graph {k6} --seed 3 --stop-fraction inf", 1, "InvalidArgumentError", "stop_fraction=inf"),
+    # a lone --d or --gamma
+    ("degrees --graph {k6} --gamma 0.1", 1, "InvalidArgumentError", TOGETHER),
+    ("degrees --graph {k6} --d 1", 1, "InvalidArgumentError", TOGETHER),
+    ("count --graph {k6} --d 1", 1, "InvalidArgumentError", TOGETHER),
+    ("count --graph {k6} --gamma 0.1", 1, "InvalidArgumentError", TOGETHER),
+    (GEN + " --density 0.95 --d 2 --seed 7", 1, "InvalidArgumentError", TOGETHER),
     # out-of-range d, k and seeds
     (GEN + " --density 0.95 --d 3 --gamma 0.2 --seed 7", 1, "InvalidArgumentError", "d=3 outside [1, 2]"),
     (GEN + " --density 0.95 --d 0 --gamma 0.2 --seed 7", 1, "InvalidArgumentError", "d must be >= 1"),
@@ -109,7 +117,7 @@ def test_a_refusal_keeps_an_out_that_holds_a_file(paths, tmp_path, monkeypatch):
     def refuse(*_):
         raise InvalidArgumentError("refused after the first trajectory")
 
-    monkeypatch.setattr(cli, "write_trajectory_metadata", refuse)
+    monkeypatch.setattr(cli, "trajectory_metadata", refuse)
     out = tmp_path / "new"
     assert main(f"greedy --graph {paths['k6']} --seed 3 --out {out}".split()) == 1
     assert os.listdir(out) == ["trajectory_0000.csv"]

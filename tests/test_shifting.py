@@ -348,7 +348,7 @@ class TestAnneal:
         assert float(final.weights.min()) >= params.delta - 1e-15
         if log.termination == "no-high-weight-edge":
             assert well_distributed_factor(G, final) <= params.D
-        assert log.final_entropy >= log.start_entropy - 1e-12
+        assert final.entropy >= log.start_entropy - 1e-12
         for step in log.steps:
             assert step.entropy_after - step.entropy_before >= step.bound - 1e-9
 

@@ -6,6 +6,7 @@ import pathlib
 import hypermatch
 
 SOURCE = pathlib.Path(hypermatch.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def loaded_names(tree):
@@ -101,9 +102,8 @@ def test_run_all_calls_every_criterion_in_order():
     assert called == sorted(defined, key=lambda name: int(name.split("_")[1]))
 
 
-def test_no_two_dataclasses_share_three_fields():
-    # two dataclasses with three or more field names in common are two
-    # result types for one computation
+def dataclass_fields():
+    """{class name: its field names} for every dataclass of the package."""
     fields = {}
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -115,6 +115,13 @@ def test_no_two_dataclasses_share_three_fields():
                     item.target.id for item in node.body
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                 }
+    return fields
+
+
+def test_no_two_dataclasses_share_three_fields():
+    # two dataclasses with three or more field names in common are two
+    # result types for one computation
+    fields = dataclass_fields()
     assert len(fields) >= 10
     names = sorted(fields)
     shared = {
@@ -124,6 +131,30 @@ def test_no_two_dataclasses_share_three_fields():
         if len(fields[a] & fields[b]) >= 3
     }
     assert shared == {}
+
+
+# Fields that no package or benchmark code reads, kept with a reason.
+UNREAD_FIELDS_KEPT = {
+    "GreedyTrajectory.step_logprob",  # the input of the Knuth count estimator
+    "ShiftingStructure.U_sets",  # the gadget itself, compared with the reference search
+}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing loads restates another value or serves only tests;
+    # a store such as ``log.count += 1`` is not a read
+    read = set()
+    for path in sorted(SOURCE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py")):
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    unread = {
+        f"{cls}.{name}" for cls, names in dataclass_fields().items() for name in names if name not in read
+    }
+    assert sorted(unread - UNREAD_FIELDS_KEPT) == []
+    assert UNREAD_FIELDS_KEPT <= unread
 
 
 def test_only_a_vertex_sum_check_marks_weights_verified():
