@@ -93,10 +93,12 @@ def _comment_lines(prov: dict) -> list[str]:
 
 
 def _dirac_options(args) -> tuple[Optional[DiracParams], Optional[AlphaTable]]:
-    """The Dirac parameters of ``--d`` and ``--gamma`` and the ``--alpha-table``,
-    each None when not given; a lone ``--d`` or ``--gamma`` is refused."""
+    """The Dirac parameters of ``--d`` and ``--gamma`` and the ``--alpha-table``, each None
+    when not given; a lone ``--d`` or ``--gamma``, or a table without both, is refused."""
     if (args.d is None) != (args.gamma is None):
         raise InvalidArgumentError("--d and --gamma must be given together")
+    if args.alpha_table and args.d is None:
+        raise InvalidArgumentError("--alpha-table needs --d and --gamma")
     dirac = None if args.d is None else DiracParams(args.d, args.gamma)
     return dirac, (AlphaTable.from_file(args.alpha_table) if args.alpha_table else None)
 
@@ -144,6 +146,9 @@ def _command(handler):
 @_command
 def _cmd_gen(args, _, prov):
     if args.complete:
+        unused = [name for name in ("density", "d", "gamma", "seed", "alpha_table") if getattr(args, name) is not None]
+        if unused:
+            raise InvalidArgumentError("--complete takes no --" + ", --".join(unused).replace("_", "-"))
         G = gen_complete(args.n, args.k)
     else:
         dirac, alpha = _dirac_options(args)
@@ -337,11 +342,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, graph=True, alpha=True):
+    def add_common(p, graph=True, dirac=None):
+        """--graph, --out and, unless dirac is None, --d, --gamma (required
+        if dirac) and the --alpha-table that is read only with them."""
         if graph:
             p.add_argument("--graph", required=True, help="input .khg file")
         p.add_argument("--out", default=".", help="output directory")
-        if alpha:
+        if dirac is not None:
+            p.add_argument("--d", type=int, required=dirac, help="Dirac parameters, with --gamma")
+            p.add_argument("--gamma", type=float, required=dirac)
             p.add_argument("--alpha-table", default=None, help="alpha override JSON")
 
     p = sub.add_parser("gen", help="generate a hypergraph instance")
@@ -349,45 +358,36 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--complete", action="store_true")
     p.add_argument("--density", type=float, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    add_common(p, graph=False)
+    add_common(p, graph=False, dirac=False)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("degrees", help="degree profile and Dirac check")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    add_common(p)
+    add_common(p, dirac=False)
     p.set_defaults(handler=_cmd_degrees)
 
     p = sub.add_parser("entropy", help="max-entropy fractional perfect matching")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=20000)
-    add_common(p, alpha=False)
+    add_common(p)
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("count", help="exact perfect matching count")
-    p.add_argument("--d", type=int, default=None,
-                   help="with --gamma: include the count-vs-entropy report")
-    p.add_argument("--gamma", type=float, default=None)
-    add_common(p)
+    add_common(p, dirac=False)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("marginals", help="exact matching marginals")
-    add_common(p, alpha=False)
+    add_common(p)
     p.set_defaults(handler=_cmd_marginals)
 
     p = sub.add_parser("anneal", help="anneal-and-shift a near-optimal matching")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--auto", action="store_true",
                    help="shrink epsilon until the run parameters validate")
     p.add_argument("--max-steps", type=int, default=100000)
-    add_common(p)
+    add_common(p, dirac=True)
     p.set_defaults(handler=_cmd_anneal)
 
     p = sub.add_parser("greedy", help="guided random greedy trajectories")
@@ -397,13 +397,11 @@ def build_parser() -> _Parser:
     p.add_argument("--stop-fraction", type=float, default=None)
     p.add_argument("--c", type=float, default=0.05)
     p.add_argument("--jobs", type=int, default=1)
-    add_common(p, alpha=False)
+    add_common(p)
     p.set_defaults(handler=_cmd_greedy)
 
     p = sub.add_parser("bound", help="entropy lower bound certificates")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    add_common(p)
+    add_common(p, dirac=True)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

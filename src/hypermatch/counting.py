@@ -9,27 +9,28 @@ their ids and vertex masks per vertex in id order, read from the graph's
 edge rows, and never scans the other edges through v.
 
 One fill from the empty mask serves counting, exact marginals and uniform
-sampling.  Forward, the states of a layer (all with the same number of
-matched vertices) are grouped by lowest free vertex and ANDed against its
-lead-edge masks in bounded blocks, and the children are deduplicated into
-the next layer; backward, each layer's counts are sums of its children's
-counts (``np.add.at``).  The layers and their counts are kept, and the memo
-maps every state reachable from the empty mask to its count.  The
-marginals walk the layers forward, carrying the number of ways to reach
-each state: the matchings through edge e are the sum over its transitions
-of ways(parent) * count(child), which equals count(V(e)).  The sampler
-takes each feasible lead edge at the current lowest vertex with
-probability (completions after taking it) / (completions now), read from
-the memo, which makes its output distribution exactly uniform.  It builds
-a state's choices (its count, the running sums of completions and the lead
-edges they belong to) the first time a draw reaches it and keeps them for
-later draws, until the kept choices hold ``SAMPLE_CACHE_EDGES`` lead edges
-in all; states first reached after that are rebuilt on every visit.  Many
-draws on one oracle thus pay for the distinct states they pass, not for
-every round, and the draws are the same either way.  ``sample_streams``
-draws streams (seed, t) in lockstep, ``STATE_BLOCK`` trials per numpy pass a
-round, from each stream's first ``STREAM_WORDS`` raw words; a trial that
-needs more is redrawn by ``sample``, so the draws are again the same.
+sampling, in two passes over the transitions.  Forward, the states of a
+layer (all with the same number of matched vertices) are grouped by lowest
+free vertex and ANDed against its lead-edge masks in bounded blocks; the
+children are merged into the next layer with their ways, the number of
+lowest-first paths from the empty mask.  Backward, a state's count sums its
+children's counts, and each transition by edge e adds
+ways(parent) * count(child) to e's through-count, the matchings through e.
+Both passes must find the same number of matchings.  The fill keeps the
+layers and their counts, the memo of every reachable state's count and the
+through-counts, which the marginals read.  The sampler takes each feasible
+lead edge at the current lowest vertex with probability (completions after
+taking it) / (completions now), read from the memo, which makes its output
+distribution exactly uniform.  It builds a state's choices (its count, the
+running sums of completions and the lead edges they belong to) the first
+time a draw reaches it and keeps them for later draws, until the kept
+choices hold ``SAMPLE_CACHE_EDGES`` lead edges in all; states first reached
+after that are rebuilt on every visit.  Many draws on one oracle thus pay
+for the distinct states they pass, not for every round, and the draws are
+the same either way.  ``sample_streams`` draws streams (seed, t) in
+lockstep, ``STATE_BLOCK`` trials per numpy pass a round, from each stream's
+first ``STREAM_WORDS`` raw words; a trial that needs more is redrawn by
+``sample``, so the draws are again the same.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -98,8 +99,10 @@ class PMOracle:
         self._lead = [(ids[a:b], masks[a:b]) for a, b in spans]
         pairs = np.stack([ids, masks], axis=1).tolist()
         self._lead_pairs = [pairs[a:b] for a, b in spans]
-        # (states, counts) per layer, from the empty mask to the full one
+        # (states, counts) per layer, from the empty mask to the full one, and
+        # the perfect matchings through each edge; the fill sets both
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []
+        self._through_counts = np.zeros(0, dtype=np.int64)
         self._memo: dict[int, int] = {}
         # state -> (count, running sums of completions, lead pairs), see sample
         self._choices: dict[int, tuple[int, array, list[list[int]]]] = {}
@@ -108,13 +111,15 @@ class PMOracle:
     def _transitions(
         self, states: np.ndarray
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every feasible transition out of ``states`` (none of them full), in bounded blocks.
+        """Every feasible transition out of one layer's ``states`` (none full), in bounded blocks.
 
         Yields arrays (parent index into ``states``, edge id, child mask);
         each state takes the lead edges of its lowest free vertex that do
         not meet it.
         """
-        for v in range(self.G.n):
+        # a lowest free vertex is at least the states' AND's and at most their matched count
+        common = int(np.bitwise_and.reduce(states))
+        for v in range((~common & common + 1).bit_length() - 1, min(self.G.n, int(states[0]).bit_count() + 1)):
             # the states whose vertices below v are matched and v is free
             group = np.flatnonzero(states & ((2 << v) - 1) == (1 << v) - 1)
             ids, masks = self._lead[v]
@@ -131,21 +136,32 @@ class PMOracle:
                 yield rows[r], ids[c], block[r] | masks[c]
 
     def _fill(self) -> None:
-        """Count every state reachable from the empty mask, layer by layer."""
-        full = self.full_mask
+        """Count every state reachable from the empty mask and the matchings
+        through every edge, in the two passes of the module docstring."""
         # All states of a layer have the same number of matched vertices, so
         # the full mask is a layer of its own.
-        layers = [np.zeros(1, dtype=np.int64)]
-        while layers[-1].size and layers[-1][0] != full:
-            layers.append(_next_layer(child for _, _, child in self._transitions(layers[-1])))
-        counted = [(layers[-1], np.ones(layers[-1].size, dtype=np.int64))]
-        for states in reversed(layers[:-1]):
+        layers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+        while layers[-1][0].size and layers[-1][0][0] != self.full_mask:
+            states, ways = layers[-1]
+            layers.append(_next_layer((child, ways[parent]) for parent, _, child in self._transitions(states)))
+        last, reached = layers[-1]
+        counted = [(last, np.ones(last.size, dtype=np.int64))]
+        through = np.zeros(self.G.num_edges, dtype=np.int64)
+        for states, ways in reversed(layers[:-1]):
             nxt, known = counted[-1]
             counts = np.zeros(states.size, dtype=np.int64)
-            for parent, _, child in self._transitions(states):
-                np.add.at(counts, parent, known[np.searchsorted(nxt, child)])
+            for parent, eid, child in self._transitions(states):
+                c = known[np.searchsorted(nxt, child)]
+                np.add.at(counts, parent, c)
+                np.add.at(through, eid, ways[parent] * c)
             counted.append((states, counts))
+        # Each perfect matching is one lowest-first path from the empty mask
+        # to the full one, so both passes must find the same number of them.
+        paths, total = int(reached.sum()), int(counted[-1][1][0])
+        if paths != total:
+            raise InvariantError(f"{paths} paths reach the full mask, the empty mask counts {total}")
         self._layers = counted[::-1]
+        self._through_counts = through
         for states, counts in self._layers:
             self._memo.update(zip(states.tolist(), counts.tolist()))
 
@@ -156,43 +172,22 @@ class PMOracle:
             self._fill()
         return self._memo[0]
 
-    def _through(self) -> np.ndarray:
-        """Perfect matchings through each edge, by a forward pass over the layers.
-
-        ways(state) counts the ways to reach it from the empty mask; a
-        transition by edge e contributes ways(parent) * count(child).
-        """
-        through = np.zeros(self.G.num_edges, dtype=np.int64)
-        states, _ = self._layers[0]
-        ways = np.ones(1, dtype=np.int64)
-        for nxt, nxt_counts in self._layers[1:]:
-            nxt_ways = np.zeros(nxt.size, dtype=np.int64)
-            for parent, eid, child in self._transitions(states):
-                at = np.searchsorted(nxt, child)
-                reach = ways[parent]
-                np.add.at(through, eid, reach * nxt_counts[at])
-                np.add.at(nxt_ways, at, reach)
-            live = (nxt_ways > 0) & (nxt_counts > 0)
-            states, ways = nxt[live], nxt_ways[live]
-        return through
-
     def marginals(self) -> list[Fraction]:
         """Pr[e in M] for a uniformly random perfect matching M, exactly."""
         total = self.count_pm()
         if total == 0:
             raise SamplingError("graph has no perfect matching")
-        through = self._through()
         # Each matching covers each vertex exactly once, so the incident
         # counts must telescope back to the total.
         incident = np.zeros(self.G.n, dtype=np.int64)
-        np.add.at(incident, self.G.edge_verts, through[:, None])
+        np.add.at(incident, self.G.edge_verts, self._through_counts[:, None])
         bad = np.flatnonzero(incident != total)
         if bad.size:
             v = int(bad[0])
             raise InvariantError(
                 f"matchings through vertex {v} count {incident[v]}, total is {total}"
             )
-        return [Fraction(t, total) for t in through.tolist()]
+        return [Fraction(t, total) for t in self._through_counts.tolist()]
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Uniform perfect matching of the graph.
@@ -282,34 +277,41 @@ class PMOracle:
         return entry
 
 
-def _next_layer(children: Iterator[np.ndarray]) -> np.ndarray:
-    """The sorted distinct masks of a stream of int64 arrays.
+def _next_layer(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct masks of a stream of (mask, ways) int64 array pairs, ways summed.
 
     Pending blocks are merged once they outgrow the distinct masks found so
     far (and ``EXPAND_BLOCK``), so the transitions of a layer are never all
     held at once.
     """
-    distinct = np.zeros(0, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    size = 0
-    for block in children:
+    merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    pending, size = [merged], 0
+    for block in blocks:
         pending.append(block)
-        size += block.size
-        if size > max(EXPAND_BLOCK, distinct.size):
-            distinct = _distinct(np.concatenate([distinct, *pending]))
-            pending, size = [], 0
-    return _distinct(np.concatenate([distinct, *pending]))
+        size += block[0].size
+        if size > max(EXPAND_BLOCK, merged[0].size):
+            merged = _merge(pending)
+            pending, size = [merged], 0
+    return _merge(pending)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an array."""
-    # Every sort in this module is timsort ("stable"): it maps about half
-    # the numpy code of the default sort (128 vs 256 kB on numpy 2.4), which
-    # is a visible share of what a process running only small oracles pays.
-    values = np.sort(values, kind="stable")
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+def _merge(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct masks of (mask, ways) array pairs, ways summed per mask."""
+    masks, ways = (np.concatenate(column) for column in zip(*pairs))
+    # Masks are below 2**24 (the count cap) and positions below 2**32, so
+    # one sort of (mask << 32 | position) orders the masks and keeps where
+    # each came from.  Every sort in this module is timsort ("stable"): it
+    # maps about half the numpy code of the default sort (128 vs 256 kB on
+    # numpy 2.4), a visible share of what a process of small oracles pays.
+    keys = masks << 32
+    keys |= np.arange(keys.size)
+    keys.sort(kind="stable")
+    masks = keys >> 32
+    starts = np.ones(masks.size, dtype=bool)
+    np.not_equal(masks[1:], masks[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    keys &= 0xFFFFFFFF
+    return masks[starts], np.add.reduceat(ways[keys], starts)
 
 
 def count_pm(G: Hypergraph) -> MatchingCount:

@@ -182,7 +182,7 @@ class TestLayeredDPMatchesRecursive:
         new.count_pm()
         states = len(new._memo)
         assert new.marginals() == ref.marginals()
-        # the forward pass over the layers of mask 0 adds no state
+        # the marginals read the fill's through-counts and add no state
         assert len(new._memo) == states
 
     # 8 lead edges fill the sampler's kept choices within the first draws
@@ -216,6 +216,10 @@ class TestOracleGuards:
         assert largest == phi_complete(24, 3).value < 2**63
         # sample_streams packs (state index << 44 | running sum) into int64
         assert largest < 2**44
+        # the fill's merge packs (mask << 32 | position) into int64: masks at
+        # the cap take at most 31 bits beside the 32 of a position
+        assert DEFAULT_COUNT_CAP <= 31
+        assert ((1 << DEFAULT_COUNT_CAP) - 1) << 32 | (2**32 - 1) < 2**63
         PMOracle(gen_complete(24, 3))
         PMOracle(gen_complete(24, 2))
 
@@ -225,6 +229,57 @@ class TestOracleGuards:
         oracle._memo[0] += 1
         with pytest.raises(InvariantError, match="telescope"):
             oracle.sample(rng_from(0))
+
+    def test_broken_path_count_raises_typed_error(self, monkeypatch):
+        # one wrong forward path count reaches the full mask, where the two
+        # passes no longer agree on the number of matchings
+        def broken(blocks):
+            states, ways = next_layer(blocks)
+            ways[0] += 1
+            return states, ways
+
+        next_layer = counting._next_layer
+        monkeypatch.setattr(counting, "_next_layer", broken)
+        with pytest.raises(InvariantError, match="paths reach the full mask"):
+            PMOracle(gen_complete(6, 3)).count_pm()
+
+
+class TestOneFill:
+    """The fill walks the transitions twice, and the marginals come out of it."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Counts of ``PMOracle._transitions`` and ``PMOracle._fill`` calls."""
+        calls = Counter()
+
+        def counted(name):
+            method = getattr(PMOracle, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(PMOracle, name, wrapper)
+
+        counted("_transitions")
+        counted("_fill")
+        return calls
+
+    def test_marginals_after_count_make_no_transitions(self, calls):
+        oracle = PMOracle(gen_complete(9, 3))
+        oracle.count_pm()
+        # each non-full layer is expanded forward and backward: 3 + 3
+        assert calls == {"_fill": 1, "_transitions": 6}
+        calls.clear()
+        assert oracle.marginals() == [Fraction(1, 28)] * 84
+        assert not calls
+
+    def test_cold_marginals_fill_once(self, calls):
+        oracle = PMOracle(gen_complete(9, 3))
+        oracle.marginals()
+        oracle.marginals()
+        assert calls["_fill"] == 1
+
 
 class TestCounts:
     def test_examples(self):
@@ -430,12 +485,13 @@ class TestMarginals:
         assert x.weights.tolist() == [1.0, 1.0]
 
     def test_broken_telescoping_raises_typed_error(self):
-        # one wrong stored count (a state after the first edge, which holds
-        # vertex 0) breaks the per-vertex telescoping; the check is a typed
-        # error, so it also runs under python -O
-        oracle = PMOracle(gen_complete(6, 3))
+        # one wrong stored through-count (of an edge at vertex 0) breaks the
+        # per-vertex telescoping; the check is a typed error, so it also
+        # runs under python -O
+        G = gen_complete(6, 3)
+        oracle = PMOracle(G)
         oracle.count_pm()
-        oracle._layers[1][1][0] += 1
+        oracle._through_counts[G.incident(0)[0]] += 1
         with pytest.raises(InvariantError, match="vertex 0"):
             oracle.marginals()
 

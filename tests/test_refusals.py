@@ -22,6 +22,8 @@ ANNEAL = "anneal --graph {k6} --seed 4 --d 1 --gamma 0.5 --trials 400 --epsilon"
 GEN = "gen --n 12 --k 3"
 NO_SEED = "seed must be an integer in [0, 2^64)"
 TOGETHER = "--d and --gamma must be given together"
+NO_DIRAC = "--alpha-table needs --d and --gamma"
+COMPLETE = "gen --n 6 --k 3 --complete"
 
 REFUSALS = [
     # argv, exit code, error name, message fragment
@@ -63,6 +65,14 @@ REFUSALS = [
     ("count --graph {k6} --d 1", 1, "InvalidArgumentError", TOGETHER),
     ("count --graph {k6} --gamma 0.1", 1, "InvalidArgumentError", TOGETHER),
     (GEN + " --density 0.95 --d 2 --seed 7", 1, "InvalidArgumentError", TOGETHER),
+    # options that the run would read and not use
+    ("degrees --graph {k6} --alpha-table {alpha}", 1, "InvalidArgumentError", NO_DIRAC),
+    ("count --graph {k6} --alpha-table {alpha}", 1, "InvalidArgumentError", NO_DIRAC),
+    (COMPLETE + " --density 0.95", 1, "InvalidArgumentError", "--complete takes no --density"),
+    (COMPLETE + " --d 1", 1, "InvalidArgumentError", "--complete takes no --d"),
+    (COMPLETE + " --gamma 0.5", 1, "InvalidArgumentError", "--complete takes no --gamma"),
+    (COMPLETE + " --seed 7", 1, "InvalidArgumentError", "--complete takes no --seed"),
+    (COMPLETE + " --alpha-table {alpha}", 1, "InvalidArgumentError", "--complete takes no --alpha-table"),
     # out-of-range d, k and seeds
     (GEN + " --density 0.95 --d 3 --gamma 0.2 --seed 7", 1, "InvalidArgumentError", "d=3 outside [1, 2]"),
     (GEN + " --density 0.95 --d 0 --gamma 0.2 --seed 7", 1, "InvalidArgumentError", "d must be >= 1"),
