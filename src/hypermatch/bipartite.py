@@ -134,17 +134,17 @@ def bipartite_max_entropy(lft: BipartiteLift) -> tuple[ScalingResult, dict]:
         )
     q = len(lft.quotient_edges)
     n_a, n_b = lft.a_subsets.size, lft.b_subsets.size
-    # One constraint per A subset, then one per B subset; a stable sort keeps
-    # each constraint's quotient edges in id order.
+    # One constraint per A subset (multiplicity mult_b), then one per B subset
+    # (mult_a); a stable sort keeps each constraint's quotient edges in id order.
     ends = lft.quotient_edges
     con = np.concatenate([ends[:, 0], n_a + ends[:, 1]])
     order = np.argsort(con, kind="stable")
     indptr = np.zeros(n_a + n_b + 1, dtype=np.intp)
     np.cumsum(np.bincount(con, minlength=n_a + n_b), out=indptr[1:])
-    coeffs = np.where(order < q, float(lft.mult_b), float(lft.mult_a))
+    scale = np.repeat([float(lft.mult_b), float(lft.mult_a)], [n_a, n_b])
     mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))
-    result = scale_to_unit_sums(indptr, order % q, coeffs, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER)
+    result = scale_to_unit_sums(indptr, order % q, scale, y0, BIPARTITE_TOL, BIPARTITE_MAX_ITER)
     h_expanded = float(lft.n_tilde) * weight_entropy(result.x)
     guarantee = lft.n_tilde * math.log(lft.min_degree)
     slack = 1e-6 * max(1.0, float(lft.n_tilde))

@@ -315,8 +315,6 @@ def _cmd_bound(args, G, prov):
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "acceptance":
-        raise InvalidArgumentError(f"unknown suite {args.suite!r}")
     results = acceptance.run_all(quick=args.quick)
     for r in results:
         print(r.summary_line())
@@ -405,7 +403,6 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", default="acceptance")
     p.add_argument("--quick", action="store_true",
                    help="reduced trial counts (smoke run, not the gate)")
     p.add_argument("--out", default=None)

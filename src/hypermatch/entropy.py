@@ -163,36 +163,37 @@ class ScalingResult:
 
 
 def scale_to_unit_sums(
-    indptr: np.ndarray, ids: np.ndarray, coeffs: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
+    indptr: np.ndarray, ids: np.ndarray, scale: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
 ) -> ScalingResult:
-    """Scale positive x0 so each constraint sum_e coeff*x[e] equals 1.
+    """Scale positive x0 so each constraint scale[j] * sum_e x[e] equals 1.
 
     Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
-    entries of x) and ``coeffs``; the row views are sliced once per solve.
-    Cyclic sweeps rescale one constraint at a time (exact coordinate ascent
-    on the dual), each with one gather of its entries of x, until the
-    largest residual is at most ``tol`` or ``max_iter`` sweeps have run.
-    The accumulated per-constraint log-scalings are returned as potentials;
-    one beyond 1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
+    entries of x) times its multiplicity ``scale[j]``.  Cyclic sweeps rescale
+    one constraint at a time (exact coordinate ascent on the dual), each with
+    one gather of its entries of x, until the largest residual is at most
+    ``tol`` or ``max_iter`` sweeps have run; an empty row is refused in the
+    first.  Every sum is numpy's, so no bit depends on the BLAS kernel.  The
+    potentials are the accumulated per-constraint log-scalings; one beyond
+    1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
         raise InvalidArgumentError("scaling requires a strictly positive starting point")
-    rows = [(ids[lo:hi], coeffs[lo:hi]) for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    rows = [ids[lo:hi] for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
     ncon = len(rows)
     cap = 1e3 * math.log(max(ncon, 3))
     mu = [0.0] * ncon
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for j, (con, c) in enumerate(rows):
+        for j, (con, c) in enumerate(zip(rows, scale.tolist())):
             xc = x[con]
-            s = float(c @ xc)
+            s = c * float(xc.sum())
             if s <= 0:
                 raise InfeasibleError(f"constraint {j} has no positive incident weight")
             x[con] = xc / s
             mu[j] -= math.log(s)
-        sums = np.array([float(c @ x[con]) for con, c in rows])
+        sums = scale * np.add.reduceat(x[ids], indptr[:-1])
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
             return ScalingResult(x, np.array(mu), sweeps, residual, True)
@@ -205,9 +206,9 @@ def scale_to_unit_sums(
 
 
 def scale_vertex_sums(G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int) -> ScalingResult:
-    """``scale_to_unit_sums`` on the vertex sums of G: one unit-coefficient
-    constraint per vertex, read from the graph's incidence arrays."""
-    return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.incidence.size), x0, tol, max_iter)
+    """``scale_to_unit_sums`` on the vertex sums of G: one constraint of
+    multiplicity 1 per vertex, read from the graph's incidence arrays."""
+    return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.n), x0, tol, max_iter)
 
 
 def max_entropy_fpm(

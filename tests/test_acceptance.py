@@ -34,13 +34,13 @@ DETAILS = {
         "validated-regime min D/n^(k-1) 4.793e+06 (weights are <= 1)"
     ),
     "6 greedy trajectory concentration": (
-        "200 seeds; n=60: exact-center dev weight 4.3e-15, entropy 5.1e-15, degree 1.1e-16; "
+        "200 seeds; n=60: exact-center dev weight 5.3e-15, entropy 5.3e-15, degree 1.1e-16; "
         "asymptotic-center gap 0.196 -> ok; "
-        "n=90: exact-center dev weight 7.0e-15, entropy 5.3e-15, degree 1.1e-16; "
+        "n=90: exact-center dev weight 4.7e-15, entropy 5.0e-15, degree 1.1e-16; "
         "asymptotic-center gap 0.132 -> ok; "
-        "n=120: exact-center dev weight 7.5e-15, entropy 4.3e-15, degree 1.2e-16; "
+        "n=120: exact-center dev weight 5.2e-15, entropy 5.4e-15, degree 1.2e-16; "
         "asymptotic-center gap 0.099 -> ok; asymptotic-center gap strictly shrinking in n; "
-        "largest across-seed relative spread: weight 3.0e-15, entropy 2.7e-15"
+        "largest across-seed relative spread: weight 5.4e-16, entropy 8.1e-16"
     ),
     "7 marginal-entropy inequality": (
         "19 instances; min(k h(marg) - ln Phi) = 3.296; min(h_solver - h(marg)) = 0"
@@ -53,12 +53,12 @@ DETAILS = {
         "complete r/n: 0.2829, 0.1820, 0.1344, 0.1066, 0.0883 (strictly decreasing); "
         "near-complete r/n: n=6: 0.3005, n=9: 0.1824, n=12: 0.1346; "
         "complete r_cert/n: 0.2829, 0.1820, 0.1344, 0.1066, 0.0883; "
-        "max |r - r_cert|/n 7.08e-16"
+        "max |r - r_cert|/n 3.89e-16"
     ),
     "10 determinism": "7 subcommands run twice, byte-identical",
 }
 # sha256 of criterion 5's anneal steps at the full run size
-TRACE_5 = "d25368334cb1d949b1db71dca1c9b40bf01694f473f26bfb3f465bc37d9559ec"
+TRACE_5 = "016b814e7e0e55441eec6772eae0f75dd36a76e3faec225c694b62ee4b684642"
 # criterion 5 at ``verify --quick`` size
 QUICK_5 = (
     "6 instances; "

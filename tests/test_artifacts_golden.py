@@ -31,35 +31,35 @@ FLOW = [
 ]
 
 GOLDEN = {
-    "anneal.wts": "3bdc5e425cfc7121503dea26c9e0a16fb9bcdfc65b292047944ed929da17e19b",
-    "anneal_report.json": "ba20715af51ae78628dc3840345afa4ff85e95dc59006ca8d3b49c5b4a7443e3",
+    "anneal.wts": "697bdf8620286defad44cf1f73ea1f5a277f48a7659c1a494fd56083c19580bf",
+    "anneal_report.json": "11ebafd0781355e7b42463237f6eb1cbfe8578d75ee60011d22a13eb073eeb34",
     "anneal_trace.csv": "617d6122b77979fcb9b2ae7d5e81ec8990d8c46ca16802640ad4f2aa6f94e202",
-    "bound_report.json": "d0695aaca5db07fb934c54dee3500ff6515173d2b1b45f9928980877a5aebb55",
+    "bound_report.json": "14c5ace265689132e23c20286a3b9223dee550a8fb8af7e1a481e90b7f3ffb5f",
     "count.json": "5a6f63916354ef411d4c64b9195c83a54a17f39671c144f85dd3222cd0fb2ef5",
     "degrees.json": "7121fcfd3bf79a47cea2ef3cde02a67a0c5f5eaed35a3690cdaa11f608e6d12d",
-    "entropy_report.json": "151fe8a201254cbef48474984783c313a601e9ed871d316b1afa7a94124afc75",
+    "entropy_report.json": "fd905a96c8ebcf4ee8df13ddc12386dc775ff884675003f08cf727c2f1dee4f4",
     "gen_report.json": "3f4754d6ab4d0e6348bc419f187153c653d495080cdaff316b4daa94d526ce68",
     "graph.khg": "0c52fd30711ed4f529c51e4d7eaeace6915d1ece77e8faa0fb4b69886ad3b41e",
     "greedy_report.json": "87792fe84f7a16a3fe8b0d28c6538e17119b755c0a907efe26379b2d3bc11b00",
     "marginals.wts": "e9ab291a8908370b53fc29ccb47dea0691d39203b6d254b3658f75d90a733ceb",
     "marginals_report.json": "2355485a69455358ea64af3485ee1feb2e150fbf29caee62b818582d134c3a04",
-    "trajectory_0000.csv": "d245b513b2ad3469d19f9c8e22b7e8d65faeaa152255cbee7313a882dc89d8d1",
+    "trajectory_0000.csv": "4daa5e17b53c4d7b5ae1945ca6fb11e48c46a160c0d0474cc5ce5070fdadecd8",
     "trajectory_0000.meta.json": "42a7e8110dce661afc6432a56993dce02f5d349e0dbf4af19c528f98549bc6db",
-    "trajectory_0001.csv": "e6ef9f139d4185f83a81ef59893ccdee7bf1b15317adcf7ea4fc34216bbb3572",
+    "trajectory_0001.csv": "df500cfc8303d8a67bdce5751bd0d79e82a8e50990c9edac22ee78b6df791c2f",
     "trajectory_0001.meta.json": "4a382205afb66965b1112e7871aee1ef1563772fa8da0486fc836062ae0fa080",
-    "trajectory_0002.csv": "3a34a92088a8ae268b650ec8f38cd2cd8e516c525151035145c8c5a0c072159a",
+    "trajectory_0002.csv": "9946b42a5b5d68a81936f2fc8532d436906c397942a3c70e1877d0c2c4b00f8d",
     "trajectory_0002.meta.json": "5e79e76db354fba483e2688ca4e97f770aed7eb8e5cbf200c12823f0837ad0db",
-    "trajectory_0003.csv": "eb3c18c9d210830474928058247445abd5fae5f94293a09b6758daab571da4c1",
+    "trajectory_0003.csv": "30dc7aa8c316d9537f316aabee2c0ba3f820754a14976278a6f49c323e1a3385",
     "trajectory_0003.meta.json": "bf3869fe3714c35e6f14dc6a74626f3163c1736eaa114e09547e615294013090",
-    "trajectory_0004.csv": "3f105007530c0407bf50ec43e89fcbe1d44e0575a9f9a834b4161caa8dd9ddae",
+    "trajectory_0004.csv": "8e24d7acfda635573cdd8cc717510b0ea931c480588b85afedfb9875d44fb0c9",
     "trajectory_0004.meta.json": "e2b880a77c0c059d740b889ba84026ba72a1f1408729a981be1fe90dc8c013f1",
-    "trajectory_0005.csv": "a63380b1ef008ee7ab1fd164de3dbc55326e85c0d72a1af5cd27365e62adb34c",
+    "trajectory_0005.csv": "bac3b5081f176720c751df4786fd50b501f20ba5184884b8b65e2e6db4ce4426",
     "trajectory_0005.meta.json": "769bb0f4c6dc50ec4fb476ac5bfc1a21ed90551b240293ad009847eac7966ea0",
-    "trajectory_0006.csv": "ce01dacbc61305ce691262cf18262adbff77c7f36f7bd159c1a71d073481b144",
+    "trajectory_0006.csv": "92dcf92919be5319b669c7fec7410f8ff33faf5daa2ccbfef24f983ef5aa1ed6",
     "trajectory_0006.meta.json": "4d8ede2c1943a177b714ba84a37b728c04e646324ba3684b738962c62a345801",
-    "trajectory_0007.csv": "a7c8c1d1c22c556cc83927aa83badd3ea2d105e0bfdefb0e54ce7b26b88f4d20",
+    "trajectory_0007.csv": "31c158959f3cd28b20dc92614430de6c08cf8249c4cb907361c5f789a6bce950",
     "trajectory_0007.meta.json": "367571d908c9a940c181de6016746659d46e6c56ccea9387c14d2aace8dec2f1",
-    "weights.wts": "e87b6e3289852983bbc9376b65ca8064beb5cd4c062150568480b841836c7119",
+    "weights.wts": "9e120a53ce59af02372d62017eda9647006da9e80648d3dc3d472ca0fab5985c",
 }
 
 STDOUT = [

@@ -13,6 +13,7 @@ from hypermatch.entropy import (
     jensen_bounds,
     max_entropy_fpm,
     read_weights,
+    scale_to_unit_sums,
     vertex_sums,
     weight_entropy,
     well_distributed_factor,
@@ -243,6 +244,17 @@ class TestSolver:
         G = Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5)])
         with pytest.raises(InfeasibleError):
             max_entropy_fpm(G)
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_constraint_without_entries_is_named(self, empty):
+        # an empty CSR row sums to 0, so the first sweep refuses it by number
+        # before the end-of-sweep np.add.reduceat could read past its start
+        rows = [[0, 1], [1, 2], [0, 2]]
+        rows[empty] = []
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        ids = np.array(sum(rows, []), dtype=np.intp)
+        with pytest.raises(InfeasibleError, match=f"^constraint {empty} has no positive"):
+            scale_to_unit_sums(indptr, ids, np.ones(3), np.ones(3), 1e-10, 10)
 
     def test_infeasible_star_diverges(self):
         # a 3-star has no fractional perfect matching; the dual potentials

@@ -372,14 +372,14 @@ class TestPinnedTrajectoryBytes:
         x, _ = max_entropy_fpm(G)
         cfg = TrajectoryConfig(stop_fraction=0.8, sampled_sets_per_size=0)
         assert trajectory_digest(G, x, cfg) == (
-            "8a4011b445e689adec1f9e42f7f683b7c485f67e236883aa2e4a29d20eb074d8"
+            "7284b0674482d66aee59dd359e78f3a647248d52023bc150910d15038e188a29"
         )
 
     def test_dirac_60_with_default_tracking(self):
         G = gen_random_dirac(60, 3, DiracParams(2, 0.2), 0.9, seed=1)
         x, _ = max_entropy_fpm(G)
         assert trajectory_digest(G, x, TrajectoryConfig()) == (
-            "4452180a77bc080ca3750cf58f2f27ad7e5937fed23d4442d1511ba8f8bf241e"
+            "3b2bdd7e1f892692c283418ecb41e40d2fe0fb5f74790dd86a57300a0a157ab7"
         )
 
     def test_k30_matching_mixture_to_the_freeze(self):
@@ -393,7 +393,7 @@ class TestPinnedTrajectoryBytes:
         G = gen_complete(12, 4)
         x, _ = max_entropy_fpm(G)
         assert trajectory_digest(G, x, TrajectoryConfig()) == (
-            "5dd5c8714e9867ef56011967f40030d53bafdd6ffd211736e278a7acb0b18a0d"
+            "ce07f352c16f241ab04542918ada6bcdf55ac0d7a0fca1518a4c0307d555350c"
         )
 
 

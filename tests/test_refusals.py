@@ -37,7 +37,7 @@ REFUSALS = [
     ("count --graph {bad}", 1, "ParseError", ":2:"),
     ("degrees --graph {k6} --d 1 --gamma 0.1 --alpha-table {bad_alpha}", 1, "ConfigError", "{bad_alpha}"),
     ("gen --n 100000 --k 3 --complete", 1, "ResourceLimitError", "work limit"),
-    ("verify --suite bogus", 1, "InvalidArgumentError", "bogus"),
+    ("verify --suite bogus", 2, "usage", "--suite"),
     (ANNEAL + " 0.9 --max-steps -1", 1, "InvalidArgumentError", "max_steps"),
     (ANNEAL + " 0.9 --max-steps -1 --auto", 1, "InvalidArgumentError", "max_steps"),
     (ANNEAL + " 5", 1, "InvalidArgumentError", "invalid anneal parameters"),  # epsilon above C, no --auto

@@ -1,13 +1,16 @@
 """The CSR scaling path against the list-of-arrays constraint systems it replaced.
 
 ``reference_scale_to_unit_sums`` is the scaling core as it was when each
-constraint came as its own id array and coefficient array; the constraint
-builders below are the per-vertex ``incident(v)`` lists and the bipartite
-append loops.  Every caller of the CSR core must give bit-identical weights,
-potentials, sweep counts and convergence flags.  ``reference_lift`` is the
-bipartite lift as it was built from subset tuples and subset-to-index dicts;
-the code-built lift must give the same subsets, quotient edges, source
-edges and side degrees.
+constraint came as its own id array, now with the core's summation rule:
+one multiplicity per constraint times the numpy ``.sum()`` of its entries
+in each rescale, and end-of-sweep residuals from one ``np.add.reduceat``
+over the concatenated rows (a per-row ``.sum()`` can differ from it in the
+last bit).  The constraint builders below are the per-vertex
+``incident(v)`` lists and the bipartite append loops.  Every caller of the
+CSR core must give bit-identical weights, potentials, sweep counts and
+convergence flags.  ``reference_lift`` is the bipartite lift as it was
+built from subset tuples and subset-to-index dicts; the code-built lift
+must give the same subsets, quotient edges, source edges and side degrees.
 """
 
 import itertools
@@ -32,21 +35,23 @@ from hypermatch.seeds import rng_from
 from hypermatch.shifting import anneal_and_shift, auto_anneal_params, well_distributed_fpm
 
 
-def reference_scale_to_unit_sums(con_edges, con_coeffs, x0, tol, max_iter):
+def reference_scale_to_unit_sums(con_edges, con_scale, x0, tol, max_iter):
     x = np.array(x0, dtype=float)
     ncon = len(con_edges)
     mu = np.zeros(ncon, dtype=float)
     residual = math.inf
     sweeps = 0
+    flat = np.concatenate(con_edges)
+    starts = np.cumsum([0] + [len(ids) for ids in con_edges])[:-1]
     for sweeps in range(1, max_iter + 1):
         for j in range(ncon):
-            ids, coeffs = con_edges[j], con_coeffs[j]
-            s = float(coeffs @ x[ids])
+            ids = con_edges[j]
+            s = con_scale[j] * float(x[ids].sum())
             if s <= 0:
                 raise InfeasibleError(f"constraint {j} has no positive incident weight")
             x[ids] /= s
             mu[j] -= math.log(s)
-        sums = np.array([float(coeffs @ x[ids]) for ids, coeffs in zip(con_edges, con_coeffs)])
+        sums = con_scale * np.add.reduceat(x[flat], starts)
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
             return x, mu, sweeps, residual, True
@@ -56,8 +61,7 @@ def reference_scale_to_unit_sums(con_edges, con_coeffs, x0, tol, max_iter):
 
 
 def vertex_constraints(G):
-    con_edges = [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)]
-    return con_edges, [np.ones(len(ids)) for ids in con_edges]
+    return [np.array(G.incident(v), dtype=np.intp) for v in range(G.n)], np.ones(G.n)
 
 
 def bipartite_constraints(lft):
@@ -67,10 +71,8 @@ def bipartite_constraints(lft):
         a_cons[ai].append(idx)
         b_cons[bi].append(idx)
     con_edges = [np.array(ids, dtype=np.intp) for ids in a_cons + b_cons]
-    con_coeffs = [np.full(len(ids), float(lft.mult_b)) for ids in a_cons] + [
-        np.full(len(ids), float(lft.mult_a)) for ids in b_cons
-    ]
-    return con_edges, con_coeffs
+    con_scale = np.array([float(lft.mult_b)] * len(a_cons) + [float(lft.mult_a)] * len(b_cons))
+    return con_edges, con_scale
 
 
 def reference_lift(G, d):
@@ -234,13 +236,13 @@ class TestBipartiteScaling:
         lft = bipartite.lift(make(), d)
         bw, _ = bipartite.bipartite_max_entropy(lft)
         [(args, result)] = calls
-        indptr, ids, coeffs, y0, tol, max_iter = args
-        con_edges, con_coeffs = bipartite_constraints(lft)
+        indptr, ids, scale, y0, tol, max_iter = args
+        con_edges, con_scale = bipartite_constraints(lft)
         assert len(indptr) - 1 == len(con_edges)
         for j, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
             assert ids[lo:hi].tolist() == con_edges[j].tolist()
-            assert coeffs[lo:hi].tobytes() == con_coeffs[j].tobytes()
-        ref = reference_scale_to_unit_sums(con_edges, con_coeffs, y0, tol, max_iter)
+        assert scale.tobytes() == con_scale.tobytes()
+        ref = reference_scale_to_unit_sums(con_edges, con_scale, y0, tol, max_iter)
         assert_same(result, ref)
         assert bw.x.tobytes() == ref[0].tobytes()
         assert (bw.iterations, bw.max_residual, bw.converged) == ref[2:5]

@@ -4,15 +4,23 @@ The complete 3-graph K_120 (280,840 edges) and a random (2, 0.2)-Dirac
 3-graph on 60 vertices are built, hashed and solved.  Their edge rows,
 incidence arrays, pair codes, links, digests and max-entropy solves must
 hash to the recorded values: a change to construction, the digest text or
-the scaling loop that alters any bit fails here.
+the scaling loop that alters any bit fails here.  The solves must also hash
+to the same values in child processes that force another OpenBLAS kernel
+and switch numpy's AVX-512 dispatch off: no solver bit may depend on them.
 """
 
 import hashlib
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypermatch
 from hypermatch.entropy import max_entropy_fpm
 from hypermatch.hypergraph import DiracParams, all_subsets, gen_complete, gen_random_dirac
 
@@ -31,10 +39,10 @@ GOLDEN = {
         "pair_ids": "09de22010fd9aa470dd1d8dec2065670e95c7ec588345f65ce85b31e6c991ad4",
         "link_codes": "ef9bc8ebc12d8e1da017a3b054cd2690664623d687cbae47fd21b9948d67ddb1",
         "link_ids": "b09a7964fa92a5811107f66434c741c9805395ea998a4d9a0bdfc81b28ce6593",
-        "weights": "ee1e26f7b7817ce46889297d399609dbdb47ce7d038de9d691b94bb199abf447",
-        "potentials": "e06741f3de1747b37f5999e5a0414cd6820e2e75336f343cedc6f7681f9d4e59",
+        "weights": "57ba5557b3ae2a91802aaea97c603cb677c7b559fbdbdbe594e40c902ce1fb87",
+        "potentials": "12c9bb12781703c970957d9f9a16f0dab834c416a681ab1b88ec8b70a083b443",
         "iterations": 1,
-        "max_residual": "0x1.6000000000000p-50",
+        "max_residual": "0x1.0000000000000p-52",
     },
     "dirac60": {
         "digest": "6f84ee2943cfeefffabb3f5b5fc6b5a4b25771e7c2557cae24747c72bfc70708",
@@ -45,10 +53,10 @@ GOLDEN = {
         "pair_ids": "70f9803f56803aa8696c3053c2b4197bea1b9979e77b30a17875c9e908e4db9e",
         "link_codes": "097d9232f0a156aa7b906e7ed29c3308f1944f5444d4da7a546d49f6a7714836",
         "link_ids": "1625839cd4003c5992d2017ac272503aad79d0da24b119d55f22a54a606cda52",
-        "weights": "25f856cc94694aec7a0c50e714ad2cff9aa768e7f6bb08e7f257f17360b4ebb4",
-        "potentials": "3dad456360c48ec48af1f2e45afe47bb2ee8cd9830f3826c56bae7aace3d2cc8",
+        "weights": "5d21b0801e3ac56fca68775735833e4aa83300396c3e6b9872e2df22aa92a091",
+        "potentials": "f396c16512fb1c54dfb92e15c5c2e8b51eb82fad7fa99929b5662c17aa43b8d0",
         "iterations": 13,
-        "max_residual": "0x1.3b485a0000000p-27",
+        "max_residual": "0x1.3b485a8000000p-27",
     },
 }
 
@@ -58,11 +66,21 @@ def sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+def solver_bits(G) -> dict:
+    """The pinned outputs of G's max-entropy solve."""
+    x, result = max_entropy_fpm(G)
+    return {
+        "weights": sha(x.weights),
+        "potentials": sha(result.potentials),
+        "iterations": result.iterations,
+        "max_residual": result.max_residual.hex(),
+    }
+
+
 @pytest.fixture(scope="module", params=sorted(GRAPHS))
 def setup(request):
     """(graph name, what its set-up produced)."""
     G = GRAPHS[request.param]()
-    x, result = max_entropy_fpm(G)
     pair_codes, pair_ids = G.subset_codes(2)
     link_codes, link_ids = G.links()
     got = {
@@ -74,10 +92,7 @@ def setup(request):
         "pair_ids": sha(pair_ids),
         "link_codes": sha(link_codes),
         "link_ids": sha(link_ids),
-        "weights": sha(x.weights),
-        "potentials": sha(result.potentials),
-        "iterations": result.iterations,
-        "max_residual": result.max_residual.hex(),
+        **solver_bits(G),
     }
     return request.param, got
 
@@ -86,6 +101,37 @@ def setup(request):
 def test_setup_bits(setup, key):
     name, got = setup
     assert got[key] == GOLDEN[name][key]
+
+
+# The AVX2 OpenBLAS kernel of Haswell and Zen CPUs; and the SSE3 one with
+# numpy's AVX-512 loops off as well.
+PLATFORMS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott-no-avx512": {
+        "OPENBLAS_CORETYPE": "Prescott",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    },
+}
+
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_setup_golden as t
+print(json.dumps({name: t.solver_bits(make()) for name, make in t.GRAPHS.items()}))
+"""
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_solver_bits_do_not_depend_on_the_kernel(platform):
+    # only the child's environment is set: OpenBLAS and numpy read these at import
+    src = str(pathlib.Path(hypermatch.__file__).parents[1])
+    env = {**os.environ, **PLATFORMS[platform]}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    here = str(pathlib.Path(__file__).parent)
+    child = subprocess.run([sys.executable, "-c", CHILD, here], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert got == {name: {key: GOLDEN[name][key] for key in got[name]} for name in GRAPHS}
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -380,9 +380,9 @@ class TestAnneal:
 
     # (shifts, sha256 of the trace CSV) of the mixture run at the auto parameters, by seed.
     TRACES = {
-        11: (230, "f31366c66669d7f0410f0716c7f68d10c4be422c5217c8042e3c883c5e83a715"),
-        13: (1037, "0e632cdfb04240b428bb8d978852b936a0c7e6c81140650202eaac6641f72781"),
-        19: (260, "86def768867d51cfed7f57f2bc0029bd193dc33644abe3a4ce84594a5d68c895"),
+        11: (230, "a0d058793c97880e8ef797e88c4f1c90228fb3ba0854e1d85dfc8c7776d5c46a"),
+        13: (1037, "c17ca5e58f06d6dc29b6a2645f180ec2d69d862e7c9c0ab2ebbdc90244638701"),
+        19: (260, "d2edb5c4f53dfc34f3ae497ca74b8e84d52de8cdf42cf6616f620abdd040e461"),
     }
 
     @pytest.mark.parametrize("seed", sorted(TRACES))
@@ -443,20 +443,20 @@ class TestWellDistributedFPM:
             well_distributed_fpm(gen_complete(30, 3), DiracParams(2, 3.0), seed=5, trials=10)
 
     @pytest.mark.parametrize("n,graph_seed,seed,weights_sha,report_sha", [
-        pytest.param(12, 7, 5, "d94d330799ab2b2e427c5c5f7dd19fa21c3142986e57adec985c38e9614c248a",
-                     "51a380419a1210b72ccfc9d5cbe66b1ec32520089ec99bba3df084228947631f",
+        pytest.param(12, 7, 5, "d13f53c72154128fc4e7c70cbade1b35039ab740ffdea84489c79e59398209ee",
+                     "c3837dba126b8ab623c76377b72a5f552549297b60d8834bc6e7698be94fe205",
                      id="n12"),
-        pytest.param(15, 7, 5, "69d146019221863a5781936a7470efa32fcf65c3129632a51e8d86a7290231b0",
-                     "80871f2f0740854018b89d0930fe484c9932f2efca60778eb3d01e1417d169e8",
+        pytest.param(15, 7, 5, "17ddd5fdb927107914c237080ec68fe79e1206db3fed4c8a47641be8e53cdfd8",
+                     "9dc0b6a5501f64daefc1ad46397166f4d6b1c2ea7cfc3e1a8f011c3dfe47365b",
                      id="n15"),
         # master seeds of 2^32 and more take two entropy words in every stream
         pytest.param(12, 8, 2**40 + 3,
-                     "80abfbb02e62917ca4ad81f0298886f909ad952a21a43a1f189a63a8fdae5199",
-                     "2d74c412f8d3787f731353491a8f067aefe462664fe7de130ded5b8fc8366305",
+                     "56d88407adf99e64391a31cd5cb6ab495fc3163a8c4eb26d20362b2b298ae52b",
+                     "e854094578ab43267c61b796300a40127090f57f1c7ca3a2e31285be385e587c",
                      id="n12-two-word-seed"),
         pytest.param(15, 9, 2**64 - 1,
-                     "b874e1a11da01846c8edc4384f9f7a7b9e2add27153b4f7e3e6ecba30ccb95bf",
-                     "a8f345045886fb805084cc8b780f7d2caa01c1ba06c097bedf8e2add83351c99",
+                     "7fffcbb4e15478e77b675d5b321268f91df9acac9057aabce9ca4db7f668d689",
+                     "147a60fb29585898ca55107608d94de5288193a3f726fafd2ebeb49dbd7a9a81",
                      id="n15-two-word-seed"),
     ])
     def test_draws_pinned(self, n, graph_seed, seed, weights_sha, report_sha):

@@ -102,6 +102,24 @@ def test_run_all_calls_every_criterion_in_order():
     assert called == sorted(defined, key=lambda name: int(name.split("_")[1]))
 
 
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def test_no_blas_in_the_package():
+    # every sum is a numpy reduction, so no float bit depends on the BLAS
+    # kernel that OpenBLAS picks for the CPU
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call) and loaded_names(ast.Expression(node.func)) & (BLAS_CALLS | {"linalg"}):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                found.append(f"{path.name}:{node.lineno} import")
+    assert found == []
+
+
 def dataclass_fields():
     """{class name: its field names} for every dataclass of the package."""
     fields = {}
