@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -66,6 +67,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token float() reads (-1e-3, -inf) is a value, as -1 is, never an option
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 

@@ -28,9 +28,8 @@ choices hold ``SAMPLE_CACHE_EDGES`` lead edges in all; states first reached
 after that are rebuilt on every visit.  Many draws on one oracle thus pay
 for the distinct states they pass, not for every round, and the draws are
 the same either way.  ``sample_streams`` draws streams (seed, t) in
-lockstep, ``STATE_BLOCK`` trials per numpy pass a round, from each stream's
-first ``STREAM_WORDS`` raw words; a trial that needs more is redrawn by
-``sample``, so the draws are again the same.
+lockstep, ``STATE_BLOCK`` trials per numpy pass a round, each taking the
+words of its stream as ``sample`` does, so the draws are again the same.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -54,22 +53,21 @@ import numpy as np
 from .entropy import EdgeWeights, as_verified, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
 from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
-from .seeds import randbelow, randbelow_words, rng_from, stream_words
+from .seeds import StreamWords, randbelow, rng_from
 
 # The exact oracle refuses graphs on more vertices than this.
 DEFAULT_COUNT_CAP = 24
 # A state-by-lead-edge block of the expansion has at most this many elements,
 # or as many as its layer has states: its temporaries stay small next to the
 # memo entries of the layer, on tiny graphs too.
-EXPAND_BLOCK = 1 << 12
+EXPAND_BLOCK = 1 << 14
 # The sampler keeps the choices of the states it visits until they hold this
 # many lead edges in all (about 1 MB), so a cold n = 21-24 oracle, with about
 # 2M transitions, never keeps a copy of all of them.
 SAMPLE_CACHE_EDGES = 1 << 16
-# sample_streams draws blocks of this many trials, from this many raw words of
-# each stream (a trial that needs more is redrawn); neither changes the draws.
+# sample_streams draws blocks of this many trials, which does not change the
+# draws; a round's occupied states, at most this many, fit in 16 bits.
 STATE_BLOCK = 4096
-STREAM_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -214,40 +212,41 @@ class PMOracle:
     def sample_streams(self, seed: int, trials: int) -> np.ndarray:
         """Row t is ``sample(rng_from(seed, t))``, for every t < ``trials``.
 
-        A round orders the transitions of the states a block occupies by
-        (state, edge id), so each state's running sums are ``sample``'s
-        (checked to telescope), and draws as ``randbelow`` does, from
-        ``stream_words`` by ``randbelow_words``.  Counts are below 2**44, so
-        one ``searchsorted`` on (state << 44 | running sum) picks the first
-        edge whose sum exceeds the draw, never one without completions.
+        A round finds a block's masks in their layer (checked) and orders the
+        occupied states' transitions by one radix sort by state, which keeps
+        ``_transitions``' edge id order, so each state's running sums are
+        ``sample``'s (checked to telescope); ``StreamWords.randbelow`` draws
+        as ``randbelow`` does.  Counts are below 2**44, so one ``searchsorted``
+        on (state << 44 | running sum) picks the first edge whose sum exceeds
+        the draw, never one without completions.
         """
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
         out = np.empty((trials, self.G.n // self.G.k), dtype=np.int64)
         for lo in range(0, trials, STATE_BLOCK):
             hi = min(trials, lo + STATE_BLOCK)
-            words = stream_words(seed, range(lo, hi), STREAM_WORDS)
-            used, mask = np.zeros((2, hi - lo), dtype=np.int64)
-            lost = np.zeros(hi - lo, dtype=bool)
+            words = StreamWords(seed, np.arange(lo, hi))
+            mask, pos = np.zeros((2, hi - lo), dtype=np.int64)
             for r in range(out.shape[1]):
                 (layer, counts), (nxt, nxt_counts) = self._layers[r:r + 2]
-                occupied, at = np.unique(mask, return_inverse=True)
-                parent, eid, child = map(np.concatenate, zip(*self._transitions(occupied)))
-                c = nxt_counts[np.searchsorted(nxt, child)]
-                rows = np.lexsort((eid, parent))
-                parent, eid, child, c = parent[rows], eid[rows], child[rows], c[rows]
-                sums = np.concatenate([[0], np.cumsum(c)])
-                span = np.arange(occupied.size)
+                if not np.array_equal(layer.take(pos, mode="clip"), mask):
+                    raise InvariantError(f"a lockstep mask is not a state of layer {r}")
+                seen = np.bincount(pos).astype(bool)
+                occ = np.flatnonzero(seen)
+                at = np.cumsum(seen)[pos] - 1
+                parent, eid, child = map(np.concatenate, zip(*self._transitions(layer[occ])))
+                where = np.searchsorted(nxt, child)
+                rows = np.argsort(parent.astype(np.min_scalar_type(occ.size - 1)), kind="stable")
+                parent, eid, child, where = parent[rows], eid[rows], child[rows], where[rows]
+                sums = np.concatenate([[0], np.cumsum(nxt_counts[where])])
+                span = np.arange(occ.size)
                 base = sums[np.searchsorted(parent, span)]
-                now = counts[np.searchsorted(layer, occupied)]
-                if np.any(sums[np.searchsorted(parent, span, side="right")] - base != now):
+                if np.any(sums[np.searchsorted(parent, span, side="right")] - base != counts[occ]):
                     raise InvariantError("conditional counts failed to telescope")
-                value = randbelow_words(words, used, lost, now[at])
+                value = words.randbelow(counts[pos])
                 pick = np.searchsorted(parent << 44 | sums[1:] - base[parent], at << 44 | value, "right")
                 out[lo:hi, r] = eid[pick]
-                mask = child[pick]
-            for t in np.flatnonzero(lost).tolist():
-                out[lo + t] = self.sample(rng_from(seed, lo + t))
+                mask, pos = child[pick], where[pick]
         return out
 
     def _choice(self, mask: int) -> tuple[int, array, list[list[int]]]:

@@ -6,10 +6,10 @@ derived with ``SeedSequence(master, spawn_key=indices)``, so any stochastic
 operation documents itself as "stream (seed, i, j, ...)" and is reproducible
 bit for bit.  Nothing in the package ever reads global RNG state.
 
-A loop over many one-key substreams (seed, t) reads their first raw words
-in one numpy pass (``stream_words``, bit-identical to ``rng_from(seed, t)``),
-then draws from them row by row with ``randbelow_words``, the word-for-word
-twin of ``randbelow``.
+A loop over many one-key substreams (seed, t) keeps their generator states
+in one ``StreamWords``: it draws the next raw word of any rows in one numpy
+pass, bit-identical to ``rng_from(seed, t)``, and ``StreamWords.randbelow``
+is the row-wise, word-for-word twin of ``randbelow``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def rng_from(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def stream_words(seed: int, keys, count: int) -> np.ndarray:
-    """Row i is ``rng_from(seed, keys[i]).bit_generator.random_raw(count)``.
+class StreamWords:
+    """Row i gives the raw words of ``rng_from(seed, keys[i])``, one per ``next`` that lists it.
 
     numpy's path on uint64 (hi, lo) arrays, one entry per key, checked
     against numpy by a property test: ``_block_states`` hashes [seed low,
@@ -53,29 +53,45 @@ def stream_words(seed: int, keys, count: int) -> np.ndarray:
     steps state M + inc mod 2^128 and outputs rotr64(hi ^ lo, hi >> 58) per
     word.  Keys take one entropy word, so 2^32 and more are refused.
     """
-    seed = check_seed(seed)
-    t = np.asarray(keys)
-    if t.ndim != 1 or (t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() > _M32)):
-        raise InvalidArgumentError(f"spawn keys must be integers in [0, 2^32): {keys!r}")
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise InvalidArgumentError(f"count must be a non-negative integer: {count!r}")
-    s_hi, s_lo, i_hi, i_lo = _block_states(seed, t.astype(np.uint32))
-    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    hi, lo = _lcg_step(s_hi, s_lo, _lcg_step(*inc, inc))  # (inc + initstate) M + inc
-    words = np.empty((t.size, count), dtype=np.uint64)
-    for j in range(count):
-        hi, lo = _lcg_step(hi, lo, inc)
+
+    def __init__(self, seed: int, keys):
+        seed = check_seed(seed)
+        t = np.asarray(keys)
+        if t.ndim != 1 or (t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() > _M32)):
+            raise InvalidArgumentError(f"spawn keys must be integers in [0, 2^32): {keys!r}")
+        s_hi, s_lo, i_hi, i_lo = _block_states(seed, t.astype(np.uint32))
+        self._inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        self._hi, self._lo = _lcg_step(s_hi, s_lo, _lcg_step(*self._inc, self._inc))
+
+    def next(self, rows: np.ndarray) -> np.ndarray:
+        """The next raw word of each of the distinct ``rows``, which advance one step."""
+        hi, lo = _lcg_step(self._hi[rows], self._lo[rows], (self._inc[0][rows], self._inc[1][rows]))
+        self._hi[rows], self._lo[rows] = hi, lo
         x, r = hi ^ lo, hi >> 58
-        words[:, j] = x >> r | x << (-r & 63)
-    return words
+        return x >> r | x << (-r & 63)
+
+    def randbelow(self, bounds: np.ndarray) -> np.ndarray:
+        """Row-wise ``randbelow``: row i draws below ``bounds[i]``, one word per
+        attempt and none for a bound of 1.  Bounds are int64 below 2^53, where
+        ``frexp`` gives their bit lengths exactly."""
+        value = np.zeros(bounds.size, dtype=np.int64)
+        shift = (64 - np.frexp(bounds)[1]).astype(np.uint64)
+        draw = np.flatnonzero(bounds > 1)
+        while draw.size:
+            got = (self.next(draw) >> shift[draw]).astype(np.int64)
+            kept = got < bounds[draw]
+            value[draw[kept]] = got[kept]
+            draw = draw[~kept]
+        return value
 
 
 def _lcg_step(hi, lo, inc):
     """(hi, lo) M + inc mod 2^128; the high word of lo M_lo from 32-bit limbs."""
     m_hi, m_lo = _PCG_MULT
     a0, a1, b0, b1 = lo & _M32, lo >> 32, m_lo & _M32, m_lo >> 32
-    mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
-    high = a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
     out_lo = lo * m_lo + inc[1]
     return high + lo * m_hi + hi * m_lo + inc[0] + (out_lo < inc[1]), out_lo
 
@@ -130,25 +146,3 @@ def randbelow(rng: np.random.Generator, n: int) -> int:
         value = int(raw()) >> shift
         if value < n:
             return value
-
-
-def randbelow_words(words: np.ndarray, used: np.ndarray, lost: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Row-wise ``randbelow``: row i draws below ``n[i]`` from ``words[i]``.
-
-    Row i reads words from ``used[i]`` on, as ``randbelow`` does, and
-    advances ``used``; a row that runs out is marked in ``lost`` and, like
-    a row lost before, draws 0.  Bounds are int64 below 2^53, where
-    ``frexp`` gives their bit lengths exactly.
-    """
-    value = np.zeros(n.size, dtype=np.int64)
-    shift = (64 - np.frexp(n)[1]).astype(np.uint64)
-    draw = np.flatnonzero((n > 1) & ~lost)
-    while draw.size:
-        lost[draw] |= used[draw] == words.shape[1]
-        draw = draw[~lost[draw]]
-        got = (words[draw, used[draw]] >> shift[draw]).astype(np.int64)
-        used[draw] += 1
-        kept = got < n[draw]
-        value[draw[kept]] = got[kept]
-        draw = draw[~kept]
-    return value

@@ -27,7 +27,7 @@ from hypermatch.errors import (
     SamplingError,
 )
 from hypermatch.hypergraph import DiracParams, Hypergraph, gen_complete, gen_random_dirac
-from hypermatch.seeds import randbelow, rng_from
+from hypermatch.seeds import StreamWords, randbelow, rng_from
 
 SINGLE_PM = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
@@ -396,10 +396,10 @@ class TestSampling:
             sample_uniform_pms(no_pm, 1, 1)[0]
 
 
-def draw_and_words(G, seed, t):
-    """``sample`` on stream (seed, t) and the raw words it consumed."""
+def draw_and_words(oracle, seed, t):
+    """``oracle.sample`` on stream (seed, t) and the raw words it consumed."""
     rng = rng_from(seed, t)
-    matching = PMOracle(G).sample(rng)
+    matching = oracle.sample(rng)
     fresh = rng_from(seed, t).bit_generator
     used = 0
     while fresh.state != rng.bit_generator.state:
@@ -421,6 +421,32 @@ def count_redraws(monkeypatch):
     return calls
 
 
+def count_words(monkeypatch):
+    """Per ``StreamWords`` made from here on, in order, the words each row draws."""
+    drawn = {}
+    real = StreamWords.next
+
+    def counted(self, rows):
+        drawn.setdefault(self, Counter()).update(np.asarray(rows).tolist())
+        return real(self, rows)
+
+    monkeypatch.setattr(StreamWords, "next", counted)
+    return drawn
+
+
+def transitions_by_layer(oracle):
+    """(parent, edge id) of every transition out of each layer reachable from
+    the empty mask, in the order ``_transitions`` yields them."""
+    states = np.zeros(1, dtype=np.int64)
+    while states.size and states[0] != oracle.full_mask:
+        blocks = list(oracle._transitions(states))
+        if not blocks:
+            return
+        parent, eid, child = map(np.concatenate, zip(*blocks))
+        yield parent, eid
+        states = np.unique(child)
+
+
 class TestLockstepStreams:
     """``sample_streams`` row t against ``sample(rng_from(seed, t))``, draw for draw."""
 
@@ -439,29 +465,60 @@ class TestLockstepStreams:
         assert redraws == []
 
     @pytest.mark.parametrize("seed", [3, 2**64 - 1])
-    def test_trials_out_of_words_are_redrawn(self, seed, monkeypatch):
-        sequential = [draw_and_words(DIRAC_15, seed, t) for t in range(100)]
-        monkeypatch.setattr(counting, "STREAM_WORDS", 1)
+    def test_rows_draw_the_words_of_the_sequential_draws(self, seed, monkeypatch):
+        # the lockstep rounds generate exactly the words the sequential draws
+        # consume, row by row, and never fall back on ``sample``
+        oracle = PMOracle(DIRAC_15)
+        sequential = [draw_and_words(oracle, seed, t) for t in range(2000)]
         redraws = count_redraws(monkeypatch)
-        rows = PMOracle(DIRAC_15).sample_streams(seed, 100)
+        drawn = count_words(monkeypatch)
+        rows = PMOracle(DIRAC_15).sample_streams(seed, 2000)
         assert [tuple(row) for row in rows.tolist()] == [m for m, _ in sequential]
-        # exactly the trials whose sequential draw took more than one word
-        assert len(redraws) == sum(used > 1 for _, used in sequential) > 0
+        (words,) = drawn.values()
+        assert [words[t] for t in range(2000)] == [used for _, used in sequential]
+        assert sum(words.values()) == sum(used for _, used in sequential)
+        assert redraws == []
 
     def test_block_seams(self, monkeypatch):
         monkeypatch.setattr(counting, "STATE_BLOCK", 3)
+        drawn = count_words(monkeypatch)
         rows = PMOracle(DIRAC_15).sample_streams(2**40 + 3, 10)
         assert [tuple(row) for row in rows.tolist()] == [
             PMOracle(DIRAC_15).sample(rng_from(2**40 + 3, t)) for t in range(10)
         ]
+        assert len(drawn) == 4
 
     def test_single_matching_takes_no_word(self, monkeypatch):
-        # every count is 1, so even streams with no words are never redrawn
-        assert all(draw_and_words(SINGLE_PM, 5, t) == ((0, 1), 0) for t in range(5))
-        monkeypatch.setattr(counting, "STREAM_WORDS", 0)
+        assert all(draw_and_words(PMOracle(SINGLE_PM), 5, t) == ((0, 1), 0) for t in range(5))
         redraws = count_redraws(monkeypatch)
+        drawn = count_words(monkeypatch)
         assert PMOracle(SINGLE_PM).sample_streams(5, 5).tolist() == [[0, 1]] * 5
-        assert redraws == []
+        # every count is 1, so no round draws a word
+        assert redraws == [] and drawn == {}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["DIRAC_15"])
+    def test_transitions_come_in_edge_id_order_per_parent(self, name):
+        # sample_streams orders a round's transitions by a stable sort on
+        # the parent alone, which relies on this order
+        oracle = PMOracle(DIRAC_15 if name == "DIRAC_15" else REFERENCE_GRAPHS[name])
+        pairs = 0
+        for parent, eid in transitions_by_layer(oracle):
+            order = np.argsort(parent, kind="stable")
+            parent, eid = parent[order], eid[order]
+            same = parent[1:] == parent[:-1]
+            assert np.all(eid[1:][same] > eid[:-1][same])
+            pairs += int(same.sum())
+        assert pairs > 0
+
+    def test_mask_missing_from_its_layer_raises_typed_error(self):
+        oracle = PMOracle(gen_complete(6, 3))
+        oracle.count_pm()
+        # the last state of layer 1 moves above every mask: the round-0 count
+        # lookups still find its count, but no round-1 mask equals it
+        states = oracle._layers[1][0]
+        states[-1] |= 1 << 6
+        with pytest.raises(InvariantError, match="not a state of layer 1"):
+            oracle.sample_streams(0, 50)
 
     def test_broken_layer_count_breaks_the_telescoping(self):
         oracle = PMOracle(gen_complete(6, 3))

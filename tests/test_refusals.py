@@ -57,6 +57,10 @@ REFUSALS = [
     ("entropy --graph {k6} --tol nan", 1, "InvalidArgumentError", "need finite tol > 0"),
     ("entropy --graph {k6} --tol inf", 1, "InvalidArgumentError", "need finite tol > 0"),
     ("entropy --graph {k6} --tol=-inf", 1, "InvalidArgumentError", "need finite tol > 0"),
+    # a negative number as its own token is a value, however float() spells it
+    ("entropy --graph {k6} --tol -inf", 1, "InvalidArgumentError", "need finite tol > 0"),
+    ("entropy --graph {k6} --tol -1e-3", 1, "InvalidArgumentError", "need finite tol > 0"),
+    (ANNEAL + " -1e-9", 1, "InvalidArgumentError", "need epsilon > 0"),
     ("greedy --graph {k6} --seed 3 --c nan", 1, "InvalidArgumentError", "c=nan"),
     ("greedy --graph {k6} --seed 3 --stop-fraction inf", 1, "InvalidArgumentError", "stop_fraction=inf"),
     # a lone --d or --gamma

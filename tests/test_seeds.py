@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermatch.errors import InvalidArgumentError
-from hypermatch.seeds import randbelow, randbelow_words, rng_from, stream_words
+from hypermatch.seeds import StreamWords, randbelow, rng_from
 
 # Recorded from rng.integers(0, 2**64, dtype=np.uint64) words; a numpy whose
 # raw PCG64 words differ from those breaks every seeded stream.
@@ -39,10 +39,17 @@ def test_randbelow_refuses_32_bit_generator():
         randbelow(np.random.Generator(np.random.MT19937(5)), 2**40)
 
 
-# stream_words transcribes numpy's SeedSequence mixing and PCG64 seeding;
+# StreamWords transcribes numpy's SeedSequence mixing and PCG64 seeding;
 # these tests are the intended alarm if a numpy upgrade changes either.
 def numpy_words(seed, keys, count):
     return [rng_from(seed, t).bit_generator.random_raw(count).tolist() for t in keys]
+
+
+def stream_words(seed, keys, count):
+    """The first ``count`` words of every row of ``StreamWords(seed, keys)``."""
+    streams = StreamWords(seed, keys)
+    rows = np.arange(len(keys))
+    return np.array([streams.next(rows) for _ in range(count)], dtype=np.uint64).reshape(count, len(keys)).T
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,11 +73,12 @@ def test_stream_words_edges_match_numpy(seed):
 @pytest.mark.parametrize("keys", [[2**32], [-1], [0, 2**64], [1.5], [[0]]])
 def test_stream_words_refuse_keys_outside_one_word(keys):
     with pytest.raises(InvalidArgumentError, match="spawn keys"):
-        stream_words(1, keys, 4)
+        StreamWords(1, keys)
 
 
 def test_stream_words_of_no_keys():
     assert stream_words(1, [], 4).shape == (0, 4)
+    assert StreamWords(1, []).randbelow(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 # 1 takes no word, 2^j + 1 rejects about half its words and 2^j - 1 almost
@@ -88,31 +96,25 @@ def words_taken(rng, seed, t):
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
-def test_randbelow_words_draws_like_randbelow(seed):
-    rows, rounds, count = 200, 5, 8
+def test_randbelow_words_draws_like_randbelow(seed, monkeypatch):
+    # enough rounds that some rows take more than 32 words
+    rows, rounds = 200, 30
     bounds = [[BOUNDS[(7 * t + r) % len(BOUNDS)] for t in range(rows)] for r in range(rounds)]
-    words = stream_words(seed, range(rows), count)
+    streams = StreamWords(seed, range(rows))
     used = np.zeros(rows, dtype=np.int64)
-    lost = np.zeros(rows, dtype=bool)
-    drawn = [randbelow_words(words, used, lost, np.array(b, dtype=np.int64)) for b in bounds]
-    kept = 0
+    real = streams.next
+
+    def counted(rows):
+        used[rows] += 1
+        return real(rows)
+
+    monkeypatch.setattr(streams, "next", counted)
+    drawn = [streams.randbelow(np.array(b, dtype=np.int64)) for b in bounds]
     for t in range(rows):
         rng = rng_from(seed, t)
-        expected = [randbelow(rng, b[t]) for b in bounds]
-        # a row is lost exactly when its sequential draws take more words
-        taken = words_taken(rng, seed, t)
-        assert lost[t] == (taken > count)
-        if not lost[t]:
-            kept += 1
-            assert [int(d[t]) for d in drawn] == expected
-            assert used[t] == taken
-    assert 0 < kept < rows
-
-
-@pytest.mark.parametrize("count", [-1, np.int64(-3), 1.5, 2.0, "4", None])
-def test_stream_words_refuse_a_count_that_is_not_a_non_negative_integer(count):
-    with pytest.raises(InvalidArgumentError, match="count"):
-        stream_words(1, [0, 1], count)
+        assert [int(d[t]) for d in drawn] == [randbelow(rng, b[t]) for b in bounds]
+        assert used[t] == words_taken(rng, seed, t)
+    assert used.max() > 32
 
 
 def test_stream_words_build_no_bit_generator(monkeypatch):
@@ -120,7 +122,7 @@ def test_stream_words_build_no_bit_generator(monkeypatch):
     expected = numpy_words(2**64 - 1, keys, 33)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("stream_words constructed a PCG64")
+        raise AssertionError("StreamWords constructed a PCG64")
 
     monkeypatch.setattr(np.random, "PCG64", refuse)
     assert stream_words(2**64 - 1, keys, 33).tolist() == expected
@@ -135,4 +137,6 @@ def test_stream_words_wrap_without_warnings(seed, count):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         words = stream_words(seed, keys, count)
+        drawn = StreamWords(seed, keys).randbelow(np.array([2**40 + 1, 3], dtype=np.int64))
     assert words.tolist() == expected
+    assert drawn.tolist() == [randbelow(rng_from(seed, t), b) for t, b in zip(keys, [2**40 + 1, 3])]
