@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidArgumentError, ParseError
+from .errors import InfeasibleError, InvalidArgumentError, InvariantError, ParseError
 from .hypergraph import Hypergraph, _text_lines
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
@@ -163,36 +163,66 @@ class ScalingResult:
 
 
 def scale_to_unit_sums(
-    indptr: np.ndarray, ids: np.ndarray, scale: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
+    indptr: np.ndarray, ids: np.ndarray, scale: np.ndarray, x0: np.ndarray, tol: float, max_iter: int,
+    *, runs: Sequence[int],
 ) -> ScalingResult:
     """Scale positive x0 so each constraint scale[j] * sum_e x[e] equals 1.
 
     Constraint j is the CSR row ``indptr[j]:indptr[j + 1]`` of ``ids`` (its
     entries of x) times its multiplicity ``scale[j]``.  Cyclic sweeps rescale
-    one constraint at a time (exact coordinate ascent on the dual), each with
-    one gather of its entries of x, until the largest residual is at most
-    ``tol`` or ``max_iter`` sweeps have run; an empty row is refused in the
-    first.  Every sum is numpy's, so no bit depends on the BLAS kernel.  The
-    potentials are the accumulated per-constraint log-scalings; one beyond
-    1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
+    the constraints in row order (exact coordinate ascent on the dual) until
+    the largest residual is at most ``tol`` or ``max_iter`` sweeps have run;
+    an empty row is refused in the first.  The rows of each run
+    ``runs[i]:runs[i + 1]`` share no entry (an InvariantError otherwise), so
+    rescaling one leaves the others' sums as they were and a run of several
+    rows is rescaled at once: one 2-D gather per row length, whose
+    ``.sum(axis=1)`` gives each row the bits of its own ``.sum()``.  A sweep's
+    residuals are one ``np.add.reduceat``, which can differ from ``.sum()`` in
+    the last bit and so never sets a rescale.  No sum depends on the BLAS
+    kernel.  The potentials are the accumulated per-constraint log-scalings;
+    one beyond 1e3 ln(max(#constraints, 3)) is diagnosed as infeasibility.
     """
     x = np.array(x0, dtype=float)
     if x.size and float(x.min()) <= 0:
         raise InvalidArgumentError("scaling requires a strictly positive starting point")
-    rows = [ids[lo:hi] for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
-    ncon = len(rows)
+    ncon = len(indptr) - 1
+    ptr, mult = indptr.tolist(), scale.tolist()
+    # (row, entries, multiplicity, None) per one-row run; a longer run adds
+    # (rows, 2-D entries, multiplicities, run) per row length
+    steps = []
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        entries = ids[ptr[lo]:ptr[hi]]
+        if hi - lo == 1:
+            steps.append((lo, entries, mult[lo], None))
+        elif np.bincount(entries, minlength=1).max() > 1:
+            raise InvariantError(f"constraints {lo} to {hi - 1} form a run but share an entry")
+        else:
+            length = np.diff(indptr[lo:hi + 1])
+            for size in sorted(set(length.tolist())):
+                rows = lo + np.flatnonzero(length == size)
+                block = ids[indptr[rows, None] + np.arange(size)]
+                steps.append((rows.tolist(), block, scale[rows], range(lo, hi)))
     cap = 1e3 * math.log(max(ncon, 3))
     mu = [0.0] * ncon
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        for j, (con, c) in enumerate(zip(rows, scale.tolist())):
+        for j, con, c, run in steps:
             xc = x[con]
-            s = c * float(xc.sum())
-            if s <= 0:
-                raise InfeasibleError(f"constraint {j} has no positive incident weight")
-            x[con] = xc / s
-            mu[j] -= math.log(s)
+            if run is None:
+                s = c * float(xc.sum())
+                if s <= 0:
+                    raise InfeasibleError(f"constraint {j} has no positive incident weight")
+                x[con] = xc / s
+                mu[j] -= math.log(s)
+                continue
+            s = c * xc.sum(axis=1)
+            for r, sr in zip(j, s.tolist()):
+                if sr <= 0:  # name the run's first such row, as a row-by-row sweep would
+                    first = next(i for i in run if mult[i] * x[ids[ptr[i]:ptr[i + 1]]].sum() <= 0)
+                    raise InfeasibleError(f"constraint {first} has no positive incident weight")
+                mu[r] -= math.log(sr)
+            x[con] = xc / s[:, None]
         sums = scale * np.add.reduceat(x[ids], indptr[:-1])
         residual = float(np.abs(sums - 1.0).max()) if ncon else 0.0
         if residual <= tol:
@@ -207,8 +237,8 @@ def scale_to_unit_sums(
 
 def scale_vertex_sums(G: Hypergraph, x0: np.ndarray, tol: float, max_iter: int) -> ScalingResult:
     """``scale_to_unit_sums`` on the vertex sums of G: one constraint of
-    multiplicity 1 per vertex, read from the graph's incidence arrays."""
-    return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.n), x0, tol, max_iter)
+    multiplicity 1 per vertex from the graph's incidence arrays, each its own run."""
+    return scale_to_unit_sums(G.indptr, G.incidence, np.ones(G.n), x0, tol, max_iter, runs=range(G.n + 1))
 
 
 def max_entropy_fpm(

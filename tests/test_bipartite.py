@@ -123,7 +123,7 @@ class TestPullBack:
         l = lift(G, 2)
         bw, _ = bipartite_max_entropy(l)
         x = pull_back(G, l, bw)
-        chain = bound_chain_report(G, l, bw, x)
+        chain = bound_chain_report(G, l, bw, x, entropy_lower_bound(G, 2))
         assert chain["identity_ok"]
         assert chain["jensen_ok"]
         assert chain["guarantee_ok"]

@@ -254,7 +254,7 @@ class TestSolver:
         indptr = np.cumsum([0] + [len(r) for r in rows])
         ids = np.array(sum(rows, []), dtype=np.intp)
         with pytest.raises(InfeasibleError, match=f"^constraint {empty} has no positive"):
-            scale_to_unit_sums(indptr, ids, np.ones(3), np.ones(3), 1e-10, 10)
+            scale_to_unit_sums(indptr, ids, np.ones(3), np.ones(3), 1e-10, 10, runs=range(4))
 
     def test_infeasible_star_diverges(self):
         # a 3-star has no fractional perfect matching; the dual potentials

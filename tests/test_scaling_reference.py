@@ -8,17 +8,23 @@ over the concatenated rows (a per-row ``.sum()`` can differ from it in the
 last bit).  The constraint builders below are the per-vertex
 ``incident(v)`` lists and the bipartite append loops.  Every caller of the
 CSR core must give bit-identical weights, potentials, sweep counts and
-convergence flags.  ``reference_lift`` is the bipartite lift as it was
+convergence flags, including the core's blocked rescale of runs of rows
+that share no entry, checked on random two-run systems in every pairwise-sum
+regime of row length.  ``reference_lift`` is the bipartite lift as it was
 built from subset tuples and subset-to-index dicts; the code-built lift
 must give the same subsets, quotient edges, source edges and side degrees.
 """
 
 import itertools
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypermatch
 from hypermatch import bipartite, shifting
 from hypermatch.counting import PMOracle
 from hypermatch.entropy import (
@@ -29,7 +35,8 @@ from hypermatch.entropy import (
     scale_vertex_sums,
     well_distributed_factor,
 )
-from hypermatch.errors import InfeasibleError
+from hypermatch.entropy import scale_to_unit_sums
+from hypermatch.errors import InfeasibleError, InvariantError
 from hypermatch.hypergraph import DiracParams, gen_complete, gen_random_dirac
 from hypermatch.seeds import rng_from
 from hypermatch.shifting import anneal_and_shift, auto_anneal_params, well_distributed_fpm
@@ -102,14 +109,15 @@ def assert_same(result, ref):
 
 
 def recorder(monkeypatch, module, name):
-    """Wrap module.name so that each call's arguments and result are kept."""
+    """Wrap module.name so that each call's positional arguments, keyword
+    arguments and result are kept."""
     real = getattr(module, name)
     calls = []
 
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         args = [np.array(a) if isinstance(a, np.ndarray) else a for a in args]
-        result = real(*args)
-        calls.append((args, result))
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
         return result
 
     monkeypatch.setattr(module, name, wrapped)
@@ -159,7 +167,7 @@ class TestVertexScaling:
         calls = recorder(monkeypatch, shifting, "scale_vertex_sums")
         G = GRAPHS["dirac15"]()
         x, _ = well_distributed_fpm(G, DiracParams(2, 0.2), seed=7, trials=300)
-        [(args, result)] = calls
+        [(args, _, result)] = calls
         _, x0, tol, max_iter = args
         ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, tol, max_iter)
         assert_same(result, ref)
@@ -178,11 +186,11 @@ class TestVertexScaling:
         monkeypatch.setattr(shifting, "RENORMALIZE_EVERY", 1)
         final, log = anneal_and_shift(G, adv, x_hat, params)
         assert len(calls) == len(log.steps) > 0
-        for args, result in calls:
+        for args, _, result in calls:
             _, x0, tol, max_iter = args
             ref = reference_scale_to_unit_sums(*vertex_constraints(G), x0, tol, max_iter)
             assert_same(result, ref)
-        assert final.weights.tobytes() == np.minimum(calls[-1][1].x, 1.0).tobytes()
+        assert final.weights.tobytes() == np.minimum(calls[-1][2].x, 1.0).tobytes()
 
 
 class TestLiftMatchesReference:
@@ -235,8 +243,10 @@ class TestBipartiteScaling:
         calls = recorder(monkeypatch, bipartite, "scale_to_unit_sums")
         lft = bipartite.lift(make(), d)
         bw, _ = bipartite.bipartite_max_entropy(lft)
-        [(args, result)] = calls
+        [(args, kwargs, result)] = calls
         indptr, ids, scale, y0, tol, max_iter = args
+        n_a, n_b = lft.a_subsets.size, lft.b_subsets.size
+        assert kwargs == {"runs": [0, n_a, n_a + n_b]}
         con_edges, con_scale = bipartite_constraints(lft)
         assert len(indptr) - 1 == len(con_edges)
         for j, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
@@ -246,3 +256,98 @@ class TestBipartiteScaling:
         assert_same(result, ref)
         assert bw.x.tobytes() == ref[0].tobytes()
         assert (bw.iterations, bw.max_residual, bw.converged) == ref[2:5]
+
+
+def lengths_summing_to(rng, lo, hi, total):
+    """Row lengths drawn from [lo, hi] until they add up to total (the last may be shorter)."""
+    lengths = []
+    while total > 0:
+        lengths.append(min(int(rng.integers(lo, hi + 1)), total))
+        total -= lengths[-1]
+    return lengths
+
+
+def two_run_system(seed, lo, hi, total):
+    """Rows of two runs, each a random partition of the entries range(total)
+    into rows of uneven lengths from [lo, hi], with random multiplicities."""
+    rng = rng_from(seed)
+    con_edges = []
+    for _ in range(2):
+        cuts = np.cumsum(lengths_summing_to(rng, lo, hi, total))[:-1]
+        con_edges += np.split(rng.permutation(total).astype(np.intp), cuts)
+    n_a = len(con_edges) - len(cuts) - 1
+    return con_edges, rng.uniform(0.5, 2.0, len(con_edges)), n_a, rng.random(total) + 0.01
+
+
+def csr(con_edges):
+    indptr = np.cumsum([0] + [len(ids) for ids in con_edges])
+    return indptr, np.concatenate(con_edges).astype(np.intp)
+
+
+# Row lengths below 8, from 8 to 128 and above 128 take numpy's three
+# pairwise-sum regimes; a 2-D row sum must match each row's own .sum() in all.
+REGIMES = {"short": (1, 7, 300), "medium": (8, 128, 2000), "long": (129, 700, 4000), "mixed": (1, 300, 3000)}
+
+
+class TestDisjointRuns:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_two_runs_equal_row_by_row(self, regime, seed):
+        con_edges, con_scale, n_a, x0 = two_run_system(seed, *REGIMES[regime])
+        indptr, ids = csr(con_edges)
+        runs = [0, n_a, len(con_edges)]
+        result = scale_to_unit_sums(indptr, ids, con_scale, x0, 1e-13, 25, runs=runs)
+        assert_same(result, reference_scale_to_unit_sums(con_edges, con_scale, x0, 1e-13, 25))
+
+    def test_one_row_runs_between_longer_runs(self):
+        con_edges, con_scale, n_a, x0 = two_run_system(3, *REGIMES["mixed"])
+        indptr, ids = csr(con_edges)
+        runs = [0, 1, 2, n_a, n_a + 1, len(con_edges)]
+        result = scale_to_unit_sums(indptr, ids, con_scale, x0, 1e-13, 25, runs=runs)
+        assert_same(result, reference_scale_to_unit_sums(con_edges, con_scale, x0, 1e-13, 25))
+
+    @pytest.mark.parametrize(
+        "empty,unweighted",
+        [([0], []), ([5], []), ([-1], []), ([-1, 4], []), ([], [9, 6]), ([12], [3]), ([], [-2, -9])],
+    )
+    def test_row_without_weight_named_as_row_by_row(self, empty, unweighted):
+        # an empty row, or a row of multiplicity 0, inside a run: the first
+        # such row in sweep order is named, whichever length group it is in
+        con_edges, con_scale, n_a, x0 = two_run_system(4, *REGIMES["short"])
+        for j in empty:
+            at = j % len(con_edges)
+            con_edges.insert(at, np.zeros(0, dtype=np.intp))
+            con_scale = np.insert(con_scale, at, 1.0)
+            n_a += at < n_a
+        con_scale[unweighted] = 0.0
+        indptr, ids = csr(con_edges)
+        with pytest.raises(InfeasibleError) as ref:
+            reference_scale_to_unit_sums(con_edges, con_scale, x0, 1e-13, 25)
+        with pytest.raises(InfeasibleError) as got:
+            scale_to_unit_sums(indptr, ids, con_scale, x0, 1e-13, 25, runs=[0, n_a, len(con_edges)])
+        assert str(got.value) == str(ref.value)
+
+    def test_run_of_rows_sharing_an_entry_is_refused(self):
+        indptr, ids = csr([np.array([0, 1]), np.array([2]), np.array([3, 1])])
+        with pytest.raises(InvariantError, match="share an entry"):
+            scale_to_unit_sums(indptr, ids, np.ones(3), np.ones(4), 1e-10, 10, runs=[0, 3])
+        # the same rows as one-row runs are the vertex solver's case, and pass
+        scale_to_unit_sums(indptr, ids, np.ones(3), np.ones(4), 1e-10, 10, runs=[0, 1, 2, 3])
+
+    def test_shared_entry_is_refused_under_python_O(self):
+        child = """
+import numpy as np
+from hypermatch.entropy import scale_to_unit_sums
+from hypermatch.errors import InvariantError
+try:
+    scale_to_unit_sums(np.array([0, 2, 3]), np.array([0, 1, 1]), np.ones(2), np.ones(2), 1e-10, 10, runs=[0, 2])
+except InvariantError as err:
+    print("InvariantError", err)
+"""
+        src = str(pathlib.Path(hypermatch.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {src!r})\n" + child],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("InvariantError constraints 0 to 1")

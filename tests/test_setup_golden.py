@@ -4,7 +4,9 @@ The complete 3-graph K_120 (280,840 edges) and a random (2, 0.2)-Dirac
 3-graph on 60 vertices are built, hashed and solved.  Their edge rows,
 incidence arrays, pair codes, links, digests and max-entropy solves must
 hash to the recorded values: a change to construction, the digest text or
-the scaling loop that alters any bit fails here.  The solves must also hash
+the scaling loop that alters any bit fails here.  So must the bipartite
+solve on the d = 2 lift of a random n = 12 Dirac 3-graph, whose sweeps
+rescale each side's disjoint rows in 2-D blocks.  The solves must also hash
 to the same values in child processes that force another OpenBLAS kernel
 and switch numpy's AVX-512 dispatch off: no solver bit may depend on them.
 """
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 import hypermatch
+from hypermatch.bipartite import bipartite_max_entropy, lift
 from hypermatch.entropy import max_entropy_fpm
 from hypermatch.hypergraph import DiracParams, all_subsets, gen_complete, gen_random_dirac
 
@@ -61,6 +64,19 @@ GOLDEN = {
 }
 
 
+def lifted_graph():
+    return gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=3)
+
+
+# Recorded from the row-by-row sweep, before runs of rows were rescaled together.
+LIFTED_GOLDEN = {
+    "x": "8eb7dc22cfefd198ab56b11d00ec48cc949864f745b16e70b699d620b2328896",
+    "potentials": "42eedc78b6d656051352260c313ccfd37a6c8eb280bb4b0a30b18b8371f7b622",
+    "iterations": 8,
+    "max_residual": "0x1.ae60000000000p-36",
+}
+
+
 def sha(arr: np.ndarray) -> str:
     assert arr.dtype == np.int64 or arr.dtype == np.float64
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -75,6 +91,21 @@ def solver_bits(G) -> dict:
         "iterations": result.iterations,
         "max_residual": result.max_residual.hex(),
     }
+
+
+def bipartite_bits(G) -> dict:
+    """The pinned outputs of the max-entropy solve on G's d = 2 lift."""
+    result, _ = bipartite_max_entropy(lift(G, 2))
+    return {
+        "x": sha(result.x),
+        "potentials": sha(result.potentials),
+        "iterations": result.iterations,
+        "max_residual": result.max_residual.hex(),
+    }
+
+
+def test_bipartite_bits():
+    assert bipartite_bits(lifted_graph()) == LIFTED_GOLDEN
 
 
 @pytest.fixture(scope="module", params=sorted(GRAPHS))
@@ -117,7 +148,8 @@ CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import test_setup_golden as t
-print(json.dumps({name: t.solver_bits(make()) for name, make in t.GRAPHS.items()}))
+solves = {name: t.solver_bits(make()) for name, make in t.GRAPHS.items()}
+print(json.dumps({"solves": solves, "lifted": t.bipartite_bits(t.lifted_graph())}))
 """
 
 
@@ -131,7 +163,9 @@ def test_solver_bits_do_not_depend_on_the_kernel(platform):
     child = subprocess.run([sys.executable, "-c", CHILD, here], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    assert got == {name: {key: GOLDEN[name][key] for key in got[name]} for name in GRAPHS}
+    solves = got["solves"]
+    assert solves == {name: {key: GOLDEN[name][key] for key in solves[name]} for name in GRAPHS}
+    assert got["lifted"] == LIFTED_GOLDEN
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -366,9 +366,14 @@ class TestAnneal:
     def test_step_budget_when_bounds_are_large(self):
         # When every accepted step's bound clears delta ln(D)/2, the entropy
         # budget caps the step count at eps n / (delta ln(D)/2) + 1.  Vacuous
-        # at desk scale: the run makes 260 shifts, but every step's gain bound
-        # is negative (the largest about -2.8e-3) while delta ln(D)/2 is about
-        # 4.1e-4, so the premise holds for no step.  The cap is still checked.
+        # at desk scale: a step's bound delta ln(x[e_1] delta^(k-1) / (2 eta^k))
+        # on an edge of weight about D/n^(k-1) is positive only under the gain
+        # inequality D delta^(k-1) / (2 n^(k-1) eta^k) >= 1.  At k = 3,
+        # gamma = 0.5 and C >= 1 that needs D/n^(k-1) >= about 639,100/n^2,
+        # above every weight (all <= 1) for n <= 799.  Here the run makes 260
+        # shifts, but every step's gain bound is negative (the largest about
+        # -2.8e-3) while delta ln(D)/2 is about 4.1e-4, so the premise holds
+        # for no step.  The cap is still checked.
         G, adv, x_hat, C = self.adversarial(seed=19)
         params = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=C, max_steps=30000)
         _, log = anneal_and_shift(G, adv, x_hat, params)
