@@ -92,12 +92,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _comment_lines(prov: dict) -> list[str]:
-    lines = [f"config_digest={prov['config_digest']}"]
-    lines.extend(f"input_digest {p}={d}" for p, d in sorted(prov["input_digests"].items()))
-    return lines
-
-
 def _dirac_options(args) -> tuple[Optional[DiracParams], Optional[AlphaTable]]:
     """The Dirac parameters of ``--d`` and ``--gamma`` and the ``--alpha-table``, each None
     when not given; a lone ``--d`` or ``--gamma``, or a table without both, is refused."""
@@ -110,14 +104,14 @@ def _dirac_options(args) -> tuple[Optional[DiracParams], Optional[AlphaTable]]:
 
 
 def _command(handler):
-    """Run an artifact-writing subcommand around ``handler(args, G, prov)``.
+    """Run an artifact-writing subcommand around ``handler(args, G, comments)``.
 
     The runner records the provenance: the run's config (its parsed
     options) and the digests of its input files (``--graph``, ``--weights``
     and ``--alpha-table`` when set).  It reads ``--graph`` when the
     subcommand takes one (G is None otherwise) and makes ``--out``, which
-    it removes again, if still empty, when the handler raises.  The
-    handler writes its own graph, weights and CSV files and returns
+    it removes again, if still empty, when the handler raises.  The handler
+    writes its graph, weights and CSV files under the digest lines ``comments``, returning
     ``(report name, report, line)``; the runner writes the report with
     ``_provenance`` added and prints the line.
     """
@@ -133,11 +127,13 @@ def _command(handler):
             "config_digest": hashlib.sha256(canon.encode()).hexdigest(),
             "input_digests": {path: _digest_file(path) for path in inputs},
         }
+        comments = [f"config_digest={prov['config_digest']}"]
+        comments += [f"input_digest {p}={d}" for p, d in sorted(prov["input_digests"].items())]
         G = read_hypergraph(graph) if graph else None
         made = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
         try:
-            name, report, line = handler(args, G, prov)
+            name, report, line = handler(args, G, comments)
         except BaseException:
             if made and not os.listdir(args.out):
                 os.rmdir(args.out)
@@ -150,7 +146,7 @@ def _command(handler):
 
 
 @_command
-def _cmd_gen(args, _, prov):
+def _cmd_gen(args, _, comments):
     if args.complete:
         unused = [name for name in ("density", "d", "gamma", "seed", "alpha_table") if getattr(args, name) is not None]
         if unused:
@@ -162,14 +158,14 @@ def _cmd_gen(args, _, prov):
             raise InvalidArgumentError("random generation needs --density, --d, --gamma and --seed")
         G = gen_random_dirac(args.n, args.k, dirac, args.density, args.seed, alpha=alpha)
     path = os.path.join(args.out, "graph.khg")
-    write_hypergraph(G, path, header_comments=_comment_lines(prov))
+    write_hypergraph(G, path, header_comments=comments)
     report = {"graph": "graph.khg", "n": G.n, "k": G.k, "num_edges": G.num_edges,
               "graph_digest": G.digest()}
     return "gen_report.json", report, f"wrote {path} ({G.num_edges} edges)"
 
 
 @_command
-def _cmd_degrees(args, G, prov):
+def _cmd_degrees(args, G, comments):
     dirac, alpha = _dirac_options(args)
     profile = degree_ratio_profile(G)
     report = {
@@ -189,10 +185,10 @@ def _cmd_degrees(args, G, prov):
 
 
 @_command
-def _cmd_entropy(args, G, prov):
+def _cmd_entropy(args, G, comments):
     x, report = max_entropy_fpm(G, tol=args.tol, max_iter=args.max_iter)
     wts_path = os.path.join(args.out, "weights.wts")
-    write_weights(wts_path, x, extra_comments=_comment_lines(prov))
+    write_weights(wts_path, x, header_comments=comments)
     L = float(x.weights.max()) if x.weights.size else 1.0
     upper, lower = jensen_bounds(G, L)
     line = f"h = {x.entropy:.12g}  converged={report.converged}  wrote {wts_path}"
@@ -211,7 +207,7 @@ def _cmd_entropy(args, G, prov):
 
 
 @_command
-def _cmd_count(args, G, prov):
+def _cmd_count(args, G, comments):
     dirac, alpha = _dirac_options(args)
     result = count_pm(G)
     report = {"value": str(result.value), "note": result.note, "graph_digest": result.graph_digest}
@@ -221,16 +217,16 @@ def _cmd_count(args, G, prov):
 
 
 @_command
-def _cmd_marginals(args, G, prov):
+def _cmd_marginals(args, G, comments):
     x, report = entropy_identities_check(G)
     wts_path = os.path.join(args.out, "marginals.wts")
-    write_weights(wts_path, x, extra_comments=_comment_lines(prov))
+    write_weights(wts_path, x, header_comments=comments)
     report["weights_file"] = "marginals.wts"
     return "marginals_report.json", report, f"h(marginals) = {x.entropy:.12g}  wrote {wts_path}"
 
 
 @_command
-def _cmd_anneal(args, G, prov):
+def _cmd_anneal(args, G, comments):
     dirac, alpha = _dirac_options(args)
     x_star, _ = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
@@ -242,8 +238,8 @@ def _cmd_anneal(args, G, prov):
         params = AnnealParams.for_graph(G, args.gamma, args.epsilon, C, max_steps=args.max_steps)
     x_final, log = anneal_and_shift(G, x_star, x_hat, params)
     wts_path = os.path.join(args.out, "anneal.wts")
-    write_weights(wts_path, x_final, extra_comments=_comment_lines(prov))
-    log.write_csv(os.path.join(args.out, "anneal_trace.csv"), header_comments=_comment_lines(prov))
+    write_weights(wts_path, x_final, header_comments=comments)
+    log.write_csv(os.path.join(args.out, "anneal_trace.csv"), header_comments=comments)
     return "anneal_report.json", {
         "termination": log.termination,
         "steps": len(log.steps),
@@ -263,16 +259,16 @@ def _cmd_anneal(args, G, prov):
     )
 
 
-def _greedy_single(G, x, cfg, seed, out_dir, prov, trial):
+def _greedy_single(G, x, cfg, seed, out_dir, comments, trial):
     traj = run_greedy(G, x, cfg, seed, stream=(trial,))
     csv_path = os.path.join(out_dir, f"trajectory_{trial:04d}.csv")
-    write_trajectory_csv(csv_path, traj, G, x, header_comments=_comment_lines(prov))
+    write_trajectory_csv(csv_path, traj, G, x, header_comments=comments)
     _write_json(os.path.join(out_dir, f"trajectory_{trial:04d}.meta.json"), trajectory_metadata(traj))
     return trajectory_deviation(traj, G, x)
 
 
 @_command
-def _cmd_greedy(args, G, prov):
+def _cmd_greedy(args, G, comments):
     if args.trials < 1 or args.jobs < 1:
         raise InvalidArgumentError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
     if args.weights:
@@ -280,7 +276,7 @@ def _cmd_greedy(args, G, prov):
     else:
         x, _ = max_entropy_fpm(G)
     cfg = TrajectoryConfig(c=args.c, stop_fraction=args.stop_fraction)
-    trial = functools.partial(_greedy_single, G, x, cfg, args.seed, args.out, prov)
+    trial = functools.partial(_greedy_single, G, x, cfg, args.seed, args.out, comments)
     # more workers than CPUs only add start-up cost; os.cpu_count() may be None
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
@@ -296,17 +292,12 @@ def _cmd_greedy(args, G, prov):
         "max_entropy_deviation": max(s["max_entropy_deviation"] for s in summaries),
         "max_degree_deviation": max(s["max_degree_deviation"] for s in summaries),
         "reached_horizon_rate": sum(s["reached_horizon"] for s in summaries) / len(summaries),
-        "per_trial": [
-            {k: s[k] for k in ("max_weight_deviation", "max_entropy_deviation",
-                               "max_degree_deviation", "reached_horizon", "ran_to",
-                               "stop_reason")}
-            for s in summaries
-        ],
+        "per_trial": summaries,
     }, f"ran {args.trials} trajectories into {args.out}"
 
 
 @_command
-def _cmd_bound(args, G, prov):
+def _cmd_bound(args, G, comments):
     dirac, alpha = _dirac_options(args)
     solved = max_entropy_fpm(G)
     cert = certify_entropy_lower_bound(G, args.d, solved)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InvalidArgumentError, InvariantError, ParseError
-from .hypergraph import Hypergraph, _text_lines
+from .hypergraph import Hypergraph, _text_file, _text_lines
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 
@@ -306,12 +306,8 @@ def convex_combine(x1: EdgeWeights, x2: EdgeWeights, t: float) -> EdgeWeights:
 # ---------------------------------------------------------------------------
 
 
-def write_weights(path: str, x: EdgeWeights, extra_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# graph {x.graph_digest}\n")
-        fh.write(f"# status {x.status}\n")
-        for comment in extra_comments:
-            fh.write(f"# {comment}\n")
+def write_weights(path: str, x: EdgeWeights, header_comments: Sequence[str] = ()) -> None:
+    with _text_file(path, [f"graph {x.graph_digest}", f"status {x.status}", *header_comments]) as fh:
         for w in x.weights:
             fh.write(f"{w:.17g}\n")
 

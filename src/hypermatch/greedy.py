@@ -26,7 +26,7 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .entropy import EdgeWeights, check_alignment
 from .errors import InvalidArgumentError
-from .hypergraph import Hypergraph, encode
+from .hypergraph import Hypergraph, _text_file, encode
 from .seeds import rng_from
 
 STOP_FROZEN = "no-positive-weight-edge"
@@ -66,18 +66,6 @@ class TrajectoryConfig:
         if type(self.sampled_sets_per_size) is not int or self.sampled_sets_per_size < 0:
             raise InvalidArgumentError(
                 f"sampled_sets_per_size={self.sampled_sets_per_size!r} is not a non-negative int")
-
-    def to_dict(self) -> dict:
-        # The last three keys record the fixed tracking policy, so that
-        # trajectory metadata keeps its layout.
-        return {
-            "c": self.c,
-            "stop_fraction": self.stop_fraction,
-            "sampled_sets_per_size": self.sampled_sets_per_size,
-            "track_singletons": True,
-            "tracking_seed": 0,
-            "tracked_sets": None,
-        }
 
 
 @functools.lru_cache
@@ -172,7 +160,7 @@ def run_greedy(
     tracked = resolve_tracked_sets(G, cfg)
     edge_verts, indptr, incidence = G.edge_verts, G.indptr, G.incidence
 
-    w = x.weights.astype(float)
+    w = x.weights
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(w > 0, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)
     n_blocks = -(-m // PICK_BLOCK)
@@ -183,15 +171,12 @@ def run_greedy(
     alive_e = np.ones(m, dtype=bool)
     alive_v = np.ones(n, dtype=bool)
 
-    # Singleton degrees are maintained by decrement; larger tracked sets are
-    # counted at each record over their concatenated incident edge lists.
+    # Singleton degrees (the first n tracked sets, in vertex order) are kept by
+    # decrement; larger sets are counted at each record over their incident edges.
     deg_v = G.degrees.astype(float)
     members = np.array([v for S in tracked for v in S], dtype=np.intp)
     set_starts = np.cumsum([0] + [len(S) for S in tracked[:-1]], dtype=np.intp)
-    single = np.array([i for i, S in enumerate(tracked) if len(S) == 1], dtype=np.intp)
-    single_v = members[set_starts[single]]
-    big = np.array([i for i, S in enumerate(tracked) if len(S) > 1], dtype=np.intp)
-    owner, owned_edges = _set_edges(G, [tracked[i] for i in big])
+    owner, owned_edges = _set_edges(G, tracked[n:])
 
     max_steps = n // k
     if cfg.stop_fraction is not None:
@@ -208,8 +193,8 @@ def run_greedy(
         rows_e.append(float(ent[alive_e].sum()))
         degs = np.full(len(tracked), np.nan)
         if tracked:
-            degs[single] = deg_v[single_v]
-            degs[big] = np.bincount(owner, weights=alive_e[owned_edges], minlength=big.size)
+            degs[:n] = deg_v
+            degs[n:] = np.bincount(owner, weights=alive_e[owned_edges], minlength=len(tracked) - n)
             degs[~np.logical_and.reduceat(alive_v[members], set_starts)] = np.nan
         rows_deg.append(degs)
 
@@ -320,8 +305,8 @@ def trajectory_deviation(
     deg0 = traj.tracked_degrees[0]
     # One power per set size, taken exactly as the scalar formula p**(k - |S|).
     pred_d = np.empty((i_max + 1, sizes.size))
-    for size in np.unique(sizes):
-        pred_d[:, sizes == size] = (p ** (k - int(size)))[:, None]
+    for size in sorted(set(sizes.tolist())):
+        pred_d[:, sizes == size] = (p ** (k - size))[:, None]
     pred_d *= deg0
     obs_d = traj.tracked_degrees[: i_max + 1]
     ok = ~np.isnan(obs_d) & (pred_d > 0)
@@ -351,9 +336,7 @@ def write_trajectory_csv(
 ) -> None:
     """Columns: i, chosen_edge, residual/predicted weight and entropy, then
     one degree column per tracked set id."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
+    with _text_file(path, header_comments) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["i", "chosen_edge", "residual_weight", "predicted_weight",
@@ -385,7 +368,9 @@ def trajectory_metadata(traj: GreedyTrajectory) -> dict:
         "graph_digest": traj.graph_digest,
         "seed": traj.seed,
         "stream": list(traj.stream),
-        "config": traj.config.to_dict(),
+        # The last three keys record the fixed tracking policy, so that
+        # trajectory metadata keeps its layout.
+        "config": {**asdict(traj.config), "track_singletons": True, "tracking_seed": 0, "tracked_sets": None},
         "tracked_sets": [list(s) for s in traj.tracked_sets],
         "steps": traj.steps,
         "stop_reason": traj.stop_reason,

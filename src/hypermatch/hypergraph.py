@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, isfinite
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -104,20 +105,6 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
     return np.array(canon, dtype=np.int64).reshape(len(canon), k)
 
 
-def _canonical_text(k: int, n: int, edge_verts: np.ndarray) -> str:
-    """``k n`` and then one line of space-separated decimal vertex ids per edge.
-
-    Each vertex slot gathers one NUL-padded ``V`` token (numpy gathers raw bytes
-    faster than ``S`` strings): its digits and a space, or a newline in the
-    last column.  The padding is dropped.
-    """
-    width = len(str(max(n - 1, 0)))
-    table = [(f"{v} ", f"{v}\n") for v in range(n)]
-    tokens = np.array(table, dtype=f"S{width + 1}").reshape(n, 2).view(f"V{width + 1}")
-    body = tokens[edge_verts, [0] * (k - 1) + [1]].view(np.uint8).ravel()
-    return f"{k} {n}\n" + body[body != 0].tobytes().decode()
-
-
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1, with read-only numpy arrays.
@@ -174,7 +161,7 @@ class Hypergraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """The edges in id order, as ascending tuples."""
-        return tuple(map(tuple, self.edge_verts.tolist()))
+        return tuple(zip(*self.edge_verts.T.tolist()))
 
     def incident(self, v: int) -> tuple[int, ...]:
         """Ids of the edges containing vertex v."""
@@ -183,7 +170,17 @@ class Hypergraph:
         return tuple(self.incidence[self.indptr[v]: self.indptr[v + 1]].tolist())
 
     def canonical_text(self) -> str:
-        return _canonical_text(self.k, self.n, self.edge_verts)
+        """``k n`` and then one line of space-separated decimal vertex ids per edge.
+
+        Each vertex slot gathers one NUL-padded ``V`` token (numpy gathers raw bytes
+        faster than ``S`` strings): its digits and a space, or a newline in the
+        last column.  The padding is dropped.
+        """
+        width = len(str(max(self.n - 1, 0)))
+        table = [(f"{v} ", f"{v}\n") for v in range(self.n)]
+        tokens = np.array(table, dtype=f"S{width + 1}").reshape(self.n, 2).view(f"V{width + 1}")
+        body = tokens[self.edge_verts, [0] * (self.k - 1) + [1]].view(np.uint8).ravel()
+        return f"{self.k} {self.n}\n" + body[body != 0].tobytes().decode()
 
     def digest(self) -> str:
         """SHA-256 of the canonical text; identifies graph content and edge order."""
@@ -259,6 +256,13 @@ class DiracParams:
     def validate_for(self, k: int) -> None:
         if not 1 <= self.d <= k - 1:
             raise InvalidArgumentError(f"d={self.d} outside [1, {k - 1}] for k={k}")
+
+    def threshold(self, n: int, k: int, alpha: Optional["AlphaTable"] = None) -> float:
+        """(alpha_d(k) + gamma) C(n-d, k-d), 0 for n < d: the least delta_d of a
+        (d, gamma)-Dirac k-graph on n vertices, alpha from the built-in table unless given."""
+        self.validate_for(k)
+        a = (alpha if alpha is not None else AlphaTable()).lookup(self.d, k)
+        return (float(a) + self.gamma) * comb(max(n - self.d, 0), k - self.d)
 
 
 class AlphaTable:
@@ -366,13 +370,8 @@ def degree_ratio_profile(G: Hypergraph) -> list[Fraction]:
 
 def is_dirac(G: Hypergraph, params: DiracParams, alpha: Optional[AlphaTable] = None) -> bool:
     """True iff k | n and delta_d(G) >= (alpha_d(k) + gamma) * C(n-d, k-d)."""
-    params.validate_for(G.k)
-    table = alpha if alpha is not None else AlphaTable()
-    a = table.lookup(params.d, G.k)
-    if G.n % G.k != 0:
-        return False
-    threshold = (float(a) + params.gamma) * comb(G.n - params.d, G.k - params.d)
-    return min_d_degree(G, params.d) >= threshold
+    threshold = params.threshold(G.n, G.k, alpha)
+    return G.n % G.k == 0 and min_d_degree(G, params.d) >= threshold
 
 
 def all_subsets(n: int, size: int) -> np.ndarray:
@@ -424,8 +423,7 @@ def gen_random_dirac(
     params.validate_for(k)
     if n % k != 0:
         raise InvalidArgumentError(f"k={k} must divide n={n}")
-    table = alpha if alpha is not None else AlphaTable()
-    a = float(table.lookup(params.d, k))
+    needed = params.threshold(n, k, alpha)
     if not 0.0 < density <= 1.0:
         raise InvalidArgumentError(f"density {density} outside (0, 1]")
     # Densities at or below alpha+gamma cannot sustain the degree condition;
@@ -437,19 +435,26 @@ def gen_random_dirac(
         G = Hypergraph(k, n, all_sets[draws < density])
         delta = min_d_degree(G, params.d)
         best_delta = max(best_delta, delta)
-        if delta >= (a + params.gamma) * comb(n - params.d, k - params.d):
+        if delta >= needed:
             return G
     raise GenerationError(
         f"no (d={params.d}, gamma={params.gamma}) instance at density {density} "
         f"within {max_attempts} attempts; best delta_{params.d} = {best_delta} "
-        f"(needed {(a + params.gamma) * comb(n - params.d, k - params.d):.2f})"
+        f"(needed {needed:.2f})"
     )
 
 
+@contextmanager
+def _text_file(path: str, comments: Sequence[str]) -> Iterator[TextIO]:
+    """A new UTF-8 text file at path, written without newline translation, that
+    starts with one ``# c`` line per comment c; closed when the block exits."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        yield fh
+
+
 def write_hypergraph(G: Hypergraph, path: str, header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
+    with _text_file(path, header_comments) as fh:
         fh.write(G.canonical_text())
 
 

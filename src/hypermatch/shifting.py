@@ -37,7 +37,7 @@ from .entropy import (
     well_distributed_factor,
 )
 from .errors import InvalidArgumentError, SamplingError
-from .hypergraph import DiracParams, Hypergraph
+from .hypergraph import DiracParams, Hypergraph, _text_file
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
 EPSILON_SHRINK = 0.95
@@ -347,9 +347,7 @@ class AnnealLog:
 
     def write_csv(self, path: str, header_comments: Sequence[str] = ()) -> None:
         k = len(self.steps[0].e_ids) if self.steps else 0
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for comment in header_comments:
-                fh.write(f"# {comment}\n")
+        with _text_file(path, header_comments) as fh:
             writer = csv.writer(fh)
             e_cols = [f"e_{i + 1}" for i in range(k)]
             f_cols = [f"f_{i + 1}" for i in range(k)]

@@ -395,6 +395,15 @@ class TestWeightsFile:
         assert back.status == "raw"
         assert back.weights.tobytes() == x.weights.tobytes()
 
+    def test_header_comments_follow_the_graph_and_status_lines(self, tmp_path):
+        G = gen_complete(6, 3)
+        x = EdgeWeights.from_weights(G, np.full(G.num_edges, 0.1))
+        path = tmp_path / "w.wts"
+        write_weights(str(path), x, header_comments=["config_digest=abc", "input_digest g.khg=def"])
+        head = f"# graph {G.digest()}\n# status raw\n# config_digest=abc\n# input_digest g.khg=def\n"
+        assert path.read_bytes() == (head + "0.10000000000000001\n" * G.num_edges).encode()
+        assert read_weights(str(path), G).weights.tolist() == x.weights.tolist()
+
     def test_digest_mismatch_rejected(self, tmp_path):
         G = gen_complete(6, 3)
         x, _ = max_entropy_fpm(G)

@@ -1,5 +1,7 @@
 import itertools
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -133,6 +135,29 @@ class TestHypergraph:
             assert index.degrees[v] == len(expected)
         assert index.indptr[-1] == G.k * G.num_edges
 
+    def test_edges_are_the_rows_as_tuples(self):
+        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=3)
+        assert G.edges == tuple(tuple(row) for row in G.edge_verts.tolist())
+        assert all(type(v) is int for e in G.edges for v in e)
+        assert Hypergraph(3, 6, []).edges == ()
+
+    def test_edge_tuples_are_built_without_a_list_per_edge(self):
+        # the tuples are zipped from the k column lists; a list per edge first
+        # peaks at 1.8 to 2.2 times the kept bytes.  The kept bytes are sized
+        # directly: tuples taken from the interpreter's free lists are not
+        # seen by tracemalloc, so its count depends on the tests run before.
+        G = gen_complete(30, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            edges = G.edges
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = sys.getsizeof(edges) + sum(map(sys.getsizeof, edges))
+        assert len(edges) == comb(30, 3)
+        assert peak <= 1.6 * kept
+
     def test_digest_stable_under_reconstruction(self):
         G1 = gen_complete(6, 3)
         G2 = Hypergraph(3, 6, G1.edges)
@@ -257,6 +282,39 @@ class TestDirac:
         assert is_dirac(K6, DiracParams(1, 0.1))
         assert not is_dirac(Hypergraph(3, 6, []), DiracParams(1, 0.1))
         assert not is_dirac(gen_complete(7, 3), DiracParams(1, 0.1))  # 3 does not divide 7
+
+    def test_threshold(self):
+        params = DiracParams(2, 0.2)
+        assert params.threshold(12, 3) == (0.5 + 0.2) * comb(10, 1)
+        table = AlphaTable({(1, 3): Fraction(2, 3)})
+        assert DiracParams(1, 0.1).threshold(9, 3, table) == (float(Fraction(2, 3)) + 0.1) * comb(8, 2)
+        assert DiracParams(2, 0.2).threshold(1, 3) == 0.0  # no 2-set of one vertex
+
+    def test_is_dirac_and_gen_meet_the_threshold(self):
+        params = DiracParams(2, 0.2)
+        G = gen_random_dirac(12, 3, params, 0.95, seed=1)
+        assert min_d_degree(G, 2) >= params.threshold(12, 3)
+        assert is_dirac(G, params)
+        # a threshold just above the minimum degree is not met
+        tight = DiracParams(2, min_d_degree(G, 2) / comb(10, 1) - 0.5 + 1e-9)
+        assert not is_dirac(G, tight)
+        strict = DiracParams(2, 0.45)
+        with pytest.raises(GenerationError, match=rf"needed {strict.threshold(12, 3):.2f}\)"):
+            gen_random_dirac(12, 3, strict, 0.6, seed=1, max_attempts=2)
+
+    def test_refusal_order(self):
+        # d is checked first, then k | n (generator only), then the alpha
+        # lookup, then the density
+        with pytest.raises(InvalidArgumentError, match="d=3 outside"):
+            gen_random_dirac(13, 3, DiracParams(3, 0.1), 2.0, seed=1)
+        with pytest.raises(InvalidArgumentError, match="must divide"):
+            gen_random_dirac(13, 4, DiracParams(1, 0.1), 2.0, seed=1)
+        with pytest.raises(ConfigError, match="alpha_1"):
+            gen_random_dirac(12, 4, DiracParams(1, 0.1), 2.0, seed=1)
+        with pytest.raises(ConfigError, match="alpha_1"):
+            is_dirac(gen_complete(7, 4), DiracParams(1, 0.1))
+        with pytest.raises(InvalidArgumentError, match="d=3 outside"):
+            is_dirac(gen_complete(6, 3), DiracParams(3, 0.1))
 
     def test_dirac_implies_half_degree(self):
         G = gen_random_dirac(12, 3, DiracParams(2, 0.2), density=0.95, seed=1)

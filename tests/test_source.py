@@ -102,6 +102,18 @@ def test_run_all_calls_every_criterion_in_order():
     assert called == sorted(defined, key=lambda name: int(name.split("_")[1]))
 
 
+def test_package_reads_no_edge_tuples():
+    # the package works on a graph's edge rows and incidence arrays; the
+    # tuple views ``Hypergraph.edges`` and ``Hypergraph.incident`` serve only
+    # callers outside it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("edges", "incident"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
+
+
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
 
 
