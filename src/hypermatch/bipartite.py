@@ -35,7 +35,7 @@ from .entropy import (
     weight_entropy,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .hypergraph import DiracParams, Hypergraph, all_subsets, encode, is_dirac, min_d_degree
+from .hypergraph import DiracParams, Hypergraph, all_subsets, encode, group, is_dirac, min_d_degree
 
 # Neither side of a lift may have more distinct subsets than this.
 DEFAULT_LIFT_CAP = 10**5
@@ -87,12 +87,9 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
         raise ResourceLimitError(f"C({n},{d}) exceeds the lift cap {DEFAULT_LIFT_CAP}")
     a_subsets = encode(all_subsets(n, d), n)
     b_subsets = encode(all_subsets(n, k - d), n)
-    # Block j of the d-subset codes and block C(k, d)-1-j of the (k-d)-subset
-    # codes split the edges the same way; edge-major, the splits of edge 0
-    # come first, in column-choice order.
-    splits = (comb(k, d), G.num_edges)
-    ai = np.searchsorted(a_subsets, G._subset_codes(d)).reshape(splits).T.ravel()
-    bi = np.searchsorted(b_subsets, G._subset_codes(k - d)).reshape(splits)[::-1].T.ravel()
+    part, rest = G.split_codes(d)
+    ai = np.searchsorted(a_subsets, part).ravel()
+    bi = np.searchsorted(b_subsets, rest).ravel()
     mult_a = comb(n, k - d)
     mult_b = comb(n, d)
     n_tilde = comb(n, d) * comb(n, k - d)
@@ -135,13 +132,10 @@ def bipartite_max_entropy(lft: BipartiteLift) -> tuple[ScalingResult, dict]:
     q = len(lft.quotient_edges)
     n_a, n_b = lft.a_subsets.size, lft.b_subsets.size
     # One constraint per A subset (multiplicity mult_b), then one per B subset
-    # (mult_a); a stable sort keeps each constraint's quotient edges in id order.
-    # A quotient edge has one end per side, so each side is one run of disjoint rows.
+    # (mult_a), each with its quotient edges in id order.  A quotient edge has
+    # one end per side, so each side is one run of disjoint rows.
     ends = lft.quotient_edges
-    con = np.concatenate([ends[:, 0], n_a + ends[:, 1]])
-    order = np.argsort(con, kind="stable")
-    indptr = np.zeros(n_a + n_b + 1, dtype=np.intp)
-    np.cumsum(np.bincount(con, minlength=n_a + n_b), out=indptr[1:])
+    indptr, order = group(np.concatenate([ends[:, 0], n_a + ends[:, 1]]), n_a + n_b)
     scale = np.repeat([float(lft.mult_b), float(lft.mult_a)], [n_a, n_b])
     mean_qdeg = q / max(1, n_a)
     y0 = np.full(q, 1.0 / (lft.mult_b * max(mean_qdeg, 1.0)))

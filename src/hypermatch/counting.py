@@ -52,7 +52,7 @@ import numpy as np
 
 from .entropy import EdgeWeights, as_verified, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
-from .hypergraph import AlphaTable, DiracParams, Hypergraph, is_dirac
+from .hypergraph import AlphaTable, DiracParams, Hypergraph, group, is_dirac
 from .seeds import StreamWords, randbelow, rng_from
 
 # The exact oracle refuses graphs on more vertices than this.
@@ -90,10 +90,9 @@ class PMOracle:
         edge_verts = G.edge_verts
         # Edge ids grouped by lowest vertex (column 0), in id order within a
         # group, and their vertex masks; the sampler reads them as Python pairs.
-        ids = np.argsort(edge_verts[:, 0], kind="stable")
+        bounds, ids = group(edge_verts[:, 0], G.n)
         masks = np.bitwise_or.reduce(np.left_shift(1, edge_verts[ids]), axis=1)
-        bounds = np.searchsorted(edge_verts[ids, 0], np.arange(G.n + 1)).tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
+        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         self._lead = [(ids[a:b], masks[a:b]) for a, b in spans]
         pairs = np.stack([ids, masks], axis=1).tolist()
         self._lead_pairs = [pairs[a:b] for a, b in spans]
@@ -212,9 +211,9 @@ class PMOracle:
     def sample_streams(self, seed: int, trials: int) -> np.ndarray:
         """Row t is ``sample(rng_from(seed, t))``, for every t < ``trials``.
 
-        A round finds a block's masks in their layer (checked) and orders the
-        occupied states' transitions by one radix sort by state, which keeps
-        ``_transitions``' edge id order, so each state's running sums are
+        A round finds a block's masks in their layer (checked) and groups the
+        occupied states' transitions by state, which keeps ``_transitions``'
+        edge id order within a state, so each state's running sums are
         ``sample``'s (checked to telescope); ``StreamWords.randbelow`` draws
         as ``randbelow`` does.  Counts are below 2**44, so one ``searchsorted``
         on (state << 44 | running sum) picks the first edge whose sum exceeds
@@ -236,13 +235,12 @@ class PMOracle:
                 at = np.cumsum(seen)[pos] - 1
                 parent, eid, child = map(np.concatenate, zip(*self._transitions(layer[occ])))
                 where = np.searchsorted(nxt, child)
-                rows = np.argsort(parent.astype(np.min_scalar_type(occ.size - 1)), kind="stable")
+                indptr, rows = group(parent, occ.size)
                 parent, eid, child, where = parent[rows], eid[rows], child[rows], where[rows]
                 sums = np.concatenate([[0], np.cumsum(nxt_counts[where])])
-                span = np.arange(occ.size)
-                base = sums[np.searchsorted(parent, span)]
-                if np.any(sums[np.searchsorted(parent, span, side="right")] - base != counts[occ]):
+                if np.any(np.diff(sums[indptr]) != counts[occ]):
                     raise InvariantError("conditional counts failed to telescope")
+                base = sums[indptr[:-1]]
                 value = words.randbelow(counts[pos])
                 pick = np.searchsorted(parent << 44 | sums[1:] - base[parent], at << 44 | value, "right")
                 out[lo:hi, r] = eid[pick]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,6 +58,19 @@ def encode(rows: np.ndarray, n: int) -> np.ndarray:
     return code
 
 
+def group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of integer keys in [0, size), grouped by key.
+
+    ``order[indptr[j]:indptr[j + 1]]`` lists the positions holding key j in
+    ascending order: a stable argsort of the keys in their narrowest unsigned
+    dtype (a radix sort on 8 or 16 bits), with ``bincount`` offsets.
+    """
+    order = np.argsort(keys.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=indptr[1:])
+    return indptr, order
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.flags.writeable = False
@@ -72,8 +86,8 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
     """The edges as ascending int64 rows.
 
     Raises InvalidArgumentError for the first bad edge in input order: one
-    that is not a set of k distinct vertices, has a vertex outside [0, n) or
-    repeats an earlier edge.
+    that is not a set of k distinct integer vertices, has a vertex outside
+    [0, n) or repeats an earlier edge.
     """
     raw = edges if isinstance(edges, np.ndarray) else list(edges)
     try:
@@ -92,8 +106,12 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
     # Irregular input or a bad edge: convert edge by edge, naming the first bad one.
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for given in raw:
-        e = tuple(sorted(int(v) for v in given))
+    for given in raw.tolist() if isinstance(raw, np.ndarray) else raw:
+        try:
+            e = tuple(sorted(map(operator.index, given)))
+        except TypeError:
+            shown = tuple(given) if isinstance(given, Iterable) else given
+            raise InvalidArgumentError(f"edge {shown} is not a set of {k} integer vertices") from None
         if len(e) != k or len(set(e)) != k:
             raise InvalidArgumentError(f"edge {tuple(given)} is not a set of {k} distinct vertices")
         if e[0] < 0 or e[-1] >= n:
@@ -110,11 +128,9 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1, with read-only numpy arrays.
 
     ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
-    vertex v in ascending order, from a stable argsort of the edge rows in
-    their narrowest integer dtype.  The sorted subset codes of each size, the
-    vertex links and the digest are built on first use and kept in one
-    cache.  Two graphs are equal when k, n and the edges in id order are
-    equal.
+    vertex v in ascending order, the edge rows grouped by ``group``.  The
+    sorted subset codes of each size, the vertex links and the digest are
+    built on first use and kept in one cache.
     """
 
     k: int
@@ -126,6 +142,10 @@ class Hypergraph:
     _cache: dict = field(repr=False)
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
+        try:
+            k, n = operator.index(k), operator.index(n)
+        except TypeError:
+            raise InvalidArgumentError(f"uniformity k and vertex count n must be integers, got {k!r}, {n!r}") from None
         if k < 2:
             raise InvalidArgumentError(f"uniformity k must be >= 2, got {k}")
         if n < 0:
@@ -133,26 +153,12 @@ class Hypergraph:
         if n >= 2 and (k >= 63 or n**k >= 2**63):
             raise ResourceLimitError(f"codes of {k}-sets of {n} vertices overflow int64 (n^k >= 2^63)")
         rows = _edge_rows(k, n, edges)
-        flat = rows.ravel()
-        # A stable sort keeps each vertex's edge ids in ascending order (a radix sort on 8 or 16 bits).
-        incidence = np.argsort(flat.astype(np.min_scalar_type(n - 1)), kind="stable") // k
-        degrees = np.bincount(flat, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        indptr, order = group(rows.ravel(), n)
+        incidence, degrees = order // k, np.diff(indptr)
         _frozen(rows, indptr, incidence, degrees)
         # The dataclass is frozen, so the fields go straight into the instance dict.
         vars(self).update(k=k, n=n, edge_verts=rows, indptr=indptr, incidence=incidence,
                           degrees=degrees, _cache={})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and np.array_equal(
-            self.edge_verts, other.edge_verts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.n, self.digest()))
 
     @property
     def num_edges(self) -> int:
@@ -204,13 +210,9 @@ class Hypergraph:
         return cached
 
     def _subset_codes(self, d: int) -> np.ndarray:
-        """The codes of the d-subsets of all edges, one block of m per column choice.
-
-        The blocks follow ``itertools.combinations(range(k), d)``, so block j
-        of size d and block C(k, d)-1-j of size k-d take complementary
-        columns.  Raises ResourceLimitError when m C(k, d) exceeds
-        DEFAULT_DEGREE_WORK_LIMIT.
-        """
+        """The codes of the d-subsets of all edges, one block of m per column choice in
+        ``itertools.combinations(range(k), d)`` order; raises ResourceLimitError when
+        m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT."""
         work = self.num_edges * comb(self.k, d)
         if work > DEFAULT_DEGREE_WORK_LIMIT:
             raise ResourceLimitError(
@@ -220,23 +222,27 @@ class Hypergraph:
         cols = itertools.combinations(range(self.k), d)
         return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
 
+    def split_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(part, rest), each (m, C(k, d)), for 1 <= d <= k - 1: ``part[e, j]`` is the code of
+        edge e's j-th choice of d columns, in ``itertools.combinations`` order, and
+        ``rest[e, j]`` the code of its other k - d vertices."""
+        splits = (comb(self.k, d), self.num_edges)
+        return self._subset_codes(d).reshape(splits).T, self._subset_codes(self.k - d).reshape(splits)[::-1].T
+
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """Every vertex's link: the (k-1)-sets U for which U + {v} is an edge.
 
         ``codes[indptr[v]:indptr[v + 1]]`` are the codes of v's link sets in
         ascending order and the same slice of ``ids`` the ids of the edges
         U + {v}.  Built on first use and cached.  The codes come from
-        ``_subset_codes(k - 1)``, so graphs with more than
+        ``split_codes(1)``, so graphs with more than
         DEFAULT_DEGREE_WORK_LIMIT / k edges raise ResourceLimitError.
         """
         cached = self._cache.get("links")
         if cached is None:
-            k = self.k
-            # Block k-1-j of the (k-1)-subset codes drops column j; edge-major,
-            # entry j of each edge is the code of the edge without its j-th vertex.
-            without = self._subset_codes(k - 1).reshape(k, self.num_edges)[::-1].T.ravel()
-            order = np.lexsort((without, self.edge_verts.ravel()))
-            cached = self._cache["links"] = _frozen(without[order], order // k)
+            vertex, without = (codes.ravel() for codes in self.split_codes(1))
+            order = np.lexsort((without, vertex))
+            cached = self._cache["links"] = _frozen(without[order], order // self.k)
         return cached
 
 

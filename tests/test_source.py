@@ -132,6 +132,21 @@ def test_no_blas_in_the_package():
     assert found == []
 
 
+def test_graph_indices_are_built_in_hypergraph():
+    # ids are grouped by ``hypergraph.group`` and edges split by
+    # ``Hypergraph.split_codes``: only hypergraph.py sorts ids or reads the
+    # column-split layout of ``_subset_codes``
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and loaded_names(ast.Expression(node.func)) & {"argsort", "lexsort"}:
+                found.append((path.name, f"{path.name}:{node.lineno} {ast.unparse(node.func)}"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "_subset_codes":
+                found.append((path.name, f"{path.name}:{node.lineno} ._subset_codes"))
+    assert [where for module, where in found if module != "hypergraph.py"] == []
+    assert {module for module, _ in found} == {"hypergraph.py"}
+
+
 def dataclass_fields():
     """{class name: its field names} for every dataclass of the package."""
     fields = {}
