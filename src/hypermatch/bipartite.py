@@ -78,8 +78,8 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
     Requires k/2 <= d <= k-1 (the entropy bound's hypothesis).  Each edge
     splits into a d-subset U and the (k-d)-subset W of its other vertices,
     once per choice of d of its columns; the quotient edges list these
-    splits edge by edge.  Both side minima of the bipartite degree are
-    computed directly and the attaining side is recorded.
+    splits edge by edge.  The side minima of the bipartite degree are
+    delta_d(G) mult_b and delta_{k-d}(G) mult_a, and the attaining side is recorded.
     """
     n, k = G.n, G.k
     _check_degree_order(d, k)
@@ -93,8 +93,9 @@ def lift(G: Hypergraph, d: int) -> BipartiteLift:
     mult_a = comb(n, k - d)
     mult_b = comb(n, d)
     n_tilde = comb(n, d) * comb(n, k - d)
-    min_a = int(np.bincount(ai, minlength=a_subsets.size).min()) * mult_b if a_subsets.size else 0
-    min_b = int(np.bincount(bi, minlength=b_subsets.size).min()) * mult_a if b_subsets.size else 0
+    # Each edge at a d-subset U has one split with d-part U: U's copies have degree deg(U) mult_b.
+    min_a = min_d_degree(G, d) * mult_b
+    min_b = min_d_degree(G, k - d) * mult_a
     attained = "both" if min_a == min_b else ("A" if min_a < min_b else "B")
     return BipartiteLift(
         source_digest=G.digest(),

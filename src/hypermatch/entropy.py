@@ -69,12 +69,10 @@ class EdgeWeights:
     @classmethod
     def _checked(cls, w: np.ndarray, graph_digest: str) -> "EdgeWeights":
         """Check that the float array w is finite and in [0, 1], freeze it
-        (the result owns it) and compute its entropy."""
+        (the result owns it) and compute its entropy, which refuses a negative weight."""
         if w.size:
             if not np.isfinite(w).all():
                 raise InvalidArgumentError("weights must be finite")
-            if float(w.min()) < 0.0:
-                raise InvalidArgumentError(f"negative weight {float(w.min())!r}")
             if float(w.max()) > 1.0 + 1e-9:
                 raise InvalidArgumentError(f"weight {float(w.max())!r} exceeds 1")
         w.flags.writeable = False

@@ -82,20 +82,33 @@ def _ascending(rows: np.ndarray) -> bool:
     return all((rows[:, j] < rows[:, j + 1]).all() for j in range(rows.shape[1] - 1))
 
 
-def _edge_rows(k: int, n: int, edges) -> np.ndarray:
-    """The edges as ascending int64 rows.
+def _first_bad_edge(k: int, n: int, edges: Sequence) -> Optional[tuple[int, str]]:
+    """(position, message) of the first edge that is not a set of k distinct integer (not bool)
+    vertices, has a vertex outside [0, n) or repeats an earlier edge; None if all are good."""
+    seen: set[tuple[int, ...]] = set()
+    for pos, given in enumerate(edges):
+        try:
+            if any(isinstance(v, bool) for v in given):
+                raise TypeError
+            e = tuple(sorted(map(operator.index, given)))
+        except TypeError:
+            shown = tuple(given) if isinstance(given, Iterable) else given
+            return pos, f"edge {shown} is not a set of {k} integer vertices"
+        if len(e) != k or len(set(e)) != k:
+            return pos, f"edge {tuple(given)} is not a set of {k} distinct vertices"
+        if e[0] < 0 or e[-1] >= n:
+            return pos, f"edge {e} has a vertex outside [0, {n})"
+        if e in seen:
+            return pos, f"duplicate edge {e}"
+        seen.add(e)
+    return None
 
-    Raises InvalidArgumentError for the first bad edge in input order: one
-    that is not a set of k distinct integer vertices, has a vertex outside
-    [0, n) or repeats an earlier edge.
-    """
-    raw = edges if isinstance(edges, np.ndarray) else list(edges)
-    try:
-        rows = np.asarray(raw)
-    except ValueError:  # ragged rows
-        rows = None
-    if rows is not None and rows.ndim == 2 and rows.shape[1] == k and np.can_cast(rows.dtype, np.int64):
-        rows = rows.astype(np.int64)
+
+def _edge_rows(k: int, n: int, edges) -> np.ndarray:
+    """The edges as ascending int64 rows.  An integer array of good edges is checked
+    vectorised; other input, or a bad edge, edge by edge: the first bad one raises."""
+    if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == k and edges.dtype.kind in "iu":
+        rows = edges.astype(np.int64)
         if not _ascending(rows):
             rows.sort(axis=1)
         if not rows.size or (_ascending(rows) and rows.min() >= 0 and rows.max() < n):
@@ -103,24 +116,11 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
             codes = encode(rows, n)
             if (np.diff(codes) > 0).all() or (np.diff(np.sort(codes)) > 0).all():
                 return rows
-    # Irregular input or a bad edge: convert edge by edge, naming the first bad one.
-    canon: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for given in raw.tolist() if isinstance(raw, np.ndarray) else raw:
-        try:
-            e = tuple(sorted(map(operator.index, given)))
-        except TypeError:
-            shown = tuple(given) if isinstance(given, Iterable) else given
-            raise InvalidArgumentError(f"edge {shown} is not a set of {k} integer vertices") from None
-        if len(e) != k or len(set(e)) != k:
-            raise InvalidArgumentError(f"edge {tuple(given)} is not a set of {k} distinct vertices")
-        if e[0] < 0 or e[-1] >= n:
-            raise InvalidArgumentError(f"edge {e} has a vertex outside [0, {n})")
-        if e in seen:
-            raise InvalidArgumentError(f"duplicate edge {e}")
-        seen.add(e)
-        canon.append(e)
-    return np.array(canon, dtype=np.int64).reshape(len(canon), k)
+    raw = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    bad = _first_bad_edge(k, n, raw)
+    if bad is not None:
+        raise InvalidArgumentError(bad[1])
+    return np.array([sorted(map(operator.index, e)) for e in raw], dtype=np.int64).reshape(len(raw), k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +128,9 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1, with read-only numpy arrays.
 
     ``incidence[indptr[v]:indptr[v + 1]]`` lists the ids of the edges at
-    vertex v in ascending order, the edge rows grouped by ``group``.  The
-    sorted subset codes of each size, the vertex links and the digest are
-    built on first use and kept in one cache.
+    vertex v in ascending order, the edge rows grouped by ``group``.  The subset codes of
+    each size (encoded once, sorted once), the vertex links and the digest are built on
+    first use and kept read-only in one cache, which only ``_kept`` writes.
     """
 
     k: int
@@ -188,31 +188,31 @@ class Hypergraph:
         body = tokens[self.edge_verts, [0] * (self.k - 1) + [1]].view(np.uint8).ravel()
         return f"{self.k} {self.n}\n" + body[body != 0].tobytes().decode()
 
+    def _kept(self, key, build):
+        """The value cached under key, from build() on first use; the one writer of the cache."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
     def digest(self) -> str:
         """SHA-256 of the canonical text; identifies graph content and edge order."""
-        cached = self._cache.get("digest")
-        if cached is None:
-            text = self.canonical_text().encode()
-            cached = self._cache["digest"] = hashlib.sha256(text).hexdigest()
-        return cached
+        return self._kept("digest", lambda: hashlib.sha256(self.canonical_text().encode()).hexdigest())
 
     def subset_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the d-subsets of all edges, ascending, with their edge ids.
 
         m C(k, d) entries; a d-set's code repeats once per edge containing it.
-        Built on first use per d and cached.
+        A stable argsort of ``_subset_codes(d)``, built on first use per d and cached.
         """
-        cached = self._cache.get(d)
-        if cached is None:
-            codes = self._subset_codes(d)
-            order = np.argsort(codes, kind="stable")
-            cached = self._cache[d] = _frozen(codes[order], order % max(1, self.num_edges))
-        return cached
+        codes = self._subset_codes(d)
+        return self._kept(("sorted", d), lambda: _frozen(
+            codes[(order := np.argsort(codes, kind="stable"))], order % max(1, self.num_edges)))
 
     def _subset_codes(self, d: int) -> np.ndarray:
         """The codes of the d-subsets of all edges, one block of m per column choice in
-        ``itertools.combinations(range(k), d)`` order; raises ResourceLimitError when
-        m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT."""
+        ``itertools.combinations(range(k), d)`` order, encoded once per d and cached;
+        raises ResourceLimitError when m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT."""
         work = self.num_edges * comb(self.k, d)
         if work > DEFAULT_DEGREE_WORK_LIMIT:
             raise ResourceLimitError(
@@ -220,12 +220,13 @@ class Hypergraph:
                 f"{DEFAULT_DEGREE_WORK_LIMIT:.0e}"
             )
         cols = itertools.combinations(range(self.k), d)
-        return np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols])
+        return self._kept(("codes", d), lambda: _frozen(
+            np.concatenate([encode(self.edge_verts[:, list(c)], self.n) for c in cols]))[0])
 
     def split_codes(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(part, rest), each (m, C(k, d)), for 1 <= d <= k - 1: ``part[e, j]`` is the code of
         edge e's j-th choice of d columns, in ``itertools.combinations`` order, and
-        ``rest[e, j]`` the code of its other k - d vertices."""
+        ``rest[e, j]`` the code of its other k - d vertices.  Read-only views of the cached codes."""
         splits = (comb(self.k, d), self.num_edges)
         return self._subset_codes(d).reshape(splits).T, self._subset_codes(self.k - d).reshape(splits)[::-1].T
 
@@ -234,16 +235,18 @@ class Hypergraph:
 
         ``codes[indptr[v]:indptr[v + 1]]`` are the codes of v's link sets in
         ascending order and the same slice of ``ids`` the ids of the edges
-        U + {v}.  Built on first use and cached.  The codes come from
-        ``split_codes(1)``, so graphs with more than
-        DEFAULT_DEGREE_WORK_LIMIT / k edges raise ResourceLimitError.
+        U + {v}.  Built on first use and cached.  Each slot of ``edge_verts`` is paired
+        with the code of its edge's other k - 1 vertices (``split_codes(1)``'s rest), so
+        graphs with more than DEFAULT_DEGREE_WORK_LIMIT / k edges raise ResourceLimitError.
         """
-        cached = self._cache.get("links")
-        if cached is None:
-            vertex, without = (codes.ravel() for codes in self.split_codes(1))
-            order = np.lexsort((without, vertex))
-            cached = self._cache["links"] = _frozen(without[order], order // self.k)
-        return cached
+
+        def build():
+            # Block j of the (k-1)-subset codes leaves out column k-1-j.
+            without = self._subset_codes(self.k - 1).reshape(self.k, self.num_edges)[::-1].T.ravel()
+            order = np.lexsort((without, self.edge_verts.ravel()))
+            return _frozen(without[order], order // self.k)
+
+        return self._kept("links", build)
 
 
 @dataclass(frozen=True)
@@ -348,8 +351,7 @@ def min_d_degree(G: Hypergraph, d: int) -> int:
     """Minimum over all d-sets S of the number of edges containing S, from the
     d-subset codes of all edges.
 
-    Zero when some d-set is in no edge, else the shortest run of equal codes.
-    The sorted codes are not cached on the graph.
+    Zero when some d-set is in no edge, else the shortest run in a sort of the cached codes.
     """
     if not 0 <= d <= G.k - 1:
         raise InvalidArgumentError(f"d={d} outside [0, {G.k - 1}]")
@@ -477,10 +479,9 @@ def _text_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def read_hypergraph(path: str) -> Hypergraph:
-    """Parse a .khg file; raises ParseError with the offending line number."""
+    """Parse a .khg file; raises ParseError with the line number of the first bad line."""
     k = n = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    edges, lines, error = [], [], None  # error: (message, line) of a line breaking the format's own rules
     for lineno, raw in _text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -488,7 +489,8 @@ def read_hypergraph(path: str) -> Hypergraph:
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:
-            raise ParseError("non-integer token", path, lineno)
+            error = ("non-integer token", lineno)
+            break
         if k is None:
             if len(values) != 2:
                 raise ParseError("header must be 'k n'", path, lineno)
@@ -496,17 +498,16 @@ def read_hypergraph(path: str) -> Hypergraph:
             if k < 2 or n < 0:
                 raise ParseError(f"invalid header k={k} n={n}", path, lineno)
             continue
-        if len(values) != k:
-            raise ParseError(f"edge has {len(values)} vertices, expected {k}", path, lineno)
-        if any(values[i] >= values[i + 1] for i in range(k - 1)):
-            raise ParseError("edge vertices must be strictly ascending", path, lineno)
-        if values[0] < 0 or values[-1] >= n:
-            raise ParseError(f"vertex outside [0, {n})", path, lineno)
-        e = tuple(values)
-        if e in seen:
-            raise ParseError(f"duplicate edge {e}", path, lineno)
-        seen.add(e)
-        edges.append(e)
+        if any(a >= b for a, b in zip(values, values[1:])):
+            error = ("edge vertices must be strictly ascending", lineno)
+            break
+        edges.append(values)
+        lines.append(lineno)
+    bad = _first_bad_edge(k, n, edges)
+    if bad is not None:
+        raise ParseError(bad[1], path, lines[bad[0]])
+    if error is not None:
+        raise ParseError(error[0], path, error[1])
     if k is None:
         raise ParseError("empty file", path, 0)
-    return Hypergraph(k, n, edges)
+    return Hypergraph(k, n, np.array(edges, dtype=np.int64).reshape(len(edges), k))

@@ -93,6 +93,10 @@ class TestHypergraph:
             ([(0, 1, None)], "edge (0, 1, None) is not a set of 3 integer vertices"),
             ([(0, 1, float("nan"))], "edge (0, 1, nan) is not a set of 3 integer vertices"),
             ([(0, 1, 2), 5], "edge 5 is not a set of 3 integer vertices"),
+            # a bool is not a vertex, in a list or in an array
+            ([(False, 1, 2)], "edge (False, 1, 2) is not a set of 3 integer vertices"),
+            ([(0, 1, True)], "edge (0, 1, True) is not a set of 3 integer vertices"),
+            (np.array([[False, True, True]]), "edge (False, True, True) is not a set of 3 integer vertices"),
         ],
     )
     def test_first_bad_edge_reported(self, edges, message):
@@ -108,7 +112,7 @@ class TestHypergraph:
 
     def test_accepts_empty_and_unsorted(self):
         assert Hypergraph(3, 6, []).num_edges == 0
-        G = Hypergraph(np.int64(3), np.int64(6), [(np.int64(2), 0, True)])
+        G = Hypergraph(np.int64(3), np.int64(6), [(np.int64(2), 0, np.int64(1))])
         assert (type(G.k), type(G.n), G.edges) == (int, int, ((0, 1, 2),))
         assert Hypergraph(3, 0, []).indptr.tolist() == [0]
         G = Hypergraph(3, 6, [(5, 0, 3), (4, 2, 1)])
@@ -225,6 +229,40 @@ class TestIndexBuilders:
                     U, W = decode(part[e, j], d, G.n), decode(rest[e, j], k - d, G.n)
                     assert U == tuple(edge[c] for c in cols)
                     assert not set(U) & set(W) and set(U) | set(W) == set(edge)
+
+    def test_each_subset_code_block_is_encoded_once(self, monkeypatch):
+        # the README n = 12 graph through every reader of the codes: each d
+        # used is encoded once, C(k, d) column blocks of width d
+        from hypermatch.bipartite import entropy_lower_bound, lift, matching_count_bound_report
+
+        params = DiracParams(2, 0.2)
+        G = Hypergraph(3, 12, gen_random_dirac(12, 3, params, 0.95, seed=7).edge_verts)  # a cold cache
+        widths = collections.Counter()
+
+        def counted(rows, n):
+            widths[rows.shape[1]] += 1
+            return encode(rows, n)
+
+        monkeypatch.setattr(hypergraph, "encode", counted)
+        degree_ratio_profile(G)
+        is_dirac(G, params)
+        entropy_lower_bound(G, 2)
+        matching_count_bound_report(G, params)
+        lift(G, 2)
+        lift(G, 2)
+        G.links()
+        assert widths == {1: comb(3, 1), 2: comb(3, 2)}
+
+    def test_cached_indices_are_read_only(self):
+        G = gen_random_dirac(12, 3, DiracParams(2, 0.2), 0.95, seed=7)
+        degree_ratio_profile(G)
+        returned = [*G.split_codes(1), *G.split_codes(2), *G.subset_codes(2), *G.links(), G.digest()]
+        cached = [a for value in G._cache.values() for a in (value if isinstance(value, tuple) else [value])]
+        arrays = [a for a in returned + cached if isinstance(a, np.ndarray)]
+        assert len(arrays) == 14 and not any(a.flags.writeable for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
 
 
 class TestDegrees:
@@ -467,3 +505,19 @@ class TestFileFormat:
         with pytest.raises(ParseError) as err:
             read_hypergraph(str(path))
         assert err.value.line == lineno
+
+    @pytest.mark.parametrize(
+        "body, lineno, message",
+        [
+            ("2 4\n0 9\n1 0\n", 2, "edge (0, 9) has a vertex outside [0, 4)"),
+            ("2 4\n0 1\n1 0\n0 1\n", 3, "edge vertices must be strictly ascending"),
+            ("3 6\n0 1 2\n0 1\n3 x 5\n", 3, "edge (0, 1) is not a set of 3 distinct vertices"),
+        ],
+    )
+    def test_first_bad_line_reported(self, tmp_path, body, lineno, message):
+        # the edge rule and the format's own rules together name the earliest bad line
+        path = tmp_path / "bad.khg"
+        path.write_text(body)
+        with pytest.raises(ParseError) as err:
+            read_hypergraph(str(path))
+        assert (err.value.line, str(err.value)) == (lineno, f"{path}:{lineno}: {message}")

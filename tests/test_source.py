@@ -147,6 +147,23 @@ def test_graph_indices_are_built_in_hypergraph():
     assert {module for module, _ in found} == {"hypergraph.py"}
 
 
+def test_one_writer_of_the_graph_cache():
+    # every cached graph index goes through ``Hypergraph._kept``: no other
+    # function stores into ``_cache[...]`` or calls a method of it but ``get``
+    writers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                stored = isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                called = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr != "get"
+                target = node.value if stored else node.func.value if called else None
+                if isinstance(target, ast.Attribute) and target.attr == "_cache":
+                    writers.add(f"{path.name}:{func.name}")
+    assert writers == {"hypergraph.py:_kept"}
+
+
 def dataclass_fields():
     """{class name: its field names} for every dataclass of the package."""
     fields = {}
