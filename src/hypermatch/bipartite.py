@@ -250,12 +250,7 @@ def certify_entropy_lower_bound(G: Hypergraph, d: int, solved=None) -> dict:
     }
 
 
-def matching_count_bound_report(
-    G: Hypergraph,
-    params: DiracParams,
-    alpha=None,
-    solved=None,
-) -> dict:
+def matching_count_bound_report(G: Hypergraph, params: DiracParams, solved=None) -> dict:
     """Matching-count lower-bound arithmetic around p = delta_d / C(n-d, k-d).
 
     Reports ln Phi(G) (exact when n is under the counting cap, otherwise the
@@ -295,7 +290,7 @@ def matching_count_bound_report(
         "k": k,
         "d": d,
         "gamma": params.gamma,
-        "dirac": bool(is_dirac(G, params, alpha)),
+        "dirac": bool(is_dirac(G, params)),
         "delta_d": delta,
         "p": p,
         "phi_complete": str(phi_complete_value),

@@ -92,15 +92,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _dirac_options(args) -> tuple[Optional[DiracParams], Optional[AlphaTable]]:
-    """The Dirac parameters of ``--d`` and ``--gamma`` and the ``--alpha-table``, each None
-    when not given; a lone ``--d`` or ``--gamma``, or a table without both, is refused."""
+def _dirac_options(args) -> Optional[DiracParams]:
+    """The Dirac condition of ``--d``, ``--gamma`` and the ``--alpha-table``, None without
+    ``--d``; a lone ``--d`` or ``--gamma``, or a table without both, is refused."""
     if (args.d is None) != (args.gamma is None):
         raise InvalidArgumentError("--d and --gamma must be given together")
     if args.alpha_table and args.d is None:
         raise InvalidArgumentError("--alpha-table needs --d and --gamma")
-    dirac = None if args.d is None else DiracParams(args.d, args.gamma)
-    return dirac, (AlphaTable.from_file(args.alpha_table) if args.alpha_table else None)
+    if args.d is None:
+        return None
+    dirac = DiracParams(args.d, args.gamma)  # d and gamma are checked before the table is read
+    if args.alpha_table:
+        dirac = dataclasses.replace(dirac, alpha=AlphaTable.from_file(args.alpha_table))
+    return dirac
 
 
 def _command(handler):
@@ -153,10 +157,10 @@ def _cmd_gen(args, _, comments):
             raise InvalidArgumentError("--complete takes no --" + ", --".join(unused).replace("_", "-"))
         G = gen_complete(args.n, args.k)
     else:
-        dirac, alpha = _dirac_options(args)
+        dirac = _dirac_options(args)
         if args.seed is None or dirac is None or args.density is None:
             raise InvalidArgumentError("random generation needs --density, --d, --gamma and --seed")
-        G = gen_random_dirac(args.n, args.k, dirac, args.density, args.seed, alpha=alpha)
+        G = gen_random_dirac(args.n, args.k, dirac, args.density, args.seed)
     path = os.path.join(args.out, "graph.khg")
     write_hypergraph(G, path, header_comments=comments)
     report = {"graph": "graph.khg", "n": G.n, "k": G.k, "num_edges": G.num_edges,
@@ -166,7 +170,7 @@ def _cmd_gen(args, _, comments):
 
 @_command
 def _cmd_degrees(args, G, comments):
-    dirac, alpha = _dirac_options(args)
+    dirac = _dirac_options(args)
     profile = degree_ratio_profile(G)
     report = {
         "n": G.n,
@@ -180,7 +184,7 @@ def _cmd_degrees(args, G, comments):
         ),
     }
     if dirac is not None:
-        report["dirac"] = bool(is_dirac(G, dirac, alpha))
+        report["dirac"] = bool(is_dirac(G, dirac))
     return "degrees.json", report, f"wrote {os.path.join(args.out, 'degrees.json')}"
 
 
@@ -208,11 +212,11 @@ def _cmd_entropy(args, G, comments):
 
 @_command
 def _cmd_count(args, G, comments):
-    dirac, alpha = _dirac_options(args)
+    dirac = _dirac_options(args)
     result = count_pm(G)
     report = {"value": str(result.value), "note": result.note, "graph_digest": result.graph_digest}
     if dirac is not None:
-        report["entropy_comparison"] = verify_count_vs_entropy(G, dirac, alpha, count=result)
+        report["entropy_comparison"] = verify_count_vs_entropy(G, dirac, count=result)
     return "count.json", report, json.dumps({"value": str(result.value)})
 
 
@@ -227,10 +231,10 @@ def _cmd_marginals(args, G, comments):
 
 @_command
 def _cmd_anneal(args, G, comments):
-    dirac, alpha = _dirac_options(args)
+    dirac = _dirac_options(args)
     x_star, _ = max_entropy_fpm(G)
     x_hat, hat_report = well_distributed_fpm(G, dirac, seed=args.seed, trials=args.trials)
-    hat_report["dirac"] = bool(is_dirac(G, dirac, alpha))
+    hat_report["dirac"] = bool(is_dirac(G, dirac))
     C = max(1.0, well_distributed_factor(G, x_hat))
     if args.auto:
         params = auto_anneal_params(G, args.gamma, args.epsilon, C, max_steps=args.max_steps)
@@ -298,12 +302,12 @@ def _cmd_greedy(args, G, comments):
 
 @_command
 def _cmd_bound(args, G, comments):
-    dirac, alpha = _dirac_options(args)
+    dirac = _dirac_options(args)
     solved = max_entropy_fpm(G)
     cert = certify_entropy_lower_bound(G, args.d, solved)
     report = {
         "certificate": cert,
-        "matching_count_bound": matching_count_bound_report(G, dirac, alpha=alpha, solved=solved),
+        "matching_count_bound": matching_count_bound_report(G, dirac, solved=solved),
     }
     return "bound_report.json", report, (
         f"bound {cert['bound']:.6g}  h_solver {cert['h_solver']:.6g}  "

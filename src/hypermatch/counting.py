@@ -52,7 +52,7 @@ import numpy as np
 
 from .entropy import EdgeWeights, as_verified, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
-from .hypergraph import AlphaTable, DiracParams, Hypergraph, group, is_dirac
+from .hypergraph import DiracParams, Hypergraph, group, is_dirac
 from .seeds import StreamWords, randbelow, rng_from
 
 # The exact oracle refuses graphs on more vertices than this.
@@ -217,8 +217,11 @@ class PMOracle:
         ``sample``'s (checked to telescope); ``StreamWords.randbelow`` draws
         as ``randbelow`` does.  Counts are below 2**44, so one ``searchsorted``
         on (state << 44 | running sum) picks the first edge whose sum exceeds
-        the draw, never one without completions.
+        the draw, never one without completions.  Trial t's stream key t must fit one
+        32-bit word, so ``trials`` is an integer (not bool) in [1, 2^32].
         """
+        if isinstance(trials, bool) or not (isinstance(trials, (int, np.integer)) and 1 <= trials <= 2**32):
+            raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials!r}")
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
         out = np.empty((trials, self.G.n // self.G.k), dtype=np.int64)
@@ -360,12 +363,7 @@ def entropy_identities_check(G: Hypergraph) -> tuple[EdgeWeights, dict]:
     }
 
 
-def verify_count_vs_entropy(
-    G: Hypergraph,
-    params: DiracParams,
-    alpha: Optional[AlphaTable] = None,
-    count: Optional[MatchingCount] = None,
-) -> dict:
+def verify_count_vs_entropy(G: Hypergraph, params: DiracParams, count: Optional[MatchingCount] = None) -> dict:
     """Exact ln Phi against the entropy-based prediction h - (1 - 1/k) n.
 
     The gap is reported as a residual per vertex; no pass/fail is attached
@@ -375,7 +373,7 @@ def verify_count_vs_entropy(
     """
     count = count or count_pm(G)
     warnings = []
-    if not is_dirac(G, params, alpha):
+    if not is_dirac(G, params):
         warnings.append(f"graph is not ({params.d},{params.gamma})-Dirac")
     solver_x, report = max_entropy_fpm(G)
     h = solver_x.entropy

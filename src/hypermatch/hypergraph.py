@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -105,8 +105,18 @@ def _first_bad_edge(k: int, n: int, edges: Sequence) -> Optional[tuple[int, str]
 
 
 def _edge_rows(k: int, n: int, edges) -> np.ndarray:
-    """The edges as ascending int64 rows.  An integer array of good edges is checked
-    vectorised; other input, or a bad edge, edge by edge: the first bad one raises."""
+    """The edges as ascending int64 rows.  An integer array of good edges, or a list that
+    ``np.asarray`` makes one and that holds no bool, is checked vectorised; other input,
+    or a bad edge, edge by edge as given: the first bad one raises."""
+    raw = None
+    if not isinstance(edges, np.ndarray):
+        raw = list(edges)
+        with suppress(ValueError):  # np.asarray refuses a ragged list
+            rows = np.asarray(raw)
+            # np.asarray reads a bool as 0 or 1, so the types are scanned for one
+            if rows.ndim == 2 and rows.dtype.kind in "iu" and {bool, np.bool_}.isdisjoint(
+                    map(type, itertools.chain.from_iterable(raw))):
+                edges = rows
     if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == k and edges.dtype.kind in "iu":
         rows = edges.astype(np.int64)
         if not _ascending(rows):
@@ -116,7 +126,7 @@ def _edge_rows(k: int, n: int, edges) -> np.ndarray:
             codes = encode(rows, n)
             if (np.diff(codes) > 0).all() or (np.diff(np.sort(codes)) > 0).all():
                 return rows
-    raw = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+    raw = edges.tolist() if raw is None else raw
     bad = _first_bad_edge(k, n, raw)
     if bad is not None:
         raise InvalidArgumentError(bad[1])
@@ -251,10 +261,12 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class DiracParams:
-    """Degree order d and slack gamma of a minimum-degree condition."""
+    """The minimum-degree condition delta_d >= (alpha_d(k) + gamma) C(n-d, k-d): degree
+    order d, slack gamma and the table of alpha_d(k), the built-in one when None."""
 
     d: int
     gamma: float
+    alpha: Optional[AlphaTable] = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -266,11 +278,11 @@ class DiracParams:
         if not 1 <= self.d <= k - 1:
             raise InvalidArgumentError(f"d={self.d} outside [1, {k - 1}] for k={k}")
 
-    def threshold(self, n: int, k: int, alpha: Optional["AlphaTable"] = None) -> float:
+    def threshold(self, n: int, k: int) -> float:
         """(alpha_d(k) + gamma) C(n-d, k-d), 0 for n < d: the least delta_d of a
-        (d, gamma)-Dirac k-graph on n vertices, alpha from the built-in table unless given."""
+        (d, gamma)-Dirac k-graph on n vertices, alpha_d(k) from this condition's table."""
         self.validate_for(k)
-        a = (alpha if alpha is not None else AlphaTable()).lookup(self.d, k)
+        a = (self.alpha or AlphaTable()).lookup(self.d, k)
         return (float(a) + self.gamma) * comb(max(n - self.d, 0), k - self.d)
 
 
@@ -376,9 +388,10 @@ def degree_ratio_profile(G: Hypergraph) -> list[Fraction]:
     return out
 
 
-def is_dirac(G: Hypergraph, params: DiracParams, alpha: Optional[AlphaTable] = None) -> bool:
-    """True iff k | n and delta_d(G) >= (alpha_d(k) + gamma) * C(n-d, k-d)."""
-    threshold = params.threshold(G.n, G.k, alpha)
+def is_dirac(G: Hypergraph, params: DiracParams) -> bool:
+    """True iff k | n and delta_d(G) >= (alpha_d(k) + gamma) * C(n-d, k-d), alpha_d(k)
+    from the table ``params`` carries."""
+    threshold = params.threshold(G.n, G.k)
     return G.n % G.k == 0 and min_d_degree(G, params.d) >= threshold
 
 
@@ -413,15 +426,9 @@ def gen_complete(n: int, k: int) -> Hypergraph:
 
 
 def gen_random_dirac(
-    n: int,
-    k: int,
-    params: DiracParams,
-    density: float,
-    seed: int,
-    alpha: Optional[AlphaTable] = None,
-    max_attempts: int = 64,
+    n: int, k: int, params: DiracParams, density: float, seed: int, max_attempts: int = 64
 ) -> Hypergraph:
-    """Random k-graph meeting the (d, gamma) minimum-degree condition.
+    """Random k-graph meeting the minimum-degree condition ``params``, its alpha table included.
 
     Attempt a uses stream (seed, a) and draws one uniform per k-set in
     lexicographic order, keeping the set when the draw is below ``density``;
@@ -431,7 +438,7 @@ def gen_random_dirac(
     params.validate_for(k)
     if n % k != 0:
         raise InvalidArgumentError(f"k={k} must divide n={n}")
-    needed = params.threshold(n, k, alpha)
+    needed = params.threshold(n, k)
     if not 0.0 < density <= 1.0:
         raise InvalidArgumentError(f"density {density} outside (0, 1]")
     # Densities at or below alpha+gamma cannot sustain the degree condition;

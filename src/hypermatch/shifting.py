@@ -415,9 +415,8 @@ def well_distributed_fpm(
     gamma <= 1/2, so T >= 1 needs n >= 20 k^2, far beyond the exact
     oracle's n <= 24; a (d, gamma) that gives T >= 1 is refused.  The
     report keeps ``prefix_rounds`` and ``resamples`` (both 0) and ``beta``.
+    ``sample_streams`` refuses a ``trials`` outside [1, 2^32].
     """
-    if not 1 <= trials <= 2**32:
-        raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials}")
     params.validate_for(G.k)
     beta = params.gamma / (10.0 * G.k * G.k)
     T = int(beta * G.n)

@@ -496,6 +496,16 @@ class TestLockstepStreams:
         # every count is 1, so no round draws a word
         assert redraws == [] and drawn == {}
 
+    @pytest.mark.parametrize("trials", [-1, 0, 2.5, "3", True, 2**32 + 1])
+    def test_trial_count_outside_the_key_range_refused(self, trials):
+        # trial t uses spawn key t, which must fit one 32-bit word
+        with pytest.raises(InvalidArgumentError, match=r"trials must be in \[1, 2\^32\]"):
+            PMOracle(gen_complete(6, 3)).sample_streams(0, trials)
+
+    def test_numpy_integer_trial_count(self):
+        oracle = PMOracle(gen_complete(6, 3))
+        assert oracle.sample_streams(0, np.int64(7)).tolist() == oracle.sample_streams(0, 7).tolist()
+
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["DIRAC_15"])
     def test_transitions_come_in_edge_id_order_per_parent(self, name):
         # sample_streams orders a round's transitions by a stable sort on

@@ -104,6 +104,16 @@ class TestHypergraph:
             Hypergraph(3, 6, edges)
         assert str(err.value) == message
 
+    def test_integer_lists_are_checked_vectorised(self, monkeypatch):
+        # a good list of integer tuples takes the array path, as its array does
+        calls = []
+        monkeypatch.setattr(hypergraph, "_first_bad_edge", lambda *args: calls.append(args))
+        rows = list(itertools.combinations(range(9), 3))[::-1]
+        for edges in (rows, [tuple(map(np.int64, e)) for e in rows], [list(e)[::-1] for e in rows]):
+            G = Hypergraph(3, 9, edges)
+            assert G.edge_verts.tolist() == [list(e) for e in rows]
+        assert calls == []
+
     @pytest.mark.parametrize("k, n", [(3.0, 9), (3, 9.5), ("3", 9), (3, None), (np.float64(3), 9)])
     def test_non_integer_k_or_n_refused(self, k, n):
         with pytest.raises(InvalidArgumentError) as err:
@@ -388,7 +398,7 @@ class TestDirac:
         params = DiracParams(2, 0.2)
         assert params.threshold(12, 3) == (0.5 + 0.2) * comb(10, 1)
         table = AlphaTable({(1, 3): Fraction(2, 3)})
-        assert DiracParams(1, 0.1).threshold(9, 3, table) == (float(Fraction(2, 3)) + 0.1) * comb(8, 2)
+        assert DiracParams(1, 0.1, table).threshold(9, 3) == (float(Fraction(2, 3)) + 0.1) * comb(8, 2)
         assert DiracParams(2, 0.2).threshold(1, 3) == 0.0  # no 2-set of one vertex
 
     def test_is_dirac_and_gen_meet_the_threshold(self):

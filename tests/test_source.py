@@ -1,7 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import hypermatch
 
@@ -29,20 +36,69 @@ def test_no_assert_statements():
     assert len(list(SOURCE.glob("*.py"))) >= 10
 
 
-def test_every_export_is_used_by_the_package():
-    # a public name that only its own tests call belongs in the tests
-    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    loaded = set()
+def test_every_public_name_is_read_by_the_package():
+    # a public function, class or method that only its own tests call belongs
+    # in the tests
+    public, loaded = {}, set()  # {where: name}
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name != "__init__.py":
-            loaded |= loaded_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    assert sorted(exported - loaded) == []
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        loaded |= loaded_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                public |= {f"{path.name} {node.name}.{item.name}": item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public[f"{path.name} {node.name}"] = node.name
+    assert len(public) >= 120
+    assert [where for where, name in public.items() if name not in loaded] == []
+
+
+# The package modules each module loads, itself included: the import graph
+# has no cycle, and only ``cli`` and ``acceptance`` load every layer.
+BASE = {"errors", "seeds", "hypergraph"}
+LOADS = {
+    "errors": {"errors"},
+    "seeds": {"errors", "seeds"},
+    "hypergraph": BASE,
+    "entropy": BASE | {"entropy"},
+    "counting": BASE | {"entropy", "counting"},
+    "greedy": BASE | {"entropy", "greedy"},
+    "shifting": BASE | {"entropy", "counting", "shifting"},
+    "bipartite": BASE | {"entropy", "counting", "bipartite"},
+    "acceptance": BASE | {"entropy", "counting", "greedy", "shifting", "bipartite", "acceptance"},
+    "cli": BASE | {"entropy", "counting", "greedy", "shifting", "bipartite", "acceptance", "cli"},
+}
+
+IMPORT_CHILD = """
+import importlib, json, sys
+loaded = {}
+for name in sys.argv[1:]:
+    for key in [key for key in sys.modules if key.split(".")[0] == "hypermatch"]:
+        del sys.modules[key]
+    importlib.import_module("hypermatch." + name)
+    loaded[name] = sorted(key.split(".")[1] for key in sys.modules if key.startswith("hypermatch."))
+print(json.dumps(loaded))
+"""
+
+
+def test_each_module_loads_only_its_layers():
+    # a module imported alone, in a fresh interpreter, loads the modules it
+    # needs and no others: the package ``__init__`` imports none
+    assert set(LOADS) == {path.stem for path in SOURCE.glob("*.py")} - {"__init__"}
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD, *LOADS], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert {name: set(loaded) for name, loaded in json.loads(child.stdout).items()} == LOADS
+
+
+def test_console_script_resolves_to_the_cli():
+    # ``pip install`` makes the ``hypermatch`` command from ``[project.scripts]``
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"hypermatch": "hypermatch.cli:main"}
+    module, _, attr = scripts["hypermatch"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_no_unused_imports():
