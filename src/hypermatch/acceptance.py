@@ -48,6 +48,7 @@ from .entropy import (
     convex_combine,
     dual_value,
     jensen_bounds,
+    ln_phi_entropy_route,
     max_entropy_fpm,
     vertex_sums,
     well_distributed_factor,
@@ -394,17 +395,12 @@ def _suite_under_12(extra_random: int = 10) -> list[Hypergraph]:
 @_criterion("7 marginal-entropy inequality")
 def criterion_7_marginal_inequalities():
     """k h(marginals) >= ln Phi and solver dominance on every n <= 12 instance."""
-    worst_margin = math.inf
-    worst_dom = math.inf
-    checked = 0
-    for G in _suite_under_12():
-        _, report = entropy_identities_check(G)
-        worst_margin = min(worst_margin, report["k_h_marginals"] - report["ln_phi"])
-        worst_dom = min(worst_dom, report["h_solver"] - report["h_marginals"])
-        checked += 1
-    ok = worst_margin >= -1e-9 and worst_dom >= -1e-6
+    reports = [entropy_identities_check(G)[1] for G in _suite_under_12()]
+    worst_margin = min(r["k_h_marginals"] - r["ln_phi"] for r in reports)
+    worst_dom = min(r["h_solver"] - r["h_marginals"] for r in reports)
+    ok = all(r["marginal_inequality_ok"] and r["solver_dominance_ok"] for r in reports)
     return ok, (
-        f"{checked} instances; min(k h(marg) - ln Phi) = {worst_margin:.4g}; "
+        f"{len(reports)} instances; min(k h(marg) - ln Phi) = {worst_margin:.4g}; "
         f"min(h_solver - h(marg)) = {worst_dom:.3g}"
     )
 
@@ -440,12 +436,12 @@ def criterion_8_entropy_bound_certificates(instances: int = 50):
 
 
 def _residual_per_n(G: Hypergraph) -> tuple[float, float]:
-    """r(n)/n and r_cert(n)/n of a 3-graph: r(n) = ln Phi - (h* - (2/3) n), and
+    """r(n)/n and r_cert(n)/n: r(n) = ln Phi - ln_phi_entropy_route(h*, n, k), and
     r_cert(n) puts the solver's dual value g(lambda) >= h* in place of h*."""
     x, solve = max_entropy_fpm(G)
     ln_phi = math.log(count_pm(G).value)
     h_values = (x.entropy, dual_value(G, solve.potentials))
-    return tuple((ln_phi - (h - (2.0 / 3.0) * G.n)) / G.n for h in h_values)
+    return tuple((ln_phi - ln_phi_entropy_route(h, G.n, G.k)) / G.n for h in h_values)
 
 
 @_criterion("9 residual trend")

@@ -30,6 +30,7 @@ from .entropy import (
     EdgeWeights,
     ScalingResult,
     as_verified,
+    ln_phi_entropy_route,
     max_entropy_fpm,
     scale_to_unit_sums,
     weight_entropy,
@@ -253,8 +254,8 @@ def certify_entropy_lower_bound(G: Hypergraph, d: int, solved=None) -> dict:
 def matching_count_bound_report(G: Hypergraph, params: DiracParams, solved=None) -> dict:
     """Matching-count lower-bound arithmetic around p = delta_d / C(n-d, k-d).
 
-    Reports ln Phi(G) (exact when n is under the counting cap, otherwise the
-    entropy-route value h - (1 - 1/k) n), the target
+    Reports ln Phi(G) (exact when n is under the counting cap, otherwise
+    ``ln_phi_entropy_route`` of the solver's entropy), the target
     ln Phi(K_n^{(k)}) + (n/k) ln p, and the Stirling-chain intermediates of
     the deduction for audit.  Residuals carry no pass/fail: the statement is
     asymptotic.  ``solved`` is ``max_entropy_fpm(G)`` if the caller
@@ -271,20 +272,16 @@ def matching_count_bound_report(G: Hypergraph, params: DiracParams, solved=None)
         value = count_pm(G).value
         exact = math.log(value) if value > 0 else -math.inf
     x_star, _ = solved or max_entropy_fpm(G)
-    entropy_route = x_star.entropy - (1.0 - 1.0 / k) * n
+    entropy_route = ln_phi_entropy_route(x_star.entropy, n, k)
     ln_phi = exact if exact is not None else entropy_route
-    # Stirling-chain intermediates of the deduction, evaluated numerically.
-    bound_line = (n / k) * math.log((k / n) * (comb(n, d) / comb(k, d)) * comb(n - d, k - d) * p) - (
-        1 - 1 / k
-    ) * n if p > 0 else -math.inf
-    merged_line = (n / k) * math.log((k / n) * comb(n, k) * p) - (1 - 1 / k) * n if p > 0 else -math.inf
-    expanded_line = (
-        (n / k) * math.log(k / n)
-        + n * math.log(n)
-        - (n / k) * math.log(math.factorial(k))
-        + (n / k) * math.log(p)
-        - (1 - 1 / k) * n
-    ) if p > 0 else -math.inf
+    # Stirling-chain intermediates of the deduction, evaluated numerically: three forms of
+    # the entropy bound, each carried to ln Phi by the entropy route.
+    chain = (
+        (n / k) * math.log((k / n) * (comb(n, d) / comb(k, d)) * comb(n - d, k - d) * p),
+        (n / k) * math.log((k / n) * comb(n, k) * p),
+        (n / k) * math.log(k / n) + n * math.log(n) - (n / k) * math.log(math.factorial(k)) + (n / k) * math.log(p),
+    ) if p > 0 else (-math.inf,) * 3
+    bound_line, merged_line, expanded_line = (ln_phi_entropy_route(h, n, k) for h in chain)
     return {
         "n": n,
         "k": k,

@@ -50,8 +50,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .entropy import EdgeWeights, as_verified, max_entropy_fpm
-from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError
+from .entropy import EdgeWeights, as_verified, ln_phi_entropy_route, max_entropy_fpm
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError, is_int
 from .hypergraph import DiracParams, Hypergraph, group, is_dirac
 from .seeds import StreamWords, randbelow, rng_from
 
@@ -220,7 +220,7 @@ class PMOracle:
         the draw, never one without completions.  Trial t's stream key t must fit one
         32-bit word, so ``trials`` is an integer (not bool) in [1, 2^32].
         """
-        if isinstance(trials, bool) or not (isinstance(trials, (int, np.integer)) and 1 <= trials <= 2**32):
+        if not (is_int(trials) and 1 <= trials <= 2**32):
             raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials!r}")
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
@@ -364,7 +364,7 @@ def entropy_identities_check(G: Hypergraph) -> tuple[EdgeWeights, dict]:
 
 
 def verify_count_vs_entropy(G: Hypergraph, params: DiracParams, count: Optional[MatchingCount] = None) -> dict:
-    """Exact ln Phi against the entropy-based prediction h - (1 - 1/k) n.
+    """Exact ln Phi against the entropy-route prediction ``ln_phi_entropy_route(h, n, k)``.
 
     The gap is reported as a residual per vertex; no pass/fail is attached
     because the prediction is asymptotic.  Also reports the ordered-count
@@ -379,7 +379,7 @@ def verify_count_vs_entropy(G: Hypergraph, params: DiracParams, count: Optional[
     h = solver_x.entropy
     n, k = G.n, G.k
     ln_phi = math.log(count.value) if count.value > 0 else None
-    residual = None if ln_phi is None else ln_phi - (h - (1.0 - 1.0 / k) * n)
+    residual = None if ln_phi is None else ln_phi - ln_phi_entropy_route(h, n, k)
     s_exact = None if ln_phi is None else math.lgamma(n // k + 1) + ln_phi
     s_target = h + (n / k) * math.log(n / k) - n
     return {

@@ -143,6 +143,11 @@ def jensen_bounds(G: Hypergraph, L: float) -> tuple[float, float]:
     return upper, lower
 
 
+def ln_phi_entropy_route(h: float, n: int, k: int) -> float:
+    """h - (1 - 1/k) n: the leading-order ln Phi(G) that entropy h predicts above the Dirac threshold."""
+    return h - (1.0 - 1.0 / k) * n
+
+
 # ---------------------------------------------------------------------------
 # Proportional scaling core
 # ---------------------------------------------------------------------------

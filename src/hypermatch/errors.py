@@ -2,10 +2,13 @@
 
 Every error raised by this package derives from ``HypermatchError`` so
 callers (and the CLI) can report failures uniformly.  The subclasses map
-onto the distinct failure kinds of the public operations.
+onto the distinct failure kinds of the public operations.  ``is_int`` is
+the integer test the argument checks share.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class HypermatchError(Exception):
@@ -48,3 +51,8 @@ class SamplingError(HypermatchError):
 
 class InvariantError(HypermatchError):
     """A mathematical invariant of a computed result failed to hold."""
+
+
+def is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool is not an integer argument."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))

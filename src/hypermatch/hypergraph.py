@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, isfinite
+from numbers import Real
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
     ResourceLimitError,
+    is_int,
 )
 from .seeds import rng_from
 
@@ -152,10 +154,9 @@ class Hypergraph:
     _cache: dict = field(repr=False)
 
     def __init__(self, k: int, n: int, edges: Iterable[Sequence[int]]):
-        try:
-            k, n = operator.index(k), operator.index(n)
-        except TypeError:
-            raise InvalidArgumentError(f"uniformity k and vertex count n must be integers, got {k!r}, {n!r}") from None
+        if not (is_int(k) and is_int(n)):
+            raise InvalidArgumentError(f"uniformity k and vertex count n must be integers, got {k!r}, {n!r}")
+        k, n = int(k), int(n)
         if k < 2:
             raise InvalidArgumentError(f"uniformity k must be >= 2, got {k}")
         if n < 0:
@@ -221,8 +222,11 @@ class Hypergraph:
 
     def _subset_codes(self, d: int) -> np.ndarray:
         """The codes of the d-subsets of all edges, one block of m per column choice in
-        ``itertools.combinations(range(k), d)`` order, encoded once per d and cached;
-        raises ResourceLimitError when m C(k, d) exceeds DEFAULT_DEGREE_WORK_LIMIT."""
+        ``itertools.combinations(range(k), d)`` order, encoded once per d and cached, for an
+        integer 1 <= d <= k (d = k codes the edges); raises ResourceLimitError when m C(k, d)
+        exceeds DEFAULT_DEGREE_WORK_LIMIT."""
+        if not is_int(d) or not 1 <= d <= self.k:
+            raise InvalidArgumentError(f"subset size d={d!r} is not an integer in [1, {self.k}]")
         work = self.num_edges * comb(self.k, d)
         if work > DEFAULT_DEGREE_WORK_LIMIT:
             raise ResourceLimitError(
@@ -237,6 +241,8 @@ class Hypergraph:
         """(part, rest), each (m, C(k, d)), for 1 <= d <= k - 1: ``part[e, j]`` is the code of
         edge e's j-th choice of d columns, in ``itertools.combinations`` order, and
         ``rest[e, j]`` the code of its other k - d vertices.  Read-only views of the cached codes."""
+        if not is_int(d) or not 1 <= d <= self.k - 1:
+            raise InvalidArgumentError(f"split size d={d!r} is not an integer in [1, {self.k - 1}]")
         splits = (comb(self.k, d), self.num_edges)
         return self._subset_codes(d).reshape(splits).T, self._subset_codes(self.k - d).reshape(splits)[::-1].T
 
@@ -269,9 +275,9 @@ class DiracParams:
     alpha: Optional[AlphaTable] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidArgumentError(f"degree order d must be >= 1, got {self.d}")
-        if not (self.gamma > 0 and isfinite(self.gamma)):
+        if not is_int(self.d) or self.d < 1:
+            raise InvalidArgumentError(f"degree order d must be >= 1 and an integer, got {self.d!r}")
+        if not (isinstance(self.gamma, Real) and self.gamma > 0 and isfinite(self.gamma)):
             raise InvalidArgumentError(f"gamma must be positive and finite, got {self.gamma}")
 
     def validate_for(self, k: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_int
 
 _U64 = 2**64
 _M32 = 2**32 - 1
@@ -27,7 +27,7 @@ _PCG_MULT = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _U64:
+    if not is_int(seed) or not 0 <= int(seed) < _U64:
         raise InvalidArgumentError(f"seed must be an integer in [0, 2^64): {seed!r}")
     return int(seed)
 
@@ -36,10 +36,13 @@ def rng_from(seed: int, *indices: int) -> np.random.Generator:
     """Generator for substream ``indices`` of the given master seed.
 
     ``rng_from(s)`` is the root stream; ``rng_from(s, i)`` and deeper
-    tuples are independent substreams.  Draw order within a stream is
-    documented at each call site.
+    tuples are independent substreams; each index is an integer >= 0.
+    Draw order within a stream is documented at each call site.
     """
-    ss = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(i) for i in indices))
+    seed = check_seed(seed)
+    if not all(is_int(i) and i >= 0 for i in indices):
+        raise InvalidArgumentError(f"stream indices must be integers >= 0: {indices!r}")
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
     return np.random.Generator(np.random.PCG64(ss))
 
 

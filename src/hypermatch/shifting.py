@@ -36,7 +36,7 @@ from .entropy import (
     scale_vertex_sums,
     well_distributed_factor,
 )
-from .errors import InvalidArgumentError, SamplingError
+from .errors import InvalidArgumentError, SamplingError, is_int
 from .hypergraph import DiracParams, Hypergraph, _text_file
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
@@ -60,12 +60,19 @@ class ShiftingStructure:
     f_ids: tuple[int, ...]
 
 
+def _check_edge_ids(G: Hypergraph, *ids: int) -> None:
+    for i in ids:
+        if not (is_int(i) and 0 <= i < G.num_edges):
+            raise InvalidArgumentError(f"edge id {i!r} is not an integer in [0, {G.num_edges})")
+
+
 def partner_edges(G: Hypergraph, e_id: int) -> np.ndarray:
     """The ids of the edges that meet edge ``e_id`` in exactly one vertex.
 
     Ordered by that shared vertex, then by id: the edges at each vertex of
     the edge in turn, keeping those listed at only one of them.
     """
+    _check_edge_ids(G, e_id)
     ptr = G.indptr
     at = np.concatenate([G.incidence[ptr[v]: ptr[v + 1]] for v in G.edge_verts[e_id].tolist()])
     return at[np.bincount(at)[at] == 1]
@@ -93,6 +100,7 @@ def find_shifting_structure(
     taken in code order, that is lexicographic order; one mask per U_i
     keeps those that avoid the blocked vertices and pass both edge masks.
     """
+    _check_edge_ids(G, e_id, f_id)
     for mask in (e_ok, f_ok):
         if mask is not None and np.shape(mask) != (G.num_edges,):
             raise InvalidArgumentError(
@@ -191,11 +199,10 @@ class AnnealParams:
 
     eta = (4/gamma) / C(n-1, k-1), delta = epsilon / (2 C^2 n^{k-1}) and
     D = epsilon^{-3k}; C is the well-distributedness constant of the base
-    matching being mixed in.  The asymptotically-motivated inequality
+    matching being mixed in.  ``violations`` states the rules they must
+    meet.  The asymptotically-motivated inequality
     delta^{k-1} / (2 n^{k-1} eta^k) >= 1/sqrt(D) can be degenerate at small
-    n, so it is evaluated and reported rather than required; the related
-    positivity check D delta^{k-1} / (2 n^{k-1} eta^k) >= 1 guarantees every
-    good-configuration shift strictly gains entropy.
+    n, so it is evaluated and reported rather than required.
     """
 
     epsilon: float
@@ -209,33 +216,16 @@ class AnnealParams:
     def for_graph(
         cls, G: Hypergraph, gamma: float, epsilon: float, C: float, max_steps: int = 100000
     ) -> "AnnealParams":
-        if epsilon <= 0 or gamma <= 0 or C < 1 or max_steps < 0:
-            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1, max_steps >= 0")
+        if epsilon <= 0 or gamma <= 0 or C < 1 or not is_int(max_steps) or max_steps < 0:
+            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1, integer max_steps >= 0")
         scale = float(G.n) ** (G.k - 1)
-        return cls(
-            epsilon=epsilon,
-            C=C,
-            eta=(4.0 / gamma) / comb(G.n - 1, G.k - 1),
-            delta=epsilon / (2.0 * C * C * scale),
-            D=epsilon ** (-3 * G.k),
-            max_steps=max_steps,
-        )
-
-    def hard_violations(self, G: Hypergraph) -> list[str]:
-        scale = float(G.n) ** (G.k - 1)
-        out = []
-        if not self.eta - self.delta > 0:
-            out.append(f"eta - delta = {self.eta - self.delta!r} must be positive")
-        if not self.D / scale >= 2 * self.delta:
-            out.append(f"D/n^(k-1) = {self.D / scale!r} must be >= 2 delta = {2 * self.delta!r}")
-        if not self.eta <= 1.0:
-            out.append(f"eta = {self.eta!r} must be <= 1 so shifted weights stay below 1")
-        if not self.epsilon <= self.C:
-            out.append(f"epsilon = {self.epsilon!r} must be <= C = {self.C!r} for the mixing step")
-        return out
+        # (epsilon, C, eta, delta, D, max_steps) by position, which is faster to build: the
+        # epsilon scan of auto_anneal_params builds one per step
+        return cls(epsilon, C, (4.0 / gamma) / comb(G.n - 1, G.k - 1), epsilon / (2.0 * C * C * scale),
+                   epsilon ** (-3 * G.k), max_steps)
 
     def gain_ratio(self, G: Hypergraph) -> float:
-        """D delta^{k-1} / (2 n^{k-1} eta^k); >= 1 makes every shift a strict gain."""
+        """D delta^{k-1} / (2 n^{k-1} eta^k)."""
         scale = float(G.n) ** (G.k - 1)
         return self.D * self.delta ** (G.k - 1) / (2.0 * scale * self.eta**G.k)
 
@@ -246,18 +236,33 @@ class AnnealParams:
     def high_threshold(self, G: Hypergraph) -> float:
         return self.D / float(G.n) ** (G.k - 1)
 
-    def no_new_heavy(self, G: Hypergraph) -> bool:
-        """eta <= D/n^{k-1} - delta: shifted-up edges can never become heavy.
+    def violations(self, G: Hypergraph, termination: bool = False, positive_gain: bool = False) -> list[str]:
+        """The shifting lemma's parameter rules these parameters break on G, one message each.
 
-        Under this the total weight above the threshold only drains, so the
-        run terminates within (n/k)/delta + |E| steps.
+        The four hard rules always; ``termination`` adds the two that make the run provably
+        finish, ``positive_gain`` the gain ratio >= 1.  Only a broken rule builds its message,
+        and the three optional rules, which ``auto_anneal_params`` sees broken at most scan
+        steps, state no values.
         """
-        return self.eta <= self.high_threshold(G) - self.delta
-
-    def floor_consistent(self, G: Hypergraph) -> bool:
-        """2 C^2 / epsilon <= D: the final min-weight floor delta keeps the
-        well-distributedness factor at or below D on the low side."""
-        return 2.0 * self.C * self.C / self.epsilon <= self.D
+        high, out = self.high_threshold(G), []
+        if not self.eta - self.delta > 0:
+            out.append(f"eta - delta = {self.eta - self.delta!r} must be positive")
+        if not high >= 2 * self.delta:
+            out.append(f"D/n^(k-1) = {high!r} must be >= 2 delta = {2 * self.delta!r}")
+        if not self.eta <= 1.0:
+            out.append(f"eta = {self.eta!r} must be <= 1 so shifted weights stay below 1")
+        if not self.epsilon <= self.C:
+            out.append(f"epsilon = {self.epsilon!r} must be <= C = {self.C!r} for the mixing step")
+        if termination and not self.eta <= high - self.delta:
+            out.append("eta must be <= D/n^(k-1) - delta so no shifted-up edge turns heavy and the "
+                       "run ends within (n/k)/delta + |E| steps")
+        if termination and not 2.0 * self.C * self.C / self.epsilon <= self.D:
+            out.append("2 C^2/epsilon must be <= D so the final weight floor delta keeps the "
+                       "well-distributedness factor <= D")
+        if positive_gain and not self.gain_ratio(G) >= 1.0:
+            out.append("gain ratio D delta^(k-1) / (2 n^(k-1) eta^k) must be >= 1 so every shift "
+                       "strictly gains entropy")
+        return out
 
 
 def auto_anneal_params(
@@ -274,27 +279,23 @@ def auto_anneal_params(
     All the parameter constraints relax as epsilon shrinks (D = eps^{-3k}
     blows up), so the scan goes downward from the requested value and keeps
     the largest epsilon that passes (factor ``EPSILON_SHRINK`` per step, at
-    most ``MAX_SHRINKS`` steps).  ``require_termination`` adds the
-    no-new-heavy and floor-consistency checks, which make the run provably
-    finish with every weight in [1/(D n^{k-1}), D/n^{k-1}] or a
-    search-exhausted flag.  ``require_positive_gain`` additionally demands
-    the gain-positivity ratio, which guarantees monotone entropy but
-    typically drives D/n^{k-1} above every weight (a vacuous run) at desk
-    scale.
+    most ``MAX_SHRINKS`` steps): the first epsilon with no
+    ``AnnealParams.violations``.  ``require_termination`` and
+    ``require_positive_gain`` are its ``termination`` and ``positive_gain``
+    flags: the first makes the run provably finish with every weight in
+    [1/(D n^{k-1}), D/n^{k-1}] or a search-exhausted flag; the second
+    guarantees monotone entropy but typically drives D/n^{k-1} above every
+    weight (a vacuous run) at desk scale.
     """
     eps = epsilon
     for _ in range(MAX_SHRINKS + 1):
         params = AnnealParams.for_graph(G, gamma, eps, C, max_steps)
-        ok = not params.hard_violations(G)
-        if ok and require_termination:
-            ok = params.no_new_heavy(G) and params.floor_consistent(G)
-        if ok and require_positive_gain:
-            ok = params.gain_ratio(G) >= 1.0
-        if ok:
+        if not (broken := params.violations(G, require_termination, require_positive_gain)):
             return params
         eps *= EPSILON_SHRINK
     raise InvalidArgumentError(
-        f"no valid epsilon found below {epsilon} after {MAX_SHRINKS} shrink steps"
+        f"no valid epsilon found below {epsilon} after {MAX_SHRINKS} shrink steps; "
+        f"epsilon = {params.epsilon!r} still broke: " + "; ".join(broken)
     )
 
 
@@ -374,9 +375,8 @@ def anneal_and_shift(
     re-projected onto exact vertex sums to wash out float drift.  The
     starting mixture and the result must pass ``as_verified``.
     """
-    violations = params.hard_violations(G)
-    if violations:
-        raise InvalidArgumentError("invalid anneal parameters: " + "; ".join(violations))
+    if broken := params.violations(G):
+        raise InvalidArgumentError("invalid anneal parameters: " + "; ".join(broken))
     x = as_verified(G, convex_combine(x_star, x_hat, params.epsilon / params.C))
     log = AnnealLog(termination="step-limit", start_entropy=x.entropy)
     for step in range(1, params.max_steps + 1):

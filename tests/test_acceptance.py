@@ -9,7 +9,9 @@ shrink as n grows.
 """
 
 import hashlib
+import importlib
 import math
+import pathlib
 import re
 
 import pytest
@@ -199,3 +201,44 @@ def test_verify_quick_makes_active_regime_shifts(monkeypatch):
     assert result.name.startswith("5 ")
     assert int(re.search(r"active regime: (\d+) shifts", result.details).group(1)) > 0
     assert result.details == QUICK_5
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+STATUSES = ("*asserted*", "*printed*", "*vacuous here*", "*refused here*")
+
+
+def _ledger_rows():
+    """The README claims ledger as (claim, stated by, checked by, status, figures) cells."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Claims ledger", 1)[1]
+    lines = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| ")]
+    return [[cell.strip() for cell in line.strip("|").split(" | ")] for line in lines[1:]]
+
+
+def _resolves(name: str) -> bool:
+    if "::" in name:
+        path, *scopes = name.split("::")
+        text = (ROOT / path).read_text(encoding="utf-8")
+        return all(re.search(rf"^\s*(class|def) {scope}\b", text, re.M) for scope in scopes)
+    module, *attrs = name.split(".")
+    target = importlib.import_module(f"hypermatch.{module}")
+    for attr in attrs:
+        target = getattr(target, attr, None)
+    return callable(target)
+
+
+def test_claims_ledger_names_live_code_and_quotes_pinned_figures():
+    rows = _ledger_rows()
+    assert len(rows) >= 10 and all(len(row) == 5 for row in rows)
+    pinned = list(DETAILS.values()) + [QUICK_5]
+    for claim, stated, checked, status, figures in rows:
+        stated_names, checked_names = re.findall(r"`([^`]+)`", stated), re.findall(r"`([^`]+)`", checked)
+        assert len(stated_names) >= 1 and len(checked_names) >= 1, claim
+        for name in stated_names + checked_names:
+            assert _resolves(name), (claim, name)
+        assert status.startswith(STATUSES), claim
+        # the only numbers the ledger quotes are pinned figures
+        assert not re.search(r"\d", status), claim
+        for figure in re.findall(r"`([^`]+)`", figures):
+            assert any(figure in line for line in pinned), (claim, figure)
+        assert figures == "—" or figures.startswith("`"), claim
+

@@ -114,7 +114,7 @@ class TestHypergraph:
             assert G.edge_verts.tolist() == [list(e) for e in rows]
         assert calls == []
 
-    @pytest.mark.parametrize("k, n", [(3.0, 9), (3, 9.5), ("3", 9), (3, None), (np.float64(3), 9)])
+    @pytest.mark.parametrize("k, n", [(3.0, 9), (3, 9.5), ("3", 9), (3, None), (np.float64(3), 9), (3, True)])
     def test_non_integer_k_or_n_refused(self, k, n):
         with pytest.raises(InvalidArgumentError) as err:
             Hypergraph(k, n, [])
@@ -291,6 +291,17 @@ class TestDegrees:
             min_d_degree(K6, 3)
         with pytest.raises(InvalidArgumentError, match=r"d=-1 outside \[0, 2\]"):
             min_d_degree(K6, -1)
+        # the subset-code doors: d = k codes the edges themselves, a split leaves both parts nonempty
+        for door, d, message in [
+            (K6.split_codes, 0, r"split size d=0 is not an integer in \[1, 2\]"),
+            (K6.split_codes, 3, r"split size d=3 is not an integer in \[1, 2\]"),
+            (K6.split_codes, True, r"split size d=True is not an integer in \[1, 2\]"),
+            (K6.subset_codes, 0, r"subset size d=0 is not an integer in \[1, 3\]"),
+            (K6.subset_codes, 4, r"subset size d=4 is not an integer in \[1, 3\]"),
+            (K6.subset_codes, 1.0, r"subset size d=1.0 is not an integer in \[1, 3\]"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=message):
+                door(d)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(random_hypergraphs())

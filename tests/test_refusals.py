@@ -6,6 +6,10 @@ class name of any other ``OSError`` (exit 2), and the class name of a
 package error (exit 1).  Its ``message`` holds the row's fragment.  Paths in
 braces are made by the ``paths`` fixture; a row without ``--out`` writes to
 a new directory, which a refused run must not leave behind.
+
+argparse types the CLI's integer options, so the library's integer doors get
+rows of their own: each refuses a bool and a non-integer with
+InvalidArgumentError rather than truncating it or failing deeper in.
 """
 
 import json
@@ -16,7 +20,9 @@ import pytest
 from hypermatch import cli
 from hypermatch.cli import main
 from hypermatch.errors import InvalidArgumentError
-from hypermatch.hypergraph import gen_complete, write_hypergraph
+from hypermatch.hypergraph import DiracParams, gen_complete, write_hypergraph
+from hypermatch.seeds import check_seed, rng_from
+from hypermatch.shifting import AnnealParams
 
 ANNEAL = "anneal --graph {k6} --seed 4 --d 1 --gamma 0.5 --trials 400 --epsilon"
 GEN = "gen --n 12 --k 3"
@@ -119,6 +125,28 @@ def test_refusal(paths, tmp_path, capsys, monkeypatch, argv, code, error, fragme
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and fragment.format(**paths) in err["message"]
     assert not (tmp_path / "new").exists()
+
+
+INTEGER_REFUSALS = [
+    # id, call, message fragment
+    ("stream-index-float", lambda: rng_from(1, 2.5), "stream indices must be integers >= 0"),
+    ("stream-index-bool", lambda: rng_from(1, True), "stream indices must be integers >= 0"),
+    ("stream-index-negative", lambda: rng_from(1, -1), "stream indices must be integers >= 0"),
+    ("seed-bool", lambda: check_seed(True), NO_SEED),
+    ("dirac-d-float", lambda: DiracParams(1.5, 0.2), "d must be >= 1"),
+    ("dirac-d-bool", lambda: DiracParams(True, 0.2), "d must be >= 1"),
+    ("dirac-gamma-str", lambda: DiracParams(1, "a"), "gamma must be positive and finite"),
+    ("max-steps-float", lambda: AnnealParams.for_graph(gen_complete(6, 3), 0.5, 0.9, 2.0, max_steps=2.5),
+     "max_steps"),
+]
+
+
+@pytest.mark.parametrize("call,fragment", [row[1:] for row in INTEGER_REFUSALS],
+                         ids=[row[0] for row in INTEGER_REFUSALS])
+def test_integer_argument_refused(call, fragment):
+    with pytest.raises(InvalidArgumentError) as err:
+        call()
+    assert fragment in str(err.value)
 
 
 def test_a_refusal_keeps_an_out_that_existed(paths, tmp_path):

@@ -28,6 +28,7 @@ from hypermatch.shifting import (
     auto_anneal_params,
     find_good_configuration,
     find_shifting_structure,
+    partner_edges,
     shift_gain_lower_bound,
     well_distributed_fpm,
 )
@@ -95,6 +96,17 @@ class TestFindStructure:
         G = gen_complete(8, 2)
         with pytest.raises(InvalidArgumentError, match="edge masks"):
             find_shifting_structure(G, 0, 1, f_ok=np.ones(G.num_edges - 1, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [-1, -20, 20, 99, 1.0, True])
+    def test_edge_ids_outside_the_graph_refused(self, bad):
+        # numpy would wrap -1 round to the last edge, and raise a bare IndexError past the end
+        G = gen_complete(6, 3)
+        message = rf"edge id {bad!r} is not an integer in \[0, 20\)"
+        for search in (lambda: partner_edges(G, bad), lambda: find_shifting_structure(G, bad, 0),
+                       lambda: find_shifting_structure(G, 0, bad)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                search()
+        assert partner_edges(G, 19).tolist() == [1, 4, 10, 2, 5, 11, 3, 6, 12]
 
 
 def worked_example():
@@ -295,19 +307,18 @@ class TestAnnealParams:
     def test_degenerate_eta_is_a_hard_violation(self):
         G = gen_complete(6, 3)
         p = AnnealParams.for_graph(G, gamma=0.05, epsilon=0.5, C=2.0)
-        assert any("eta" in v for v in p.hard_violations(G))
+        assert any(v.startswith("eta = ") for v in p.violations(G))
         x, _ = max_entropy_fpm(G)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="invalid anneal parameters: .*eta = "):
             anneal_and_shift(G, x, x, p)
 
     def test_auto_params_validate(self):
         G = gen_complete(9, 3)
         p = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=3.0)
-        assert not p.hard_violations(G)
-        assert p.no_new_heavy(G) and p.floor_consistent(G)
+        assert p.violations(G, termination=True) == []
         strict = auto_anneal_params(G, gamma=0.5, epsilon=0.9, C=3.0, require_positive_gain=True)
+        assert strict.violations(G, termination=True, positive_gain=True) == []
         assert strict.gain_ratio(G) >= 1.0
-
 
     def test_auto_params_keep_the_first_valid_shrink_step(self):
         G = gen_complete(9, 3)
@@ -315,10 +326,45 @@ class TestAnnealParams:
         eps = 0.9
         for _ in range(shifting.MAX_SHRINKS + 1):
             q = AnnealParams.for_graph(G, 0.5, eps, 3.0, p.max_steps)
-            if not q.hard_violations(G) and q.no_new_heavy(G) and q.floor_consistent(G):
+            if not q.violations(G, termination=True):
                 break
             eps *= shifting.EPSILON_SHRINK
         assert p.epsilon == eps < 0.9
+
+    # On K_9^(3), n^(k-1) = 81.  BASE meets all seven rules (gain ratio 5); each row
+    # changes it to break exactly one, which the flags it needs then report alone.
+    BASE = dict(epsilon=0.5, C=1.0, eta=0.1, delta=0.01, D=8100.0, max_steps=0)
+    ALL = dict(termination=True, positive_gain=True)
+    RULES = [
+        ("eta-delta", dict(eta=0.01), ALL, "eta - delta = 0.0 must be positive"),
+        ("two-delta", dict(eta=0.9, delta=0.6, D=81.0), {},
+         "D/n^(k-1) = 1.0 must be >= 2 delta = 1.2"),
+        ("eta-one", dict(eta=2.0), {}, "eta = 2.0 must be <= 1 so shifted weights stay below 1"),
+        ("epsilon-C", dict(epsilon=2.0), ALL, "epsilon = 2.0 must be <= C = 1.0 for the mixing step"),
+        ("no-new-heavy", dict(eta=0.5, D=40.5), dict(termination=True),
+         "eta must be <= D/n^(k-1) - delta so no shifted-up edge turns heavy"),
+        ("floor", dict(eta=0.02, D=3.0), dict(termination=True), "2 C^2/epsilon must be <= D"),
+        ("gain", dict(D=810.0), ALL, "gain ratio D delta^(k-1) / (2 n^(k-1) eta^k) must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize("changes, flags, message", [r[1:] for r in RULES], ids=[r[0] for r in RULES])
+    def test_each_rule_is_reported_on_its_own(self, changes, flags, message):
+        G = gen_complete(9, 3)
+        assert AnnealParams(**self.BASE).violations(G, **self.ALL) == []
+        p = AnnealParams(**{**self.BASE, **changes})
+        (got,) = p.violations(G, **flags)
+        assert got.startswith(message)
+        if flags != self.ALL:
+            # a rule under a flag left off is not checked
+            assert p.violations(G) == ([got] if not flags else [])
+
+    def test_auto_params_refusal_names_what_the_last_epsilon_broke(self, monkeypatch):
+        monkeypatch.setattr(shifting, "MAX_SHRINKS", 0)
+        with pytest.raises(InvalidArgumentError) as err:
+            auto_anneal_params(gen_complete(9, 3), gamma=0.5, epsilon=0.9, C=3.0)
+        assert str(err.value).startswith(
+            "no valid epsilon found below 0.9 after 0 shrink steps; epsilon = 0.9 still broke: eta must be <="
+        )
 
 
 class TestAnneal:
