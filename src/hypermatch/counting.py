@@ -9,27 +9,23 @@ their ids and vertex masks per vertex in id order, read from the graph's
 edge rows, and never scans the other edges through v.
 
 One fill from the empty mask serves counting, exact marginals and uniform
-sampling, in two passes over the transitions.  Forward, the states of a
-layer (all with the same number of matched vertices) are grouped by lowest
-free vertex and ANDed against its lead-edge masks in bounded blocks; the
-children are merged into the next layer with their ways, the number of
-lowest-first paths from the empty mask.  Backward, a state's count sums its
-children's counts, and each transition by edge e adds
-ways(parent) * count(child) to e's through-count, the matchings through e.
-Both passes must find the same number of matchings.  The fill keeps the
-layers and their counts, the memo of every reachable state's count and the
-through-counts, which the marginals read.  The sampler takes each feasible
-lead edge at the current lowest vertex with probability (completions after
-taking it) / (completions now), read from the memo, which makes its output
-distribution exactly uniform.  It builds a state's choices (its count, the
-running sums of completions and the lead edges they belong to) the first
-time a draw reaches it and keeps them for later draws, until the kept
-choices hold ``SAMPLE_CACHE_EDGES`` lead edges in all; states first reached
-after that are rebuilt on every visit.  Many draws on one oracle thus pay
-for the distinct states they pass, not for every round, and the draws are
-the same either way.  ``sample_streams`` draws streams (seed, t) in
-lockstep, ``STATE_BLOCK`` trials per numpy pass a round, each taking the
-words of its stream as ``sample`` does, so the draws are again the same.
+sampling, in two passes over the transitions.  Layer r holds the states with
+r edges matched: vertices 0..r-1 and (k-1) r more, so a state's rank among
+those masks (``_layer_rank``) gives it a slot by table lookups, with no sort
+or search.  Forward, the states of a layer are ANDed against the lead-edge
+masks of their lowest free vertex in bounded blocks, and each child's slot
+sums its ways, the number of lowest-first paths from the empty mask; the
+nonzero slots, in rank order, are the next layer.  Backward, the next
+layer's counts fill its slots, a state's count sums its children's, and
+each transition by edge e adds ways(parent) * count(child) to e's
+through-count, the matchings through e.  Both passes must find the same
+number of matchings.  The fill keeps the layers and their counts, the memo
+of every reachable state's count and the through-counts, which the
+marginals read.  The sampler takes each feasible lead edge at the current
+lowest vertex with probability (completions after taking it) / (completions
+now), read from the memo, which makes its output distribution exactly
+uniform; ``sample`` keeps the choices of the states it visits, and
+``sample_streams`` draws many streams in lockstep, both with the same draws.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -41,12 +37,13 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -55,7 +52,8 @@ from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, Sa
 from .hypergraph import DiracParams, Hypergraph, group, is_dirac
 from .seeds import StreamWords, randbelow, rng_from
 
-# The exact oracle refuses graphs on more vertices than this.
+# The exact oracle refuses graphs on more vertices than this.  The fill's largest
+# slot array then has C(23, 11) = 1,352,078 slots (n = 24, k = 12, r = 1); 24,310 at n = 21, k = 3.
 DEFAULT_COUNT_CAP = 24
 # A state-by-lead-edge block of the expansion has at most this many elements,
 # or as many as its layer has states: its temporaries stay small next to the
@@ -133,22 +131,29 @@ class PMOracle:
                 yield rows[r], ids[c], block[r] | masks[c]
 
     def _fill(self) -> None:
-        """Count every state reachable from the empty mask and the matchings
-        through every edge, in the two passes of the module docstring."""
-        # All states of a layer have the same number of matched vertices, so
-        # the full mask is a layer of its own.
+        """Count every reachable state and the matchings through every edge (module docstring)."""
+        n, k = self.G.n, self.G.k
         layers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
-        while layers[-1][0].size and layers[-1][0][0] != self.full_mask:
-            states, ways = layers[-1]
-            layers.append(_next_layer((child, ways[parent]) for parent, _, child in self._transitions(states)))
+        while len(layers) <= n // k and layers[-1][0].size:
+            (states, ways), r = layers[-1], len(layers)
+            rank = _layer_rank(k, r)
+            summed, masks = np.zeros((2, math.comb(n - r, (k - 1) * r)), dtype=np.int64)
+            for parent, _, child in self._transitions(states):
+                slot = rank(child)
+                np.add.at(summed, slot, ways[parent])
+                masks[slot] = child
+            layers.append(_next_layer((summed, masks)))
         last, reached = layers[-1]
         counted = [(last, np.ones(last.size, dtype=np.int64))]
         through = np.zeros(self.G.num_edges, dtype=np.int64)
-        for states, ways in reversed(layers[:-1]):
-            nxt, known = counted[-1]
+        for r in range(len(layers) - 1, 0, -1):
+            (states, ways), (nxt, known) = layers[r - 1], counted[-1]
+            rank = _layer_rank(k, r)
+            slots = np.zeros(math.comb(n - r, (k - 1) * r), dtype=np.int64)
+            slots[rank(nxt)] = known
             counts = np.zeros(states.size, dtype=np.int64)
             for parent, eid, child in self._transitions(states):
-                c = known[np.searchsorted(nxt, child)]
+                c = slots[rank(child)]
                 np.add.at(counts, parent, c)
                 np.add.at(through, eid, ways[parent] * c)
             counted.append((states, counts))
@@ -277,41 +282,28 @@ class PMOracle:
         return entry
 
 
-def _next_layer(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct masks of a stream of (mask, ways) int64 array pairs, ways summed.
-
-    Pending blocks are merged once they outgrow the distinct masks found so
-    far (and ``EXPAND_BLOCK``), so the transitions of a layer are never all
-    held at once.
-    """
-    merged = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    pending, size = [merged], 0
-    for block in blocks:
-        pending.append(block)
-        size += block[0].size
-        if size > max(EXPAND_BLOCK, merged[0].size):
-            merged = _merge(pending)
-            pending, size = [merged], 0
-    return _merge(pending)
+def _next_layer(slots: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct (masks, ways) of a layer: its nonzero (summed ways, mask) slots, in rank order."""
+    summed, masks = slots
+    found = np.flatnonzero(summed)
+    return masks[found], summed[found]
 
 
-def _merge(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct masks of (mask, ways) array pairs, ways summed per mask."""
-    masks, ways = (np.concatenate(column) for column in zip(*pairs))
-    # Masks are below 2**24 (the count cap) and positions below 2**32, so
-    # one sort of (mask << 32 | position) orders the masks and keeps where
-    # each came from.  Every sort in this module is timsort ("stable"): it
-    # maps about half the numpy code of the default sort (128 vs 256 kB on
-    # numpy 2.4), a visible share of what a process of small oracles pays.
-    keys = masks << 32
-    keys |= np.arange(keys.size)
-    keys.sort(kind="stable")
-    masks = keys >> 32
-    starts = np.ones(masks.size, dtype=bool)
-    np.not_equal(masks[1:], masks[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    keys &= 0xFFFFFFFF
-    return masks[starts], np.add.reduceat(ways[keys], starts)
+@functools.cache
+def _layer_rank(k: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The slot of each mask of a layer-r int64 mask array: the colex rank sum_i C(p_i, i + 1) of
+    mask >> r over its set bits p_0 < p_1 < ..., which maps the layer's candidate masks (bits 0..r-1
+    and (k-1) r of bits r..n-1 set) in order onto [0, C(n-r, (k-1) r)); tables built on first use."""
+    comb = np.array([[math.comb(a, b) for b in range(25)] for a in range(24)], dtype=np.int64)
+    low = high = below = above = np.zeros(1, dtype=np.int64)
+    for t in range(12):
+        # bit t is the (below + 1)-th set bit of its low half, bit 23 - t the ((k-1) r - above)-th
+        low = np.concatenate([low, low + comb[t, below + 1]])
+        below = np.concatenate([below, below + 1])
+        high = np.stack([high, high + comb[23 - t, np.maximum((k - 1) * r - above, 0)]], axis=1).ravel()
+        above = np.stack([above, above + 1], axis=1).ravel()
+    low, high = low.astype(np.int16), high.astype(np.int32)
+    return lambda masks: low[masks >> r & 4095] + high[masks >> r + 12]
 
 
 def count_pm(G: Hypergraph) -> MatchingCount:

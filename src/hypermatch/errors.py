@@ -2,11 +2,13 @@
 
 Every error raised by this package derives from ``HypermatchError`` so
 callers (and the CLI) can report failures uniformly.  The subclasses map
-onto the distinct failure kinds of the public operations.  ``is_int`` is
-the integer test the argument checks share.
+onto the distinct failure kinds of the public operations.  ``is_int`` and
+``is_real`` are the number tests the argument checks share.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 
@@ -56,3 +58,8 @@ class InvariantError(HypermatchError):
 def is_int(value) -> bool:
     """True for an int or a numpy integer; a bool is not an integer argument."""
     return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
+def is_real(value) -> bool:
+    """True for a real number (an int, a float or a numpy scalar); a bool is not a real argument."""
+    return type(value) is not bool and isinstance(value, Real)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, isfinite
-from numbers import Real
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -40,6 +39,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     is_int,
+    is_real,
 )
 from .seeds import rng_from
 
@@ -277,7 +277,7 @@ class DiracParams:
     def __post_init__(self):
         if not is_int(self.d) or self.d < 1:
             raise InvalidArgumentError(f"degree order d must be >= 1 and an integer, got {self.d!r}")
-        if not (isinstance(self.gamma, Real) and self.gamma > 0 and isfinite(self.gamma)):
+        if not (is_real(self.gamma) and self.gamma > 0 and isfinite(self.gamma)):
             raise InvalidArgumentError(f"gamma must be positive and finite, got {self.gamma}")
 
     def validate_for(self, k: int) -> None:

@@ -36,7 +36,7 @@ from .entropy import (
     scale_vertex_sums,
     well_distributed_factor,
 )
-from .errors import InvalidArgumentError, SamplingError, is_int
+from .errors import InvalidArgumentError, SamplingError, is_int, is_real
 from .hypergraph import DiracParams, Hypergraph, _text_file
 
 # auto_anneal_params shrinks epsilon by this factor per step, at most this often.
@@ -216,8 +216,9 @@ class AnnealParams:
     def for_graph(
         cls, G: Hypergraph, gamma: float, epsilon: float, C: float, max_steps: int = 100000
     ) -> "AnnealParams":
-        if epsilon <= 0 or gamma <= 0 or C < 1 or not is_int(max_steps) or max_steps < 0:
-            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1, integer max_steps >= 0")
+        if (not all(map(is_real, (epsilon, gamma, C))) or epsilon <= 0 or gamma <= 0 or C < 1
+                or not is_int(max_steps) or max_steps < 0):
+            raise InvalidArgumentError("need epsilon > 0, gamma > 0, C >= 1 (reals, not bools), integer max_steps >= 0")
         scale = float(G.n) ** (G.k - 1)
         # (epsilon, C, eta, delta, D, max_steps) by position, which is faster to build: the
         # epsilon scan of auto_anneal_params builds one per step

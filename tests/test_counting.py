@@ -216,10 +216,16 @@ class TestOracleGuards:
         assert largest == phi_complete(24, 3).value < 2**63
         # sample_streams packs (state index << 44 | running sum) into int64
         assert largest < 2**44
-        # the fill's merge packs (mask << 32 | position) into int64: masks at
-        # the cap take at most 31 bits beside the 32 of a position
-        assert DEFAULT_COUNT_CAP <= 31
-        assert ((1 << DEFAULT_COUNT_CAP) - 1) << 32 | (2**32 - 1) < 2**63
+        # the fill's slot arrays: C(n - r, (k - 1) r) slots for layer r, at
+        # most C(23, 11) (n = 24, k = 12, r = 1) and 24,310 at n = 21, k = 3,
+        # so every slot fits the int32 ranks
+        slots = {
+            (n, k): max(math.comb(n - r, (k - 1) * r) for r in range(1, n // k + 1))
+            for k in range(2, DEFAULT_COUNT_CAP + 1)
+            for n in range(k, DEFAULT_COUNT_CAP + 1, k)
+        }
+        assert max(slots.values()) == slots[24, 12] == math.comb(23, 11) == 1_352_078 < 2**21
+        assert slots[21, 3] == 24_310
         PMOracle(gen_complete(24, 3))
         PMOracle(gen_complete(24, 2))
 
@@ -279,6 +285,60 @@ class TestOneFill:
         oracle.marginals()
         oracle.marginals()
         assert calls["_fill"] == 1
+
+
+def colex_rank(mask, r):
+    """sum_i C(p_i, i + 1) over the set bits p_0 < p_1 < ... of mask >> r."""
+    return sum(math.comb(p, i + 1) for i, p in enumerate(v for v in range(mask.bit_length()) if mask >> r >> v & 1))
+
+
+def layer_candidates(n, k, r, positions):
+    """Layer-r masks of a k-graph on n vertices: bits 0..r-1 and, for each
+    tuple in ``positions``, those (k - 1) r of the bits r..n-1."""
+    return sorted((1 << r) - 1 | sum(1 << p for p in chosen) for chosen in positions)
+
+
+class TestRankSlots:
+    """A layer's rank gives each of its candidate masks its own slot, in mask order."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exhaustive_small_layers(self, n):
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            for r in range(1, n // k + 1):
+                masks = layer_candidates(n, k, r, itertools.combinations(range(r, n), (k - 1) * r))
+                ranks = counting._layer_rank(k, r)(np.array(masks, dtype=np.int64))
+                # sorted masks onto 0, 1, ...: increasing, and onto [0, C(n - r, (k - 1) r)) exactly
+                assert ranks.tolist() == list(range(math.comb(n - r, (k - 1) * r)))
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_sampled_layers_at_the_cap(self, n):
+        rng = np.random.default_rng(n)
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            for r in range(1, n // k + 1):
+                bits, size = (k - 1) * r, math.comb(n - r, (k - 1) * r)
+                sampled = [sorted(rng.choice(np.arange(r, n), bits, replace=False).tolist()) for _ in range(200)]
+                # the least and the greatest candidate take the first and the last slot
+                ends = [range(r, r + bits), range(n - bits, n)]
+                masks = layer_candidates(n, k, r, sampled + ends)
+                ranks = counting._layer_rank(k, r)(np.array(masks, dtype=np.int64)).tolist()
+                assert ranks == [colex_rank(m, r) for m in masks]
+                assert np.all(np.diff(ranks) >= 0) and len(set(masks)) == len(set(ranks))
+                assert ranks[0] == 0 and ranks[-1] == size - 1
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["DIRAC_15", "K9"])
+    def test_fill_equals_the_unique_reference(self, name):
+        G = {"DIRAC_15": DIRAC_15, "K9": gen_complete(9, 3)}.get(name) or REFERENCE_GRAPHS[name]
+        oracle = PMOracle(G)
+        oracle.count_pm()
+        if G.n % G.k:
+            assert oracle._layers == []
+            return
+        layers, through = reference_fill(oracle)
+        assert len(oracle._layers) == len(layers)
+        for (states, counts), (want_states, want_counts) in zip(oracle._layers, layers):
+            assert states.dtype == counts.dtype == np.int64
+            assert states.tolist() == want_states.tolist() and counts.tolist() == want_counts.tolist()
+        assert oracle._through_counts.tolist() == through.tolist()
 
 
 class TestCounts:
@@ -435,16 +495,38 @@ def count_words(monkeypatch):
 
 
 def transitions_by_layer(oracle):
-    """(parent, edge id) of every transition out of each layer reachable from
-    the empty mask, in the order ``_transitions`` yields them."""
+    """(states, parent, edge id, child) of each layer reachable from the empty
+    mask short of the full one, with every transition out of it in the order
+    ``_transitions`` yields them; the next layer is ``np.unique(child)``."""
     states = np.zeros(1, dtype=np.int64)
+    empty = (np.zeros(0, dtype=np.int64),) * 3
     while states.size and states[0] != oracle.full_mask:
-        blocks = list(oracle._transitions(states))
-        if not blocks:
-            return
-        parent, eid, child = map(np.concatenate, zip(*blocks))
-        yield parent, eid
+        # one empty block, so a layer without transitions yields empty arrays
+        parent, eid, child = map(np.concatenate, zip(empty, *oracle._transitions(states)))
+        yield states, parent, eid, child
         states = np.unique(child)
+
+
+def reference_fill(oracle):
+    """``_layers`` and ``_through_counts`` built from ``transitions_by_layer``:
+    each layer is ``np.unique`` of the children, with the ways summed per
+    child, and a state's count sums its children's, found by their index."""
+    walk = list(transitions_by_layer(oracle))
+    layers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    for _, parent, _, child in walk:
+        nxt, index = np.unique(child, return_inverse=True)
+        ways = np.zeros(nxt.size, dtype=np.int64)
+        np.add.at(ways, index, layers[-1][1][parent])
+        layers.append((nxt, ways))
+    counts = [np.ones(layers[-1][0].size, dtype=np.int64)]
+    through = np.zeros(oracle.G.num_edges, dtype=np.int64)
+    for (states, parent, eid, child), (_, ways) in zip(walk[::-1], layers[-2::-1]):
+        below = counts[-1][np.unique(child, return_inverse=True)[1]]
+        count = np.zeros(states.size, dtype=np.int64)
+        np.add.at(count, parent, below)
+        np.add.at(through, eid, ways[parent] * below)
+        counts.append(count)
+    return [(states, count) for (states, _), count in zip(layers, counts[::-1])], through
 
 
 class TestLockstepStreams:
@@ -512,7 +594,7 @@ class TestLockstepStreams:
         # the parent alone, which relies on this order
         oracle = PMOracle(DIRAC_15 if name == "DIRAC_15" else REFERENCE_GRAPHS[name])
         pairs = 0
-        for parent, eid in transitions_by_layer(oracle):
+        for _, parent, eid, _ in transitions_by_layer(oracle):
             order = np.argsort(parent, kind="stable")
             parent, eid = parent[order], eid[order]
             same = parent[1:] == parent[:-1]

@@ -7,14 +7,16 @@ package error (exit 1).  Its ``message`` holds the row's fragment.  Paths in
 braces are made by the ``paths`` fixture; a row without ``--out`` writes to
 a new directory, which a refused run must not leave behind.
 
-argparse types the CLI's integer options, so the library's integer doors get
-rows of their own: each refuses a bool and a non-integer with
-InvalidArgumentError rather than truncating it or failing deeper in.
+argparse types the CLI's integer and float options, so the library's integer
+and real doors get rows of their own: each refuses a bool and a value of the
+wrong kind with InvalidArgumentError rather than truncating it, keeping it or
+failing deeper in.
 """
 
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hypermatch import cli
@@ -147,6 +149,36 @@ def test_integer_argument_refused(call, fragment):
     with pytest.raises(InvalidArgumentError) as err:
         call()
     assert fragment in str(err.value)
+
+
+def anneal_params(gamma=0.5, epsilon=0.9, C=2.0):
+    return AnnealParams.for_graph(gen_complete(6, 3), gamma, epsilon, C, 10)
+
+
+REAL_REFUSALS = [
+    # id, call, message fragment; a bool is not a real argument
+    ("dirac-gamma-bool", lambda: DiracParams(1, True), "gamma must be positive and finite"),
+    ("dirac-gamma-numpy-bool", lambda: DiracParams(1, np.True_), "gamma must be positive and finite"),
+    ("anneal-gamma-bool", lambda: anneal_params(gamma=True), "reals, not bools"),
+    ("anneal-epsilon-bool", lambda: anneal_params(epsilon=True), "reals, not bools"),
+    ("anneal-C-bool", lambda: anneal_params(C=True), "reals, not bools"),
+    ("anneal-C-str", lambda: anneal_params(C="2"), "reals, not bools"),
+]
+
+
+@pytest.mark.parametrize("call,fragment", [row[1:] for row in REAL_REFUSALS],
+                         ids=[row[0] for row in REAL_REFUSALS])
+def test_real_argument_refused(call, fragment):
+    with pytest.raises(InvalidArgumentError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_real_arguments_of_every_number_type_pass():
+    assert DiracParams(1, 1).gamma == 1 and DiracParams(1, np.float32(0.25)).gamma == 0.25
+    params = anneal_params(gamma=np.int64(1), epsilon=np.float64(0.5), C=2)
+    assert (params.epsilon, params.C) == (0.5, 2)
+    assert params == anneal_params(gamma=1.0, epsilon=0.5, C=2.0)
 
 
 def test_a_refusal_keeps_an_out_that_existed(paths, tmp_path):
