@@ -24,8 +24,10 @@ of every reachable state's count and the through-counts, which the
 marginals read.  The sampler takes each feasible lead edge at the current
 lowest vertex with probability (completions after taking it) / (completions
 now), read from the memo, which makes its output distribution exactly
-uniform; ``sample`` keeps the choices of the states it visits, and
-``sample_streams`` draws many streams in lockstep, both with the same draws.
+uniform.  ``sample`` keeps the choices of the states it visits while there
+is room, or passes through a state with the same check: it draws first and
+picks in the one pass that sums the children's counts, building nothing.
+``sample_streams`` draws many streams in lockstep, with the same draws.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -50,7 +52,7 @@ import numpy as np
 from .entropy import EdgeWeights, as_verified, ln_phi_entropy_route, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError, is_int
 from .hypergraph import DiracParams, Hypergraph, group, is_dirac
-from .seeds import StreamWords, randbelow, rng_from
+from .seeds import StreamWords, _below, pcg64_words, rng_from
 
 # The exact oracle refuses graphs on more vertices than this.  The fill's largest
 # slot array then has C(23, 11) = 1,352,078 slots (n = 24, k = 12, r = 1); 24,310 at n = 21, k = 3.
@@ -61,7 +63,8 @@ DEFAULT_COUNT_CAP = 24
 EXPAND_BLOCK = 1 << 14
 # The sampler keeps the choices of the states it visits until they hold this
 # many lead edges in all (about 1 MB), so a cold n = 21-24 oracle, with about
-# 2M transitions, never keeps a copy of all of them.
+# 2M transitions, never keeps a copy of all of them; past the bound it passes
+# through a state with the same telescoping check and keeps nothing.
 SAMPLE_CACHE_EDGES = 1 << 16
 # sample_streams draws blocks of this many trials, which does not change the
 # draws; a round's occupied states, at most this many, fit in 16 bits.
@@ -196,19 +199,30 @@ class PMOracle:
 
         One integer draw per matching round; exactly uniform because each
         feasible edge is taken with probability (completions after it) /
-        (completions now).  The choices of a state are built and checked on
-        its first visit and kept for later draws while the kept choices hold
-        fewer than ``SAMPLE_CACHE_EDGES`` lead edges.
+        (completions now).  A state is kept or passed through, with the same
+        check and the same draw.  While the kept choices hold fewer than
+        ``SAMPLE_CACHE_EDGES`` lead edges, a state's choices are built and
+        checked on its first visit and kept for later draws; past that, a
+        state not kept is passed through (``_pass_through``).  The generator
+        is checked to be PCG64 once per call.
         """
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
-        choices = self._choices
+        raw = pcg64_words(rng)
+        choices, memo = self._choices, self._memo
         full = self.full_mask
         mask = 0
         chosen: list[int] = []
         while mask != full:
-            now, cumulative, picks = choices.get(mask) or self._choice(mask)
-            eid, emask = picks[bisect_right(cumulative, randbelow(rng, now))]
+            entry = choices.get(mask)
+            if entry is None and self._choice_edges < SAMPLE_CACHE_EDGES:
+                entry = self._choice(mask)
+            if entry is None:
+                now = memo[mask]
+                eid, emask = self._pass_through(mask, now, _below(raw, now))
+            else:
+                now, cumulative, picks = entry
+                eid, emask = picks[bisect_right(cumulative, _below(raw, now))]
             chosen.append(eid)
             mask |= emask
         return tuple(chosen)
@@ -258,7 +272,7 @@ class PMOracle:
     def _choice(self, mask: int) -> tuple[int, array, list[list[int]]]:
         """The count of ``mask``, the running sums of completions over its
         feasible lead edges (checked to telescope to the count) and those
-        edges' (id, mask) pairs; kept while there is room (see sample)."""
+        edges' (id, mask) pairs, kept for later draws (see sample)."""
         memo = self._memo
         now = memo[mask]
         free = ~mask & self.full_mask
@@ -275,11 +289,32 @@ class PMOracle:
         if running != now:
             raise InvariantError("conditional counts failed to telescope")
         # counts are below 2**63 (module docstring), so int64 holds the sums
-        entry = (now, array("q", cumulative), picks)
-        if self._choice_edges < SAMPLE_CACHE_EDGES:
-            self._choices[mask] = entry
-            self._choice_edges += len(picks)
+        entry = self._choices[mask] = (now, array("q", cumulative), picks)
+        self._choice_edges += len(picks)
         return entry
+
+    def _pass_through(self, mask: int, now: int, r: int) -> list[int]:
+        """The (id, mask) pair of the feasible lead edge ``_choice(mask)`` would
+        pick for the draw r < ``now``, the count of ``mask``: the first whose
+        running sum of completions exceeds r.  The pass goes on past the pick,
+        checks that the sums telescope to ``now`` and allocates nothing."""
+        memo = self._memo
+        free = ~mask & self.full_mask
+        pairs = iter(self._lead_pairs[(free & -free).bit_length() - 1])
+        running = 0
+        # a child without completions adds 0, so it never moves the sum past r
+        for pick in pairs:
+            if pick[1] & mask == 0:
+                running += memo[mask | pick[1]]
+                if running > r:
+                    break
+        # the rest of the pass finishes the sum for the check
+        for pair in pairs:
+            if pair[1] & mask == 0:
+                running += memo[mask | pair[1]]
+        if running != now:
+            raise InvariantError("conditional counts failed to telescope")
+        return pick
 
 
 def _next_layer(slots: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -290,19 +325,31 @@ def _next_layer(slots: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.nd
 
 
 @functools.cache
+def _rank_tables() -> tuple[np.ndarray, np.ndarray]:
+    """C(a, b) for a < 24, b <= 24, and the low-half table of ``_layer_rank``, which no layer changes:
+    entry m sums C(p, i + 1) over the set bits p of the 12-bit m, the i-th (from 0) of them."""
+    comb = np.array([[math.comb(a, b) for b in range(25)] for a in range(24)], dtype=np.int64)
+    low = below = np.zeros(1, dtype=np.int64)
+    for t in range(12):
+        # bit t is the (below + 1)-th set bit of its low half
+        low = np.concatenate([low, low + comb[t, below + 1]])
+        below = np.concatenate([below, below + 1])
+    return comb, low.astype(np.int16)
+
+
+@functools.cache
 def _layer_rank(k: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
     """The slot of each mask of a layer-r int64 mask array: the colex rank sum_i C(p_i, i + 1) of
     mask >> r over its set bits p_0 < p_1 < ..., which maps the layer's candidate masks (bits 0..r-1
-    and (k-1) r of bits r..n-1 set) in order onto [0, C(n-r, (k-1) r)); tables built on first use."""
-    comb = np.array([[math.comb(a, b) for b in range(25)] for a in range(24)], dtype=np.int64)
-    low = high = below = above = np.zeros(1, dtype=np.int64)
+    and (k-1) r of bits r..n-1 set) in order onto [0, C(n-r, (k-1) r)); the high-half table, which
+    depends on the layer's bit count, is built on first use."""
+    comb, low = _rank_tables()
+    high = above = np.zeros(1, dtype=np.int64)
     for t in range(12):
-        # bit t is the (below + 1)-th set bit of its low half, bit 23 - t the ((k-1) r - above)-th
-        low = np.concatenate([low, low + comb[t, below + 1]])
-        below = np.concatenate([below, below + 1])
+        # bit 23 - t is the ((k-1) r - above)-th set bit
         high = np.stack([high, high + comb[23 - t, np.maximum((k - 1) * r - above, 0)]], axis=1).ravel()
         above = np.stack([above, above + 1], axis=1).ravel()
-    low, high = low.astype(np.int16), high.astype(np.int32)
+    high = high.astype(np.int32)
     return lambda masks: low[masks >> r & 4095] + high[masks >> r + 12]
 
 

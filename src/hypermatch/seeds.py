@@ -14,6 +14,8 @@ is the row-wise, word-for-word twin of ``randbelow``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import InvalidArgumentError, is_int
@@ -128,23 +130,39 @@ def _block_states(seed: int, t: np.ndarray) -> list[np.ndarray]:
     return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
 
 
+def pcg64_words(rng: np.random.Generator) -> Callable[[], int]:
+    """The raw-word source ``rng.bit_generator.random_raw`` of a PCG64 generator.
+
+    Other bit generators are refused (MT19937's raw words, for one, have 32
+    bits), so every caller of ``_below`` draws from 64-bit words.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise InvalidArgumentError(f"randbelow needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+    return rng.bit_generator.random_raw
+
+
 def randbelow(rng: np.random.Generator, n: int) -> int:
     """Uniform integer in [0, n) for 1 <= n < 2^64.
 
     Rejection sampling: each attempt takes one raw PCG64 word (the one
     ``rng.integers(0, 2**64, dtype=np.uint64)`` returns) and keeps its top
     ``n.bit_length()`` bits if they are below n; n = 1 takes no word.  A
-    test pins the sequence.  Other bit generators are refused (MT19937's
-    raw words, for one, have 32 bits).
+    test pins the sequence.  Other bit generators are refused.
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise InvalidArgumentError(f"randbelow needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
+    raw = pcg64_words(rng)
     if not 1 <= n < _U64:
         raise InvalidArgumentError(f"randbelow requires 1 <= n < 2^64, got {n}")
-    if n == 1:
-        return 0
+    return _below(raw, n)
+
+
+def _below(raw: Callable[[], int], n: int) -> int:
+    """``randbelow``'s rejection loop on the words of ``raw`` (from ``pcg64_words``),
+    for n < 2^64 unchecked; n = 1 takes no word and n < 1 is refused."""
+    if n < 2:
+        if n == 1:
+            return 0
+        raise InvalidArgumentError(f"randbelow requires 1 <= n < 2^64, got {n}")
     shift = 64 - n.bit_length()
-    raw = rng.bit_generator.random_raw
     while True:
         value = int(raw()) >> shift
         if value < n:

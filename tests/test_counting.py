@@ -185,8 +185,9 @@ class TestLayeredDPMatchesRecursive:
         # the marginals read the fill's through-counts and add no state
         assert len(new._memo) == states
 
-    # 8 lead edges fill the sampler's kept choices within the first draws
-    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8])
+    # 8 lead edges fill the sampler's kept choices within the first draws, and
+    # 0 keeps none, so every visit passes through
+    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8, 0])
     def test_samples_match_the_reference(self, graph, cache_edges, monkeypatch):
         monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", cache_edges)
         new, ref = PMOracle(graph), RecursiveOracle(graph)
@@ -199,8 +200,9 @@ class TestLayeredDPMatchesRecursive:
             assert new.sample(rng_from(seed)) == ref.sample(rng_from(seed))
             kept = sum(len(picks) for _, _, picks in new._choices.values())
             assert kept == new._choice_edges <= cache_edges + largest_group
-        # the kept choices were read, and past the tiny bound states were rebuilt
+        # the kept choices were read, and past the tiny bound states passed through
         assert new._choice_edges >= min(cache_edges, 8)
+        assert bool(new._choices) == bool(cache_edges)
 
 
 class TestOracleGuards:
@@ -235,6 +237,19 @@ class TestOracleGuards:
         oracle._memo[0] += 1
         with pytest.raises(InvariantError, match="telescope"):
             oracle.sample(rng_from(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_broken_child_count_breaks_the_pass_through(self, seed, monkeypatch):
+        # with nothing kept, every visit passes through; the pass checks the
+        # whole sum even when its pick comes before the broken last child
+        monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", 0)
+        oracle = PMOracle(DIRAC_15)
+        oracle.count_pm()
+        _, last = oracle._lead_pairs[0][-1]
+        oracle._memo[last] += 1
+        with pytest.raises(InvariantError, match="telescope"):
+            oracle.sample(rng_from(seed))
+        assert oracle._choices == {}
 
     def test_broken_path_count_raises_typed_error(self, monkeypatch):
         # one wrong forward path count reaches the full mask, where the two
@@ -398,7 +413,7 @@ DIRAC_15 = gen_random_dirac(15, 3, DiracParams(2, 0.2), density=0.9, seed=15)
 
 
 class TestSampling:
-    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8])
+    @pytest.mark.parametrize("cache_edges", [SAMPLE_CACHE_EDGES, 8, 0])
     def test_pinned_samples_on_dirac_15(self, cache_edges, monkeypatch):
         # recorded from the recursive oracle the layered DP replaced
         monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", cache_edges)
@@ -454,6 +469,13 @@ class TestSampling:
         no_pm = Hypergraph(3, 6, [(0, 1, 2), (0, 3, 4)])
         with pytest.raises(SamplingError):
             sample_uniform_pms(no_pm, 1, 1)[0]
+
+    @pytest.mark.parametrize("G", [SINGLE_PM, DIRAC_15], ids=["single_pm", "dirac_15"])
+    def test_32_bit_generator_refused(self, G):
+        # checked once per draw, before the first round, also where every
+        # round has one choice and takes no word
+        with pytest.raises(InvalidArgumentError, match="PCG64"):
+            PMOracle(G).sample(np.random.Generator(np.random.MT19937(5)))
 
 
 def draw_and_words(oracle, seed, t):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermatch.errors import InvalidArgumentError
-from hypermatch.seeds import StreamWords, randbelow, rng_from
+from hypermatch.seeds import StreamWords, _below, randbelow, rng_from
 
 # Recorded from rng.integers(0, 2**64, dtype=np.uint64) words; a numpy whose
 # raw PCG64 words differ from those breaks every seeded stream.
@@ -37,6 +37,22 @@ def test_randbelow_refuses_bounds_of_two_words(n):
 def test_randbelow_refuses_32_bit_generator():
     with pytest.raises(InvalidArgumentError):
         randbelow(np.random.Generator(np.random.MT19937(5)), 2**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=6))
+def test_below_draws_like_randbelow(seed, bounds):
+    # the loop ``PMOracle.sample`` calls on raw words, one draw per bound
+    rng, twin = rng_from(seed), rng_from(seed)
+    raw = rng.bit_generator.random_raw
+    assert [_below(raw, n) for n in bounds] == [randbelow(twin, n) for n in bounds]
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_below_refuses_empty_range(n):
+    with pytest.raises(InvalidArgumentError, match="1 <= n"):
+        _below(rng_from(1).bit_generator.random_raw, n)
 
 
 # StreamWords transcribes numpy's SeedSequence mixing and PCG64 seeding;

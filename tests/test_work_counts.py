@@ -8,8 +8,10 @@ pin and says why.
 import numpy as np
 import pytest
 
-from hypermatch.counting import PMOracle
+from hypermatch import counting
+from hypermatch.counting import SAMPLE_CACHE_EDGES, PMOracle
 from hypermatch.hypergraph import gen_complete
+from hypermatch.seeds import rng_from
 from test_counting import DIRAC_15
 
 # per graph: transitions yielded per ``_transitions`` call of the forward pass
@@ -18,6 +20,12 @@ FILL_WORK = {
     "K9": ([28, 280, 35], [1, 28, 35, 1]),
     "DIRAC_15": ([83, 4175, 18605, 8520, 157], [1, 83, 715, 924, 165, 1]),
 }
+
+# per bound on the kept lead edges: over 200 draws on DIRAC_15 from stream
+# (0,), 1,000 rounds, the states ``_choice`` builds and keeps, the visits that
+# pass through an unkept state and the visits that find a kept one.  The root
+# alone has 83 lead edges, so a bound of 8 keeps it and nothing more.
+SAMPLE_WORK = {SAMPLE_CACHE_EDGES: (532, 0, 468), 8: (1, 800, 199)}
 
 
 @pytest.fixture()
@@ -53,3 +61,34 @@ def test_fill_work(name, transitions):
     oracle.marginals()
     oracle.sample(np.random.default_rng(0))
     assert len(transitions) == 2 * len(forward)
+
+
+class CountedHits(dict):
+    """A ``_choices`` dict that counts the lookups which find a kept state."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        self.hits += found is not None
+        return found
+
+
+@pytest.mark.parametrize("bound", sorted(SAMPLE_WORK))
+def test_sample_work(bound, monkeypatch):
+    monkeypatch.setattr(counting, "SAMPLE_CACHE_EDGES", bound)
+    oracle = PMOracle(DIRAC_15)
+    oracle.count_pm()
+    oracle._choices = CountedHits()
+    calls = {"_choice": 0, "_pass_through": 0}
+    for name in calls:
+        def counted(self, *args, real=getattr(PMOracle, name), name=name):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(PMOracle, name, counted)
+    rng = rng_from(0)
+    draws = [oracle.sample(rng) for _ in range(200)]
+    work = calls["_choice"], calls["_pass_through"], oracle._choices.hits
+    assert work == SAMPLE_WORK[bound]
+    assert sum(work) == sum(map(len, draws)) == 1000
+    assert len(oracle._choices) == calls["_choice"]
