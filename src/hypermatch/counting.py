@@ -29,6 +29,12 @@ is room, or passes through a state with the same check: it draws first and
 picks in the one pass that sums the children's counts, building nothing.
 ``sample_streams`` draws many streams in lockstep, with the same draws.
 
+A block is expanded through one flat index: the lead-edge masks are int32,
+as are the block's states for the AND (every mask is below 2**24 under the
+cap), and one ``flatnonzero`` on the edge-by-state fit matrix gives each
+transition's edge and state by a division, in row-major order.  The
+children, layers and counts stay int64.
+
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
 k-graph on n vertices, which stays below 2**63 for every n <= the count cap
@@ -57,9 +63,9 @@ from .seeds import StreamWords, _below, pcg64_words, rng_from
 # The exact oracle refuses graphs on more vertices than this.  The fill's largest
 # slot array then has C(23, 11) = 1,352,078 slots (n = 24, k = 12, r = 1); 24,310 at n = 21, k = 3.
 DEFAULT_COUNT_CAP = 24
-# A state-by-lead-edge block of the expansion has at most this many elements,
-# or as many as its layer has states: its temporaries stay small next to the
-# memo entries of the layer, on tiny graphs too.
+# A lead-edge-by-state block of the expansion has at most this many elements,
+# or as many as its layer has states: its int32 fit matrix and flat index stay
+# small next to the memo entries of the layer, on tiny graphs too.
 EXPAND_BLOCK = 1 << 14
 # The sampler keeps the choices of the states it visits until they hold this
 # many lead edges in all (about 1 MB), so a cold n = 21-24 oracle, with about
@@ -90,9 +96,10 @@ class PMOracle:
         self.full_mask = (1 << G.n) - 1
         edge_verts = G.edge_verts
         # Edge ids grouped by lowest vertex (column 0), in id order within a
-        # group, and their vertex masks; the sampler reads them as Python pairs.
+        # group, and their vertex masks, int32 as every mask is below
+        # 2**DEFAULT_COUNT_CAP; the sampler reads them as Python pairs.
         bounds, ids = group(edge_verts[:, 0], G.n)
-        masks = np.bitwise_or.reduce(np.left_shift(1, edge_verts[ids]), axis=1)
+        masks = np.bitwise_or.reduce(np.left_shift(1, edge_verts[ids]), axis=1).astype(np.int32)
         spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         self._lead = [(ids[a:b], masks[a:b]) for a, b in spans]
         pairs = np.stack([ids, masks], axis=1).tolist()
@@ -111,9 +118,11 @@ class PMOracle:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every feasible transition out of one layer's ``states`` (none full), in bounded blocks.
 
-        Yields arrays (parent index into ``states``, edge id, child mask);
-        each state takes the lead edges of its lowest free vertex that do
-        not meet it.
+        Yields int64 arrays (parent index into ``states``, edge id, child
+        mask); each state takes the lead edges of its lowest free vertex that
+        do not meet it.  A block's fit matrix (lead edge by state) is built
+        on int32, and its flat index f splits into edge f // width and state
+        f % width, in ``np.nonzero``'s row-major order.
         """
         # a lowest free vertex is at least the states' AND's and at most their matched count
         common = int(np.bitwise_and.reduce(states))
@@ -130,7 +139,9 @@ class PMOracle:
                 # Edge-major order: ``states`` is sorted, so the children
                 # of one edge come out ascending, which keeps the lookups
                 # into the next layer cache-friendly.
-                c, r = np.nonzero((masks[:, None] & block) == 0)
+                f = np.flatnonzero((masks[:, None] & block.astype(np.int32)) == 0)
+                c = f // block.size
+                r = f - c * block.size
                 yield rows[r], ids[c], block[r] | masks[c]
 
     def _fill(self) -> None:
@@ -204,11 +215,11 @@ class PMOracle:
         ``SAMPLE_CACHE_EDGES`` lead edges, a state's choices are built and
         checked on its first visit and kept for later draws; past that, a
         state not kept is passed through (``_pass_through``).  The generator
-        is checked to be PCG64 once per call.
+        is checked to be a PCG64 ``Generator`` once per call, before the fill.
         """
+        raw = pcg64_words(rng)
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
-        raw = pcg64_words(rng)
         choices, memo = self._choices, self._memo
         full = self.full_mask
         mask = 0
@@ -369,7 +380,9 @@ def phi_complete(n: int, k: int) -> MatchingCount:
 
 
 def sample_uniform_pms(G: Hypergraph, seed: int, trials: int) -> list[tuple[int, ...]]:
-    """``trials`` independent uniform perfect matchings from stream (seed,)."""
+    """``trials`` independent uniform perfect matchings from stream (seed,); ``trials`` is an integer >= 0."""
+    if not (is_int(trials) and trials >= 0):
+        raise InvalidArgumentError(f"trials must be an integer >= 0: {trials!r}")
     oracle = PMOracle(G)
     rng = rng_from(seed)
     return [oracle.sample(rng) for _ in range(trials)]

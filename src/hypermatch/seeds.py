@@ -134,11 +134,14 @@ def pcg64_words(rng: np.random.Generator) -> Callable[[], int]:
     """The raw-word source ``rng.bit_generator.random_raw`` of a PCG64 generator.
 
     Other bit generators are refused (MT19937's raw words, for one, have 32
-    bits), so every caller of ``_below`` draws from 64-bit words.
+    bits), so every caller of ``_below`` draws from 64-bit words; so is
+    anything that is not a ``Generator``, before any attribute is read.
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise InvalidArgumentError(f"randbelow needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
-    return rng.bit_generator.random_raw
+    bits = rng.bit_generator if isinstance(rng, np.random.Generator) else None
+    if not isinstance(bits, np.random.PCG64):
+        got = type(rng if bits is None else bits).__name__
+        raise InvalidArgumentError(f"randbelow needs a Generator on PCG64, got {got}")
+    return bits.random_raw
 
 
 def randbelow(rng: np.random.Generator, n: int) -> int:

@@ -228,8 +228,16 @@ class TestOracleGuards:
         }
         assert max(slots.values()) == slots[24, 12] == math.comb(23, 11) == 1_352_078 < 2**21
         assert slots[21, 3] == 24_310
+        # the lead-edge masks are int32: every vertex bit under the cap fits
+        assert 1 << (DEFAULT_COUNT_CAP - 1) < 2**31
         PMOracle(gen_complete(24, 3))
         PMOracle(gen_complete(24, 2))
+
+    def test_fill_at_the_cap(self):
+        # n = 24: the top vertex bits pass through the int32 masks of a whole fill
+        G = gen_complete(24, 2)
+        assert count_pm(G).value == phi_complete(24, 2).value == 316_234_143_225
+        assert PMOracle(G).marginals() == [Fraction(1, 23)] * G.num_edges
 
     def test_broken_memo_breaks_the_sampler_telescoping(self):
         oracle = PMOracle(gen_complete(6, 3))
@@ -477,6 +485,17 @@ class TestSampling:
         with pytest.raises(InvalidArgumentError, match="PCG64"):
             PMOracle(G).sample(np.random.Generator(np.random.MT19937(5)))
 
+    @pytest.mark.parametrize("rng", [None, 5, np.random.PCG64(5), np.random.MT19937(5)],
+                             ids=["none", "int", "bare_pcg64", "bare_mt19937"])
+    def test_non_generator_refused(self, rng):
+        # refused as an argument, before the fill and before any attribute is read
+        oracle = PMOracle(DIRAC_15)
+        with pytest.raises(InvalidArgumentError, match="Generator on PCG64"):
+            oracle.sample(rng)
+        with pytest.raises(InvalidArgumentError, match="Generator on PCG64"):
+            randbelow(rng, 3)
+        assert oracle._memo == {}
+
 
 def draw_and_words(oracle, seed, t):
     """``oracle.sample`` on stream (seed, t) and the raw words it consumed."""
@@ -549,6 +568,62 @@ def reference_fill(oracle):
         np.add.at(through, eid, ways[parent] * below)
         counts.append(count)
     return [(states, count) for (states, _), count in zip(layers, counts[::-1])], through
+
+
+def lowest_first_transitions(G, states):
+    """Independent reference for ``PMOracle._transitions``, in pure Python from
+    ``G.edge_verts`` rows: for each state in order, the (parent index, edge
+    id, child) triples of the edges, in id order, whose lowest vertex is the
+    state's lowest free vertex and that miss the state."""
+    lead = [[] for _ in range(G.n)]
+    for eid, row in enumerate(G.edge_verts.tolist()):
+        lead[row[0]].append((eid, sum(1 << v for v in row)))
+    return [(i, eid, state | mask)
+            for i, state in enumerate(states)
+            for eid, mask in lead[(~state & state + 1).bit_length() - 1]
+            if not mask & state]
+
+
+class TestTransitionsReference:
+    """``_transitions`` against ``lowest_first_transitions``, layer by layer from the empty mask."""
+
+    @staticmethod
+    def walk(oracle):
+        """The layers the reference reaches short of the full mask, each with the
+        reference's triples and ``_transitions``' triples, stably sorted by parent."""
+        states = [0]
+        while states and states != [oracle.full_mask]:
+            want = lowest_first_transitions(oracle.G, states)
+            blocks = list(oracle._transitions(np.array(states, dtype=np.int64)))
+            got = [t for block in blocks for t in zip(*(a.tolist() for a in block))]
+            yield states, want, sorted(got, key=lambda t: t[0])
+            states = sorted({child for _, _, child in want})
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS) + ["DIRAC_15"])
+    def test_same_triples_in_the_same_order_per_parent(self, name):
+        oracle = PMOracle(DIRAC_15 if name == "DIRAC_15" else REFERENCE_GRAPHS[name])
+        oracle.count_pm()
+        layers = []
+        for states, want, got in self.walk(oracle):
+            assert got == want
+            layers.append(states)
+        if oracle._layers:
+            # the fill's layers are the states the reference reaches
+            assert [states.tolist() for states, _ in oracle._layers[:-1]] == layers
+
+    def test_every_layer_of_k24_2(self):
+        # bits 20-23 of the masks pass through the int32 AND: layer r holds
+        # the C(24 - r, r) masks of vertices 0..r-1 and r more, 75,024 in all,
+        # and each takes its 23 - 2r lead edges, 748,776 transitions in all
+        oracle = PMOracle(gen_complete(24, 2))
+        sizes, moves, top = [], 0, 0
+        for states, want, got in self.walk(oracle):
+            assert got == want
+            sizes.append(len(states))
+            moves += len(got)
+            top |= max(child for _, _, child in got)
+        assert sizes == [math.comb(24 - r, r) for r in range(12)]
+        assert moves == 748_776 and top == oracle.full_mask
 
 
 class TestLockstepStreams:

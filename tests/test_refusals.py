@@ -21,6 +21,7 @@ import pytest
 
 from hypermatch import cli
 from hypermatch.cli import main
+from hypermatch.counting import sample_uniform_pms
 from hypermatch.errors import InvalidArgumentError
 from hypermatch.hypergraph import DiracParams, gen_complete, write_hypergraph
 from hypermatch.seeds import check_seed, rng_from
@@ -29,6 +30,7 @@ from hypermatch.shifting import AnnealParams
 ANNEAL = "anneal --graph {k6} --seed 4 --d 1 --gamma 0.5 --trials 400 --epsilon"
 GEN = "gen --n 12 --k 3"
 NO_SEED = "seed must be an integer in [0, 2^64)"
+TRIALS = "trials must be an integer >= 0"
 TOGETHER = "--d and --gamma must be given together"
 NO_DIRAC = "--alpha-table needs --d and --gamma"
 COMPLETE = "gen --n 6 --k 3 --complete"
@@ -140,6 +142,10 @@ INTEGER_REFUSALS = [
     ("dirac-gamma-str", lambda: DiracParams(1, "a"), "gamma must be positive and finite"),
     ("max-steps-float", lambda: AnnealParams.for_graph(gen_complete(6, 3), 0.5, 0.9, 2.0, max_steps=2.5),
      "max_steps"),
+    ("sample-trials-negative", lambda: sample_uniform_pms(gen_complete(6, 3), 1, -1), TRIALS),
+    ("sample-trials-bool", lambda: sample_uniform_pms(gen_complete(6, 3), 1, True), TRIALS),
+    ("sample-trials-float", lambda: sample_uniform_pms(gen_complete(6, 3), 1, 2.5), TRIALS),
+    ("sample-trials-str", lambda: sample_uniform_pms(gen_complete(6, 3), 1, "3"), TRIALS),
 ]
 
 
@@ -149,6 +155,11 @@ def test_integer_argument_refused(call, fragment):
     with pytest.raises(InvalidArgumentError) as err:
         call()
     assert fragment in str(err.value)
+
+
+def test_integer_trial_counts_pass():
+    assert sample_uniform_pms(gen_complete(6, 3), 1, 0) == []
+    assert sample_uniform_pms(gen_complete(6, 3), 1, np.int64(3)) == sample_uniform_pms(gen_complete(6, 3), 1, 3)
 
 
 def anneal_params(gamma=0.5, epsilon=0.9, C=2.0):
