@@ -15,25 +15,26 @@ those masks (``_layer_rank``) gives it a slot by table lookups, with no sort
 or search.  Forward, the states of a layer are ANDed against the lead-edge
 masks of their lowest free vertex in bounded blocks, and each child's slot
 sums its ways, the number of lowest-first paths from the empty mask; the
-nonzero slots, in rank order, are the next layer.  Backward, the next
-layer's counts fill its slots, a state's count sums its children's, and
-each transition by edge e adds ways(parent) * count(child) to e's
+nonzero slots, in rank order, are the next layer.  Backward, a state's
+count sums its children's, read by rank from the next layer's count table,
+and each transition by edge e adds ways(parent) * count(child) to e's
 through-count, the matchings through e.  Both passes must find the same
-number of matchings.  The fill keeps the layers and their counts, the memo
-of every reachable state's count and the through-counts, which the
-marginals read.  The sampler takes each feasible lead edge at the current
-lowest vertex with probability (completions after taking it) / (completions
-now), read from the memo, which makes its output distribution exactly
-uniform.  ``sample`` keeps the choices of the states it visits while there
-is room, or passes through a state with the same check: it draws first and
-picks in the one pass that sums the children's counts, building nothing.
-``sample_streams`` draws many streams in lockstep, with the same draws.
+number of matchings.  The fill keeps one count table per layer, addressed by
+rank, the memo of every reachable state's count and the through-counts,
+which the marginals read.  The sampler takes each feasible lead edge at the
+current lowest vertex with probability (completions after taking it) /
+(completions now), which makes its output distribution exactly uniform.
+``sample`` reads the memo: it keeps the choices of the states it visits
+while there is room, or passes through a state with the same check, drawing
+first and picking in the one pass that sums the children's counts.
+``sample_streams`` draws many streams in lockstep, with the same draws, and
+reads every count of its rounds from the tables by rank.
 
 A block is expanded through one flat index: the lead-edge masks are int32,
 as are the block's states for the AND (every mask is below 2**24 under the
 cap), and one ``flatnonzero`` on the edge-by-state fit matrix gives each
 transition's edge and state by a division, in row-major order.  The
-children, layers and counts stay int64.
+children, layers and count tables stay int64.
 
 Counts are exact integers.  Every number the DP forms (counts, ways,
 ways * count and their sums) is at most the matching count of the complete
@@ -58,7 +59,7 @@ import numpy as np
 from .entropy import EdgeWeights, as_verified, ln_phi_entropy_route, max_entropy_fpm
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, SamplingError, is_int
 from .hypergraph import DiracParams, Hypergraph, group, is_dirac
-from .seeds import StreamWords, _below, pcg64_words, rng_from
+from .seeds import StreamWords, _below, check_seed, pcg64_words, rng_from
 
 # The exact oracle refuses graphs on more vertices than this.  The fill's largest
 # slot array then has C(23, 11) = 1,352,078 slots (n = 24, k = 12, r = 1); 24,310 at n = 21, k = 3.
@@ -104,9 +105,9 @@ class PMOracle:
         self._lead = [(ids[a:b], masks[a:b]) for a, b in spans]
         pairs = np.stack([ids, masks], axis=1).tolist()
         self._lead_pairs = [pairs[a:b] for a, b in spans]
-        # (states, counts) per layer, from the empty mask to the full one, and
+        # each layer's count table, from the empty mask to the full one, and
         # the perfect matchings through each edge; the fill sets both
-        self._layers: list[tuple[np.ndarray, np.ndarray]] = []
+        self._tables: list[np.ndarray] = []
         self._through_counts = np.zeros(0, dtype=np.int64)
         self._memo: dict[int, int] = {}
         # state -> (count, running sums of completions, lead pairs), see sample
@@ -145,7 +146,8 @@ class PMOracle:
                 yield rows[r], ids[c], block[r] | masks[c]
 
     def _fill(self) -> None:
-        """Count every reachable state and the matchings through every edge (module docstring)."""
+        """Count every reachable state and the matchings through every edge (module docstring): a
+        layer-r state's count goes to ``_memo`` and to slot ``_layer_rank(k, r)(mask)`` of ``_tables[r]``."""
         n, k = self.G.n, self.G.k
         layers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
         while len(layers) <= n // k and layers[-1][0].size:
@@ -157,29 +159,28 @@ class PMOracle:
                 np.add.at(summed, slot, ways[parent])
                 masks[slot] = child
             layers.append(_next_layer((summed, masks)))
-        last, reached = layers[-1]
-        counted = [(last, np.ones(last.size, dtype=np.int64))]
+        tables = []
+        counts = np.ones(layers[-1][0].size, dtype=np.int64)
         through = np.zeros(self.G.num_edges, dtype=np.int64)
-        for r in range(len(layers) - 1, 0, -1):
-            (states, ways), (nxt, known) = layers[r - 1], counted[-1]
-            rank = _layer_rank(k, r)
-            slots = np.zeros(math.comb(n - r, (k - 1) * r), dtype=np.int64)
-            slots[rank(nxt)] = known
-            counts = np.zeros(states.size, dtype=np.int64)
-            for parent, eid, child in self._transitions(states):
-                c = slots[rank(child)]
-                np.add.at(counts, parent, c)
-                np.add.at(through, eid, ways[parent] * c)
-            counted.append((states, counts))
+        for r in range(len(layers) - 1, -1, -1):
+            states, ways = layers[r]
+            if tables:
+                counts = np.zeros(states.size, dtype=np.int64)
+                for parent, eid, child in self._transitions(states):
+                    c = tables[-1][_layer_rank(k, r + 1)(child)]
+                    np.add.at(counts, parent, c)
+                    np.add.at(through, eid, ways[parent] * c)
+            tables.append(np.zeros(math.comb(n - r, (k - 1) * r), dtype=np.int64))
+            tables[-1][_layer_rank(k, r)(states)] = counts
         # Each perfect matching is one lowest-first path from the empty mask
         # to the full one, so both passes must find the same number of them.
-        paths, total = int(reached.sum()), int(counted[-1][1][0])
+        paths, total = int(layers[-1][1].sum()), int(counts[0])
         if paths != total:
             raise InvariantError(f"{paths} paths reach the full mask, the empty mask counts {total}")
-        self._layers = counted[::-1]
-        self._through_counts = through
-        for states, counts in self._layers:
-            self._memo.update(zip(states.tolist(), counts.tolist()))
+        self._tables, self._through_counts = tables[::-1], through
+        # the memo is filled from layer 0 up: filled top layer first, it made ``sample`` slower
+        for r, (states, _) in enumerate(layers):
+            self._memo.update(zip(states.tolist(), self._tables[r][_layer_rank(k, r)(states)].tolist()))
 
     def count_pm(self) -> int:
         if self.G.n % self.G.k != 0:
@@ -241,43 +242,37 @@ class PMOracle:
     def sample_streams(self, seed: int, trials: int) -> np.ndarray:
         """Row t is ``sample(rng_from(seed, t))``, for every t < ``trials``.
 
-        A round finds a block's masks in their layer (checked) and groups the
-        occupied states' transitions by state, which keeps ``_transitions``'
-        edge id order within a state, so each state's running sums are
-        ``sample``'s (checked to telescope); ``StreamWords.randbelow`` draws
-        as ``randbelow`` does.  Counts are below 2**44, so one ``searchsorted``
-        on (state << 44 | running sum) picks the first edge whose sum exceeds
-        the draw, never one without completions.  Trial t's stream key t must fit one
-        32-bit word, so ``trials`` is an integer (not bool) in [1, 2^32].
-        """
+        A trial carries only its mask.  A round groups the transitions of a block's distinct masks by
+        state, in ``_transitions``' edge id order, and reads every count from the layer tables by rank,
+        so each state's running sums are ``sample``'s (checked to telescope); ``StreamWords.randbelow``
+        draws as ``randbelow`` does.  Counts are below 2**44, so one ``searchsorted`` on (state << 44 |
+        running sum) picks the first edge whose sum exceeds the draw, never one without completions.
+        The seed is checked before the fill; trial t's stream key t must fit one 32-bit word, so
+        ``trials`` is an integer (not bool) in [1, 2^32]."""
+        check_seed(seed)
         if not (is_int(trials) and 1 <= trials <= 2**32):
             raise InvalidArgumentError(f"trials must be in [1, 2^32]: {trials!r}")
         if self.count_pm() == 0:
             raise SamplingError("graph has no perfect matching")
-        out = np.empty((trials, self.G.n // self.G.k), dtype=np.int64)
+        k = self.G.k
+        out = np.empty((trials, self.G.n // k), dtype=np.int64)
         for lo in range(0, trials, STATE_BLOCK):
             hi = min(trials, lo + STATE_BLOCK)
             words = StreamWords(seed, np.arange(lo, hi))
-            mask, pos = np.zeros((2, hi - lo), dtype=np.int64)
+            mask = np.zeros(hi - lo, dtype=np.int64)
             for r in range(out.shape[1]):
-                (layer, counts), (nxt, nxt_counts) = self._layers[r:r + 2]
-                if not np.array_equal(layer.take(pos, mode="clip"), mask):
-                    raise InvariantError(f"a lockstep mask is not a state of layer {r}")
-                seen = np.bincount(pos).astype(bool)
-                occ = np.flatnonzero(seen)
-                at = np.cumsum(seen)[pos] - 1
-                parent, eid, child = map(np.concatenate, zip(*self._transitions(layer[occ])))
-                where = np.searchsorted(nxt, child)
+                occ, at = np.unique(mask, return_inverse=True)
+                parent, eid, child = map(np.concatenate, zip(*self._transitions(occ)))
                 indptr, rows = group(parent, occ.size)
-                parent, eid, child, where = parent[rows], eid[rows], child[rows], where[rows]
-                sums = np.concatenate([[0], np.cumsum(nxt_counts[where])])
-                if np.any(np.diff(sums[indptr]) != counts[occ]):
+                parent, eid, child = parent[rows], eid[rows], child[rows]
+                sums = np.concatenate([[0], np.cumsum(self._tables[r + 1][_layer_rank(k, r + 1)(child)])])
+                counts = self._tables[r][_layer_rank(k, r)(occ)]
+                if np.any(np.diff(sums[indptr]) != counts):
                     raise InvariantError("conditional counts failed to telescope")
-                base = sums[indptr[:-1]]
-                value = words.randbelow(counts[pos])
-                pick = np.searchsorted(parent << 44 | sums[1:] - base[parent], at << 44 | value, "right")
+                value = words.randbelow(counts[at])
+                pick = np.searchsorted(parent << 44 | sums[1:] - sums[indptr[parent]], at << 44 | value, "right")
                 out[lo:hi, r] = eid[pick]
-                mask, pos = child[pick], where[pick]
+                mask = child[pick]
         return out
 
     def _choice(self, mask: int) -> tuple[int, array, list[list[int]]]:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidArgumentError, InvariantError, ParseError
+from .errors import InfeasibleError, InvalidArgumentError, InvariantError, ParseError, is_int, is_real
 from .hypergraph import Hypergraph, _text_file, _text_lines
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
@@ -263,8 +263,8 @@ def max_entropy_fpm(
     0.9, seed=1)`` it lies 5.2e-7 above the optimum, about 50 times the
     vertex-sum tolerance.
     """
-    if not 0 < tol < math.inf or max_iter < 1:
-        raise InvalidArgumentError(f"need finite tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
+    if not (is_real(tol) and 0 < tol < math.inf and is_int(max_iter) and max_iter >= 1):
+        raise InvalidArgumentError(f"need finite tol > 0 and max_iter >= 1, got {tol!r}, {max_iter!r}")
     if G.n == 0:
         empty = as_verified(G, EdgeWeights.from_weights(G, np.zeros(0)))
         return empty, ScalingResult(np.zeros(0), np.zeros(0), 0, 0.0, True)

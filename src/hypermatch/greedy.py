@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .entropy import EdgeWeights, check_alignment
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_real
 from .hypergraph import Hypergraph, _text_file, encode
 from .seeds import rng_from
 
@@ -59,10 +59,10 @@ class TrajectoryConfig:
     sampled_sets_per_size: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise InvalidArgumentError(f"trajectory exponent c={self.c} outside (0, 1)")
-        if self.stop_fraction is not None and not 0.0 < self.stop_fraction <= 1.0:
-            raise InvalidArgumentError(f"stop_fraction={self.stop_fraction} outside (0, 1]")
+        if not (is_real(self.c) and 0.0 < self.c < 1.0):
+            raise InvalidArgumentError(f"trajectory exponent c={self.c!r} outside (0, 1)")
+        if self.stop_fraction is not None and not (is_real(self.stop_fraction) and 0.0 < self.stop_fraction <= 1.0):
+            raise InvalidArgumentError(f"stop_fraction={self.stop_fraction!r} outside (0, 1]")
         if type(self.sampled_sets_per_size) is not int or self.sampled_sets_per_size < 0:
             raise InvalidArgumentError(
                 f"sampled_sets_per_size={self.sampled_sets_per_size!r} is not a non-negative int")
@@ -285,6 +285,8 @@ def trajectory_deviation(
     ``max_degree_deviation``.
     """
     check_alignment(G, x)
+    if horizon_fraction is not None and not (is_real(horizon_fraction) and 0.0 <= horizon_fraction < math.inf):
+        raise InvalidArgumentError(f"horizon_fraction must be a finite real >= 0: {horizon_fraction!r}")
     if traj.graph_digest != G.digest():
         raise InvalidArgumentError("trajectory was recorded on a different graph")
     n, k = G.n, G.k

@@ -445,8 +445,10 @@ def gen_random_dirac(
     if n % k != 0:
         raise InvalidArgumentError(f"k={k} must divide n={n}")
     needed = params.threshold(n, k)
-    if not 0.0 < density <= 1.0:
-        raise InvalidArgumentError(f"density {density} outside (0, 1]")
+    if not (is_real(density) and 0.0 < density <= 1.0):
+        raise InvalidArgumentError(f"density {density!r} outside (0, 1]")
+    if not (is_int(max_attempts) and max_attempts >= 1):
+        raise InvalidArgumentError(f"max_attempts must be an integer >= 1: {max_attempts!r}")
     # Densities at or below alpha+gamma cannot sustain the degree condition;
     # the attempt loop still runs so the failure reports the achieved degree.
     all_sets = all_subsets(n, k)

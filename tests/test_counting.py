@@ -354,13 +354,18 @@ class TestRankSlots:
         oracle = PMOracle(G)
         oracle.count_pm()
         if G.n % G.k:
-            assert oracle._layers == []
+            assert oracle._tables == []
             return
         layers, through = reference_fill(oracle)
-        assert len(oracle._layers) == len(layers)
-        for (states, counts), (want_states, want_counts) in zip(oracle._layers, layers):
-            assert states.dtype == counts.dtype == np.int64
-            assert states.tolist() == want_states.tolist() and counts.tolist() == want_counts.tolist()
+        assert len(oracle._tables) == len(layers)
+        for r, (table, (want_states, want_counts)) in enumerate(zip(oracle._tables, layers)):
+            # each reference state's count at its rank slot, every other slot 0
+            assert table.dtype == np.int64 and table.size == math.comb(G.n - r, (G.k - 1) * r)
+            slots = counting._layer_rank(G.k, r)(want_states)
+            assert table[slots].tolist() == want_counts.tolist()
+            assert not np.delete(table, slots).any()
+            assert [oracle._memo[s] for s in want_states.tolist()] == want_counts.tolist()
+        assert len(oracle._memo) == sum(states.size for states, _ in layers)
         assert oracle._through_counts.tolist() == through.tolist()
 
 
@@ -549,7 +554,7 @@ def transitions_by_layer(oracle):
 
 
 def reference_fill(oracle):
-    """``_layers`` and ``_through_counts`` built from ``transitions_by_layer``:
+    """Each layer's (states, counts) and ``_through_counts``, built from ``transitions_by_layer``:
     each layer is ``np.unique`` of the children, with the ways summed per
     child, and a state's count sums its children's, found by their index."""
     walk = list(transitions_by_layer(oracle))
@@ -607,9 +612,11 @@ class TestTransitionsReference:
         for states, want, got in self.walk(oracle):
             assert got == want
             layers.append(states)
-        if oracle._layers:
-            # the fill's layers are the states the reference reaches
-            assert [states.tolist() for states, _ in oracle._layers[:-1]] == layers
+        if oracle._tables:
+            # the fill's layers (its memo's states by size) are the states the reference reaches
+            k, top = oracle.G.k, len(oracle._tables) - 1
+            filled = [sorted(s for s in oracle._memo if s.bit_count() == k * r) for r in range(top)]
+            assert filled == layers
 
     def test_every_layer_of_k24_2(self):
         # bits 20-23 of the masks pass through the int32 AND: layer r holds
@@ -681,6 +688,13 @@ class TestLockstepStreams:
         with pytest.raises(InvalidArgumentError, match=r"trials must be in \[1, 2\^32\]"):
             PMOracle(gen_complete(6, 3)).sample_streams(0, trials)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_bad_seed_refused_before_the_fill(self, seed):
+        oracle = PMOracle(gen_complete(12, 3))
+        with pytest.raises(InvalidArgumentError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            oracle.sample_streams(seed, 5)
+        assert oracle._memo == {} and oracle._tables == []
+
     def test_numpy_integer_trial_count(self):
         oracle = PMOracle(gen_complete(6, 3))
         assert oracle.sample_streams(0, np.int64(7)).tolist() == oracle.sample_streams(0, 7).tolist()
@@ -699,20 +713,10 @@ class TestLockstepStreams:
             pairs += int(same.sum())
         assert pairs > 0
 
-    def test_mask_missing_from_its_layer_raises_typed_error(self):
-        oracle = PMOracle(gen_complete(6, 3))
-        oracle.count_pm()
-        # the last state of layer 1 moves above every mask: the round-0 count
-        # lookups still find its count, but no round-1 mask equals it
-        states = oracle._layers[1][0]
-        states[-1] |= 1 << 6
-        with pytest.raises(InvariantError, match="not a state of layer 1"):
-            oracle.sample_streams(0, 50)
-
     def test_broken_layer_count_breaks_the_telescoping(self):
         oracle = PMOracle(gen_complete(6, 3))
         oracle.count_pm()
-        oracle._layers[0][1][0] += 1
+        oracle._tables[0][0] += 1
         with pytest.raises(InvariantError, match="telescope"):
             oracle.sample_streams(0, 4)
 

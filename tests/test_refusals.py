@@ -22,8 +22,10 @@ import pytest
 from hypermatch import cli
 from hypermatch.cli import main
 from hypermatch.counting import sample_uniform_pms
+from hypermatch.entropy import max_entropy_fpm
 from hypermatch.errors import InvalidArgumentError
-from hypermatch.hypergraph import DiracParams, gen_complete, write_hypergraph
+from hypermatch.greedy import TrajectoryConfig, run_greedy, trajectory_deviation
+from hypermatch.hypergraph import DiracParams, gen_complete, gen_random_dirac, write_hypergraph
 from hypermatch.seeds import check_seed, rng_from
 from hypermatch.shifting import AnnealParams
 
@@ -34,6 +36,9 @@ TRIALS = "trials must be an integer >= 0"
 TOGETHER = "--d and --gamma must be given together"
 NO_DIRAC = "--alpha-table needs --d and --gamma"
 COMPLETE = "gen --n 6 --k 3 --complete"
+ATTEMPTS = "max_attempts must be an integer >= 1"
+TOL = "need finite tol > 0 and max_iter >= 1"
+HORIZON = "horizon_fraction must be a finite real >= 0"
 
 REFUSALS = [
     # argv, exit code, error name, message fragment
@@ -146,7 +151,16 @@ INTEGER_REFUSALS = [
     ("sample-trials-bool", lambda: sample_uniform_pms(gen_complete(6, 3), 1, True), TRIALS),
     ("sample-trials-float", lambda: sample_uniform_pms(gen_complete(6, 3), 1, 2.5), TRIALS),
     ("sample-trials-str", lambda: sample_uniform_pms(gen_complete(6, 3), 1, "3"), TRIALS),
+    ("dirac-max-attempts-float", lambda: dirac(max_attempts=2.5), ATTEMPTS),
+    ("dirac-max-attempts-bool", lambda: dirac(max_attempts=True), ATTEMPTS),
+    ("dirac-max-attempts-zero", lambda: dirac(max_attempts=0), ATTEMPTS),
+    ("entropy-max-iter-float", lambda: max_entropy_fpm(gen_complete(6, 3), max_iter=2.5), TOL),
+    ("entropy-max-iter-bool", lambda: max_entropy_fpm(gen_complete(6, 3), max_iter=True), TOL),
 ]
+
+
+def dirac(density=0.8, max_attempts=64):
+    return gen_random_dirac(12, 3, DiracParams(2, 0.1), density, 21, max_attempts=max_attempts)
 
 
 @pytest.mark.parametrize("call,fragment", [row[1:] for row in INTEGER_REFUSALS],
@@ -166,6 +180,12 @@ def anneal_params(gamma=0.5, epsilon=0.9, C=2.0):
     return AnnealParams.for_graph(gen_complete(6, 3), gamma, epsilon, C, 10)
 
 
+def deviation(horizon_fraction):
+    G = gen_complete(6, 3)
+    x = max_entropy_fpm(G)[0]
+    return trajectory_deviation(run_greedy(G, x, TrajectoryConfig(), seed=0), G, x, horizon_fraction)
+
+
 REAL_REFUSALS = [
     # id, call, message fragment; a bool is not a real argument
     ("dirac-gamma-bool", lambda: DiracParams(1, True), "gamma must be positive and finite"),
@@ -174,6 +194,15 @@ REAL_REFUSALS = [
     ("anneal-epsilon-bool", lambda: anneal_params(epsilon=True), "reals, not bools"),
     ("anneal-C-bool", lambda: anneal_params(C=True), "reals, not bools"),
     ("anneal-C-str", lambda: anneal_params(C="2"), "reals, not bools"),
+    ("dirac-density-bool", lambda: dirac(density=True), "density True outside (0, 1]"),
+    ("entropy-tol-str", lambda: max_entropy_fpm(gen_complete(6, 3), tol="1e-8"), TOL),
+    ("entropy-tol-bool", lambda: max_entropy_fpm(gen_complete(6, 3), tol=True), TOL),
+    ("trajectory-c-str", lambda: TrajectoryConfig(c="0.5"), "trajectory exponent c='0.5'"),
+    ("trajectory-stop-str", lambda: TrajectoryConfig(stop_fraction="0.5"), "stop_fraction='0.5'"),
+    ("trajectory-stop-bool", lambda: TrajectoryConfig(stop_fraction=True), "stop_fraction=True"),
+    ("deviation-horizon-negative", lambda: deviation(-1.0), HORIZON),
+    ("deviation-horizon-nan", lambda: deviation(float("nan")), HORIZON),
+    ("deviation-horizon-str", lambda: deviation("0.5"), HORIZON),
 ]
 
 
@@ -190,6 +219,12 @@ def test_real_arguments_of_every_number_type_pass():
     params = anneal_params(gamma=np.int64(1), epsilon=np.float64(0.5), C=2)
     assert (params.epsilon, params.C) == (0.5, 2)
     assert params == anneal_params(gamma=1.0, epsilon=0.5, C=2.0)
+    assert dirac(density=np.float64(0.8), max_attempts=np.int64(64)).digest() == dirac().digest()
+    G = gen_complete(6, 3)
+    solved = max_entropy_fpm(G, tol=np.float64(1e-9), max_iter=np.int32(100))[0]
+    assert solved.weights.tolist() == max_entropy_fpm(G, tol=1e-9, max_iter=100)[0].weights.tolist()
+    assert TrajectoryConfig(c=np.float64(0.05), stop_fraction=np.float32(0.5)).stop_fraction == 0.5
+    assert deviation(np.float64(0.5)) == deviation(0.5)
 
 
 def test_a_refusal_keeps_an_out_that_existed(paths, tmp_path):

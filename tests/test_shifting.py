@@ -483,6 +483,14 @@ class TestWellDistributedFPM:
         with pytest.raises(SamplingError, match="did not converge"):
             well_distributed_fpm(G, DiracParams(1, 0.1), seed=5, trials=50)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_bad_seed_refused_before_the_fill(self, seed, monkeypatch):
+        fills = []
+        monkeypatch.setattr(PMOracle, "_fill", lambda self: fills.append(1))
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            well_distributed_fpm(gen_complete(6, 3), DiracParams(1, 0.1), seed=seed, trials=10)
+        assert fills == []
+
     def test_greedy_prefix_refused(self):
         # gamma/(10 k^2) * n = 7.5/90 * 12 = 1 prefix round
         with pytest.raises(InvalidArgumentError, match="prefix"):

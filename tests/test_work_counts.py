@@ -11,8 +11,8 @@ import pytest
 from hypermatch import counting
 from hypermatch.counting import SAMPLE_CACHE_EDGES, PMOracle
 from hypermatch.hypergraph import gen_complete
-from hypermatch.seeds import rng_from
-from test_counting import DIRAC_15
+from hypermatch.seeds import StreamWords, rng_from
+from test_counting import DIRAC_15, draw_and_words
 
 # per graph: transitions yielded per ``_transitions`` call of the forward pass
 # (one call per non-full layer, from the empty mask up) and each layer's states
@@ -26,6 +26,16 @@ FILL_WORK = {
 # pass through an unkept state and the visits that find a kept one.  The root
 # alone has 83 lead edges, so a bound of 8 keeps it and nothing more.
 SAMPLE_WORK = {SAMPLE_CACHE_EDGES: (532, 0, 468), 8: (1, 800, 199)}
+
+# per seed: over ``sample_streams(seed, 2000)`` on DIRAC_15 (one block of five
+# rounds) from a filled oracle, the words drawn (rows ``StreamWords.next``
+# advances, which equal the words the 2,000 sequential draws consume) and, per
+# round, the occupied states passed to ``_transitions`` and the transitions it
+# yields
+STREAM_WORK = {
+    1: (10666, [1, 83, 667, 760, 156], [83, 4175, 17347, 7058, 156]),
+    2**40 + 3: (10769, [1, 83, 666, 755, 157], [83, 4175, 17325, 7011, 157]),
+}
 
 
 @pytest.fixture()
@@ -55,7 +65,8 @@ def test_fill_work(name, transitions):
     # transitions as the forward one, from the top layer down
     assert len(transitions) == 2 * len(forward) == 2 * (len(states) - 1)
     assert transitions == forward + forward[::-1]
-    assert [layer.size for layer, _ in oracle._layers] == states
+    assert len(oracle._tables) == len(states)
+    assert [sum(s.bit_count() == G.k * r for s in oracle._memo) for r in range(len(states))] == states
     assert len(oracle._memo) == sum(states)
     # the marginals and a draw read the fill and walk no transition again
     oracle.marginals()
@@ -92,3 +103,27 @@ def test_sample_work(bound, monkeypatch):
     assert work == SAMPLE_WORK[bound]
     assert sum(work) == sum(map(len, draws)) == 1000
     assert len(oracle._choices) == calls["_choice"]
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_WORK))
+def test_stream_work(seed, transitions, monkeypatch):
+    oracle = PMOracle(DIRAC_15)
+    oracle.count_pm()
+    transitions.clear()
+    occupied, words = [], [0]
+    real_transitions, real_next = PMOracle._transitions, StreamWords.next
+
+    def counted_transitions(self, states):
+        occupied.append(states.size)
+        return real_transitions(self, states)
+
+    def counted_next(self, rows):
+        words[0] += len(rows)
+        return real_next(self, rows)
+
+    monkeypatch.setattr(PMOracle, "_transitions", counted_transitions)
+    monkeypatch.setattr(StreamWords, "next", counted_next)
+    oracle.sample_streams(seed, 2000)
+    assert (words[0], occupied, transitions) == STREAM_WORK[seed]
+    sequential = PMOracle(DIRAC_15)
+    assert words[0] == sum(draw_and_words(sequential, seed, t)[1] for t in range(2000))
